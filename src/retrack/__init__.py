@@ -11,11 +11,11 @@ evaluation kit, and a command-line front end.
 
 from .candidate_select import (CandidateSet, assemble, filter_by_confidence,
                                soft_nms)
-from .engine import (EngineConfig, EngineState, engine_init, is_stable,
-                     run_baseline, run_sequence, step)
+from .engine import (EngineConfig, EngineState, engine_init, run_baseline,
+                     run_sequence, step)
 from .evalkit import (EvalReport, SuccessResult, VotResult, eao_lite,
                       id_switches, success_metrics, vot_metrics)
-from .geometry import BBox, Tracklet, iou, make_tracklet, tracklet_avg_iou
+from .geometry import BBox, Tracklet, iou, tracklet_avg_iou
 from .matching import NoViableCandidateError, build_weights, hungarian_max, resolve_target
 from .motion import (MotionState, motion_init, motion_predict, motion_update)
 from .pools import (CandidateEntry, CandidatePool, NeighborPool,
@@ -30,7 +30,7 @@ from .tracker_port import RawCandidates, Template, TrackerPort
 __version__ = "0.1.0"
 
 __all__ = [
-    "BBox", "Tracklet", "iou", "make_tracklet", "tracklet_avg_iou",
+    "BBox", "Tracklet", "iou", "tracklet_avg_iou",
     "Template", "RawCandidates", "TrackerPort",
     "CandidateSet", "filter_by_confidence", "soft_nms", "assemble",
     "MotionState", "motion_init", "motion_predict", "motion_update",
@@ -38,7 +38,7 @@ __all__ = [
     "build_candidate_pool", "empty_neighbor_pool", "update_neighbor_pool",
     "build_weights", "hungarian_max", "resolve_target",
     "NoViableCandidateError",
-    "EngineConfig", "EngineState", "engine_init", "is_stable", "step",
+    "EngineConfig", "EngineState", "engine_init", "step",
     "run_sequence", "run_baseline",
     "Scene", "ObjectSpec", "OcclusionEvent", "Path", "ScenarioConfig",
     "MockTracker", "MockConfig", "MotFormatError",

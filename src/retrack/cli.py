@@ -70,7 +70,6 @@ class RunSpec:
     target_id: int | None
     engine_cfg: EngineConfig
     baseline_only: bool
-    with_engine: bool = True
 
     def build_scene(self) -> Scene:
         if self.mot_path is not None:
@@ -100,7 +99,7 @@ def _execute_run(spec: RunSpec) -> dict:
     start = time.perf_counter()
     out["baseline"] = run_baseline(port, frames, b0)
     out["baseline_seconds"] = time.perf_counter() - start
-    if spec.with_engine and not spec.baseline_only:
+    if not spec.baseline_only:
         start = time.perf_counter()
         boxes, records = run_sequence(port, frames, b0, spec.engine_cfg)
         out["engine_seconds"] = time.perf_counter() - start
@@ -212,18 +211,11 @@ def _add_options(options):
 def _engine_cfg(tau: int, alpha: float, nms_iou: float, nms_sigma: float,
                 gate_iou: float, no_kalman: bool) -> EngineConfig:
     try:
-        cfg = EngineConfig(alpha=alpha, nms_iou=nms_iou, nms_sigma=nms_sigma,
-                           tau=tau, stability_iou=gate_iou,
-                           use_kalman=not no_kalman)
-        if tau < 1:
-            raise ValueError(f"tau must be at least 1, got {tau}")
-        if not (0.0 <= alpha <= 1.0):
-            raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-        if nms_sigma <= 0:
-            raise ValueError(f"nms sigma must be positive, got {nms_sigma}")
+        return EngineConfig(alpha=alpha, nms_iou=nms_iou, nms_sigma=nms_sigma,
+                            tau=tau, stability_iou=gate_iou,
+                            use_kalman=not no_kalman)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return cfg
 
 
 def _make_specs(scenario, mot_path, config_path, seeds, target_id,
@@ -353,37 +345,30 @@ def _run_ablation(ablate: str, specs: list[RunSpec], fail_iou: float,
                   jobs: int, out: FsPath) -> None:
     if ablate.startswith("tau="):
         try:
-            taus = [int(v) for v in ablate[4:].split(",") if v]
+            values = [int(v) for v in ablate[4:].split(",") if v]
         except ValueError:
-            raise ConfigError(f"cannot parse ablation spec {ablate!r}") from None
-        if not taus or any(t < 1 for t in taus):
-            raise ConfigError(f"tau sweep needs positive depths, got {ablate!r}")
-        lines = ["tau,auc,robustness,seconds_per_frame"]
-        for tau in taus:
-            variants = [dataclasses.replace(
-                s, engine_cfg=dataclasses.replace(s.engine_cfg, tau=tau))
-                for s in specs]
-            rows = _map_jobs(_eval_one, [(s, fail_iou) for s in variants], jobs)
-            auc = sum(r["engine"]["auc"] for r in rows) / len(rows)
-            rob = sum(r["engine"]["robustness"] for r in rows) / len(rows)
-            spf = sum(r["engine_spf"] for r in rows) / len(rows)
-            lines.append(f"{tau},{auc!r},{rob!r},{spf!r}")
-        (out / "ablation_tau.csv").write_text("\n".join(lines) + "\n")
+            values = []
+        if not values:
+            raise ConfigError(f"cannot parse ablation spec {ablate!r}")
+        axis, field = "tau", "tau"
     elif ablate == "kalman":
-        lines = ["kalman,auc,robustness,seconds_per_frame"]
-        for enabled in (True, False):
-            variants = [dataclasses.replace(
-                s, engine_cfg=dataclasses.replace(s.engine_cfg, use_kalman=enabled))
-                for s in specs]
-            rows = _map_jobs(_eval_one, [(s, fail_iou) for s in variants], jobs)
-            auc = sum(r["engine"]["auc"] for r in rows) / len(rows)
-            rob = sum(r["engine"]["robustness"] for r in rows) / len(rows)
-            spf = sum(r["engine_spf"] for r in rows) / len(rows)
-            lines.append(f"{int(enabled)},{auc!r},{rob!r},{spf!r}")
-        (out / "ablation_kalman.csv").write_text("\n".join(lines) + "\n")
+        axis, field, values = "kalman", "use_kalman", [True, False]
     else:
         raise ConfigError(f"unknown ablation axis {ablate!r}; "
                           f"expected 'tau=...' or 'kalman'")
+    try:
+        cfgs = [dataclasses.replace(specs[0].engine_cfg, **{field: v}) for v in values]
+    except ValueError as exc:
+        raise ConfigError(f"ablation {ablate!r}: {exc}") from None
+    lines = [f"{axis},auc,robustness,seconds_per_frame"]
+    for value, cfg in zip(values, cfgs):
+        variants = [dataclasses.replace(s, engine_cfg=cfg) for s in specs]
+        rows = _map_jobs(_eval_one, [(s, fail_iou) for s in variants], jobs)
+        auc = sum(r["engine"]["auc"] for r in rows) / len(rows)
+        rob = sum(r["engine"]["robustness"] for r in rows) / len(rows)
+        spf = sum(r["engine_spf"] for r in rows) / len(rows)
+        lines.append(f"{int(value)},{auc!r},{rob!r},{spf!r}")
+    (out / f"ablation_{axis}.csv").write_text("\n".join(lines) + "\n")
 
 
 def main(argv=None) -> int:

@@ -10,7 +10,8 @@ is fixed at the init frame and never refreshed.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .candidate_select import CandidateSet, assemble, filter_by_confidence, soft_nms
@@ -38,13 +39,20 @@ class EngineConfig:
     assoc_iou: float = 0.3        # stable-path neighbor association
     use_kalman: bool = True
 
+    def __post_init__(self):
+        if not isinstance(self.tau, int) or self.tau < 1:
+            raise ValueError(f"tau must be an integer >= 1, got {self.tau!r}")
+        for name in ("alpha", "nms_iou", "stability_iou", "assoc_iou"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+        if not self.nms_sigma > 0:
+            raise ValueError(f"nms_sigma must be positive, got {self.nms_sigma!r}")
+        if not math.isfinite(self.nms_floor):
+            raise ValueError(f"nms_floor must be finite, got {self.nms_floor!r}")
+
     def as_dict(self) -> dict:
-        return {
-            "alpha": self.alpha, "nms_iou": self.nms_iou,
-            "nms_sigma": self.nms_sigma, "nms_floor": self.nms_floor,
-            "tau": self.tau, "stability_iou": self.stability_iou,
-            "assoc_iou": self.assoc_iou, "use_kalman": self.use_kalman,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -67,21 +75,6 @@ def engine_init(port: TrackerPort, frame0: int, b0: BBox,
                        target=Tracklet(frame0, (b0,)),
                        neighbors=empty_neighbor_pool(frame0),
                        motion=motion)
-
-
-def is_stable(cands: CandidateSet, target: Tracklet,
-              top_tracklet: Tracklet | None, threshold: float) -> bool:
-    """Whether plain argmax can be trusted this frame.
-
-    True when only one real candidate exists (nothing to match against),
-    or when the backtracked history of the argmax-confidence candidate
-    overlaps the target history above `threshold`.
-    """
-    if len(cands.non_kalman_indices()) == 1:
-        return True
-    if top_tracklet is None:
-        raise ValueError("multiple candidates require the argmax tracklet")
-    return tracklet_avg_iou(target, top_tracklet) > threshold
 
 
 def _advance_neighbors_stable(neighbors: NeighborPool, cands: CandidateSet,
@@ -110,12 +103,9 @@ def _advance_neighbors_stable(neighbors: NeighborPool, cands: CandidateSet,
     for ci, i in enumerate(losers):
         box = cands.boxes[i]
         if ci in taken_c:
-            shifted = prev[taken_c[ci]].prepended(box)
-            if len(shifted) > cfg.tau:
-                shifted = shifted.truncated(cfg.tau)
+            out.append(prev[taken_c[ci]].pushed(box, cfg.tau))
         else:
-            shifted = Tracklet(t, (box,))
-        out.append(shifted)
+            out.append(Tracklet(t, (box,)))
     return NeighborPool(t, tuple(out))
 
 
@@ -129,18 +119,14 @@ def step(state: EngineState, frame: int, port: TrackerPort,
     raw = port.propose(state.template, t, prior)
     pruned = soft_nms(filter_by_confidence(raw, cfg.alpha),
                       cfg.nms_iou, cfg.nms_sigma, cfg.nms_floor)
+    kalman_box = predicted = None
     if cfg.use_kalman:
         kalman_box, predicted = motion_predict(state.motion)
-        cands = assemble(pruned, kalman_box)
-    else:
-        predicted = None
-        cands = assemble(pruned, None)
+    cands = assemble(pruned, kalman_box)
 
     top = cands.argmax_confidence()
-    top_tracklet = None
-    gate_overlap = None
+    top_tracklet = gate_overlap = None
     if len(cands.non_kalman_indices()) == 1:
-        stable = True
         gate = "single_candidate"
     else:
         depth = min(cfg.tau, t)
@@ -148,45 +134,29 @@ def step(state: EngineState, frame: int, port: TrackerPort,
         template = port.make_template(t, cands.boxes[top])
         top_tracklet = port.track_segment(template, cands.boxes[top], back_frames)
         gate_overlap = tracklet_avg_iou(state.target, top_tracklet)
-        stable = is_stable(cands, state.target, top_tracklet, cfg.stability_iou)
-        gate = "history_overlap" if stable else "fired"
+        gate = "history_overlap" if gate_overlap > cfg.stability_iou else "fired"
 
-    weights_list = None
-    pairs_list = None
-    if stable:
-        selected = top
-        source = "argmax"
+    weights_list = pairs_list = None
+    if gate != "fired":
+        selected, source = top, "argmax"
         neighbors = _advance_neighbors_stable(state.neighbors, cands, selected, t, cfg)
     else:
-        precomputed = {top: top_tracklet}
-        pool = build_candidate_pool(cands, port, t, cfg.tau, precomputed=precomputed)
+        pool = build_candidate_pool(cands, port, t, cfg.tau,
+                                    precomputed={top: top_tracklet})
         weights = build_weights(pool, state.neighbors, state.target)
         assignment = hungarian_max(weights)
         try:
-            selected = resolve_target(assignment, weights, cands)
-            matched_row = None
-            for r, c in assignment.pairs:
-                if c == weights.target_col and weights.values[r, c] > 0.0:
-                    matched_row = r
-            if matched_row is not None:
-                source = "target_matched"
-            elif weights.values[selected, weights.target_col] > 0.0:
-                source = "best_unmatched"
-            else:
-                source = "kalman_fallback"
+            selected, source = resolve_target(assignment, weights, cands)
         except NoViableCandidateError:
-            selected = top
-            source = "degraded_argmax"
+            selected, source = top, "degraded_argmax"
             log.warning("frame %d: no viable candidate, degrading to argmax", t)
-        weights_list = [[float(v) for v in row] for row in weights.values]
-        pairs_list = [[r, c] for r, c in assignment.pairs]
+        weights_list = weights.values.tolist()
+        pairs_list = [list(pair) for pair in assignment.pairs]
         neighbors = update_neighbor_pool(pool, selected, cfg.tau,
                                          exclude=cands.kalman_index)
 
     box = cands.boxes[selected]
-    target = state.target.prepended(box)
-    if len(target) > cfg.tau:
-        target = target.truncated(cfg.tau)
+    target = state.target.pushed(box, cfg.tau)
     motion = motion_update(predicted, box) if cfg.use_kalman else None
 
     record = {
@@ -208,6 +178,16 @@ def step(state: EngineState, frame: int, port: TrackerPort,
     return box, new_state, record
 
 
+def _consecutive(frames: Sequence[int]) -> list[int]:
+    frames = list(frames)
+    if len(frames) < 1:
+        raise ValueError("need at least one frame")
+    for a, b in zip(frames, frames[1:]):
+        if b - a != 1:
+            raise ValueError("frames must be consecutive and ascending")
+    return frames
+
+
 def run_sequence(port: TrackerPort, frames: Sequence[int], b0: BBox,
                  cfg: EngineConfig) -> tuple[list[BBox], list[dict]]:
     """Track `frames` (consecutive, ascending) starting from box `b0`.
@@ -215,12 +195,7 @@ def run_sequence(port: TrackerPort, frames: Sequence[int], b0: BBox,
     Returns one box per frame (the first is `b0` itself) and one decision
     record per stepped frame.
     """
-    frames = list(frames)
-    if len(frames) < 1:
-        raise ValueError("need at least one frame")
-    for a, b in zip(frames, frames[1:]):
-        if b - a != 1:
-            raise ValueError("frames must be consecutive and ascending")
+    frames = _consecutive(frames)
     state = engine_init(port, frames[0], b0, cfg)
     boxes = [b0]
     records: list[dict] = []
@@ -233,12 +208,7 @@ def run_sequence(port: TrackerPort, frames: Sequence[int], b0: BBox,
 
 def run_baseline(port: TrackerPort, frames: Sequence[int], b0: BBox) -> list[BBox]:
     """The conventional loop: best-scoring proposal wins, no validation."""
-    frames = list(frames)
-    if len(frames) < 1:
-        raise ValueError("need at least one frame")
-    for a, b in zip(frames, frames[1:]):
-        if b - a != 1:
-            raise ValueError("frames must be consecutive and ascending")
+    frames = _consecutive(frames)
     template = port.make_template(frames[0], b0)
     prior = b0
     out = [b0]

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -115,6 +114,10 @@ class Tracklet:
             raise ValueError("cannot truncate tracklet below one box")
         return Tracklet(self.end_frame, self.boxes[:n])
 
+    def pushed(self, box: BBox, cap: int) -> "Tracklet":
+        """`box` prepended as the new head, keeping only the newest `cap` boxes."""
+        return self.prepended(box).truncated(cap)
+
 
 def tracklet_avg_iou(p: Tracklet, q: Tracklet) -> float:
     """Mean per-frame IoU over the overlap of two co-terminal tracklets.
@@ -131,8 +134,3 @@ def tracklet_avg_iou(p: Tracklet, q: Tracklet) -> float:
         total += iou(p.boxes[k], q.boxes[k])
     # the float sum of m values each <= 1.0 can round a hair past m
     return min(total / m, 1.0)
-
-
-def make_tracklet(end_frame: int, boxes: Sequence[BBox]) -> Tracklet:
-    """Convenience constructor accepting any box sequence (newest first)."""
-    return Tracklet(end_frame, tuple(boxes))

@@ -58,18 +58,6 @@ class Assignment:
     pairs: tuple[tuple[int, int], ...]
     total_weight: float
 
-    def col_of(self, row: int) -> int | None:
-        for r, c in self.pairs:
-            if r == row:
-                return c
-        return None
-
-    def row_of(self, col: int) -> int | None:
-        for r, c in self.pairs:
-            if c == col:
-                return r
-        return None
-
 
 def build_weights(pool: CandidatePool, neighbors: NeighborPool,
                   target: Tracklet) -> WeightMatrix:
@@ -137,13 +125,15 @@ def hungarian_max(w: WeightMatrix | np.ndarray) -> Assignment:
 
 
 def resolve_target(assignment: Assignment, w: WeightMatrix,
-                   cands: CandidateSet) -> int:
-    """Pick the candidate index that continues the target.
+                   cands: CandidateSet) -> tuple[int, str]:
+    """Pick the candidate index that continues the target, and say why.
 
-    Order of precedence: the row matched to the target column with positive
-    weight; otherwise the effectively-unmatched row with the highest
-    target-column weight, provided that weight is positive; otherwise the
-    injected motion box. Zero-weight pairings count as unmatched. With no
+    Order of precedence, with the source returned alongside the index: the
+    row matched to the target column with positive weight
+    (``target_matched``); otherwise the effectively-unmatched row with the
+    highest target-column weight, provided that weight is positive
+    (``best_unmatched``); otherwise the injected motion box
+    (``kalman_fallback``). Zero-weight pairings count as unmatched. With no
     motion box left to fall back on, there is no viable candidate.
     """
     if w.shape[0] != len(cands):
@@ -154,7 +144,7 @@ def resolve_target(assignment: Assignment, w: WeightMatrix,
         if w.values[r, c] <= 0.0:
             continue  # no-evidence pairing
         if c == target_col:
-            return r
+            return r, "target_matched"
         matched_rows.add(r)
     best_row, best_weight = None, 0.0
     for r in range(w.shape[0]):
@@ -164,9 +154,9 @@ def resolve_target(assignment: Assignment, w: WeightMatrix,
         if weight > best_weight:
             best_row, best_weight = r, weight
     if best_row is not None:
-        return best_row
+        return best_row, "best_unmatched"
     if cands.kalman_index is not None:
-        return cands.kalman_index
+        return cands.kalman_index, "kalman_fallback"
     raise NoViableCandidateError("target unmatched, every candidate tracklet "
                                  "disjoint from the target history, and no "
                                  "motion-predicted box to fall back on")

@@ -3,17 +3,26 @@
 State is 8-dimensional: (cx, cy, w, h, vcx, vcy, vw, vh). Process and
 measurement noise are scaled by the current box height, the convention
 used by the SORT family of trackers, so uncertainty tracks object scale.
-All operations are pure: they return new states and never mutate.
+
+The 8x8 covariance is always four identical 2x2 (position, velocity)
+blocks with zero cross terms between coordinates. Transition F,
+observation H, process noise Q and measurement noise R each act on every
+coordinate separately, and the noise variances are the same for all four
+coordinates because they are scaled by the one box height. Starting from
+a diagonal covariance with equal spread per coordinate, predict and update
+therefore keep one shared block, so the filter carries just its 3 entries
+and runs per-coordinate scalar equations. All operations are pure: they
+return new states and never mutate.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import BBox
 
-# Noise scale relative to box height.
+# Noise scale relative to box height (the DeepSORT weights, arXiv:1703.07402).
 STD_WEIGHT_POSITION = 1.0 / 20
 STD_WEIGHT_VELOCITY = 1.0 / 160
 
@@ -22,19 +31,32 @@ MIN_SIZE = 1.0  # smallest box side the filter will report
 
 @dataclass(frozen=True)
 class MotionState:
-    """Filter state at a frame: mean (8,), covariance (8, 8)."""
+    """Filter state at a frame.
+
+    `mean` has shape (8,); `block` is the covariance shared by every
+    coordinate: (position variance, position-velocity covariance,
+    velocity variance).
+    """
 
     mean: np.ndarray
-    covariance: np.ndarray
+    block: tuple[float, float, float]
     frame: int
 
     def __post_init__(self):
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
-        object.__setattr__(self, "covariance", np.asarray(self.covariance, dtype=float))
+        object.__setattr__(self, "block", tuple(float(v) for v in self.block))
         if self.mean.shape != (8,):
             raise ValueError(f"mean must have shape (8,), got {self.mean.shape}")
-        if self.covariance.shape != (8, 8):
-            raise ValueError(f"covariance must have shape (8, 8), got {self.covariance.shape}")
+        if len(self.block) != 3:
+            raise ValueError(f"block must hold 3 entries, got {len(self.block)}")
+
+    @property
+    def covariance(self) -> np.ndarray:
+        """The full 8x8 covariance, built read-only from the shared block."""
+        pp, pv, vv = self.block
+        cov = np.kron([[pp, pv], [pv, vv]], np.eye(4))
+        cov.flags.writeable = False
+        return cov
 
     def predicted_box(self) -> BBox:
         cx, cy, w, h = self.mean[:4]
@@ -43,75 +65,56 @@ class MotionState:
         return BBox(cx - w / 2.0, cy - h / 2.0, w, h)
 
 
-def _transition_matrix() -> np.ndarray:
-    f = np.eye(8)
-    for i in range(4):
-        f[i, i + 4] = 1.0
-    return f
-
-
-_F = _transition_matrix()
-_H = np.eye(4, 8)
-
-
 def _measurement(box: BBox) -> np.ndarray:
     return np.array([box.cx, box.cy, box.w, box.h], dtype=float)
+
+
+def _floor_size(mean: np.ndarray) -> None:
+    # keep the filter inside the valid box domain
+    mean[2] = max(mean[2], MIN_SIZE)
+    mean[3] = max(mean[3], MIN_SIZE)
 
 
 def motion_init(b0: BBox, frame: int = 0) -> MotionState:
     """Start a filter at `b0` with zero velocity and scale-matched spread."""
     mean = np.zeros(8)
     mean[:4] = _measurement(b0)
-    h = b0.h
-    std = np.array([
-        2 * STD_WEIGHT_POSITION * h, 2 * STD_WEIGHT_POSITION * h,
-        2 * STD_WEIGHT_POSITION * h, 2 * STD_WEIGHT_POSITION * h,
-        10 * STD_WEIGHT_VELOCITY * h, 10 * STD_WEIGHT_VELOCITY * h,
-        10 * STD_WEIGHT_VELOCITY * h, 10 * STD_WEIGHT_VELOCITY * h,
-    ])
-    return MotionState(mean, np.diag(std ** 2), frame)
-
-
-def _process_noise(h: float) -> np.ndarray:
-    std = np.array([
-        STD_WEIGHT_POSITION * h, STD_WEIGHT_POSITION * h,
-        STD_WEIGHT_POSITION * h, STD_WEIGHT_POSITION * h,
-        STD_WEIGHT_VELOCITY * h, STD_WEIGHT_VELOCITY * h,
-        STD_WEIGHT_VELOCITY * h, STD_WEIGHT_VELOCITY * h,
-    ])
-    return np.diag(std ** 2)
-
-
-def _measurement_noise(h: float) -> np.ndarray:
-    std = STD_WEIGHT_POSITION * h
-    return np.eye(4) * std ** 2
-
-
-def _symmetrize(p: np.ndarray) -> np.ndarray:
-    return (p + p.T) / 2.0
+    std_p = 2 * STD_WEIGHT_POSITION * b0.h
+    std_v = 10 * STD_WEIGHT_VELOCITY * b0.h
+    return MotionState(mean, (std_p * std_p, 0.0, std_v * std_v), frame)
 
 
 def motion_predict(s: MotionState) -> tuple[BBox, MotionState]:
     """Advance one frame; returns the predicted box and the new state."""
-    mean = _F @ s.mean
-    # keep the filter inside the valid box domain
-    mean[2] = max(mean[2], MIN_SIZE)
-    mean[3] = max(mean[3], MIN_SIZE)
-    cov = _symmetrize(_F @ s.covariance @ _F.T + _process_noise(mean[3]))
-    state = MotionState(mean, cov, s.frame + 1)
+    mean = s.mean.copy()
+    mean[:4] += mean[4:]
+    _floor_size(mean)
+    std_p = STD_WEIGHT_POSITION * mean[3]
+    std_v = STD_WEIGHT_VELOCITY * mean[3]
+    pp, pv, vv = s.block
+    block = ((pp + pv) + (pv + vv) + std_p * std_p, pv + vv, vv + std_v * std_v)
+    state = MotionState(mean, block, s.frame + 1)
     return state.predicted_box(), state
 
 
 def motion_update(s: MotionState, observed: BBox) -> MotionState:
     """Condition the state on an observed box at the current frame."""
-    r = _measurement_noise(s.mean[3])
-    innovation = _measurement(observed) - _H @ s.mean
-    innovation_cov = _H @ s.covariance @ _H.T + r
-    gain = s.covariance @ _H.T @ np.linalg.inv(innovation_cov)
-    mean = s.mean + gain @ innovation
-    mean[2] = max(mean[2], MIN_SIZE)
-    mean[3] = max(mean[3], MIN_SIZE)
-    # Joseph form keeps the covariance symmetric PSD under roundoff
-    ikh = np.eye(8) - gain @ _H
-    cov = _symmetrize(ikh @ s.covariance @ ikh.T + gain @ r @ gain.T)
-    return MotionState(mean, cov, s.frame)
+    r = (STD_WEIGHT_POSITION * s.mean[3]) ** 2
+    pp, pv, vv = s.block
+    inv = 1.0 / (pp + r)
+    kp, kv = pp * inv, pv * inv
+    innovation = _measurement(observed) - s.mean[:4]
+    mean = s.mean.copy()
+    mean[:4] += kp * innovation
+    mean[4:] += kv * innovation
+    _floor_size(mean)
+    # Joseph form (I - KH) P (I - KH)^T + K R K^T keeps the block PSD
+    # under roundoff; the off-diagonal entries are averaged as the 8x8
+    # form symmetrised them
+    a = 1.0 - kp
+    ppa = pp * a
+    vp = -kv * pp + pv
+    block = (ppa * a + kp * r * kp,
+             ((ppa * -kv + pv * a + kp * r * kv) + (vp * a + kv * r * kp)) / 2.0,
+             vp * -kv + (-kv * pv + vv) + kv * r * kv)
+    return MotionState(mean, block, s.frame)

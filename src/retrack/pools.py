@@ -101,8 +101,5 @@ def update_neighbor_pool(pool: CandidatePool, selected: int, tau: int,
     for entry in pool.entries:
         if entry.index == selected or entry.index == exclude:
             continue
-        shifted = entry.tracklet.prepended(entry.box)
-        if len(shifted) > tau:
-            shifted = shifted.truncated(tau)
-        tracklets.append(shifted)
+        tracklets.append(entry.tracklet.pushed(entry.box, tau))
     return NeighborPool(pool.frame, tuple(tracklets))

@@ -1,13 +1,13 @@
 """Engine behavior: gating, neighbor upkeep, rescue, and fallbacks."""
+import dataclasses
+import math
+
 import pytest
 
 from conftest import ScriptPort, solo_scene, zero_iou_scene
-from retrack.engine import (EngineConfig, engine_init, is_stable, run_baseline,
-                            run_sequence, step)
-from retrack.geometry import BBox, Tracklet, iou
+from retrack.engine import EngineConfig, engine_init, run_baseline, run_sequence, step
+from retrack.geometry import BBox, iou
 from retrack.simworld import MockTracker, ScenarioConfig, generate_scene
-from retrack.tracker_port import RawCandidates
-from retrack.candidate_select import CandidateSet
 
 
 def _target_box(f):
@@ -35,6 +35,15 @@ class TestConfig:
             "assoc_iou": 0.3, "use_kalman": True,
         }
 
+    @pytest.mark.parametrize("field, value", [
+        ("tau", 0), ("tau", 2.5), ("alpha", 1.5), ("alpha", -0.1),
+        ("nms_iou", 1.01), ("stability_iou", math.nan), ("assoc_iou", -1.0),
+        ("nms_sigma", 0.0), ("nms_sigma", math.nan), ("nms_floor", math.inf),
+    ])
+    def test_bad_values_fail_when_built(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            EngineConfig(**{field: value})
+
 
 class TestInit:
     def test_state_anchored_on_first_box(self):
@@ -52,19 +61,39 @@ class TestInit:
 
 
 class TestIsStable:
+    """The stability gate, read from the records `step` writes."""
+
     def test_single_real_candidate_is_trusted(self):
-        cands = CandidateSet((BBox(0, 0, 4, 4), BBox(9, 9, 4, 4)), (0.5, 0.0), 1)
-        assert is_stable(cands, Tracklet(3, (BBox(0, 0, 4, 4),)), None, 0.6)
+        port = ScriptPort({1: ((BBox(9.0, 9.0, 4.0, 4.0),), (0.5,))})
+        cfg = EngineConfig()
+        state = engine_init(port, 0, BBox(0.0, 0.0, 4.0, 4.0), cfg)
+        box, _, rec = step(state, 1, port, cfg)
+        assert rec["n_candidates"] == 2  # the one proposal plus the motion box
+        assert rec["gate"] == "single_candidate"
+        assert rec["gate_overlap"] is None
+        assert rec["source"] == "argmax"
+        assert box == BBox(9.0, 9.0, 4.0, 4.0)
+        assert port.propose_calls == 1  # nothing was backtracked
 
     def test_threshold_is_strict(self):
-        cands = CandidateSet((BBox(0, 0, 4, 4), BBox(9, 9, 4, 4)), (0.5, 0.4))
-        target = Tracklet(3, (BBox(0.0, 0.0, 4.0, 1.0),))
-        exact = Tracklet(3, (BBox(0.0, 0.0, 4.0, 1.0),))
-        shifted = Tracklet(3, (BBox(1.0, 0.0, 4.0, 1.0),))  # overlap 0.6 exactly
-        assert is_stable(cands, target, exact, 0.6)
-        assert not is_stable(cands, target, shifted, 0.6)
-        with pytest.raises(ValueError):
-            is_stable(cands, target, None, 0.6)
+        scene = generate_scene(ScenarioConfig("convoy"), 100)
+        port = MockTracker(scene)
+        cfg = EngineConfig()
+        state = engine_init(port, 0, scene.true_box(min(scene.ids()), 0), cfg)
+        for t in range(1, scene.length):
+            _, after, rec = step(state, t, port, cfg)
+            if rec["gate"] == "history_overlap" and rec["gate_overlap"] < 0.9:
+                break
+            state = after
+        else:
+            pytest.fail("no history_overlap frame with a fractional overlap")
+        overlap = rec["gate_overlap"]
+        at = dataclasses.replace(cfg, stability_iou=overlap)
+        _, _, again = step(state, t, port, at)
+        assert again["gate_overlap"] == overlap
+        assert again["gate"] == "fired"
+        below = dataclasses.replace(cfg, stability_iou=math.nextafter(overlap, 0.0))
+        assert step(state, t, port, below)[2]["gate"] == "history_overlap"
 
 
 class TestStablePath:

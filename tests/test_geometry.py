@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from retrack.geometry import BBox, Tracklet, iou, make_tracklet, tracklet_avg_iou
+from retrack.geometry import BBox, Tracklet, iou, tracklet_avg_iou
 
 
 class TestBBox:
@@ -102,11 +102,17 @@ class TestTracklet:
         with pytest.raises(ValueError):
             t.truncated(0)
 
-    def test_make_tracklet(self):
-        boxes = [BBox(2, 0, 1, 1), BBox(1, 0, 1, 1)]
-        t = make_tracklet(2, boxes)
-        assert t.boxes == tuple(boxes)
-        assert t.start_frame == 1
+    def test_pushed_grows_then_caps(self):
+        t = Tracklet(4, (BBox(4, 0, 1, 1), BBox(3, 0, 1, 1)))
+        new = BBox(5, 0, 1, 1)
+        grown = t.pushed(new, 3)
+        assert grown.end_frame == 5
+        assert grown.boxes == (new,) + t.boxes
+        capped = t.pushed(new, 2)
+        assert capped.end_frame == 5
+        assert capped.boxes == (new, t.head)
+        with pytest.raises(ValueError):
+            t.pushed(new, 0)
 
 
 class TestTrackletAvgIou:

@@ -76,13 +76,6 @@ class TestHungarianMax:
         with pytest.raises(ValueError):
             hungarian_max(np.array([[np.inf]]))
 
-    def test_assignment_lookups(self):
-        a = Assignment(((0, 2), (1, 0)), 1.5)
-        assert a.col_of(0) == 2
-        assert a.col_of(5) is None
-        assert a.row_of(0) == 1
-        assert a.row_of(1) is None
-
 
 class TestBuildWeights:
     def test_values_are_tracklet_overlaps(self):
@@ -118,7 +111,7 @@ class TestResolveTarget:
     def test_positive_target_match_wins(self):
         w = _w([[0.9, 0.1], [0.0, 0.6]])
         assignment = hungarian_max(w)
-        assert resolve_target(assignment, w, _cands(2)) == 1
+        assert resolve_target(assignment, w, _cands(2)) == (1, "target_matched")
 
     def test_zero_weight_target_pairing_is_unmatched(self):
         w = _w([[0.5, 0.0], [0.0, 0.0], [0.0, 0.0]])
@@ -126,7 +119,7 @@ class TestResolveTarget:
         assert assignment.pairs == ((0, 0), (1, 1))
         # row 1 holds the target column at zero weight: no evidence, so the
         # motion box is the only viable continuation
-        assert resolve_target(assignment, w, _cands(3, kalman_index=2)) == 2
+        assert resolve_target(assignment, w, _cands(3, kalman_index=2)) == (2, "kalman_fallback")
         with pytest.raises(NoViableCandidateError):
             resolve_target(assignment, w, _cands(3))
 
@@ -134,19 +127,25 @@ class TestResolveTarget:
         w = _w([[0.5, 0.4], [0.0, 0.25], [0.0, 0.3]])
         # hand-built assignment leaves rows 1 and 2 out entirely
         assignment = Assignment(((0, 0),), 0.5)
-        assert resolve_target(assignment, w, _cands(3)) == 2
+        assert resolve_target(assignment, w, _cands(3)) == (2, "best_unmatched")
 
     def test_best_unmatched_tie_keeps_first_row(self):
         w = _w([[0.5, 0.4], [0.0, 0.3], [0.0, 0.3]])
         assignment = Assignment(((0, 0),), 0.5)
-        assert resolve_target(assignment, w, _cands(3)) == 1
+        assert resolve_target(assignment, w, _cands(3)) == (1, "best_unmatched")
 
     def test_matched_rows_not_eligible_as_fallback(self):
         # row 0 is matched to a neighbor with positive weight, so its
         # positive target weight must not rescue it
         w = _w([[0.9, 0.3], [0.0, 0.0], [0.0, 0.0]])
         assignment = hungarian_max(w)
-        assert resolve_target(assignment, w, _cands(3, kalman_index=2)) == 2
+        assert resolve_target(assignment, w, _cands(3, kalman_index=2)) == (2, "kalman_fallback")
+        # the same holds for the motion row itself: it is picked as the
+        # fallback, not as the best unmatched row
+        w = _w([[0.0, 0.0], [0.0, 0.0], [0.9, 0.6]])
+        assignment = hungarian_max(w)
+        assert assignment.pairs == ((0, 1), (2, 0))
+        assert resolve_target(assignment, w, _cands(3, kalman_index=2)) == (2, "kalman_fallback")
 
     def test_error_when_nothing_viable(self):
         w = _w([[0.0, 0.0]])

@@ -58,14 +58,18 @@ def test_init_state_matches_measurement():
 
 def test_state_shape_validation():
     with pytest.raises(ValueError):
-        MotionState(np.zeros(7), np.eye(8), 0)
+        MotionState(np.zeros(7), (1.0, 0.0, 1.0), 0)
     with pytest.raises(ValueError):
-        MotionState(np.zeros(8), np.eye(7), 0)
+        MotionState(np.zeros(8), (1.0, 0.0), 0)
 
 
-def test_tracks_oracle_through_noisy_sequence():
-    rng = np.random.default_rng(11)
-    b0 = BBox(50, 60, 20, 24)
+@pytest.mark.parametrize("seed, size", [
+    (11, (20, 24)), (12, (20, 24)), (13, (35, 12)),
+    (14, (0.5, 0.75)),  # below MIN_SIZE: both sides floored every frame
+], ids=["seed11", "seed12", "seed13", "below_min_size"])
+def test_tracks_oracle_through_noisy_sequence(seed, size):
+    rng = np.random.default_rng(seed)
+    b0 = BBox(50, 60, *size)
     s = motion_init(b0)
     oracle = Oracle(b0)
     for i in range(15):
@@ -74,7 +78,7 @@ def test_tracks_oracle_through_noisy_sequence():
         np.testing.assert_allclose(s.mean, oracle.x, rtol=0, atol=1e-9)
         np.testing.assert_allclose(s.covariance, oracle.p, rtol=0, atol=1e-7)
         dx, dy = rng.normal(0, 1.5, 2)
-        obs = BBox(50 + 3 * i + dx, 60 + dy, 20, 24)
+        obs = BBox(50 + 3 * i + dx, 60 + dy, *size)
         s = motion_update(s, obs)
         oracle.update(obs)
         np.testing.assert_allclose(s.mean, oracle.x, rtol=0, atol=1e-8)
@@ -97,7 +101,7 @@ def test_constant_velocity_convergence():
 
 def test_predicted_box_floors_size():
     mean = np.array([5.0, 5.0, 0.2, 0.4, 0, 0, 0, 0])
-    s = MotionState(mean, np.eye(8), 0)
+    s = MotionState(mean, (1.0, 0.0, 1.0), 0)
     box = s.predicted_box()
     assert box.w == MIN_SIZE and box.h == MIN_SIZE
     assert (box.cx, box.cy) == (5.0, 5.0)
