@@ -19,8 +19,8 @@ from .geometry import BBox, Tracklet, iou, tracklet_avg_iou
 from .matching import NoViableCandidateError, build_weights, hungarian_max, resolve_target
 from .motion import (MotionState, motion_init, motion_predict, motion_update)
 from .pools import (CandidateEntry, CandidatePool, NeighborPool,
-                    build_candidate_pool, empty_neighbor_pool,
-                    update_neighbor_pool)
+                    backtrack_frames, build_candidate_pool,
+                    empty_neighbor_pool, update_neighbor_pool)
 from .simworld import (MockConfig, MockTracker, MotFormatError, ObjectSpec,
                        OcclusionEvent, Path, Scene, ScenarioConfig,
                        generate_scene, load_mot, load_scene, save_mot,
@@ -35,7 +35,8 @@ __all__ = [
     "CandidateSet", "filter_by_confidence", "soft_nms", "assemble",
     "MotionState", "motion_init", "motion_predict", "motion_update",
     "CandidateEntry", "CandidatePool", "NeighborPool",
-    "build_candidate_pool", "empty_neighbor_pool", "update_neighbor_pool",
+    "backtrack_frames", "build_candidate_pool", "empty_neighbor_pool",
+    "update_neighbor_pool",
     "build_weights", "hungarian_max", "resolve_target",
     "NoViableCandidateError",
     "EngineConfig", "EngineState", "engine_init", "step",

@@ -288,6 +288,8 @@ def cmd_evaluate(scenario, mot_path, config_path, seeds, target_id, tau, alpha,
     engine_cfg = _engine_cfg(tau, alpha, nms_iou, nms_sigma, gate_iou, no_kalman)
     specs = _make_specs(scenario, mot_path, config_path, seeds, target_id,
                         engine_cfg)
+    # a bad sweep spec fails before the main evaluation writes anything
+    ablation = _ablation_configs(ablate, engine_cfg) if ablate else None
     out = FsPath(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -305,8 +307,8 @@ def cmd_evaluate(scenario, mot_path, config_path, seeds, target_id, tau, alpha,
                f"engine robustness {aggregate['engine']['robustness']:.3f} | "
                f"delta {aggregate['delta']['robustness']:+.3f}")
 
-    if ablate:
-        _run_ablation(ablate, specs, fail_iou, jobs, out)
+    if ablation:
+        _run_ablation(*ablation, specs, fail_iou, jobs, out)
     click.echo(f"report written to {out}")
 
 
@@ -341,8 +343,10 @@ def _comparison_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_ablation(ablate: str, specs: list[RunSpec], fail_iou: float,
-                  jobs: int, out: FsPath) -> None:
+def _ablation_configs(ablate: str, engine_cfg: EngineConfig
+                      ) -> tuple[str, list, list[EngineConfig]]:
+    """Parse an ablation spec into its axis name, the swept values and one
+    validated engine config per value."""
     if ablate.startswith("tau="):
         try:
             values = [int(v) for v in ablate[4:].split(",") if v]
@@ -357,9 +361,15 @@ def _run_ablation(ablate: str, specs: list[RunSpec], fail_iou: float,
         raise ConfigError(f"unknown ablation axis {ablate!r}; "
                           f"expected 'tau=...' or 'kalman'")
     try:
-        cfgs = [dataclasses.replace(specs[0].engine_cfg, **{field: v}) for v in values]
+        cfgs = [dataclasses.replace(engine_cfg, **{field: v}) for v in values]
     except ValueError as exc:
         raise ConfigError(f"ablation {ablate!r}: {exc}") from None
+    return axis, values, cfgs
+
+
+def _run_ablation(axis: str, values: list, cfgs: list[EngineConfig],
+                  specs: list[RunSpec], fail_iou: float, jobs: int,
+                  out: FsPath) -> None:
     lines = [f"{axis},auc,robustness,seconds_per_frame"]
     for value, cfg in zip(values, cfgs):
         variants = [dataclasses.replace(s, engine_cfg=cfg) for s in specs]

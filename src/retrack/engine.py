@@ -19,8 +19,8 @@ from .geometry import BBox, Tracklet, iou, tracklet_avg_iou
 from .matching import (NoViableCandidateError, build_weights, hungarian_max,
                        resolve_target)
 from .motion import MotionState, motion_init, motion_predict, motion_update
-from .pools import NeighborPool, build_candidate_pool, empty_neighbor_pool, \
-    update_neighbor_pool
+from .pools import NeighborPool, backtrack_frames, build_candidate_pool, \
+    empty_neighbor_pool, update_neighbor_pool
 from .tracker_port import Template, TrackerPort
 
 log = logging.getLogger(__name__)
@@ -60,6 +60,7 @@ class EngineState:
     """Everything carried between frames. Value-semantic."""
 
     frame: int
+    anchor: int                 # the first frame; nothing before it is tracked
     template: Template
     target: Tracklet            # selected history, ends at `frame`
     neighbors: NeighborPool     # loser histories, end at `frame`
@@ -71,7 +72,7 @@ def engine_init(port: TrackerPort, frame0: int, b0: BBox,
     """Anchor the engine on the ground-truth box of the first frame."""
     template = port.make_template(frame0, b0)
     motion = motion_init(b0, frame0) if cfg.use_kalman else None
-    return EngineState(frame=frame0, template=template,
+    return EngineState(frame=frame0, anchor=frame0, template=template,
                        target=Tracklet(frame0, (b0,)),
                        neighbors=empty_neighbor_pool(frame0),
                        motion=motion)
@@ -129,10 +130,9 @@ def step(state: EngineState, frame: int, port: TrackerPort,
     if len(cands.non_kalman_indices()) == 1:
         gate = "single_candidate"
     else:
-        depth = min(cfg.tau, t)
-        back_frames = range(t - 1, t - 1 - depth, -1)
+        back_frames = backtrack_frames(t, cfg.tau, state.anchor)
         template = port.make_template(t, cands.boxes[top])
-        top_tracklet = port.track_segment(template, cands.boxes[top], back_frames)
+        top_tracklet = port.track_segments([(template, cands.boxes[top])], back_frames)[0]
         gate_overlap = tracklet_avg_iou(state.target, top_tracklet)
         gate = "history_overlap" if gate_overlap > cfg.stability_iou else "fired"
 
@@ -141,7 +141,7 @@ def step(state: EngineState, frame: int, port: TrackerPort,
         selected, source = top, "argmax"
         neighbors = _advance_neighbors_stable(state.neighbors, cands, selected, t, cfg)
     else:
-        pool = build_candidate_pool(cands, port, t, cfg.tau,
+        pool = build_candidate_pool(cands, port, back_frames,
                                     precomputed={top: top_tracklet})
         weights = build_weights(pool, state.neighbors, state.target)
         assignment = hungarian_max(weights)
@@ -173,8 +173,8 @@ def step(state: EngineState, frame: int, port: TrackerPort,
         "source": source,
         "box": list(box.as_tuple()),
     }
-    new_state = EngineState(frame=t, template=state.template, target=target,
-                            neighbors=neighbors, motion=motion)
+    new_state = EngineState(frame=t, anchor=state.anchor, template=state.template,
+                            target=target, neighbors=neighbors, motion=motion)
     return box, new_state, record
 
 

@@ -128,9 +128,22 @@ def tracklet_avg_iou(p: Tracklet, q: Tracklet) -> float:
     if p.end_frame != q.end_frame:
         raise ValueError(f"tracklets end on different frames: "
                          f"{p.end_frame} != {q.end_frame}")
-    m = min(len(p), len(q))
+    # `iou` spelled out over each box pair, with its operations in the
+    # same order, so the result is bit-identical to summing `iou` calls;
+    # a pair with no overlap adds exactly 0.0, so it is skipped
     total = 0.0
-    for k in range(m):
-        total += iou(p.boxes[k], q.boxes[k])
+    for a, b in zip(p.boxes, q.boxes):
+        ax, ay, aw, ah = a.x, a.y, a.w, a.h
+        bx, by, bw, bh = b.x, b.y, b.w, b.h
+        ax2, bx2 = ax + aw, bx + bw
+        ix = (bx2 if bx2 < ax2 else ax2) - (bx if bx > ax else ax)
+        if ix <= 0:
+            continue
+        ay2, by2 = ay + ah, by + bh
+        iy = (by2 if by2 < ay2 else ay2) - (by if by > ay else ay)
+        if iy <= 0:
+            continue
+        inter = ix * iy
+        total += inter / (aw * ah + bw * bh - inter)
     # the float sum of m values each <= 1.0 can round a hair past m
-    return min(total / m, 1.0)
+    return min(total / min(len(p.boxes), len(q.boxes)), 1.0)

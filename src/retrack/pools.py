@@ -1,8 +1,10 @@
 """Candidate and neighbor tracklet pools.
 
 At frame t every candidate box is backtracked through the previous
-min(tau, t) frames, template cropped at the candidate box itself and the
-box doubling as the first search prior. After a winner is picked, every
+min(tau, t - anchor) frames, never reaching before the frame the run was
+anchored on, template cropped at the candidate box itself and the box
+doubling as the first search prior. All chains of one frame go to the
+tracker in one `track_segments` call. After a winner is picked, every
 loser's current box is prepended onto its backtracked history to form the
 next frame's neighbor tracklets; the oldest box is dropped once a tracklet
 has grown to tau, so neighbor histories roll forward with bounded length.
@@ -10,7 +12,7 @@ has grown to tau, so neighbor histories roll forward with bounded length.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .candidate_select import CandidateSet
 from .geometry import BBox, Tracklet
@@ -23,7 +25,7 @@ class CandidateEntry:
 
     index: int          # position within the CandidateSet
     box: BBox           # the candidate box at frame t
-    tracklet: Tracklet  # ends at t - 1, length min(tau, t)
+    tracklet: Tracklet  # ends at t - 1, length min(tau, t - anchor)
 
 
 @dataclass(frozen=True)
@@ -56,30 +58,38 @@ def empty_neighbor_pool(frame: int) -> NeighborPool:
     return NeighborPool(frame, ())
 
 
-def build_candidate_pool(cands: CandidateSet, port: TrackerPort, t: int, tau: int,
+def backtrack_frames(t: int, tau: int, anchor: int) -> range:
+    """The frames a candidate at frame t is backtracked through, newest
+    first: t - 1 down to the older of t - tau and the anchor frame."""
+    if t <= anchor:
+        raise ValueError(f"cannot backtrack from frame {t}: the run is anchored "
+                         f"at frame {anchor}")
+    if tau < 1:
+        raise ValueError(f"tau must be at least 1, got {tau}")
+    return range(t - 1, t - 1 - min(tau, t - anchor), -1)
+
+
+def build_candidate_pool(cands: CandidateSet, port: TrackerPort, frames: Sequence[int],
                          precomputed: Mapping[int, Tracklet] | None = None) -> CandidatePool:
-    """Backtrack every candidate at frame t through the last min(tau, t) frames.
+    """Backtrack every candidate at frame t = frames[0] + 1 through `frames`,
+    the descending range from `backtrack_frames`, in one `track_segments`
+    call.
 
     `precomputed` lets the caller reuse tracklets it already produced
     (the stability gate backtracks the argmax candidate before deciding
     whether the full pipeline runs); entries are trusted verbatim since
     backtracking is deterministic.
     """
-    if t < 1:
-        raise ValueError("cannot backtrack from the first frame")
-    if tau < 1:
-        raise ValueError(f"tau must be at least 1, got {tau}")
-    depth = min(tau, t)
-    frames = range(t - 1, t - 1 - depth, -1)
-    entries = []
-    for i, box in enumerate(cands.boxes):
-        if precomputed is not None and i in precomputed:
-            tracklet = precomputed[i]
-        else:
-            template = port.make_template(t, box)
-            tracklet = port.track_segment(template, box, frames)
-        entries.append(CandidateEntry(i, box, tracklet))
-    return CandidatePool(t, tuple(entries))
+    if not frames or frames[0] < frames[-1]:
+        raise ValueError("backtrack frames must be a non-empty descending range")
+    t = frames[0] + 1
+    tracklets = dict(precomputed or {})
+    todo = [i for i in range(len(cands)) if i not in tracklets]
+    if todo:
+        starts = [(port.make_template(t, cands.boxes[i]), cands.boxes[i]) for i in todo]
+        tracklets.update(zip(todo, port.track_segments(starts, frames)))
+    entries = tuple(CandidateEntry(i, box, tracklets[i]) for i, box in enumerate(cands.boxes))
+    return CandidatePool(t, entries)
 
 
 def update_neighbor_pool(pool: CandidatePool, selected: int, tau: int,

@@ -15,11 +15,13 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path as FsPath
+from typing import Sequence
 
 import numpy as np
 
-from .geometry import BBox
-from .tracker_port import RawCandidates, Template, TrackerPort
+from .geometry import BBox, Tracklet, iou
+from .tracker_port import (RawCandidates, Template, TrackerPort, first_max,
+                           newest_first, segment_frames)
 
 log = logging.getLogger(__name__)
 
@@ -340,6 +342,8 @@ class MockTracker(TrackerPort):
     times the clipped cosine between the template appearance and the
     object's effective appearance. When nothing is in range the prior
     itself is returned at score zero, so a proposal always exists.
+    `propose` and the batched chains of `track_segments` score through the
+    same helper, so both give the same boxes and scores.
     """
 
     def __init__(self, scene: Scene, config: MockConfig | None = None):
@@ -347,9 +351,12 @@ class MockTracker(TrackerPort):
         self.config = config or MockConfig()
         self._template_cache: dict = {}
 
-    def make_template(self, frame: int, box: BBox) -> Template:
+    def _check_frame(self, frame: int) -> None:
         if not (0 <= frame < self.scene.length):
             raise ValueError(f"frame {frame} outside scene [0, {self.scene.length})")
+
+    def make_template(self, frame: int, box: BBox) -> Template:
+        self._check_frame(frame)
         return Template(frame, box)
 
     def template_appearance(self, template: Template) -> np.ndarray:
@@ -359,11 +366,10 @@ class MockTracker(TrackerPort):
         cached = self._template_cache.get(key)
         if cached is not None:
             return cached
-        from .geometry import iou as _iou
         best_id, best_ov = None, 0.0
         for obj_id in self.scene.ids():
-            ov = _iou(template.source_box,
-                      self.scene.true_box(obj_id, template.source_frame))
+            ov = iou(template.source_box,
+                     self.scene.true_box(obj_id, template.source_frame))
             if ov > best_ov:
                 best_id, best_ov = obj_id, ov
         if best_id is None:
@@ -373,39 +379,72 @@ class MockTracker(TrackerPort):
         self._template_cache[key] = app
         return app
 
-    def propose(self, template: Template, frame: int, prior: BBox) -> RawCandidates:
-        if not (0 <= frame < self.scene.length):
-            raise ValueError(f"frame {frame} outside scene [0, {self.scene.length})")
-        tpl_app = self.template_appearance(template)
-        radius = self.config.search_radius_scale * prior.diagonal
+    def _scored(self, tpl_app: np.ndarray, frame: int,
+                prior: BBox) -> tuple[list[BBox], list[float]]:
+        """Boxes and scores proposed at `frame` around `prior` for a template
+        that looks like `tpl_app`; `frame` must lie inside the scene.
+
+        Reads the scene's per-object tables directly and spells out the
+        `BBox` helpers in their own operation order, so every distance and
+        score is bit-identical to the method-call form."""
+        scene, cfg = self.scene, self.config
+        pw, ph = prior.w, prior.h
+        pcx, pcy = prior.x + pw / 2.0, prior.y + ph / 2.0
+        radius = cfg.search_radius_scale * math.hypot(pw, ph)
         boxes: list[BBox] = []
         scores: list[float] = []
-        for obj_id in self.scene.ids():
-            true = self.scene.true_box(obj_id, frame)
-            if prior.center_distance(true) > radius:
+        for obj in scene.objects:
+            obj_id = obj.id
+            true = scene._boxes[obj_id][frame]
+            if math.hypot(pcx - (true.x + true.w / 2.0),
+                          pcy - (true.y + true.h / 2.0)) > radius:
                 continue
             box = true
-            if self.config.jitter > 0.0:
-                rng = np.random.default_rng([self.scene.seed, frame, obj_id, 3])
-                dx, dy, dw, dh = rng.normal(0.0, self.config.jitter, 4)
+            if cfg.jitter > 0.0:
+                rng = np.random.default_rng([scene.seed, frame, obj_id, 3])
+                dx, dy, dw, dh = rng.normal(0.0, cfg.jitter, 4)
                 box = BBox(true.x + dx, true.y + dy,
                            max(true.w + dw, 1.0), max(true.h + dh, 1.0))
-            eff = self.scene.effective_appearance(obj_id, frame)
-            sim = float(np.dot(tpl_app, eff))
-            score = self.scene.visibility(obj_id, frame) * sim
+            sim = float(np.dot(tpl_app, scene._eff_apps[obj_id][frame]))
+            score = float(scene._visibility[obj_id][frame]) * sim
             boxes.append(box)
             scores.append(min(max(score, 0.0), 1.0))
-        for k in range(self.config.clutter):
-            rng = np.random.default_rng([self.scene.seed, frame, 7, k])
-            cx = prior.cx + rng.uniform(-radius, radius)
-            cy = prior.cy + rng.uniform(-radius, radius)
+        for k in range(cfg.clutter):
+            rng = np.random.default_rng([scene.seed, frame, 7, k])
+            cx = pcx + rng.uniform(-radius, radius)
+            cy = pcy + rng.uniform(-radius, radius)
             scale = rng.uniform(0.8, 1.2)
-            boxes.append(BBox(cx - prior.w * scale / 2.0, cy - prior.h * scale / 2.0,
-                              prior.w * scale, prior.h * scale))
-            scores.append(float(rng.uniform(0.0, self.config.clutter_score)))
+            boxes.append(BBox(cx - pw * scale / 2.0, cy - ph * scale / 2.0,
+                              pw * scale, ph * scale))
+            scores.append(float(rng.uniform(0.0, cfg.clutter_score)))
         if not boxes:
-            boxes, scores = [prior], [0.0]
+            return [prior], [0.0]
+        return boxes, scores
+
+    def propose(self, template: Template, frame: int, prior: BBox) -> RawCandidates:
+        self._check_frame(frame)
+        boxes, scores = self._scored(self.template_appearance(template), frame, prior)
         return RawCandidates(tuple(boxes), tuple(scores))
+
+    def track_segments(self, starts: Sequence[tuple[Template, BBox]],
+                       frames: Sequence[int]) -> list[Tracklet]:
+        """Every chain through `frames` in one call: the frames are checked
+        once, each template's appearance is resolved once per chain, and
+        each step takes the argmax of the scored proposals directly."""
+        frames = segment_frames(frames)
+        self._check_frame(frames[0])
+        self._check_frame(frames[-1])
+        out = []
+        for template, start in starts:
+            tpl_app = self.template_appearance(template)
+            prior = start
+            chain = []
+            for f in frames:
+                boxes, scores = self._scored(tpl_app, f, prior)
+                prior = boxes[first_max(scores)]
+                chain.append(prior)
+            out.append(newest_first(frames, chain))
+        return out
 
 
 # ---------------------------------------------------------------------------

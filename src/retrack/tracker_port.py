@@ -2,9 +2,11 @@
 
 The engine never talks to a concrete tracker directly; it sees a
 :class:`TrackerPort` that can crop templates, propose scored boxes for a
-frame given a search prior, and run short single-direction segments.
-Implementations must be deterministic: identical (template, frame, prior)
-triples must yield identical proposals.
+frame given a search prior, and run short single-direction segments,
+one at a time (`track_segment`) or as a batch of chains over the same
+frames (`track_segments`, one call per backtrack). Implementations must
+be deterministic: identical (template, frame, prior) triples must yield
+identical proposals.
 """
 from __future__ import annotations
 
@@ -48,11 +50,40 @@ class RawCandidates:
 
     def argmax(self) -> int:
         """Index of the highest-scoring box; ties break to the lowest index."""
-        best = 0
-        for i in range(1, len(self.scores)):
-            if self.scores[i] > self.scores[best]:
-                best = i
-        return best
+        return first_max(self.scores)
+
+
+def first_max(scores: Sequence[float]) -> int:
+    """Index of the highest score; ties break to the lowest index."""
+    best = 0
+    for i in range(1, len(scores)):
+        if scores[i] > scores[best]:
+            best = i
+    return best
+
+
+def segment_frames(frames: Sequence[int]) -> list[int]:
+    """`frames` as a list, checked to be non-empty and consecutive in one
+    direction: ascending (forward) or descending (backtracking)."""
+    frames = list(frames)
+    if not frames:
+        raise ValueError("a segment needs at least one frame")
+    if len(frames) > 1:
+        step = frames[1] - frames[0]
+        if step not in (1, -1):
+            raise ValueError("frames must be consecutive")
+        for a, b in zip(frames, frames[1:]):
+            if b - a != step:
+                raise ValueError("frames must advance by a constant step of 1")
+    return frames
+
+
+def newest_first(frames: list[int], chain: list[BBox]) -> Tracklet:
+    """The boxes `chain` visited through `frames`, in visiting order, as a
+    tracklet ordered newest-first."""
+    if frames[-1] > frames[0]:
+        return Tracklet(frames[-1], tuple(reversed(chain)))
+    return Tracklet(frames[0], tuple(chain))
 
 
 class TrackerPort(abc.ABC):
@@ -76,22 +107,23 @@ class TrackerPort(abc.ABC):
         argmax box. The result is ordered newest-first regardless of the
         traversal direction.
         """
-        frames = list(frames)
-        if not frames:
-            raise ValueError("track_segment needs at least one frame")
-        if len(frames) > 1:
-            step = frames[1] - frames[0]
-            if step not in (1, -1):
-                raise ValueError("frames must be consecutive")
-            for a, b in zip(frames, frames[1:]):
-                if b - a != step:
-                    raise ValueError("frames must advance by a constant step of 1")
+        frames = segment_frames(frames)
         prior = start
-        out: list[BBox] = []
+        chain: list[BBox] = []
         for f in frames:
             raw = self.propose(template, f, prior)
             prior = raw.boxes[raw.argmax()]
-            out.append(prior)
-        if len(frames) > 1 and frames[1] > frames[0]:
-            out.reverse()
-        return Tracklet(max(frames), tuple(out))
+            chain.append(prior)
+        return newest_first(frames, chain)
+
+    def track_segments(self, starts: Sequence[tuple[Template, BBox]],
+                       frames: Sequence[int]) -> list[Tracklet]:
+        """One tracklet per `(template, start)` pair, each tracked through
+        the same `frames` exactly as `track_segment` would.
+
+        The engine makes one such call per backtrack. This default runs
+        the chains one after another; a port that can batch them (a
+        siamese tracker running one batched crop forward per frame for
+        every chain) overrides it and must return the same tracklets.
+        """
+        return [self.track_segment(template, start, frames) for template, start in starts]

@@ -22,7 +22,8 @@ from retrack.candidate_select import (CandidateSet, assemble,
 from retrack.evalkit import REANCHOR_SKIP, eao_lite, success_metrics, vot_metrics
 from retrack.geometry import BBox, Tracklet, iou, tracklet_avg_iou
 from retrack.motion import MIN_SIZE, motion_init, motion_predict, motion_update
-from retrack.pools import NeighborPool, build_candidate_pool, update_neighbor_pool
+from retrack.pools import (NeighborPool, backtrack_frames, build_candidate_pool,
+                           update_neighbor_pool)
 from retrack.tracker_port import RawCandidates
 
 
@@ -67,10 +68,32 @@ def box_lists(n_min=1, n_max=6):
 
 
 @st.composite
+def partner_box(draw, a: BBox):
+    """A box against `a`: unrelated, identical, touching one of its edges
+    (overlap width or height exactly 0) or nested inside it."""
+    kind = draw(st.sampled_from(("free", "same", "touch_x", "touch_y", "nested")))
+    if kind == "free":
+        return draw(boxes)
+    if kind == "same":
+        return a
+    if kind == "touch_x":
+        return a.translated(a.w, draw(st.floats(-a.h, a.h)))
+    if kind == "touch_y":
+        return a.translated(draw(st.floats(-a.w, a.w)), a.h)
+    scale = draw(st.floats(0.1, 0.9))
+    fx, fy = draw(st.floats(0.0, 1.0 - scale)), draw(st.floats(0.0, 1.0 - scale))
+    return BBox(a.x + fx * a.w, a.y + fy * a.h, a.w * scale, a.h * scale)
+
+
+@st.composite
 def coterminal_tracklets(draw):
+    """Two tracklets ending on one frame, of independent lengths, whose
+    aligned boxes are often identical, edge-touching or nested."""
     end = draw(st.integers(-5, 40))
-    return (Tracklet(end, tuple(draw(box_lists()))),
-            Tracklet(end, tuple(draw(box_lists()))))
+    first = draw(box_lists())
+    second = draw(box_lists())
+    second = [draw(partner_box(a)) for a in first[:len(second)]] + second[len(first):]
+    return Tracklet(end, tuple(first)), Tracklet(end, tuple(second))
 
 
 @st.composite
@@ -104,6 +127,7 @@ def _(value):
 
 @prop("geometry", "avg_iou_matches_direct_mean", coterminal_tracklets())
 def _(value):
+    # bit for bit: the overlap kernel spells `iou` out inline
     a, b = value
     m = min(len(a), len(b))
     total = 0.0
@@ -313,7 +337,7 @@ def scripted_world(draw):
 @prop("pools", "backtracks_follow_the_scripted_argmax", scripted_world())
 def _(value):
     script, cands, t, tau = value
-    pool = build_candidate_pool(cands, ScriptPort(script), t, tau)
+    pool = build_candidate_pool(cands, ScriptPort(script), backtrack_frames(t, tau, 0))
     depth = min(tau, t)
     want = tuple(script[f].boxes[script[f].argmax()]
                  for f in range(t - 1, t - 1 - depth, -1))
@@ -332,7 +356,8 @@ def _(value):
     n_pre = min(n_pre, len(cands))
     sentinels = {i: Tracklet(t - 1, (cands.boxes[i],)) for i in range(n_pre)}
     port = ScriptPort(script)
-    pool = build_candidate_pool(cands, port, t, tau, precomputed=sentinels)
+    pool = build_candidate_pool(cands, port, backtrack_frames(t, tau, 0),
+                                precomputed=sentinels)
     for i, entry in enumerate(pool.entries):
         if i in sentinels:
             assert entry.tracklet is sentinels[i]
@@ -343,7 +368,7 @@ def _(value):
       st.tuples(scripted_world(), st.integers(0, 3), st.integers(0, 4)))
 def _(value):
     (script, cands, t, tau), sel, exc = value
-    pool = build_candidate_pool(cands, ScriptPort(script), t, tau)
+    pool = build_candidate_pool(cands, ScriptPort(script), backtrack_frames(t, tau, 0))
     sel = min(sel, len(cands) - 1)
     rolled = update_neighbor_pool(pool, sel, tau, exclude=exc)
     assert rolled.frame == pool.frame
@@ -364,13 +389,10 @@ def _(value):
                 st.integers(1, 10**6)))
 def _(value):
     bad_t, bad_tau, frame = value
-    cands = CandidateSet((BBox(0.0, 0.0, 4.0, 4.0),), (0.5,))
-    port = ScriptPort({f: ((BBox(0.0, 0.0, 4.0, 4.0),), (0.5,))
-                       for f in range(6)})
     with pytest.raises(ValueError):
-        build_candidate_pool(cands, port, bad_t, 3)
+        backtrack_frames(bad_t, 3, 0)
     with pytest.raises(ValueError):
-        build_candidate_pool(cands, port, 3, bad_tau)
+        backtrack_frames(3, bad_tau, 0)
     with pytest.raises(ValueError):
         NeighborPool(frame, (Tracklet(frame + 1, (BBox(0, 0, 1, 1),)),))
 

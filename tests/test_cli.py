@@ -213,6 +213,9 @@ class TestExitCodes:
     ])
     def test_config_and_usage_errors_exit_one(self, tmp_path, args):
         assert main(args + ["--out", str(tmp_path / "x")]) == 1
+        # nothing that looks like a finished report is left behind
+        assert not (tmp_path / "x" / "report.json").exists()
+        assert not (tmp_path / "x" / "comparison.csv").exists()
 
     def test_missing_out_dir_is_a_usage_error(self):
         assert main(["track", "--scenario", "convoy", "--seeds", "0"]) == 1

@@ -8,6 +8,24 @@ from conftest import ScriptPort, solo_scene, zero_iou_scene
 from retrack.engine import EngineConfig, engine_init, run_baseline, run_sequence, step
 from retrack.geometry import BBox, iou
 from retrack.simworld import MockTracker, ScenarioConfig, generate_scene
+from retrack.tracker_port import TrackerPort
+
+
+class ForwardingPort(TrackerPort):
+    """Forwards `make_template` and `propose` only, so the base class's
+    one-chain-at-a-time `track_segments` runs in place of the inner port's
+    own; records every frame `propose` is asked about."""
+
+    def __init__(self, inner: TrackerPort):
+        self.inner = inner
+        self.proposed: list[int] = []
+
+    def make_template(self, frame, box):
+        return self.inner.make_template(frame, box)
+
+    def propose(self, template, frame, prior):
+        self.proposed.append(frame)
+        return self.inner.propose(template, frame, prior)
 
 
 def _target_box(f):
@@ -259,3 +277,25 @@ class TestRunners:
         assert len(boxes) == 6
         assert [r["frame"] for r in records] == [1, 2, 3, 4, 5]
         assert [list(b.as_tuple()) for b in boxes[1:]] == [r["box"] for r in records]
+
+    def test_backtracking_stays_after_the_anchor(self):
+        scene = generate_scene(ScenarioConfig("crossing"), 3)
+        port = ForwardingPort(MockTracker(scene))
+        frames = range(30, scene.length)
+        b0 = scene.true_box(1, 30)
+        boxes, records = run_sequence(port, frames, b0, EngineConfig())
+        # the first stepped frame already backtracks, from frame 30 only
+        assert records[0]["gate"] == "history_overlap"
+        assert min(port.proposed) == 30
+        assert run_sequence(MockTracker(scene), frames, b0, EngineConfig()) == \
+            (boxes, records)
+
+
+@pytest.mark.parametrize("kind, seed", [("crossing", 3), ("convoy", 103), ("deform", 3)])
+def test_batched_port_gives_the_same_run(kind, seed):
+    scene = generate_scene(ScenarioConfig(kind), seed)
+    frames = range(scene.length)
+    b0 = scene.true_box(1, 0)
+    batched = run_sequence(MockTracker(scene), frames, b0, EngineConfig())
+    chained = run_sequence(ForwardingPort(MockTracker(scene)), frames, b0, EngineConfig())
+    assert batched == chained

@@ -5,8 +5,8 @@ from conftest import DriftPort, ScriptPort
 from retrack.candidate_select import CandidateSet
 from retrack.geometry import BBox, Tracklet
 from retrack.pools import (CandidateEntry, CandidatePool, NeighborPool,
-                           build_candidate_pool, empty_neighbor_pool,
-                           update_neighbor_pool)
+                           backtrack_frames, build_candidate_pool,
+                           empty_neighbor_pool, update_neighbor_pool)
 
 
 def _cands(xs, kalman_index=None):
@@ -18,7 +18,7 @@ class TestBuildCandidatePool:
     def test_backtracks_each_candidate_through_tau_frames(self):
         port = DriftPort(dx=1.0)
         cands = _cands([0.0, 100.0])
-        pool = build_candidate_pool(cands, port, t=5, tau=3)
+        pool = build_candidate_pool(cands, port, backtrack_frames(t=5, tau=3, anchor=0))
         assert pool.frame == 5
         assert len(pool) == 2
         for entry, x0 in zip(pool.entries, (0.0, 100.0)):
@@ -32,15 +32,22 @@ class TestBuildCandidatePool:
 
     def test_depth_clamped_by_available_frames(self):
         port = DriftPort()
-        pool = build_candidate_pool(_cands([0.0]), port, t=2, tau=9)
+        pool = build_candidate_pool(_cands([0.0]), port,
+                                    backtrack_frames(t=2, tau=9, anchor=0))
         assert len(pool.entries[0].tracklet) == 2
         assert pool.entries[0].tracklet.start_frame == 0
+
+    def test_depth_clamped_at_the_anchor(self):
+        assert list(backtrack_frames(t=33, tau=9, anchor=30)) == [32, 31, 30]
+        assert list(backtrack_frames(t=31, tau=9, anchor=30)) == [30]
+        assert list(backtrack_frames(t=50, tau=9, anchor=30)) == list(range(49, 40, -1))
 
     def test_precomputed_tracklets_reused_verbatim(self):
         script = {f: ([BBox(50, 0, 4, 4)], [0.5]) for f in range(8)}
         port = ScriptPort(script)
         ready = Tracklet(7, tuple(BBox(9, 9, 4, 4) for _ in range(3)))
-        pool = build_candidate_pool(_cands([0.0, 1.0, 2.0]), port, t=8, tau=3,
+        pool = build_candidate_pool(_cands([0.0, 1.0, 2.0]), port,
+                                    backtrack_frames(t=8, tau=3, anchor=0),
                                     precomputed={1: ready})
         assert pool.entries[1].tracklet is ready
         # only the two missing candidates were backtracked, 3 frames each
@@ -49,9 +56,15 @@ class TestBuildCandidatePool:
     def test_rejects_bad_arguments(self):
         port = DriftPort()
         with pytest.raises(ValueError):
-            build_candidate_pool(_cands([0.0]), port, t=0, tau=3)
+            backtrack_frames(t=0, tau=3, anchor=0)
         with pytest.raises(ValueError):
-            build_candidate_pool(_cands([0.0]), port, t=5, tau=0)
+            backtrack_frames(t=30, tau=3, anchor=30)
+        with pytest.raises(ValueError):
+            backtrack_frames(t=5, tau=0, anchor=0)
+        with pytest.raises(ValueError):
+            build_candidate_pool(_cands([0.0]), port, range(0))
+        with pytest.raises(ValueError):
+            build_candidate_pool(_cands([0.0]), port, range(3, 5))
 
 
 class TestUpdateNeighborPool:

@@ -11,6 +11,7 @@ from retrack.simworld import (STATIC, MockConfig, MockTracker, MotFormatError,
                               Scene, _tapered_occlusion, _unit_with_cosine,
                               _visibility_to_events, generate_scene, load_mot,
                               load_scene, save_mot, save_scene)
+from retrack.tracker_port import TrackerPort
 
 DIM = 4
 E0 = (1.0, 0.0, 0.0, 0.0)
@@ -257,6 +258,53 @@ class TestMockTracker:
         tpl = tracker.make_template(0, scene.true_box(1, 0))
         with pytest.raises(ValueError):
             tracker.propose(tpl, 4, scene.true_box(1, 0))
+
+
+class TestBatchedSegments:
+    """`MockTracker.track_segments` against the base class's chaining of
+    one `track_segment` per start."""
+
+    FAR = BBox(-3000.0, -3000.0, 40.0, 40.0)  # no object ever in range
+
+    def _starts(self, port, scene, frame):
+        boxes = [scene.true_box(i, frame) for i in scene.ids()] + [self.FAR]
+        return [(port.make_template(frame, b), b) for b in boxes]
+
+    @pytest.mark.parametrize("config", [MockConfig(), MockConfig(jitter=1.5),
+                                        MockConfig(clutter=3)],
+                             ids=["plain", "jitter", "clutter"])
+    @pytest.mark.parametrize("frames", [range(29, 20, -1), range(31, 40)],
+                             ids=["backward", "forward"])
+    @pytest.mark.parametrize("kind, seed", [("crossing", 3), ("convoy", 103),
+                                            ("deform", 3)])
+    def test_same_tracklets_as_per_start_chaining(self, kind, seed, frames, config):
+        scene = generate_scene(ScenarioConfig(kind), seed)
+        port = MockTracker(scene, config)
+        starts = self._starts(port, scene, 30)
+        got = port.track_segments(starts, frames)
+        assert got == TrackerPort.track_segments(port, starts, frames)
+        assert len(got) == len(starts) == 3
+        if config.clutter == 0:
+            # nothing in range and nothing cropped: the far chain coasts on
+            # its start, proposed back as the prior at score zero
+            assert got[-1].boxes == (self.FAR,) * len(frames)
+
+    def test_single_frame_and_no_starts(self):
+        scene = generate_scene(ScenarioConfig("crossing"), 3)
+        port = MockTracker(scene)
+        starts = self._starts(port, scene, 5)
+        assert port.track_segments(starts, [4]) == \
+            TrackerPort.track_segments(port, starts, [4])
+        assert port.track_segments([], range(4, 0, -1)) == []
+
+    def test_frames_checked(self):
+        scene = generate_scene(ScenarioConfig("convoy"), 103)
+        port = MockTracker(scene)
+        starts = self._starts(port, scene, 2)
+        for frames in (range(1, -2, -1), range(scene.length - 2, scene.length + 1),
+                       [], [1, 3], [3, 2, 3]):
+            with pytest.raises(ValueError):
+                port.track_segments(starts, frames)
 
 
 class TestAppearanceHelpers:

@@ -89,3 +89,19 @@ class TestTrackSegment:
             port.track_segment(tpl, start, [1, 2, 1])
         with pytest.raises(ValueError):
             port.track_segment(tpl, start, [3, 2, 3])
+
+
+class TestTrackSegments:
+    def test_default_chains_each_start_in_order(self):
+        port = DriftPort(dx=2.0)
+        starts = [(Template(6, BBox(x, 10, 4, 4)), BBox(x, 10, 4, 4))
+                  for x in (10.0, 50.0, 90.0)]
+        got = port.track_segments(starts, [5, 4, 3])
+        assert got == [port.track_segment(t, b, [5, 4, 3]) for t, b in starts]
+        assert [t.head.x for t in got] == [12.0, 52.0, 92.0]
+        assert port.propose_calls == 2 * 3 * 3
+
+    def test_no_starts_no_calls(self):
+        port = DriftPort()
+        assert port.track_segments([], [5, 4, 3]) == []
+        assert port.propose_calls == 0
