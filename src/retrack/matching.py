@@ -18,6 +18,7 @@ from .pools import CandidatePool, NeighborPool
 
 # sums of at most a few dozen weights in [0, 1]; roundoff stays far below this
 _OPT_TOL = 1e-9
+_NO_MATCH = np.empty(0, dtype=np.intp)
 
 
 class NoViableCandidateError(RuntimeError):
@@ -32,15 +33,16 @@ class WeightMatrix:
     n_neighbors: int
 
     def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.values.ndim != 2:
+        values = np.array(self.values, dtype=float)
+        values.flags.writeable = False  # validated once, so it must not change
+        object.__setattr__(self, "values", values)
+        if values.ndim != 2:
             raise ValueError("weight matrix must be 2-D")
-        if self.values.shape[1] != self.n_neighbors + 1:
+        if values.shape[1] != self.n_neighbors + 1:
             raise ValueError("column count must be n_neighbors + 1")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("weights must be finite")
-        if np.any(self.values < 0) or np.any(self.values > 1):
-            raise ValueError("weights must lie in [0, 1]")
+        # NaN fails both comparisons, so this rejects non-finite weights too
+        if not ((values >= 0) & (values <= 1)).all():
+            raise ValueError("weights must be finite and lie in [0, 1]")
 
     @property
     def target_col(self) -> int:
@@ -76,12 +78,12 @@ def build_weights(pool: CandidatePool, neighbors: NeighborPool,
     return WeightMatrix(values, len(neighbors))
 
 
-def _best_total(values: np.ndarray) -> float:
-    """Maximum matching weight via the rectangular assignment solver."""
+def _best(values: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Maximum matching weight and the solver's matching, as (rows, cols)."""
     if values.size == 0:
-        return 0.0
+        return 0.0, _NO_MATCH, _NO_MATCH
     rows, cols = linear_sum_assignment(values, maximize=True)
-    return float(values[rows, cols].sum())
+    return float(values[rows, cols].sum()), rows, cols
 
 
 def hungarian_max(w: WeightMatrix | np.ndarray) -> Assignment:
@@ -92,27 +94,43 @@ def hungarian_max(w: WeightMatrix | np.ndarray) -> Assignment:
     the lowest column that still permits an optimal completion, and rows
     are skipped only when no column does. Weights must be nonnegative, so
     an optimum of full cardinality min(n_rows, n_cols) always exists.
+
+    One solve gives the optimum and an optimal matching, which is kept
+    consistent with the pairs fixed so far. A row's column in that
+    matching needs no further solve; only a lower column is probed, by
+    solving the remaining rows without it, and a successful probe's
+    matching replaces the kept one. A `WeightMatrix` was validated when
+    it was built; a raw array is checked here.
     """
-    values = w.values if isinstance(w, WeightMatrix) else np.asarray(w, dtype=float)
+    trusted = isinstance(w, WeightMatrix)
+    values = w.values if trusted else np.asarray(w, dtype=float)
     if values.ndim != 2 or values.size == 0:
         raise ValueError("weight matrix must be 2-D and non-empty")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("weights must be finite")
-    if np.any(values < 0):
-        raise ValueError("weights must be nonnegative")
-    n_rows, n_cols = values.shape
-    best = _best_total(values)
+    if not trusted:
+        if not np.isfinite(values).all():
+            raise ValueError("weights must be finite")
+        if (values < 0).any():
+            raise ValueError("weights must be nonnegative")
+    best, rows, cols = _best(values)
+    match = dict(zip(rows.tolist(), cols.tolist()))
 
     pairs: list[tuple[int, int]] = []
-    free_cols = list(range(n_cols))
+    free_cols = list(range(values.shape[1]))
     fixed = 0.0
-    for r in range(n_rows):
+    for r in range(values.shape[0]):
         chosen = None
         for c in free_cols:
+            # the kept matching proves (r, c) has an optimal completion; a
+            # row it covers always reaches its column, so skips keep it valid
+            if c == match.get(r):
+                chosen = c
+                break
             rest_cols = [x for x in free_cols if x != c]
-            rest = _best_total(values[np.ix_(range(r + 1, n_rows), rest_cols)])
+            rest, rows, cols = _best(values[r + 1:, rest_cols])
             if fixed + values[r, c] + rest >= best - _OPT_TOL:
                 chosen = c
+                match = {r + 1 + i: rest_cols[j]
+                         for i, j in zip(rows.tolist(), cols.tolist())}
                 break
         if chosen is not None:
             pairs.append((r, chosen))

@@ -1,6 +1,6 @@
 """Constant-velocity Kalman filter over box center and size.
 
-State is 8-dimensional: (cx, cy, w, h, vcx, vcy, vw, vh). Process and
+State is 8 Python floats: (cx, cy, w, h, vcx, vcy, vw, vh). Process and
 measurement noise are scaled by the current box height, the convention
 used by the SORT family of trackers, so uncertainty tracks object scale.
 
@@ -11,8 +11,8 @@ coordinate separately, and the noise variances are the same for all four
 coordinates because they are scaled by the one box height. Starting from
 a diagonal covariance with equal spread per coordinate, predict and update
 therefore keep one shared block, so the filter carries just its 3 entries
-and runs per-coordinate scalar equations. All operations are pure: they
-return new states and never mutate.
+and runs per-coordinate scalar equations with no numpy call. States are
+immutable: every operation returns a new one.
 """
 from __future__ import annotations
 
@@ -33,20 +33,20 @@ MIN_SIZE = 1.0  # smallest box side the filter will report
 class MotionState:
     """Filter state at a frame.
 
-    `mean` has shape (8,); `block` is the covariance shared by every
-    coordinate: (position variance, position-velocity covariance,
-    velocity variance).
+    `mean` is 8 floats, (cx, cy, w, h, vcx, vcy, vw, vh); `block` is the
+    covariance shared by every coordinate: (position variance,
+    position-velocity covariance, velocity variance).
     """
 
-    mean: np.ndarray
+    mean: tuple[float, ...]
     block: tuple[float, float, float]
     frame: int
 
     def __post_init__(self):
-        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
+        object.__setattr__(self, "mean", tuple(float(v) for v in self.mean))
         object.__setattr__(self, "block", tuple(float(v) for v in self.block))
-        if self.mean.shape != (8,):
-            raise ValueError(f"mean must have shape (8,), got {self.mean.shape}")
+        if len(self.mean) != 8:
+            raise ValueError(f"mean must hold 8 entries, got {len(self.mean)}")
         if len(self.block) != 3:
             raise ValueError(f"block must hold 3 entries, got {len(self.block)}")
 
@@ -65,20 +65,9 @@ class MotionState:
         return BBox(cx - w / 2.0, cy - h / 2.0, w, h)
 
 
-def _measurement(box: BBox) -> np.ndarray:
-    return np.array([box.cx, box.cy, box.w, box.h], dtype=float)
-
-
-def _floor_size(mean: np.ndarray) -> None:
-    # keep the filter inside the valid box domain
-    mean[2] = max(mean[2], MIN_SIZE)
-    mean[3] = max(mean[3], MIN_SIZE)
-
-
 def motion_init(b0: BBox, frame: int = 0) -> MotionState:
     """Start a filter at `b0` with zero velocity and scale-matched spread."""
-    mean = np.zeros(8)
-    mean[:4] = _measurement(b0)
+    mean = (b0.cx, b0.cy, b0.w, b0.h, 0.0, 0.0, 0.0, 0.0)
     std_p = 2 * STD_WEIGHT_POSITION * b0.h
     std_v = 10 * STD_WEIGHT_VELOCITY * b0.h
     return MotionState(mean, (std_p * std_p, 0.0, std_v * std_v), frame)
@@ -86,28 +75,30 @@ def motion_init(b0: BBox, frame: int = 0) -> MotionState:
 
 def motion_predict(s: MotionState) -> tuple[BBox, MotionState]:
     """Advance one frame; returns the predicted box and the new state."""
-    mean = s.mean.copy()
-    mean[:4] += mean[4:]
-    _floor_size(mean)
-    std_p = STD_WEIGHT_POSITION * mean[3]
-    std_v = STD_WEIGHT_VELOCITY * mean[3]
+    cx, cy, w, h, vcx, vcy, vw, vh = s.mean
+    w = max(w + vw, MIN_SIZE)
+    h = max(h + vh, MIN_SIZE)
+    std_p = STD_WEIGHT_POSITION * h
+    std_v = STD_WEIGHT_VELOCITY * h
     pp, pv, vv = s.block
     block = ((pp + pv) + (pv + vv) + std_p * std_p, pv + vv, vv + std_v * std_v)
-    state = MotionState(mean, block, s.frame + 1)
+    state = MotionState((cx + vcx, cy + vcy, w, h, vcx, vcy, vw, vh), block, s.frame + 1)
     return state.predicted_box(), state
 
 
 def motion_update(s: MotionState, observed: BBox) -> MotionState:
     """Condition the state on an observed box at the current frame."""
-    r = (STD_WEIGHT_POSITION * s.mean[3]) ** 2
+    cx, cy, w, h, vcx, vcy, vw, vh = s.mean
+    r = (STD_WEIGHT_POSITION * h) ** 2
     pp, pv, vv = s.block
     inv = 1.0 / (pp + r)
     kp, kv = pp * inv, pv * inv
-    innovation = _measurement(observed) - s.mean[:4]
-    mean = s.mean.copy()
-    mean[:4] += kp * innovation
-    mean[4:] += kv * innovation
-    _floor_size(mean)
+    dx, dy = observed.cx - cx, observed.cy - cy
+    dw, dh = observed.w - w, observed.h - h
+    # keep the filter inside the valid box domain
+    mean = (cx + kp * dx, cy + kp * dy,
+            max(w + kp * dw, MIN_SIZE), max(h + kp * dh, MIN_SIZE),
+            vcx + kv * dx, vcy + kv * dy, vw + kv * dw, vh + kv * dh)
     # Joseph form (I - KH) P (I - KH)^T + K R K^T keeps the block PSD
     # under roundoff; the off-diagonal entries are averaged as the 8x8
     # form symmetrised them

@@ -402,7 +402,7 @@ class MockTracker(TrackerPort):
             box = true
             if cfg.jitter > 0.0:
                 rng = np.random.default_rng([scene.seed, frame, obj_id, 3])
-                dx, dy, dw, dh = rng.normal(0.0, cfg.jitter, 4)
+                dx, dy, dw, dh = rng.normal(0.0, cfg.jitter, 4).tolist()
                 box = BBox(true.x + dx, true.y + dy,
                            max(true.w + dw, 1.0), max(true.h + dh, 1.0))
             sim = float(np.dot(tpl_app, scene._eff_apps[obj_id][frame]))

@@ -265,9 +265,11 @@ def _(value):
     state = motion_init(box, frame)
     for _ in range(n):
         prev = state
-        before = prev.mean.copy()
+        before = (list(prev.mean), prev.block, prev.frame)
         pred, state = motion_predict(prev)
-        assert np.array_equal(prev.mean, before)  # input untouched
+        assert (list(prev.mean), prev.block, prev.frame) == before  # input untouched
+        assert all(type(v) is float for v in state.mean)
+        assert all(type(v) is float for v in pred.as_tuple())
         assert state.frame == frame + 1
         frame = state.frame
         np.testing.assert_array_equal(state.covariance, state.covariance.T)

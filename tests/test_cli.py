@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from conftest import zero_iou_scene
 from retrack.cli import ConfigError, _aggregate, _parse_seeds, main
 from retrack.simworld import ScenarioConfig, generate_scene, load_scene, save_mot
 
@@ -134,6 +135,25 @@ class TestTrack:
         assert main(["track", "--mot", str(gt), "--seeds", "0",
                      "--out", str(out)]) == 0
         assert (out / "gt_0000_engine.csv").exists()
+
+    def test_motion_box_rows_are_plain_floats(self, tmp_path):
+        # the blackout scene selects the motion-predicted box on some frames
+        mot = tmp_path / "z.txt"
+        save_mot(zero_iou_scene(), mot)
+        out = tmp_path / "runs"
+        assert main(["track", "--mot", str(mot), "--seeds", "0", "--target-id", "2",
+                     "--out", str(out)]) == 0
+        records = [json.loads(l) for l in
+                   (out / "z_0000_engine_log.jsonl").read_text().splitlines()[1:]]
+        assert any(r["source"] == "kalman_fallback" for r in records)
+        text = (out / "z_0000_engine.csv").read_text()
+        assert "np.float64" not in text
+        for row in text.splitlines()[2:]:
+            frame, *coords = row.split(",")
+            int(frame)
+            assert len(coords) == 4
+            for v in coords:
+                float(v)
 
 
 class TestEvaluate:

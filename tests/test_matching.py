@@ -1,7 +1,10 @@
 """Maximum-weight matching and target resolution."""
+import itertools
+
 import numpy as np
 import pytest
 
+import retrack.matching
 from oracles import brute_force_assignment
 from retrack.candidate_select import CandidateSet
 from retrack.geometry import BBox, Tracklet, tracklet_avg_iou
@@ -39,6 +42,20 @@ class TestWeightMatrix:
         with pytest.raises(ValueError):
             _w([[0.5, float("nan")]])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
+                                     -0.25, 1.25])
+    def test_rejects_weight_outside_unit_interval(self, bad):
+        with pytest.raises(ValueError, match="finite and lie in"):
+            _w([[0.5, bad], [0.0, 1.0]])
+
+    def test_values_are_a_read_only_copy(self):
+        values = np.array([[0.25, 0.5]])
+        w = WeightMatrix(values, 1)
+        with pytest.raises(ValueError):
+            w.values[0, 0] = 1.0
+        values[0, 0] = 1.0  # the caller's array stays writable and separate
+        assert w.values[0, 0] == 0.25
+
 
 class TestHungarianMax:
     def test_matches_brute_force_on_random_matrices(self):
@@ -52,6 +69,41 @@ class TestHungarianMax:
             pairs, total = brute_force_assignment(values)
             assert got.total_weight == total
             assert got.pairs == pairs
+
+    def test_matches_brute_force_on_tie_heavy_matrices(self):
+        rng = np.random.default_rng(7)
+        levels = np.array([0.0, 0.25, 0.5, 1.0])
+        for rows, cols in itertools.product(range(1, 7), repeat=2):
+            for _ in range(8):
+                values = levels[rng.integers(0, 4, size=(rows, cols))]
+                got = hungarian_max(values)
+                pairs, total = brute_force_assignment(values)
+                assert got.total_weight == total
+                assert got.pairs == pairs
+
+    @pytest.mark.parametrize("values, pairs, solves", [
+        # the solver's matching is already the lexicographically smallest
+        ([[1.0, 0.25], [0.25, 1.0], [0.0, 0.0]], ((0, 0), (1, 1)), 1),
+        # the solver picks (1, 1), (2, 0); one probe gives row 0 column 0
+        ([[0.0, 0.0], [0.0, 0.0], [0.5, 0.5]], ((0, 0), (2, 1)), 2),
+        # row 0 is in no optimal matching: both its columns are probed,
+        # then row 1's lower column
+        ([[0.5, 0.5], [0.0, 1.0], [1.0, 1.0]], ((1, 1), (2, 0)), 4),
+    ], ids=["solver_matching_kept", "lower_column_probed", "skipped_row"])
+    def test_solves_only_what_the_first_matching_leaves_open(
+            self, monkeypatch, values, pairs, solves):
+        calls = []
+        solve = retrack.matching.linear_sum_assignment
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(retrack.matching, "linear_sum_assignment", counting)
+        got = hungarian_max(_w(values))
+        assert got.pairs == pairs
+        assert got.pairs == brute_force_assignment(values)[0]
+        assert len(calls) == solves
 
     def test_all_equal_ties_break_lexicographically(self):
         got = hungarian_max(np.full((2, 2), 0.5))

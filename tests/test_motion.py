@@ -60,6 +60,8 @@ def test_state_shape_validation():
     with pytest.raises(ValueError):
         MotionState(np.zeros(7), (1.0, 0.0, 1.0), 0)
     with pytest.raises(ValueError):
+        MotionState([0.0] * 9, (1.0, 0.0, 1.0), 0)
+    with pytest.raises(ValueError):
         MotionState(np.zeros(8), (1.0, 0.0), 0)
 
 
@@ -132,9 +134,25 @@ def test_covariance_stays_symmetric_psd():
 
 def test_operations_do_not_mutate_inputs():
     s = motion_init(BBox(1, 2, 3, 4))
-    mean0, cov0 = s.mean.copy(), s.covariance.copy()
+    s0 = (list(s.mean), s.block, s.covariance.copy(), s.frame)
     _, pred = motion_predict(s)
+    pred0 = (list(pred.mean), pred.block, pred.covariance.copy(), pred.frame)
     motion_update(pred, BBox(2, 3, 3, 4))
-    np.testing.assert_array_equal(s.mean, mean0)
-    np.testing.assert_array_equal(s.covariance, cov0)
+    for state, (mean0, block0, cov0, frame0) in ((s, s0), (pred, pred0)):
+        assert list(state.mean) == mean0
+        assert state.block == block0
+        np.testing.assert_array_equal(state.covariance, cov0)
+        assert state.frame == frame0
     assert pred.frame == s.frame + 1
+
+
+def test_state_and_predicted_box_are_python_floats():
+    s = MotionState(np.arange(8.0), (1.0, 0.0, 1.0), 0)
+    assert s.mean == (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)
+    s = motion_init(BBox(np.float64(1), np.float64(2), np.float64(3), np.float64(4)))
+    for _ in range(3):
+        box, s = motion_predict(s)
+        assert all(type(v) is float for v in s.mean)
+        assert all(type(v) is float for v in box.as_tuple())
+        s = motion_update(s, BBox(np.float64(2), 3, 3, np.float64(4)))
+        assert all(type(v) is float for v in s.mean)

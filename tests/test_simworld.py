@@ -241,6 +241,14 @@ class TestMockTracker:
         assert a == b
         assert a.boxes[0] != scene.true_box(1, 1)
 
+    def test_jittered_box_fields_are_python_floats(self):
+        scene = self._world()
+        tracker = MockTracker(scene, MockConfig(jitter=1.5))
+        prior = scene.true_box(1, 0)
+        got = tracker.propose(tracker.make_template(0, prior), 1, prior)
+        assert got.boxes[0] != scene.true_box(1, 1)
+        assert all(type(v) is float for b in got.boxes for v in b.as_tuple())
+
     def test_clutter_adds_scored_boxes(self):
         scene = self._world()
         cfg = MockConfig(clutter=3, clutter_score=0.3)
