@@ -1,8 +1,10 @@
 """Command-line front end: simulate scenes, track them, evaluate runs.
 
 Every command is reproducible from its flags and seeds alone; outputs
-embed the resolved configuration and contain no timestamps, so re-running
-a command produces byte-identical files. Flags can also be set through
+embed the resolved configuration and contain no timestamps. Re-running a
+command produces byte-identical files, except for the seconds per frame
+`evaluate` writes (`*_spf` in `report.json`, `ablation_*.csv`'s last
+column). Flags can also be set through
 environment variables prefixed with RETRACK_ (e.g. RETRACK_TRACK_TAU).
 """
 from __future__ import annotations
@@ -45,18 +47,14 @@ def _parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def _scenario_config(scenario: str | None, config_path: str | None) -> ScenarioConfig:
-    if config_path is not None:
-        try:
-            cfg = ScenarioConfig.from_file(config_path)
-        except (TypeError, ValueError, KeyError) as exc:
-            raise ConfigError(f"bad scenario config {config_path}: {exc}") from None
-        if scenario is not None:
-            cfg = dataclasses.replace(cfg, kind=scenario)
-        return cfg
-    if scenario is None:
-        raise ConfigError("one of --scenario or --mot is required")
-    return ScenarioConfig(kind=scenario)
+def _scenario_config(scenario: str, config_path: str | None) -> ScenarioConfig:
+    if config_path is None:
+        return ScenarioConfig(kind=scenario)
+    try:
+        cfg = ScenarioConfig.from_file(config_path)
+    except (TypeError, ValueError, KeyError) as exc:
+        raise ConfigError(f"bad scenario config {config_path}: {exc}") from None
+    return dataclasses.replace(cfg, kind=scenario)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -146,20 +144,17 @@ def _eval_one(args: tuple[RunSpec, float]) -> dict:
     result = _execute_run(spec)
     scene, target = result["scene"], result["target"]
     row: dict = {"name": result["name"], "seed": spec.seed}
-    base = EvalReport.compute(result["baseline"], scene, target, fail_iou)
-    row["baseline"] = base.as_dict()
-    row["baseline_spf"] = result["baseline_seconds"] / scene.length
-    if "engine" in result:
-        eng = EvalReport.compute(result["engine"], scene, target, fail_iou)
-        row["engine"] = eng.as_dict()
-        row["engine_spf"] = result["engine_seconds"] / scene.length
+    for system in ("baseline", "engine"):
+        report = EvalReport.compute(result[system], scene, target, fail_iou)
+        row[system] = report.as_dict()
+        row[f"{system}_spf"] = result[f"{system}_seconds"] / scene.length
     return row
 
 
 def _map_jobs(fn, items: list, jobs: int) -> list:
     if jobs <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
         return list(pool.map(fn, items))
 
 
@@ -187,13 +182,16 @@ input_options = [
 ]
 
 engine_options = [
-    click.option("--tau", type=int, default=9, show_default=True,
+    click.option("--tau", type=int, default=EngineConfig.tau, show_default=True,
                  help="Backtrack depth in frames."),
-    click.option("--alpha", type=float, default=0.7, show_default=True,
+    click.option("--alpha", type=float, default=EngineConfig.alpha, show_default=True,
                  help="Confidence-ratio filter threshold."),
-    click.option("--nms-iou", type=float, default=0.25, show_default=True),
-    click.option("--nms-sigma", type=float, default=0.01, show_default=True),
-    click.option("--gate-iou", type=float, default=0.6, show_default=True,
+    click.option("--nms-iou", type=float, default=EngineConfig.nms_iou,
+                 show_default=True),
+    click.option("--nms-sigma", type=float, default=EngineConfig.nms_sigma,
+                 show_default=True),
+    click.option("--gate-iou", type=float, default=EngineConfig.stability_iou,
+                 show_default=True,
                  help="Stability-gate history-overlap threshold."),
     click.option("--no-kalman", is_flag=True, default=False,
                  help="Do not inject the motion-predicted candidate."),
@@ -317,11 +315,10 @@ def _aggregate(rows: list[dict]) -> dict:
     agg: dict = {"baseline": {}, "engine": {}, "delta": {}}
     for key in keys:
         base = sum(r["baseline"][key] for r in rows) / len(rows)
+        eng = sum(r["engine"][key] for r in rows) / len(rows)
         agg["baseline"][key] = base
-        if "engine" in rows[0]:
-            eng = sum(r["engine"][key] for r in rows) / len(rows)
-            agg["engine"][key] = eng
-            agg["delta"][key] = eng - base
+        agg["engine"][key] = eng
+        agg["delta"][key] = eng - base
     return agg
 
 
@@ -334,11 +331,8 @@ def _comparison_csv(rows: list[dict]) -> str:
     for r in rows:
         cells = [r["name"], str(r["seed"])]
         for m in metrics:
-            b = r["baseline"][m]
-            e = r.get("engine", {}).get(m)
-            cells.append(f"{b!r}")
-            cells.append("" if e is None else f"{e!r}")
-            cells.append("" if e is None else f"{e - b!r}")
+            b, e = r["baseline"][m], r["engine"][m]
+            cells += [f"{b!r}", f"{e!r}", f"{e - b!r}"]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -387,10 +381,7 @@ def main(argv=None) -> int:
         cli.main(args=argv, standalone_mode=False, auto_envvar_prefix="RETRACK")
     except click.exceptions.Exit as exc:
         return exc.exit_code
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        return 1
-    except ConfigError as exc:
+    except (click.UsageError, ConfigError) as exc:
         click.echo(f"error: {exc.format_message()}", err=True)
         return 1
     except click.ClickException as exc:

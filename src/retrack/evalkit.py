@@ -9,7 +9,7 @@ the prediction list as-is, with no resets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -112,18 +112,8 @@ def id_switches(pred: Sequence[BBox], scene: Scene, target_id: int) -> int:
     """
     if target_id not in scene.ids():
         raise ValueError(f"unknown target id {target_id}")
-    switches = 0
-    prev: int | None = target_id
-    for f, box in enumerate(pred):
-        best_id, best_ov = None, 0.0
-        for obj_id in scene.ids():
-            ov = iou(box, scene.true_box(obj_id, f))
-            if ov > best_ov:
-                best_id, best_ov = obj_id, ov
-        if best_id != prev:
-            switches += 1
-        prev = best_id
-    return switches
+    owners = [target_id] + [scene.dominant_object(box, f) for f, box in enumerate(pred)]
+    return sum(a != b for a, b in zip(owners, owners[1:]))
 
 
 @dataclass(frozen=True)
@@ -167,10 +157,4 @@ class EvalReport:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy, "robustness": self.robustness,
-            "n_failures": self.n_failures, "eao": self.eao, "auc": self.auc,
-            "precision": self.precision, "norm_precision": self.norm_precision,
-            "ao": self.ao, "sr50": self.sr50, "sr75": self.sr75,
-            "id_switches": self.id_switches,
-        }
+        return asdict(self)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path as FsPath
 from typing import Sequence
 
@@ -28,6 +28,10 @@ log = logging.getLogger(__name__)
 STATIC = "static"  # occluder id for scenery that is not a tracked object
 
 SCENE_FORMAT = "retrack-scene-v1"
+
+# The mock tracker searches within this many prior-box diagonals; the
+# crossing scenario sizes its occlusion to carry the pair beyond it.
+SEARCH_RADIUS_SCALE = 2.5
 
 
 class MotFormatError(ValueError):
@@ -213,6 +217,16 @@ class Scene:
     def target_path(self, obj_id: int) -> list[BBox]:
         return list(self._boxes[obj_id])
 
+    def dominant_object(self, box: BBox, frame: int) -> int | None:
+        """Id of the object whose true box at `frame` overlaps `box` the
+        most; a tie goes to the lower id, and None if nothing overlaps."""
+        best_id, best_ov = None, 0.0
+        for obj in self.objects:
+            ov = iou(box, self._boxes[obj.id][frame])
+            if ov > best_ov:
+                best_id, best_ov = obj.id, ov
+        return best_id
+
     # -- serialization ------------------------------------------------------
 
     def to_jsonable(self) -> dict:
@@ -222,31 +236,7 @@ class Scene:
             "bounds": list(self.bounds),
             "seed": self.seed,
             "static_appearance": list(self.static_appearance),
-            "objects": [
-                {
-                    "id": o.id,
-                    "path": {
-                        "kind": o.path.kind,
-                        "size": list(o.path.size),
-                        "waypoints": [list(p) for p in o.path.waypoints],
-                        "start": list(o.path.start),
-                        "velocity": list(o.path.velocity),
-                        "amplitude": o.path.amplitude,
-                        "period": o.path.period,
-                        "axis": o.path.axis,
-                        "boxes": [list(b) for b in o.path.boxes],
-                    },
-                    "appearance": list(o.appearance),
-                    "drift": o.drift,
-                    "drift_spikes": [list(s) for s in o.drift_spikes],
-                    "occlusions": [
-                        {"start": ev.start, "end": ev.end,
-                         "occluder": ev.occluder, "severity": ev.severity}
-                        for ev in o.occlusions
-                    ],
-                }
-                for o in self.objects
-            ],
+            "objects": [asdict(o) for o in self.objects],
         }
 
     @classmethod
@@ -254,27 +244,12 @@ class Scene:
         if data.get("format") != SCENE_FORMAT:
             raise ValueError(f"unsupported scene format {data.get('format')!r}")
         objects = []
-        for od in data["objects"]:
-            pd = od["path"]
-            path = Path(
-                kind=pd["kind"],
-                size=tuple(pd["size"]),
-                waypoints=tuple(tuple(p) for p in pd["waypoints"]),
-                start=tuple(pd["start"]),
-                velocity=tuple(pd["velocity"]),
-                amplitude=pd["amplitude"],
-                period=pd["period"],
-                axis=pd["axis"],
-                boxes=tuple(tuple(b) for b in pd["boxes"]),
-            )
-            objects.append(ObjectSpec(
-                id=od["id"],
-                path=path,
-                appearance=tuple(od["appearance"]),
-                drift=od["drift"],
-                drift_spikes=tuple(tuple(s) for s in od["drift_spikes"]),
-                occlusions=tuple(OcclusionEvent(**ev) for ev in od["occlusions"]),
-            ))
+        for od in _tuples(data["objects"]):
+            od = _exact_fields(ObjectSpec, od)
+            path = Path(**_exact_fields(Path, od["path"]))
+            occlusions = tuple(OcclusionEvent(**_exact_fields(OcclusionEvent, ev))
+                               for ev in od["occlusions"])
+            objects.append(ObjectSpec(**{**od, "path": path, "occlusions": occlusions}))
         return cls(
             length=data["length"],
             bounds=tuple(data["bounds"]),
@@ -282,6 +257,26 @@ class Scene:
             objects=tuple(objects),
             static_appearance=tuple(data["static_appearance"]),
         )
+
+
+def _tuples(value):
+    """`value` with every JSON list in it, at any depth, turned into a tuple."""
+    if isinstance(value, list):
+        return tuple(_tuples(v) for v in value)
+    if isinstance(value, dict):
+        return {k: _tuples(v) for k, v in value.items()}
+    return value
+
+
+def _exact_fields(cls, data: dict) -> dict:
+    """`data`, checked to hold exactly the fields of dataclass `cls`, so a
+    file never loads with silent defaults or ignored keys."""
+    names = {f.name for f in fields(cls)}
+    missing, unknown = sorted(names - data.keys()), sorted(data.keys() - names)
+    if missing or unknown:
+        raise ValueError(f"{cls.__name__} entry has missing keys {missing} "
+                         f"and unknown keys {unknown}")
+    return data
 
 
 def save_scene(scene: Scene, path: FsPath | str) -> None:
@@ -328,7 +323,6 @@ def _unit_with_cosine(rng: np.random.Generator, u: np.ndarray, c: float) -> np.n
 class MockConfig:
     """Knobs for the scene-backed tracker."""
 
-    search_radius_scale: float = 2.5   # times the prior box diagonal
     jitter: float = 0.0                # Gaussian pixel noise on proposals
     clutter: int = 0                   # spurious boxes per frame
     clutter_score: float = 0.3
@@ -342,8 +336,8 @@ class MockTracker(TrackerPort):
     times the clipped cosine between the template appearance and the
     object's effective appearance. When nothing is in range the prior
     itself is returned at score zero, so a proposal always exists.
-    `propose` and the batched chains of `track_segments` score through the
-    same helper, so both give the same boxes and scores.
+    `propose` and the lean chain of `track_segment` score through one
+    helper, so both give the same boxes and scores.
     """
 
     def __init__(self, scene: Scene, config: MockConfig | None = None):
@@ -366,12 +360,8 @@ class MockTracker(TrackerPort):
         cached = self._template_cache.get(key)
         if cached is not None:
             return cached
-        best_id, best_ov = None, 0.0
-        for obj_id in self.scene.ids():
-            ov = iou(template.source_box,
-                     self.scene.true_box(obj_id, template.source_frame))
-            if ov > best_ov:
-                best_id, best_ov = obj_id, ov
+        best_id = self.scene.dominant_object(template.source_box,
+                                             template.source_frame)
         if best_id is None:
             app = np.zeros(len(self.scene.static_appearance))
         else:
@@ -390,7 +380,7 @@ class MockTracker(TrackerPort):
         scene, cfg = self.scene, self.config
         pw, ph = prior.w, prior.h
         pcx, pcy = prior.x + pw / 2.0, prior.y + ph / 2.0
-        radius = cfg.search_radius_scale * math.hypot(pw, ph)
+        radius = SEARCH_RADIUS_SCALE * math.hypot(pw, ph)
         boxes: list[BBox] = []
         scores: list[float] = []
         for obj in scene.objects:
@@ -426,25 +416,22 @@ class MockTracker(TrackerPort):
         boxes, scores = self._scored(self.template_appearance(template), frame, prior)
         return RawCandidates(tuple(boxes), tuple(scores))
 
-    def track_segments(self, starts: Sequence[tuple[Template, BBox]],
-                       frames: Sequence[int]) -> list[Tracklet]:
-        """Every chain through `frames` in one call: the frames are checked
-        once, each template's appearance is resolved once per chain, and
-        each step takes the argmax of the scored proposals directly."""
+    def track_segment(self, template: Template, start: BBox,
+                      frames: Sequence[int]) -> Tracklet:
+        """The base class's chain, lean: the frames are checked once, the
+        template's appearance is resolved once, and each step takes the
+        argmax of the scored proposals directly."""
         frames = segment_frames(frames)
         self._check_frame(frames[0])
         self._check_frame(frames[-1])
-        out = []
-        for template, start in starts:
-            tpl_app = self.template_appearance(template)
-            prior = start
-            chain = []
-            for f in frames:
-                boxes, scores = self._scored(tpl_app, f, prior)
-                prior = boxes[first_max(scores)]
-                chain.append(prior)
-            out.append(newest_first(frames, chain))
-        return out
+        tpl_app = self.template_appearance(template)
+        prior = start
+        chain = []
+        for f in frames:
+            boxes, scores = self._scored(tpl_app, f, prior)
+            prior = boxes[first_max(scores)]
+            chain.append(prior)
+        return newest_first(frames, chain)
 
 
 # ---------------------------------------------------------------------------
@@ -480,11 +467,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_file(cls, path: FsPath | str) -> "ScenarioConfig":
-        data = json.loads(FsPath(path).read_text())
-        for key in ("bounds", "similarity", "severity", "speed", "lane_gap"):
-            if key in data:
-                data[key] = tuple(data[key])
-        return cls(**data)
+        return cls(**_tuples(json.loads(FsPath(path).read_text())))
 
 
 SCENARIOS = ("crossing", "convoy", "deform")
@@ -557,7 +540,7 @@ def _gen_crossing(cfg: ScenarioConfig, seed: int) -> Scene:
     cy = cfg.bounds[1] / 2.0
     mid = cfg.bounds[0] / 2.0
     size = (cfg.box_size, cfg.box_size)
-    radius = 2.5 * math.hypot(*size)
+    radius = SEARCH_RADIUS_SCALE * math.hypot(*size)
     dy = 0.75 * cfg.box_size
     # full-strength occlusion holds until the pair has separated beyond the
     # search radius; the fade tail comes on top of that

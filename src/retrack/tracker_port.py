@@ -122,8 +122,9 @@ class TrackerPort(abc.ABC):
         the same `frames` exactly as `track_segment` would.
 
         The engine makes one such call per backtrack. This default runs
-        the chains one after another; a port that can batch them (a
-        siamese tracker running one batched crop forward per frame for
-        every chain) overrides it and must return the same tracklets.
+        `track_segment` per start, so a leaner chain overrides that alone;
+        a port that can batch the chains (a siamese tracker running one
+        crop forward per frame for all of them) overrides this instead.
+        Either override must return the same tracklets.
         """
         return [self.track_segment(template, start, frames) for template, start in starts]

@@ -91,6 +91,32 @@ class TestTrack:
         assert main(base + ["--jobs", "2", "--out", str(parallel)]) == 0
         assert _read_dir(serial) == _read_dir(parallel)
 
+    def test_workers_capped_at_the_run_count(self, tmp_path, monkeypatch):
+        made = []
+
+        class InProcessPool:
+            """Records `max_workers` and maps in this process, so no
+            worker process is started."""
+
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("retrack.cli.ProcessPoolExecutor", InProcessPool)
+        out = tmp_path / "runs"
+        assert main(["track", "--scenario", "convoy", "--seeds", "0:2",
+                     "--jobs", "64", "--out", str(out)]) == 0
+        assert made == [2]
+        assert len(list(out.iterdir())) == 6
+
     def test_csv_headers_embed_the_resolved_config(self, tmp_path):
         out = tmp_path / "runs"
         assert main(["track", "--scenario", "convoy", "--seeds", "0",

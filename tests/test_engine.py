@@ -13,8 +13,8 @@ from retrack.tracker_port import TrackerPort
 
 class ForwardingPort(TrackerPort):
     """Forwards `make_template` and `propose` only, so the base class's
-    one-chain-at-a-time `track_segments` runs in place of the inner port's
-    own; records every frame `propose` is asked about."""
+    chaining of `propose` calls runs in place of the inner port's lean
+    `track_segment`; records every frame `propose` is asked about."""
 
     def __init__(self, inner: TrackerPort):
         self.inner = inner

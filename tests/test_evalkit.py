@@ -157,7 +157,10 @@ class TestEvalReport:
         scene = _two_object_scene(length=12)
         report = EvalReport.compute(scene.target_path(1), scene, target_id=1)
         d = report.as_dict()
-        assert len(d) == 11
+        # field order is the column order of `comparison.csv`
+        assert list(d) == ["accuracy", "robustness", "n_failures", "eao", "auc",
+                           "precision", "norm_precision", "ao", "sr50", "sr75",
+                           "id_switches"]
         for key, value in d.items():
             assert getattr(report, key) == value
 

@@ -1,10 +1,13 @@
 """Scene scripting, the scene-backed mock tracker, and MOT file I/O."""
+import json
 import logging
 import math
 
 import numpy as np
 import pytest
 
+from retrack.engine import run_baseline
+from retrack.evalkit import id_switches
 from retrack.geometry import BBox, iou
 from retrack.simworld import (STATIC, MockConfig, MockTracker, MotFormatError,
                               ObjectSpec, OcclusionEvent, Path, ScenarioConfig,
@@ -163,9 +166,19 @@ class TestSceneSerialization:
         other = ObjectSpec(2, _static(100, 100), E1)
         return _scene([target, other], length=8)
 
-    def test_json_round_trip_preserves_world(self):
-        scene = self._sample()
-        back = Scene.from_jsonable(scene.to_jsonable())
+    def _mot_loaded(self, tmp_path):
+        p = tmp_path / "gt.txt"
+        save_mot(generate_scene(ScenarioConfig("convoy"), 103), p)
+        return load_mot(p, seed=103)
+
+    @pytest.mark.parametrize("source, kinds", [("sample", {"linear", "sine"}),
+                                               ("mot", {"frames"})],
+                             ids=["linear_sine", "mot_frames"])
+    def test_json_round_trip_preserves_world(self, source, kinds, tmp_path):
+        scene = self._sample() if source == "sample" else self._mot_loaded(tmp_path)
+        assert {o.path.kind for o in scene.objects} == kinds
+        back = Scene.from_jsonable(json.loads(json.dumps(scene.to_jsonable())))
+        assert back.objects == scene.objects
         assert back.to_jsonable() == scene.to_jsonable()
         for obj_id in scene.ids():
             for f in range(scene.length):
@@ -184,6 +197,24 @@ class TestSceneSerialization:
         data = self._sample().to_jsonable()
         data["format"] = "retrack-scene-v0"
         with pytest.raises(ValueError):
+            Scene.from_jsonable(data)
+
+    @pytest.mark.parametrize("entry", ["object", "path", "occlusion"])
+    @pytest.mark.parametrize("change", ["missing", "unknown"])
+    def test_entry_keys_must_match_the_dataclass_fields(self, entry, change):
+        data = json.loads(json.dumps(self._sample().to_jsonable()))
+        target = data["objects"][0]
+        if entry == "path":
+            target = target["path"]
+        elif entry == "occlusion":
+            target = target["occlusions"][0]
+        if change == "missing":
+            name = next(k for k in target if k not in ("path", "occlusions"))
+            del target[name]
+        else:
+            name = "colour"
+            target[name] = 1
+        with pytest.raises(ValueError, match=f"{change} keys \\[{name!r}\\]"):
             Scene.from_jsonable(data)
 
 
@@ -268,15 +299,40 @@ class TestMockTracker:
             tracker.propose(tpl, 4, scene.true_box(1, 0))
 
 
+class SegmentForwarder(TrackerPort):
+    """Forwards `make_template`, `propose` and `track_segment` to a port,
+    as a tracing wrapper does, and counts the proposals asked of it."""
+
+    def __init__(self, inner: TrackerPort):
+        self.inner = inner
+        self.propose_calls = 0
+
+    def make_template(self, frame, box):
+        return self.inner.make_template(frame, box)
+
+    def propose(self, template, frame, prior):
+        self.propose_calls += 1
+        return self.inner.propose(template, frame, prior)
+
+    def track_segment(self, template, start, frames):
+        return self.inner.track_segment(template, start, frames)
+
+
 class TestBatchedSegments:
-    """`MockTracker.track_segments` against the base class's chaining of
-    one `track_segment` per start."""
+    """`MockTracker`'s lean `track_segment`, batched by the base class's
+    `track_segments`, against the base class's chaining of `propose` calls,
+    one chain per start."""
 
     FAR = BBox(-3000.0, -3000.0, 40.0, 40.0)  # no object ever in range
 
     def _starts(self, port, scene, frame):
         boxes = [scene.true_box(i, frame) for i in scene.ids()] + [self.FAR]
         return [(port.make_template(frame, b), b) for b in boxes]
+
+    @staticmethod
+    def _base_chains(port, starts, frames):
+        return [TrackerPort.track_segment(port, tpl, start, frames)
+                for tpl, start in starts]
 
     @pytest.mark.parametrize("config", [MockConfig(), MockConfig(jitter=1.5),
                                         MockConfig(clutter=3)],
@@ -290,7 +346,7 @@ class TestBatchedSegments:
         port = MockTracker(scene, config)
         starts = self._starts(port, scene, 30)
         got = port.track_segments(starts, frames)
-        assert got == TrackerPort.track_segments(port, starts, frames)
+        assert got == self._base_chains(port, starts, frames)
         assert len(got) == len(starts) == 3
         if config.clutter == 0:
             # nothing in range and nothing cropped: the far chain coasts on
@@ -302,8 +358,19 @@ class TestBatchedSegments:
         port = MockTracker(scene)
         starts = self._starts(port, scene, 5)
         assert port.track_segments(starts, [4]) == \
-            TrackerPort.track_segments(port, starts, [4])
+            self._base_chains(port, starts, [4])
         assert port.track_segments([], range(4, 0, -1)) == []
+
+    @pytest.mark.parametrize("frames", [range(29, 20, -1), range(31, 40)],
+                             ids=["backward", "forward"])
+    def test_forwarding_wrapper_takes_the_lean_chain(self, frames):
+        scene = generate_scene(ScenarioConfig("crossing"), 3)
+        port = MockTracker(scene, MockConfig(jitter=1.5))
+        wrapper = SegmentForwarder(port)
+        starts = self._starts(port, scene, 30)
+        assert wrapper.track_segments(starts, frames) == \
+            port.track_segments(starts, frames)
+        assert wrapper.propose_calls == 0
 
     def test_frames_checked(self):
         scene = generate_scene(ScenarioConfig("convoy"), 103)
@@ -313,6 +380,41 @@ class TestBatchedSegments:
                        [], [1, 3], [3, 2, 3]):
             with pytest.raises(ValueError):
                 port.track_segments(starts, frames)
+
+
+class TestDominantObject:
+    def test_no_overlap_gives_none(self):
+        scene = _scene([ObjectSpec(1, _static(20.0, 20.0), E0)])
+        assert scene.dominant_object(BBox(300.0, 300.0, 10.0, 10.0), 0) is None
+        # sharing only an edge is no overlap either
+        assert scene.dominant_object(BBox(25.0, 15.0, 10.0, 10.0), 0) is None
+
+    def test_largest_overlap_wins_and_a_tie_goes_to_the_lower_id(self):
+        scene = _scene([ObjectSpec(3, _static(20.0, 20.0), E0),
+                        ObjectSpec(1, _static(40.0, 20.0), E1),
+                        ObjectSpec(2, _static(20.0, 20.0), E1)])
+        assert scene.dominant_object(BBox(15.0, 15.0, 10.0, 10.0), 0) == 2
+        assert scene.dominant_object(BBox(34.0, 15.0, 10.0, 10.0), 0) == 1
+        # straddles the boxes centred at x 20 (ids 2, 3) and x 40 (id 1)
+        # with an equal overlap, 0.2, on each
+        wide = BBox(20.0, 15.0, 20.0, 10.0)
+        assert iou(wide, scene.true_box(1, 0)) == iou(wide, scene.true_box(3, 0)) == 0.2
+        assert scene.dominant_object(wide, 0) == 1
+
+    def test_agrees_with_a_direct_overlap_scan_and_id_switches(self):
+        scene = generate_scene(ScenarioConfig("crossing"), 3)
+        port = MockTracker(scene)
+        pred = run_baseline(port, range(scene.length), scene.true_box(1, 0))
+        owners = []
+        for f, box in enumerate(pred):
+            overlaps = [(iou(box, scene.true_box(i, f)), -i) for i in scene.ids()]
+            best, neg_id = max(overlaps)
+            owners.append(-neg_id if best > 0.0 else None)
+            assert scene.dominant_object(box, f) == owners[-1]
+        # the baseline is hijacked by the distractor at the crossing
+        assert set(owners) == {1, 2}
+        changes = sum(a != b for a, b in zip([1] + owners, owners))
+        assert id_switches(pred, scene, 1) == changes >= 1
 
 
 class TestAppearanceHelpers:
@@ -381,12 +483,16 @@ class TestScenarioGeneration:
 
     def test_config_from_file_coerces_ranges(self, tmp_path):
         p = tmp_path / "cfg.json"
-        p.write_text('{"kind": "convoy", "length": 32, "similarity": [0.5, 0.6]}')
+        p.write_text('{"kind": "convoy", "length": 32, "bounds": [256.0, 128.0], '
+                     '"similarity": [0.5, 0.6], "severity": [0.25, 0.3], '
+                     '"lane_gap": [50.0, 60.0]}')
         cfg = ScenarioConfig.from_file(p)
         assert cfg.kind == "convoy"
         assert cfg.length == 32
         assert cfg.similarity == (0.5, 0.6)
         assert cfg.speed == (3.5, 4.5)
+        for name in ("bounds", "similarity", "severity", "speed", "lane_gap"):
+            assert type(getattr(cfg, name)) is tuple
 
 
 class TestMotRoundTrip:
