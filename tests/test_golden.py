@@ -1,0 +1,36 @@
+"""Decisions stay exactly as they are: the golden table regenerates bit
+for bit, and its digests are those of the files `retrack track` writes."""
+import hashlib
+
+import golden
+from retrack.cli import main
+
+
+def _table() -> dict[tuple[str, str, str], str]:
+    lines = golden.TABLE.read_text().splitlines()
+    assert lines[0] == golden.HEADER
+    return {tuple(line.split("\t")[:3]): line for line in lines[1:]}
+
+
+def test_golden_table_regenerates_unchanged():
+    want = _table()
+    got = {tuple(line.split("\t")[:3]): line for line in golden.rows()}
+    assert got.keys() == want.keys()
+    changed = [key for key in want if got[key] != want[key]]
+    assert not changed, f"{len(changed)} golden rows changed, first {changed[:5]}"
+
+
+def test_table_covers_every_gate():
+    gates = set()
+    for line in _table().values():
+        gates.update(part.split("=")[0] for part in line.split("\t")[4].split(","))
+    assert gates == {"single_candidate", "history_overlap", "fired"}
+
+
+def test_digest_is_that_of_the_track_command(tmp_path):
+    assert main(["track", "--scenario", "crossing", "--seeds", "0",
+                 "--out", str(tmp_path)]) == 0
+    text = b"".join((tmp_path / f"crossing_0000{suffix}").read_bytes()
+                    for suffix in ("_baseline.csv", "_engine.csv", "_engine_log.jsonl"))
+    row = _table()[("crossing", "0", "default")]
+    assert row.split("\t")[3] == hashlib.sha256(text).hexdigest()
