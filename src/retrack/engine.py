@@ -1,11 +1,14 @@
 """The correction engine: per-frame candidate validation and selection.
 
-Each step proposes candidates around the previous result, filters and
-softly suppresses them, and appends a motion-predicted box. A cheap
-stability gate decides whether plain argmax is trustworthy; when it is
-not, every candidate is backtracked and a maximum-weight matching against
-the neighbor pool and the target history picks the winner. The template
-is fixed at the init frame and never refreshed.
+Each step carries one frame's candidates through a single flow: the
+proposals are filtered and softly suppressed by index, and the survivors
+plus a motion-predicted box become the frame's one `CandidateSet`. A
+cheap stability gate decides whether its argmax is trustworthy; when it
+is not, every candidate is backtracked into tracklets aligned with the
+set, and a maximum-weight matching against the neighbor pool and the
+target history picks the winner, the gate's overlap serving as the
+argmax row's target weight. The template is fixed at the init frame and
+never refreshed.
 """
 from __future__ import annotations
 
@@ -84,7 +87,7 @@ def _advance_neighbors_stable(neighbors: NeighborPool, cands: CandidateSet,
     unselected real candidate with a previous neighbor head by IoU and
     prepend; candidates with no association start fresh histories. The
     injected motion box has no appearance identity and is left out."""
-    losers = [i for i in cands.non_kalman_indices() if i != selected]
+    losers = [i for i in cands.real if i != selected]
     prev = neighbors.entries
     scored = []
     for ci, i in enumerate(losers):
@@ -118,16 +121,16 @@ def step(state: EngineState, frame: int, port: TrackerPort,
     t = frame
     prior = state.target.head
     raw = port.propose(state.template, t, prior)
-    pruned = soft_nms(filter_by_confidence(raw, cfg.alpha),
-                      cfg.nms_iou, cfg.nms_sigma, cfg.nms_floor)
+    kept = soft_nms(raw, filter_by_confidence(raw, cfg.alpha),
+                    cfg.nms_iou, cfg.nms_sigma, cfg.nms_floor)
     kalman_box = predicted = None
     if cfg.use_kalman:
         kalman_box, predicted = motion_predict(state.motion)
-    cands = assemble(pruned, kalman_box)
+    cands = assemble(raw, kept, kalman_box)
 
-    top = cands.argmax_confidence()
+    top = cands.top
     top_tracklet = gate_overlap = None
-    if len(cands.non_kalman_indices()) == 1:
+    if len(cands.real) == 1:
         gate = "single_candidate"
     else:
         back_frames = backtrack_frames(t, cfg.tau, state.anchor)
@@ -141,9 +144,10 @@ def step(state: EngineState, frame: int, port: TrackerPort,
         selected, source = top, "argmax"
         neighbors = _advance_neighbors_stable(state.neighbors, cands, selected, t, cfg)
     else:
-        pool = build_candidate_pool(cands, port, back_frames,
-                                    precomputed={top: top_tracklet})
-        weights = build_weights(pool, state.neighbors, state.target)
+        tracklets = build_candidate_pool(cands, port, back_frames,
+                                         precomputed={top: top_tracklet})
+        weights = build_weights(tracklets, state.neighbors, state.target,
+                                target_weights={top: gate_overlap})
         assignment = hungarian_max(weights)
         try:
             selected, source = resolve_target(assignment, weights, cands)
@@ -152,8 +156,7 @@ def step(state: EngineState, frame: int, port: TrackerPort,
             log.warning("frame %d: no viable candidate, degrading to argmax", t)
         weights_list = weights.values.tolist()
         pairs_list = [list(pair) for pair in assignment.pairs]
-        neighbors = update_neighbor_pool(pool, selected, cfg.tau,
-                                         exclude=cands.kalman_index)
+        neighbors = update_neighbor_pool(cands, tracklets, selected, cfg.tau)
 
     box = cands.boxes[selected]
     target = state.target.pushed(box, cfg.tau)

@@ -8,13 +8,14 @@ evidence and are treated as unmatched when resolving the target.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .candidate_select import CandidateSet
 from .geometry import Tracklet, tracklet_avg_iou
-from .pools import CandidatePool, NeighborPool
+from .pools import NeighborPool
 
 # sums of at most a few dozen weights in [0, 1]; roundoff stays far below this
 _OPT_TOL = 1e-9
@@ -33,6 +34,7 @@ class WeightMatrix:
     n_neighbors: int
 
     def __post_init__(self):
+        # one conversion from an array or nested lists, then one check
         values = np.array(self.values, dtype=float)
         values.flags.writeable = False  # validated once, so it must not change
         object.__setattr__(self, "values", values)
@@ -61,21 +63,20 @@ class Assignment:
     total_weight: float
 
 
-def build_weights(pool: CandidatePool, neighbors: NeighborPool,
-                  target: Tracklet) -> WeightMatrix:
-    """Tracklet-overlap weights for every candidate against each column."""
-    if len(pool) == 0:
+def build_weights(tracklets: Sequence[Tracklet], neighbors: NeighborPool,
+                  target: Tracklet, target_weights: Mapping[int, float] | None = None
+                  ) -> WeightMatrix:
+    """Tracklet-overlap weights of each candidate tracklet (a row) against
+    each neighbor and the target. `target_weights` holds target weights the
+    caller already has (the gate's overlap of the argmax tracklet with the
+    target: `tracklet_avg_iou` is symmetric bit for bit)."""
+    if not tracklets:
         raise ValueError("candidate pool is empty")
-    cols: list[Tracklet] = list(neighbors.entries) + [target]
-    for tr in cols:
-        if tr.end_frame != pool.frame - 1:
-            raise ValueError(f"tracklet ending at {tr.end_frame} cannot be compared "
-                             f"against candidates ending at {pool.frame - 1}")
-    values = np.zeros((len(pool), len(cols)))
-    for r, entry in enumerate(pool.entries):
-        for c, tr in enumerate(cols):
-            values[r, c] = tracklet_avg_iou(entry.tracklet, tr)
-    return WeightMatrix(values, len(neighbors))
+    known = target_weights or {}
+    rows = [[tracklet_avg_iou(tr, nb) for nb in neighbors.entries]
+            + [known[r] if r in known else tracklet_avg_iou(tr, target)]
+            for r, tr in enumerate(tracklets)]
+    return WeightMatrix(rows, len(neighbors))
 
 
 def _best(values: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:

@@ -65,6 +65,15 @@ class MotionState:
         return BBox(cx - w / 2.0, cy - h / 2.0, w, h)
 
 
+def _next_state(mean: tuple[float, ...], block: tuple[float, float, float],
+                frame: int) -> MotionState:
+    """A state computed from a checked one, so already 8 and 3 Python
+    floats: the constructor's coercion and checks are skipped."""
+    state = object.__new__(MotionState)
+    state.__dict__.update(mean=mean, block=block, frame=frame)
+    return state
+
+
 def motion_init(b0: BBox, frame: int = 0) -> MotionState:
     """Start a filter at `b0` with zero velocity and scale-matched spread."""
     mean = (b0.cx, b0.cy, b0.w, b0.h, 0.0, 0.0, 0.0, 0.0)
@@ -82,7 +91,7 @@ def motion_predict(s: MotionState) -> tuple[BBox, MotionState]:
     std_v = STD_WEIGHT_VELOCITY * h
     pp, pv, vv = s.block
     block = ((pp + pv) + (pv + vv) + std_p * std_p, pv + vv, vv + std_v * std_v)
-    state = MotionState((cx + vcx, cy + vcy, w, h, vcx, vcy, vw, vh), block, s.frame + 1)
+    state = _next_state((cx + vcx, cy + vcy, w, h, vcx, vcy, vw, vh), block, s.frame + 1)
     return state.predicted_box(), state
 
 
@@ -93,8 +102,9 @@ def motion_update(s: MotionState, observed: BBox) -> MotionState:
     pp, pv, vv = s.block
     inv = 1.0 / (pp + r)
     kp, kv = pp * inv, pv * inv
-    dx, dy = observed.cx - cx, observed.cy - cy
-    dw, dh = observed.w - w, observed.h - h
+    # the observed box is the one outside value, so it alone is coerced
+    dx, dy = float(observed.cx) - cx, float(observed.cy) - cy
+    dw, dh = float(observed.w) - w, float(observed.h) - h
     # keep the filter inside the valid box domain
     mean = (cx + kp * dx, cy + kp * dy,
             max(w + kp * dw, MIN_SIZE), max(h + kp * dh, MIN_SIZE),
@@ -108,4 +118,4 @@ def motion_update(s: MotionState, observed: BBox) -> MotionState:
     block = (ppa * a + kp * r * kp,
              ((ppa * -kv + pv * a + kp * r * kv) + (vp * a + kv * r * kp)) / 2.0,
              vp * -kv + (-kv * pv + vv) + kv * r * kv)
-    return MotionState(mean, block, s.frame)
+    return _next_state(mean, block, s.frame)

@@ -1,13 +1,15 @@
-"""Candidate and neighbor tracklet pools.
+"""Backtracked candidate tracklets and the neighbor pool.
 
-At frame t every candidate box is backtracked through the previous
-min(tau, t - anchor) frames, never reaching before the frame the run was
-anchored on, template cropped at the candidate box itself and the box
-doubling as the first search prior. All chains of one frame go to the
-tracker in one `track_segments` call. After a winner is picked, every
-loser's current box is prepended onto its backtracked history to form the
-next frame's neighbor tracklets; the oldest box is dropped once a tracklet
-has grown to tau, so neighbor histories roll forward with bounded length.
+On a fired frame t every candidate of the frame's `CandidateSet` is
+backtracked through the previous min(tau, t - anchor) frames, never
+reaching before the frame the run was anchored on, template cropped at
+the candidate box itself and the box doubling as the first search prior.
+All chains of one frame go to the tracker in one `track_segments` call,
+and come back as a tuple of tracklets aligned with the candidate set.
+After a winner is picked, every loser's current box is pushed onto its
+backtracked history to form the next frame's neighbor tracklets; the
+oldest box is dropped once a tracklet has grown to tau, so neighbor
+histories roll forward with bounded length.
 """
 from __future__ import annotations
 
@@ -15,26 +17,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .candidate_select import CandidateSet
-from .geometry import BBox, Tracklet
+from .geometry import Tracklet
 from .tracker_port import TrackerPort
-
-
-@dataclass(frozen=True)
-class CandidateEntry:
-    """One candidate box plus its backtracked history."""
-
-    index: int          # position within the CandidateSet
-    box: BBox           # the candidate box at frame t
-    tracklet: Tracklet  # ends at t - 1, length min(tau, t - anchor)
-
-
-@dataclass(frozen=True)
-class CandidatePool:
-    frame: int
-    entries: tuple[CandidateEntry, ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 @dataclass(frozen=True)
@@ -70,10 +54,11 @@ def backtrack_frames(t: int, tau: int, anchor: int) -> range:
 
 
 def build_candidate_pool(cands: CandidateSet, port: TrackerPort, frames: Sequence[int],
-                         precomputed: Mapping[int, Tracklet] | None = None) -> CandidatePool:
+                         precomputed: Mapping[int, Tracklet] | None = None
+                         ) -> tuple[Tracklet, ...]:
     """Backtrack every candidate at frame t = frames[0] + 1 through `frames`,
     the descending range from `backtrack_frames`, in one `track_segments`
-    call.
+    call; returns one tracklet per candidate, in candidate order.
 
     `precomputed` lets the caller reuse tracklets it already produced
     (the stability gate backtracks the argmax candidate before deciding
@@ -88,28 +73,26 @@ def build_candidate_pool(cands: CandidateSet, port: TrackerPort, frames: Sequenc
     if todo:
         starts = [(port.make_template(t, cands.boxes[i]), cands.boxes[i]) for i in todo]
         tracklets.update(zip(todo, port.track_segments(starts, frames)))
-    entries = tuple(CandidateEntry(i, box, tracklets[i]) for i, box in enumerate(cands.boxes))
-    return CandidatePool(t, entries)
+    return tuple(tracklets[i] for i in range(len(cands)))
 
 
-def update_neighbor_pool(pool: CandidatePool, selected: int, tau: int,
-                         exclude: int | None = None) -> NeighborPool:
+def update_neighbor_pool(cands: CandidateSet, tracklets: Sequence[Tracklet],
+                         selected: int, tau: int) -> NeighborPool:
     """Roll every unselected candidate into the next neighbor pool.
 
-    The candidate's current box becomes the new tracklet head; the oldest
-    box is dropped once the history already holds tau boxes, otherwise the
-    tracklet simply grows. The selected candidate never enters the pool,
-    and neither does `exclude` (the injected motion box has no appearance
-    identity, so it must not seed a neighbor that would shadow the target
-    history and drain matches away from real detections).
+    `tracklets` are the candidates' backtracked histories, aligned with
+    `cands`. The candidate's current box becomes the new tracklet head;
+    the oldest box is dropped once the history already holds tau boxes,
+    otherwise the tracklet simply grows. The selected candidate never
+    enters the pool, and neither does the injected motion box: it has no
+    appearance identity, so it must not seed a neighbor that would shadow
+    the target history and drain matches away from real detections.
     """
     if tau < 1:
         raise ValueError(f"tau must be at least 1, got {tau}")
-    if not any(entry.index == selected for entry in pool.entries):
+    if not 0 <= selected < len(cands):
         raise ValueError(f"selected index {selected} not present in the pool")
-    tracklets = []
-    for entry in pool.entries:
-        if entry.index == selected or entry.index == exclude:
-            continue
-        tracklets.append(entry.tracklet.pushed(entry.box, tau))
-    return NeighborPool(pool.frame, tuple(tracklets))
+    entries = tuple(tr.pushed(box, tau)
+                    for i, (box, tr) in enumerate(zip(cands.boxes, tracklets, strict=True))
+                    if i != selected and i != cands.kalman_index)
+    return NeighborPool(tracklets[0].end_frame + 1, entries)

@@ -138,6 +138,14 @@ def _(value):
     assert tracklet_avg_iou(b, a) == expected
 
 
+@prop("geometry", "avg_iou_symmetric_bit_for_bit", coterminal_tracklets())
+def _(value):
+    # the engine reuses the gate's overlap(target, argmax) as the weight
+    # overlap(argmax, target), so the two must agree exactly
+    a, b = value
+    assert tracklet_avg_iou(a, b) == tracklet_avg_iou(b, a)
+
+
 @prop("geometry", "tracklet_ops_consistent",
       st.tuples(st.integers(-5, 40), box_lists(), boxes, st.integers(1, 6)))
 def _(value):
@@ -150,13 +158,10 @@ def _(value):
         assert t.box_at(end - i) == b
     with pytest.raises(ValueError):
         t.box_at(end + 1)
-    grown = t.prepended(new)
-    assert grown.end_frame == end + 1
-    assert grown.boxes == (new,) + t.boxes
-    keep = min(keep, len(t))
-    cut = t.truncated(keep)
-    assert cut.end_frame == end
-    assert cut.boxes == t.boxes[:keep]
+    pushed = t.pushed(new, keep)
+    assert pushed.end_frame == end + 1
+    assert pushed.boxes == ((new,) + t.boxes)[:keep]
+    assert pushed.corners == tuple((b.x, b.y, b.x2, b.y2, b.area) for b in pushed.boxes)
 
 
 @prop("geometry", "self_overlap_clamped_at_one",
@@ -172,6 +177,10 @@ def _(value):
 # candidate_select
 # ---------------------------------------------------------------------------
 
+def _all_kept(raw: RawCandidates) -> list[tuple[int, float]]:
+    return [(i, s) for i, s in enumerate(raw.scores)]
+
+
 @prop("candidate_select", "filter_keeps_exactly_the_qualifying",
       st.tuples(raw_cands(), unit_floats))
 def _(value):
@@ -179,10 +188,8 @@ def _(value):
     kept = filter_by_confidence(raw, alpha)
     s_max = max(raw.scores)
     cut = alpha * s_max
-    want = [i for i, s in enumerate(raw.scores) if s > cut or s == s_max]
-    assert kept.boxes == tuple(raw.boxes[i] for i in want)
-    assert kept.scores == tuple(raw.scores[i] for i in want)
-    assert raw.boxes[raw.argmax()] in kept.boxes
+    assert kept == [i for i, s in enumerate(raw.scores) if s > cut or s == s_max]
+    assert raw.argmax() in kept
 
 
 @prop("candidate_select", "filter_monotone_in_alpha",
@@ -190,46 +197,51 @@ def _(value):
 def _(value):
     raw, a1, a2 = value
     lo, hi = min(a1, a2), max(a1, a2)
-    loose = list(zip(filter_by_confidence(raw, lo).boxes,
-                     filter_by_confidence(raw, lo).scores))
-    tight = list(zip(filter_by_confidence(raw, hi).boxes,
-                     filter_by_confidence(raw, hi).scores))
-    it = iter(loose)
-    assert all(pair in it for pair in tight)  # tight is a subsequence
+    loose = filter_by_confidence(raw, lo)
+    tight = filter_by_confidence(raw, hi)
+    assert loose == sorted(loose) and tight == sorted(tight)
+    assert set(tight) <= set(loose)
 
 
 @prop("candidate_select", "nms_population_and_order",
       st.tuples(raw_cands(), unit_floats, st.floats(1e-3, 10.0)))
 def _(value):
     raw, thresh, sigma = value
-    out = soft_nms(raw, thresh, sigma)
-    assert len(out.boxes) <= len(raw.boxes)
-    pool = list(raw.boxes)
-    for b in out.boxes:
-        pool.remove(b)  # raises if not a sub-multiset
-    if out.boxes:
-        assert out.boxes[0] == raw.boxes[raw.argmax()]
-        assert out.scores[0] == max(raw.scores)
-    assert all(s <= max(raw.scores) for s in out.scores)
+    out = soft_nms(raw, list(range(len(raw))), thresh, sigma)
+    picked = [i for i, _ in out]
+    assert len(set(picked)) == len(picked) <= len(raw)
+    if out:
+        assert out[0] == (raw.argmax(), max(raw.scores))
+    assert all(s <= raw.scores[i] for i, s in out)
 
 
 @prop("candidate_select", "nms_zero_floor_drops_nothing",
       st.tuples(raw_cands(), unit_floats, st.floats(1e-3, 10.0)))
 def _(value):
     raw, thresh, sigma = value
-    out = soft_nms(raw, thresh, sigma, score_floor=0.0)
-    assert sorted(out.boxes, key=lambda b: b.as_tuple()) == \
-        sorted(raw.boxes, key=lambda b: b.as_tuple())
+    out = soft_nms(raw, list(range(len(raw))), thresh, sigma, score_floor=0.0)
+    assert sorted(i for i, _ in out) == list(range(len(raw)))
     # picked in order of current (decayed) score
-    assert all(out.scores[i] >= out.scores[i + 1]
-               for i in range(len(out.scores) - 1))
+    assert all(out[k][1] >= out[k + 1][1] for k in range(len(out) - 1))
+
+
+@prop("candidate_select", "nms_over_kept_indices_matches_a_copied_subset",
+      st.tuples(raw_cands(), unit_floats, unit_floats, st.floats(1e-3, 10.0)))
+def _(value):
+    # suppressing by index gives what suppressing a copy of the kept
+    # proposals gives, index for index and bit for bit
+    raw, alpha, thresh, sigma = value
+    keep = filter_by_confidence(raw, alpha)
+    sub = RawCandidates(tuple(raw.boxes[i] for i in keep), tuple(raw.scores[i] for i in keep))
+    copied = [(keep[j], s) for j, s in soft_nms(sub, list(range(len(sub))), thresh, sigma)]
+    assert soft_nms(raw, keep, thresh, sigma) == copied
 
 
 @prop("candidate_select", "assemble_marks_and_ignores_the_motion_box",
       st.tuples(raw_cands(), st.one_of(st.none(), boxes)))
 def _(value):
     raw, kbox = value
-    cs = assemble(raw, kbox)
+    cs = assemble(raw, _all_kept(raw), kbox)
     if kbox is None:
         assert cs.kalman_index is None
         assert len(cs) == len(raw.boxes)
@@ -237,9 +249,8 @@ def _(value):
         assert cs.kalman_index == len(raw.boxes)
         assert cs.boxes[-1] == kbox
         assert cs.scores[-1] == 0.0
-    real = [s for i, s in enumerate(cs.scores) if i != cs.kalman_index]
-    want = min(i for i, s in enumerate(real) if s == max(real))
-    assert cs.argmax_confidence() == want == raw.argmax()
+    assert cs.real == tuple(range(len(raw.boxes)))
+    assert cs.top == raw.argmax()
 
 
 # ---------------------------------------------------------------------------
@@ -339,16 +350,14 @@ def scripted_world(draw):
 @prop("pools", "backtracks_follow_the_scripted_argmax", scripted_world())
 def _(value):
     script, cands, t, tau = value
-    pool = build_candidate_pool(cands, ScriptPort(script), backtrack_frames(t, tau, 0))
+    tracklets = build_candidate_pool(cands, ScriptPort(script), backtrack_frames(t, tau, 0))
     depth = min(tau, t)
     want = tuple(script[f].boxes[script[f].argmax()]
                  for f in range(t - 1, t - 1 - depth, -1))
-    assert pool.frame == t
-    for i, entry in enumerate(pool.entries):
-        assert entry.index == i
-        assert entry.box == cands.boxes[i]
-        assert entry.tracklet.end_frame == t - 1
-        assert entry.tracklet.boxes == want
+    assert len(tracklets) == len(cands)
+    for tracklet in tracklets:
+        assert tracklet.end_frame == t - 1
+        assert tracklet.boxes == want
 
 
 @prop("pools", "precomputed_tracklets_skip_port_calls",
@@ -358,32 +367,32 @@ def _(value):
     n_pre = min(n_pre, len(cands))
     sentinels = {i: Tracklet(t - 1, (cands.boxes[i],)) for i in range(n_pre)}
     port = ScriptPort(script)
-    pool = build_candidate_pool(cands, port, backtrack_frames(t, tau, 0),
-                                precomputed=sentinels)
-    for i, entry in enumerate(pool.entries):
+    tracklets = build_candidate_pool(cands, port, backtrack_frames(t, tau, 0),
+                                     precomputed=sentinels)
+    for i, tracklet in enumerate(tracklets):
         if i in sentinels:
-            assert entry.tracklet is sentinels[i]
+            assert tracklet is sentinels[i]
     assert port.propose_calls == min(tau, t) * (len(cands) - n_pre)
 
 
 @prop("pools", "rollover_shift_correctness",
       st.tuples(scripted_world(), st.integers(0, 3), st.integers(0, 4)))
 def _(value):
-    (script, cands, t, tau), sel, exc = value
-    pool = build_candidate_pool(cands, ScriptPort(script), backtrack_frames(t, tau, 0))
+    (script, cands, t, tau), sel, kal = value
+    # a motion box at index `kal`, where there is one besides a real candidate
+    kal = kal if kal < len(cands) > 1 else None
+    cands = CandidateSet(cands.boxes, cands.scores, kal)
+    tracklets = build_candidate_pool(cands, ScriptPort(script), backtrack_frames(t, tau, 0))
     sel = min(sel, len(cands) - 1)
-    rolled = update_neighbor_pool(pool, sel, tau, exclude=exc)
-    assert rolled.frame == pool.frame
-    want = []
-    for entry in pool.entries:
-        if entry.index in (sel, exc):
-            continue
-        shifted = ((entry.box,) + entry.tracklet.boxes)[:tau]
-        want.append(shifted)
-    assert tuple(tr.boxes for tr in rolled.entries) == tuple(want)
+    rolled = update_neighbor_pool(cands, tracklets, sel, tau)
+    assert rolled.frame == t
+    want = tuple(((box,) + tracklet.boxes)[:tau]
+                 for i, (box, tracklet) in enumerate(zip(cands.boxes, tracklets))
+                 if i not in (sel, kal))
+    assert tuple(tr.boxes for tr in rolled.entries) == want
     assert all(len(tr) <= tau for tr in rolled.entries)
     with pytest.raises(ValueError):
-        update_neighbor_pool(pool, len(cands) + 5, tau)
+        update_neighbor_pool(cands, tracklets, len(cands) + 5, tau)
 
 
 @prop("pools", "construction_guards",

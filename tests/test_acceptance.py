@@ -253,9 +253,9 @@ def test_property_volume():
 
     # pinned decay: an IoU-1/2 pair at sigma 0.01 scales the loser by e^-25
     pair = RawCandidates((BBox(0, 0, 2, 3), BBox(0, 1, 2, 3)), (0.9, 0.8))
-    kept = soft_nms(pair, 0.25, 0.01, score_floor=0.0)
-    assert kept.scores == (0.9, 0.8 * math.exp(-25.0))
-    assert soft_nms(pair, 0.25, 0.01).boxes == (pair.boxes[0],)
+    kept = soft_nms(pair, [0, 1], 0.25, 0.01, score_floor=0.0)
+    assert kept == [(0, 0.9), (1, 0.8 * math.exp(-25.0))]
+    assert soft_nms(pair, [0, 1], 0.25, 0.01) == [(0, 0.9)]
 
 
 @criterion(8, "reruns of the tracking command are byte-identical")

@@ -14,24 +14,25 @@ def _raw(scores, xs=None):
     return RawCandidates(tuple(BBox(x, 0, 2, 2) for x in xs), tuple(scores))
 
 
+def _nms(raw, *args, **kwargs):
+    """Soft suppression over every proposal, as (boxes, scores) in pick order."""
+    kept = soft_nms(raw, list(range(len(raw))), *args, **kwargs)
+    return tuple(raw.boxes[i] for i, _ in kept), tuple(s for _, s in kept)
+
+
 class TestConfidenceFilter:
     def test_keeps_above_ratio_cut(self):
-        out = filter_by_confidence(_raw([0.9, 0.7, 0.5]), 0.7)
         # cut = 0.63: 0.9 and 0.7 survive, 0.5 does not
-        assert out.scores == (0.9, 0.7)
-        assert out.boxes[0].x == 0.0 and out.boxes[1].x == 10.0
+        assert filter_by_confidence(_raw([0.9, 0.7, 0.5]), 0.7) == [0, 1]
 
     def test_max_always_survives_at_alpha_one(self):
-        out = filter_by_confidence(_raw([0.8, 0.8, 0.3]), 1.0)
-        assert out.scores == (0.8, 0.8)
+        assert filter_by_confidence(_raw([0.8, 0.8, 0.3]), 1.0) == [0, 1]
 
     def test_all_zero_scores_all_kept(self):
-        out = filter_by_confidence(_raw([0.0, 0.0]), 0.7)
-        assert out.scores == (0.0, 0.0)
+        assert filter_by_confidence(_raw([0.0, 0.0]), 0.7) == [0, 1]
 
     def test_alpha_zero_drops_only_zeros(self):
-        out = filter_by_confidence(_raw([0.5, 0.0, 0.1]), 0.0)
-        assert out.scores == (0.5, 0.1)
+        assert filter_by_confidence(_raw([0.5, 0.0, 0.1]), 0.0) == [0, 2]
 
     def test_alpha_out_of_range(self):
         with pytest.raises(ValueError):
@@ -44,67 +45,74 @@ class TestSoftNms:
     def test_gaussian_decay_drops_heavy_overlap(self):
         # IoU exactly 0.5, decay 0.8*exp(-25) far below the default floor
         raw = RawCandidates((BBox(0, 0, 2, 3), BBox(0, 1, 2, 3)), (0.9, 0.8))
-        out = soft_nms(raw, 0.25, 0.01)
-        assert out.scores == (0.9,)
-        assert out.boxes == (raw.boxes[0],)
+        assert _nms(raw, 0.25, 0.01) == ((raw.boxes[0],), (0.9,))
 
     def test_zero_floor_keeps_exact_decayed_score(self):
         raw = RawCandidates((BBox(0, 0, 2, 3), BBox(0, 1, 2, 3)), (0.9, 0.8))
-        out = soft_nms(raw, 0.25, 0.01, score_floor=0.0)
-        assert out.scores == (0.9, 0.8 * math.exp(-(0.5 * 0.5) / 0.01))
+        _, scores = _nms(raw, 0.25, 0.01, score_floor=0.0)
+        assert scores == (0.9, 0.8 * math.exp(-(0.5 * 0.5) / 0.01))
 
     def test_threshold_is_strict(self):
         # overlap equal to the threshold is not decayed
         raw = RawCandidates((BBox(0, 0, 2, 3), BBox(0, 1, 2, 3)), (0.9, 0.8))
-        out = soft_nms(raw, 0.5, 0.01)
-        assert out.scores == (0.9, 0.8)
+        assert _nms(raw, 0.5, 0.01)[1] == (0.9, 0.8)
 
     def test_disjoint_boxes_reordered_by_score_only(self):
         raw = _raw([0.5, 0.9, 0.7])
-        out = soft_nms(raw, 0.25, 0.01)
-        assert out.scores == (0.9, 0.7, 0.5)
-        assert [b.x for b in out.boxes] == [10.0, 20.0, 0.0]
+        assert soft_nms(raw, [0, 1, 2], 0.25, 0.01) == [(1, 0.9), (2, 0.7), (0, 0.5)]
 
     def test_decay_can_change_pick_order(self):
         # the mild decay pushes the overlapping box below the disjoint one
         a, b, c = BBox(0, 0, 2, 3), BBox(0, 1, 2, 3), BBox(50, 0, 2, 3)
         raw = RawCandidates((a, b, c), (0.6, 0.59, 0.58))
-        out = soft_nms(raw, 0.25, 10.0)
         decayed = 0.59 * math.exp(-(0.5 * 0.5) / 10.0)
-        assert out.boxes == (a, c, b)
-        assert out.scores == (0.6, 0.58, decayed)
+        assert _nms(raw, 0.25, 10.0) == ((a, c, b), (0.6, 0.58, decayed))
+
+    def test_only_the_kept_indices_compete(self):
+        # index 1 was filtered out, so it neither survives nor suppresses
+        a, b, c = BBox(0, 0, 2, 3), BBox(0, 1, 2, 3), BBox(50, 0, 2, 3)
+        raw = RawCandidates((a, b, c), (0.6, 0.9, 0.58))
+        assert soft_nms(raw, [0, 2], 0.25, 0.01) == [(0, 0.6), (2, 0.58)]
 
     def test_sigma_must_be_positive(self):
         with pytest.raises(ValueError):
-            soft_nms(_raw([0.5]), 0.25, 0.0)
+            soft_nms(_raw([0.5]), [0], 0.25, 0.0)
 
 
 class TestAssemble:
     def test_without_motion_box(self):
-        cs = assemble(_raw([0.9, 0.2]), None)
+        cs = assemble(_raw([0.9, 0.2]), [(0, 0.9), (1, 0.2)], None)
         assert cs.kalman_index is None
-        assert cs.non_kalman_indices() == [0, 1]
+        assert cs.real == (0, 1)
 
     def test_motion_box_appended_at_zero_score(self):
         kal = BBox(99, 99, 2, 2)
-        cs = assemble(_raw([0.9, 0.2]), kal)
+        raw = _raw([0.9, 0.2])
+        cs = assemble(raw, [(1, 0.125), (0, 0.9)], kal)
+        assert cs.boxes == (raw.boxes[1], raw.boxes[0], kal)
+        assert cs.scores == (0.125, 0.9, 0.0)
         assert cs.kalman_index == 2
-        assert cs.boxes[2] == kal
-        assert cs.scores[2] == 0.0
-        assert cs.non_kalman_indices() == [0, 1]
+        assert cs.real == (0, 1)
+        assert cs.top == 1
 
     def test_argmax_confidence_ignores_motion_box(self):
-        cs = assemble(_raw([0.0, 0.0]), BBox(99, 99, 2, 2))
-        assert cs.argmax_confidence() == 0
+        cs = assemble(_raw([0.0, 0.0]), [(0, 0.0), (1, 0.0)], BBox(99, 99, 2, 2))
+        assert cs.top == 0
 
     def test_argmax_confidence_tie_breaks_low(self):
-        cs = assemble(_raw([0.4, 0.7, 0.7]), None)
-        assert cs.argmax_confidence() == 1
+        cs = CandidateSet(tuple(BBox(10.0 * i, 0, 2, 2) for i in range(3)),
+                          (0.4, 0.7, 0.7))
+        assert cs.top == 1
+
+    def test_real_indices_skip_a_motion_box_anywhere(self):
+        cs = CandidateSet(tuple(BBox(10.0 * i, 0, 2, 2) for i in range(3)),
+                          (0.4, 0.0, 0.3), 1)
+        assert cs.real == (0, 2)
+        assert cs.top == 0
 
     def test_only_motion_box_has_no_argmax(self):
-        cs = CandidateSet((BBox(0, 0, 1, 1),), (0.0,), 0)
-        with pytest.raises(ValueError):
-            cs.argmax_confidence()
+        with pytest.raises(ValueError, match="besides the injected box"):
+            CandidateSet((BBox(0, 0, 1, 1),), (0.0,), 0)
 
     def test_candidate_set_validation(self):
         with pytest.raises(ValueError):

@@ -299,3 +299,14 @@ def test_batched_port_gives_the_same_run(kind, seed):
     batched = run_sequence(MockTracker(scene), frames, b0, EngineConfig())
     chained = run_sequence(ForwardingPort(MockTracker(scene)), frames, b0, EngineConfig())
     assert batched == chained
+
+
+@pytest.mark.parametrize("kind, seed", [("crossing", 3), ("convoy", 103)])
+def test_gate_overlap_is_the_argmax_target_weight(kind, seed):
+    scene = generate_scene(ScenarioConfig(kind), seed)
+    _, records = run_sequence(MockTracker(scene), range(scene.length),
+                              scene.true_box(1, 0), EngineConfig())
+    fired = [r for r in records if r["gate"] == "fired"]
+    assert fired
+    for r in fired:
+        assert r["weights"][r["top"]][-1] == r["gate_overlap"]

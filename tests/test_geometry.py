@@ -85,22 +85,12 @@ class TestTracklet:
         with pytest.raises(ValueError):
             t.box_at(4)
 
-    def test_prepended_advances_end_frame(self):
-        t = Tracklet(4, (BBox(4, 0, 1, 1),))
-        new = BBox(5, 0, 1, 1)
-        p = t.prepended(new)
-        assert p.end_frame == 5
-        assert p.head == new
-        assert p.boxes[1:] == t.boxes
-
-    def test_truncated_keeps_newest(self):
-        boxes = tuple(BBox(i, 0, 1, 1) for i in (6, 5, 4, 3))
+    def test_corners_read_once_per_tracklet(self):
+        boxes = (BBox(1.5, 2, 3, 4), BBox(0, 0.25, 2, 1))
         t = Tracklet(6, boxes)
-        cut = t.truncated(2)
-        assert cut.end_frame == 6
-        assert cut.boxes == boxes[:2]
-        with pytest.raises(ValueError):
-            t.truncated(0)
+        assert t.corners == tuple((b.x, b.y, b.x2, b.y2, b.area) for b in boxes)
+        assert t.corners is t.corners
+        assert t == Tracklet(6, boxes)  # the cache takes no part in equality
 
     def test_pushed_grows_then_caps(self):
         t = Tracklet(4, (BBox(4, 0, 1, 1), BBox(3, 0, 1, 1)))

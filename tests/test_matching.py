@@ -10,7 +10,7 @@ from retrack.candidate_select import CandidateSet
 from retrack.geometry import BBox, Tracklet, tracklet_avg_iou
 from retrack.matching import (Assignment, NoViableCandidateError, WeightMatrix,
                               build_weights, hungarian_max, resolve_target)
-from retrack.pools import CandidateEntry, CandidatePool, NeighborPool
+from retrack.pools import NeighborPool
 
 
 def _w(rows):
@@ -133,30 +133,40 @@ class TestBuildWeights:
     def test_values_are_tracklet_overlaps(self):
         t = 6
         mk = lambda xs: Tracklet(t - 1, tuple(BBox(x, 0, 4, 4) for x in xs))
-        entries = (CandidateEntry(0, BBox(0, 0, 4, 4), mk([0.0, 1.0])),
-                   CandidateEntry(1, BBox(9, 0, 4, 4), mk([8.0, 9.0])))
-        pool = CandidatePool(t, entries)
+        tracklets = (mk([0.0, 1.0]), mk([8.0, 9.0]))
         neighbors = NeighborPool(t - 1, (mk([8.5, 9.5]),))
         target = mk([0.5, 1.5])
-        w = build_weights(pool, neighbors, target)
+        w = build_weights(tracklets, neighbors, target)
         assert w.n_neighbors == 1
-        for r, entry in enumerate(entries):
-            assert w.values[r, 0] == tracklet_avg_iou(entry.tracklet, neighbors.entries[0])
-            assert w.values[r, 1] == tracklet_avg_iou(entry.tracklet, target)
+        for r, tracklet in enumerate(tracklets):
+            assert w.values[r, 0] == tracklet_avg_iou(tracklet, neighbors.entries[0])
+            assert w.values[r, 1] == tracklet_avg_iou(tracklet, target)
+
+    def test_known_target_weights_are_used_verbatim(self, monkeypatch):
+        t = 6
+        mk = lambda xs: Tracklet(t - 1, tuple(BBox(x, 0, 4, 4) for x in xs))
+        tracklets = (mk([0.0, 1.0]), mk([8.0, 9.0]))
+        target = mk([0.5, 1.5])
+        calls = []
+        overlap = retrack.matching.tracklet_avg_iou
+        monkeypatch.setattr(retrack.matching, "tracklet_avg_iou",
+                            lambda p, q: calls.append((p, q)) or overlap(p, q))
+        w = build_weights(tracklets, NeighborPool(t - 1, ()), target,
+                          target_weights={1: 0.125})
+        assert w.values.tolist() == [[tracklet_avg_iou(tracklets[0], target)], [0.125]]
+        assert calls == [(tracklets[0], target)]
 
     def test_rejects_misaligned_tracklets(self):
         t = 6
-        entry = CandidateEntry(0, BBox(0, 0, 4, 4),
-                               Tracklet(t - 1, (BBox(0, 0, 4, 4),)))
-        pool = CandidatePool(t, (entry,))
+        tracklet = Tracklet(t - 1, (BBox(0, 0, 4, 4),))
         stale = Tracklet(t - 2, (BBox(0, 0, 4, 4),))
         with pytest.raises(ValueError):
-            build_weights(pool, NeighborPool(t - 2, (stale,)), stale)
+            build_weights((tracklet,), NeighborPool(t - 2, (stale,)), stale)
 
     def test_rejects_empty_pool(self):
         target = Tracklet(5, (BBox(0, 0, 4, 4),))
         with pytest.raises(ValueError):
-            build_weights(CandidatePool(6, ()), NeighborPool(5, ()), target)
+            build_weights((), NeighborPool(5, ()), target)
 
 
 class TestResolveTarget:

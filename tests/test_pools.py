@@ -1,11 +1,10 @@
-"""Backtracked candidate pools and neighbor rollover."""
+"""Backtracked candidate tracklets and neighbor rollover."""
 import pytest
 
 from conftest import DriftPort, ScriptPort
 from retrack.candidate_select import CandidateSet
 from retrack.geometry import BBox, Tracklet
-from retrack.pools import (CandidateEntry, CandidatePool, NeighborPool,
-                           backtrack_frames, build_candidate_pool,
+from retrack.pools import (NeighborPool, backtrack_frames, build_candidate_pool,
                            empty_neighbor_pool, update_neighbor_pool)
 
 
@@ -18,24 +17,22 @@ class TestBuildCandidatePool:
     def test_backtracks_each_candidate_through_tau_frames(self):
         port = DriftPort(dx=1.0)
         cands = _cands([0.0, 100.0])
-        pool = build_candidate_pool(cands, port, backtrack_frames(t=5, tau=3, anchor=0))
-        assert pool.frame == 5
-        assert len(pool) == 2
-        for entry, x0 in zip(pool.entries, (0.0, 100.0)):
-            assert entry.box.x == x0
-            assert entry.tracklet.end_frame == 4
-            assert len(entry.tracklet) == 3
+        tracklets = build_candidate_pool(cands, port, backtrack_frames(t=5, tau=3, anchor=0))
+        assert len(tracklets) == 2
+        for tracklet, x0 in zip(tracklets, (0.0, 100.0)):
+            assert tracklet.end_frame == 4
+            assert len(tracklet) == 3
             # drift port walks one step per frame away from the candidate
-            assert entry.tracklet.box_at(4).x == x0 + 1.0
-            assert entry.tracklet.box_at(3).x == x0 + 2.0
-            assert entry.tracklet.box_at(2).x == x0 + 3.0
+            assert tracklet.box_at(4).x == x0 + 1.0
+            assert tracklet.box_at(3).x == x0 + 2.0
+            assert tracklet.box_at(2).x == x0 + 3.0
 
     def test_depth_clamped_by_available_frames(self):
         port = DriftPort()
-        pool = build_candidate_pool(_cands([0.0]), port,
-                                    backtrack_frames(t=2, tau=9, anchor=0))
-        assert len(pool.entries[0].tracklet) == 2
-        assert pool.entries[0].tracklet.start_frame == 0
+        (tracklet,) = build_candidate_pool(_cands([0.0]), port,
+                                           backtrack_frames(t=2, tau=9, anchor=0))
+        assert len(tracklet) == 2
+        assert tracklet.start_frame == 0
 
     def test_depth_clamped_at_the_anchor(self):
         assert list(backtrack_frames(t=33, tau=9, anchor=30)) == [32, 31, 30]
@@ -46,10 +43,10 @@ class TestBuildCandidatePool:
         script = {f: ([BBox(50, 0, 4, 4)], [0.5]) for f in range(8)}
         port = ScriptPort(script)
         ready = Tracklet(7, tuple(BBox(9, 9, 4, 4) for _ in range(3)))
-        pool = build_candidate_pool(_cands([0.0, 1.0, 2.0]), port,
-                                    backtrack_frames(t=8, tau=3, anchor=0),
-                                    precomputed={1: ready})
-        assert pool.entries[1].tracklet is ready
+        tracklets = build_candidate_pool(_cands([0.0, 1.0, 2.0]), port,
+                                         backtrack_frames(t=8, tau=3, anchor=0),
+                                         precomputed={1: ready})
+        assert tracklets[1] is ready
         # only the two missing candidates were backtracked, 3 frames each
         assert port.propose_calls == 6
 
@@ -68,52 +65,57 @@ class TestBuildCandidatePool:
 
 
 class TestUpdateNeighborPool:
-    def _pool(self, n=3, t=6, hist=2):
-        entries = []
-        for i in range(n):
-            boxes = tuple(BBox(10.0 * i + k, 0, 4, 4) for k in range(1, hist + 1))
-            entries.append(CandidateEntry(i, BBox(10.0 * i, 0, 4, 4),
-                                          Tracklet(t - 1, boxes)))
-        return CandidatePool(t, tuple(entries))
+    def _pool(self, n=3, t=6, hist=2, kalman_index=None):
+        """A candidate set at frame t and its backtracked tracklets."""
+        cands = _cands([10.0 * i for i in range(n)], kalman_index)
+        tracklets = tuple(Tracklet(t - 1, tuple(BBox(10.0 * i + k, 0, 4, 4)
+                                                for k in range(1, hist + 1)))
+                          for i in range(n))
+        return cands, tracklets
 
     def test_losers_roll_forward_with_current_box_as_head(self):
-        pool = self._pool()
-        out = update_neighbor_pool(pool, selected=1, tau=9)
+        cands, tracklets = self._pool()
+        out = update_neighbor_pool(cands, tracklets, selected=1, tau=9)
         assert out.frame == 6
         assert len(out) == 2
         heads = [tr.head.x for tr in out.entries]
         assert heads == [0.0, 20.0]
-        for tr, entry in zip(out.entries, (pool.entries[0], pool.entries[2])):
+        for tr, old in zip(out.entries, (tracklets[0], tracklets[2])):
             assert tr.end_frame == 6
-            assert tr.boxes[1:] == entry.tracklet.boxes
+            assert tr.boxes[1:] == old.boxes
 
     def test_growth_capped_at_tau(self):
-        pool = self._pool(n=2, hist=4)
-        out = update_neighbor_pool(pool, selected=0, tau=4)
+        cands, tracklets = self._pool(n=2, hist=4)
+        out = update_neighbor_pool(cands, tracklets, selected=0, tau=4)
         tr = out.entries[0]
         assert len(tr) == 4
         # newest tau boxes survive: current box plus the three newest old ones
-        assert tr.head == pool.entries[1].box
-        assert tr.boxes[1:] == pool.entries[1].tracklet.boxes[:3]
+        assert tr.head == cands.boxes[1]
+        assert tr.boxes[1:] == tracklets[1].boxes[:3]
 
-    def test_excluded_index_left_out(self):
-        pool = self._pool(n=3)
-        out = update_neighbor_pool(pool, selected=0, tau=9, exclude=2)
+    def test_motion_box_left_out(self):
+        cands, tracklets = self._pool(n=3, kalman_index=2)
+        out = update_neighbor_pool(cands, tracklets, selected=0, tau=9)
         assert len(out) == 1
-        assert out.entries[0].head == pool.entries[1].box
+        assert out.entries[0].head == cands.boxes[1]
 
-    def test_exclude_equal_to_selected(self):
-        pool = self._pool(n=2)
-        out = update_neighbor_pool(pool, selected=1, tau=9, exclude=1)
+    def test_selected_motion_box(self):
+        cands, tracklets = self._pool(n=2, kalman_index=1)
+        out = update_neighbor_pool(cands, tracklets, selected=1, tau=9)
         assert len(out) == 1
 
     def test_selected_must_exist(self):
         with pytest.raises(ValueError):
-            update_neighbor_pool(self._pool(n=2), selected=5, tau=9)
+            update_neighbor_pool(*self._pool(n=2), selected=5, tau=9)
+
+    def test_one_tracklet_per_candidate(self):
+        cands, tracklets = self._pool(n=2)
+        with pytest.raises(ValueError):
+            update_neighbor_pool(cands, tracklets[:1], selected=0, tau=9)
 
     def test_tau_must_be_positive(self):
         with pytest.raises(ValueError):
-            update_neighbor_pool(self._pool(), selected=0, tau=0)
+            update_neighbor_pool(*self._pool(), selected=0, tau=0)
 
 
 class TestNeighborPool:
