@@ -51,10 +51,9 @@ def _scenario_config(scenario: str, config_path: str | None) -> ScenarioConfig:
     if config_path is None:
         return ScenarioConfig(kind=scenario)
     try:
-        cfg = ScenarioConfig.from_file(config_path)
+        return ScenarioConfig.from_file(config_path, kind=scenario)
     except (TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"bad scenario config {config_path}: {exc}") from None
-    return dataclasses.replace(cfg, kind=scenario)
 
 
 @dataclasses.dataclass(frozen=True)

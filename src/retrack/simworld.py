@@ -466,8 +466,13 @@ class ScenarioConfig:
     drift: float = 0.0
 
     @classmethod
-    def from_file(cls, path: FsPath | str) -> "ScenarioConfig":
-        return cls(**_tuples(json.loads(FsPath(path).read_text())))
+    def from_file(cls, path: FsPath | str, kind: str) -> "ScenarioConfig":
+        """The `kind` config a JSON object file describes; the file may leave
+        its `kind` out, but may not name another one."""
+        fields = {"kind": kind, **json.loads(FsPath(path).read_text())}
+        if fields["kind"] != kind:
+            raise ValueError(f"the file's kind {fields['kind']!r} differs from {kind!r}")
+        return cls(**_tuples(fields))
 
 
 SCENARIOS = ("crossing", "convoy", "deform")

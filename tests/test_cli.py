@@ -62,9 +62,29 @@ class TestSimulate:
                      "--config", str(cfg), "--out", str(out)]) == 0
         assert load_scene(out / "scene_convoy_0000.json").length == 32
 
-    def test_bad_config_file(self, tmp_path):
+    def test_config_file_may_leave_kind_out(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"bogus": 1}')
+        cfg.write_text('{"length": 32}')
+        out = tmp_path / "scenes"
+        assert main(["simulate", "--scenario", "convoy", "--seeds", "0",
+                     "--config", str(cfg), "--out", str(out)]) == 0
+        got = load_scene(out / "scene_convoy_0000.json")
+        want = generate_scene(ScenarioConfig("convoy", length=32), 0)
+        assert got.to_jsonable() == want.to_jsonable()
+
+    def test_config_file_kind_must_match_the_scenario(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"kind": "crossing", "length": 32}')
+        assert main(["simulate", "--scenario", "convoy", "--seeds", "0",
+                     "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert "'crossing'" in err and "'convoy'" in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("text", ['{"bogus": 1}', '[32]'])
+    def test_bad_config_file(self, tmp_path, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
         assert main(["simulate", "--scenario", "convoy", "--config", str(cfg),
                      "--out", str(tmp_path / "x")]) == 1
 

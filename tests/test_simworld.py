@@ -486,7 +486,7 @@ class TestScenarioGeneration:
         p.write_text('{"kind": "convoy", "length": 32, "bounds": [256.0, 128.0], '
                      '"similarity": [0.5, 0.6], "severity": [0.25, 0.3], '
                      '"lane_gap": [50.0, 60.0]}')
-        cfg = ScenarioConfig.from_file(p)
+        cfg = ScenarioConfig.from_file(p, "convoy")
         assert cfg.kind == "convoy"
         assert cfg.length == 32
         assert cfg.similarity == (0.5, 0.6)
