@@ -62,7 +62,7 @@ def filter_by_confidence(raw: RawCandidates, alpha: float) -> list[int]:
 def soft_nms(raw: RawCandidates, keep: list[int], iou_thresh: float, sigma: float,
              score_floor: float = 1e-3) -> list[tuple[int, float]]:
     """Greedy soft suppression with a Gaussian score decay over the boxes
-    `keep` indexes, in ascending order.
+    whose indices `keep` lists in ascending order.
 
     Boxes are consumed highest-current-score first, ties to the earliest.
     Each pick decays every remaining box overlapping it above `iou_thresh`

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -112,11 +111,6 @@ class Tracklet:
             raise ValueError("a tracklet keeps at least one box")
         return Tracklet(self.end_frame + 1, (box,) + self.boxes[:cap - 1])
 
-    @cached_property
-    def corners(self) -> tuple[tuple[float, float, float, float, float], ...]:
-        """(x, y, x2, y2, area) of each box, newest first, read once."""
-        return tuple((b.x, b.y, b.x + b.w, b.y + b.h, b.w * b.h) for b in self.boxes)
-
 
 def tracklet_avg_iou(p: Tracklet, q: Tracklet) -> float:
     """Mean per-frame IoU over the overlap of two co-terminal tracklets.
@@ -127,19 +121,22 @@ def tracklet_avg_iou(p: Tracklet, q: Tracklet) -> float:
     if p.end_frame != q.end_frame:
         raise ValueError(f"tracklets end on different frames: "
                          f"{p.end_frame} != {q.end_frame}")
-    # `iou` spelled out over each box pair from the cached corners, with
-    # its operations in the same order, so the result is bit-identical to
-    # summing `iou` calls; a pair with no overlap adds exactly 0.0, so it
-    # is skipped
+    # `iou` spelled out over each box pair, with its operations in the
+    # same order, so the result is bit-identical to summing `iou` calls;
+    # a pair with no overlap adds exactly 0.0, so it is skipped
     total = 0.0
-    for (ax, ay, ax2, ay2, aa), (bx, by, bx2, by2, ba) in zip(p.corners, q.corners):
+    for a, b in zip(p.boxes, q.boxes):
+        ax, ay, aw, ah = a.x, a.y, a.w, a.h
+        bx, by, bw, bh = b.x, b.y, b.w, b.h
+        ax2, bx2 = ax + aw, bx + bw
         ix = (bx2 if bx2 < ax2 else ax2) - (bx if bx > ax else ax)
         if ix <= 0:
             continue
+        ay2, by2 = ay + ah, by + bh
         iy = (by2 if by2 < ay2 else ay2) - (by if by > ay else ay)
         if iy <= 0:
             continue
         inter = ix * iy
-        total += inter / (aa + ba - inter)
+        total += inter / (aw * ah + bw * bh - inter)
     # the float sum of m values each <= 1.0 can round a hair past m
     return min(total / min(len(p.boxes), len(q.boxes)), 1.0)

@@ -85,13 +85,6 @@ class TestTracklet:
         with pytest.raises(ValueError):
             t.box_at(4)
 
-    def test_corners_read_once_per_tracklet(self):
-        boxes = (BBox(1.5, 2, 3, 4), BBox(0, 0.25, 2, 1))
-        t = Tracklet(6, boxes)
-        assert t.corners == tuple((b.x, b.y, b.x2, b.y2, b.area) for b in boxes)
-        assert t.corners is t.corners
-        assert t == Tracklet(6, boxes)  # the cache takes no part in equality
-
     def test_pushed_grows_then_caps(self):
         t = Tracklet(4, (BBox(4, 0, 1, 1), BBox(3, 0, 1, 1)))
         new = BBox(5, 0, 1, 1)
