@@ -24,7 +24,7 @@ from .matching import (NoViableCandidateError, build_weights, hungarian_max,
 from .motion import MotionState, motion_init, motion_predict, motion_update
 from .pools import NeighborPool, backtrack_frames, build_candidate_pool, \
     empty_neighbor_pool, update_neighbor_pool
-from .tracker_port import Template, TrackerPort
+from .tracker_port import Template, TrackerPort, segment_frames
 
 log = logging.getLogger(__name__)
 
@@ -135,7 +135,7 @@ def step(state: EngineState, frame: int, port: TrackerPort,
     else:
         back_frames = backtrack_frames(t, cfg.tau, state.anchor)
         template = port.make_template(t, cands.boxes[top])
-        top_tracklet = port.track_segments([(template, cands.boxes[top])], back_frames)[0]
+        top_tracklet = port.track_segment(template, cands.boxes[top], back_frames)
         gate_overlap = tracklet_avg_iou(state.target, top_tracklet)
         gate = "history_overlap" if gate_overlap > cfg.stability_iou else "fired"
 
@@ -144,8 +144,7 @@ def step(state: EngineState, frame: int, port: TrackerPort,
         selected, source = top, "argmax"
         neighbors = _advance_neighbors_stable(state.neighbors, cands, selected, t, cfg)
     else:
-        tracklets = build_candidate_pool(cands, port, back_frames,
-                                         precomputed={top: top_tracklet})
+        tracklets = build_candidate_pool(cands, port, back_frames, top_tracklet)
         weights = build_weights(tracklets, state.neighbors, state.target,
                                 target_weights={top: gate_overlap})
         assignment = hungarian_max(weights)
@@ -182,12 +181,9 @@ def step(state: EngineState, frame: int, port: TrackerPort,
 
 
 def _consecutive(frames: Sequence[int]) -> list[int]:
-    frames = list(frames)
-    if len(frames) < 1:
-        raise ValueError("need at least one frame")
-    for a, b in zip(frames, frames[1:]):
-        if b - a != 1:
-            raise ValueError("frames must be consecutive and ascending")
+    frames = segment_frames(frames)
+    if frames[-1] < frames[0]:
+        raise ValueError(f"frames must ascend, got {frames}")
     return frames
 
 
@@ -210,13 +206,10 @@ def run_sequence(port: TrackerPort, frames: Sequence[int], b0: BBox,
 
 
 def run_baseline(port: TrackerPort, frames: Sequence[int], b0: BBox) -> list[BBox]:
-    """The conventional loop: best-scoring proposal wins, no validation."""
+    """The conventional loop: best-scoring proposal wins, no validation.
+    This is the port's argmax chain run forward from `b0`."""
     frames = _consecutive(frames)
     template = port.make_template(frames[0], b0)
-    prior = b0
-    out = [b0]
-    for t in frames[1:]:
-        raw = port.propose(template, t, prior)
-        prior = raw.boxes[raw.argmax()]
-        out.append(prior)
-    return out
+    if len(frames) == 1:
+        return [b0]
+    return [b0, *reversed(port.track_segment(template, b0, frames[1:]).boxes)]

@@ -137,9 +137,6 @@ class EvalReport:
                 fail_iou: float = 0.0,
                 intervals: Sequence[int] = (10, 25, 50)) -> "EvalReport":
         gt = scene.target_path(target_id)
-        if len(pred) != len(gt):
-            raise ValueError(f"prediction holds {len(pred)} frames, "
-                             f"scene has {len(gt)}")
         vot = vot_metrics(pred, gt, fail_iou)
         succ = success_metrics(pred, gt)
         return cls(

@@ -154,6 +154,12 @@ def resolve_target(assignment: Assignment, w: WeightMatrix,
     (``best_unmatched``); otherwise the injected motion box
     (``kalman_fallback``). Zero-weight pairings count as unmatched. With no
     motion box left to fall back on, there is no viable candidate.
+
+    Given `hungarian_max`'s assignment, ``best_unmatched`` needs a target
+    weight within ``_OPT_TOL`` of zero: a row with target weight x > 0 and
+    no positive pairing could move onto the target column, which holds no
+    positive pairing either, and raise the total by x, so an assignment
+    optimal to within ``_OPT_TOL`` leaves it there only if x is that small.
     """
     if w.shape[0] != len(cands):
         raise ValueError("weight matrix rows must correspond to the candidate set")

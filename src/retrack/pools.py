@@ -4,8 +4,8 @@ On a fired frame t every candidate of the frame's `CandidateSet` is
 backtracked through the previous min(tau, t - anchor) frames, never
 reaching before the frame the run was anchored on, template cropped at
 the candidate box itself and the box doubling as the first search prior.
-All chains of one frame go to the tracker in one `track_segments` call,
-and come back as a tuple of tracklets aligned with the candidate set.
+Each chain is one `track_segment` call, and the chains come back as a
+tuple of tracklets aligned with the candidate set.
 After a winner is picked, every loser's current box is pushed onto its
 backtracked history to form the next frame's neighbor tracklets; the
 oldest box is dropped once a tracklet has grown to tau, so neighbor
@@ -14,7 +14,7 @@ histories roll forward with bounded length.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .candidate_select import CandidateSet
 from .geometry import Tracklet
@@ -53,27 +53,20 @@ def backtrack_frames(t: int, tau: int, anchor: int) -> range:
     return range(t - 1, t - 1 - min(tau, t - anchor), -1)
 
 
-def build_candidate_pool(cands: CandidateSet, port: TrackerPort, frames: Sequence[int],
-                         precomputed: Mapping[int, Tracklet] | None = None
-                         ) -> tuple[Tracklet, ...]:
+def build_candidate_pool(cands: CandidateSet, port: TrackerPort, frames: range,
+                         top_tracklet: Tracklet) -> tuple[Tracklet, ...]:
     """Backtrack every candidate at frame t = frames[0] + 1 through `frames`,
-    the descending range from `backtrack_frames`, in one `track_segments`
-    call; returns one tracklet per candidate, in candidate order.
+    the descending range from `backtrack_frames`, one `track_segment` call
+    per candidate; returns one tracklet per candidate, in candidate order.
 
-    `precomputed` lets the caller reuse tracklets it already produced
-    (the stability gate backtracks the argmax candidate before deciding
-    whether the full pipeline runs); entries are trusted verbatim since
-    backtracking is deterministic.
+    The stability gate has already backtracked the argmax candidate
+    `cands.top`; its `top_tracklet` is reused verbatim, since backtracking
+    is deterministic.
     """
-    if not frames or frames[0] < frames[-1]:
-        raise ValueError("backtrack frames must be a non-empty descending range")
     t = frames[0] + 1
-    tracklets = dict(precomputed or {})
-    todo = [i for i in range(len(cands)) if i not in tracklets]
-    if todo:
-        starts = [(port.make_template(t, cands.boxes[i]), cands.boxes[i]) for i in todo]
-        tracklets.update(zip(todo, port.track_segments(starts, frames)))
-    return tuple(tracklets[i] for i in range(len(cands)))
+    return tuple(top_tracklet if i == cands.top else
+                 port.track_segment(port.make_template(t, box), box, frames)
+                 for i, box in enumerate(cands.boxes))
 
 
 def update_neighbor_pool(cands: CandidateSet, tracklets: Sequence[Tracklet],

@@ -336,8 +336,10 @@ class MockTracker(TrackerPort):
     times the clipped cosine between the template appearance and the
     object's effective appearance. When nothing is in range the prior
     itself is returned at score zero, so a proposal always exists.
-    `propose` and the lean chain of `track_segment` score through one
-    helper, so both give the same boxes and scores.
+    Besides `make_template` and `propose`, it overrides the port's one
+    optional method, `track_segment`, with a lean chain that the engine's
+    backtracks and the argmax baseline both take. `propose` and the chain
+    score through one helper, so both give the same boxes and scores.
     """
 
     def __init__(self, scene: Scene, config: MockConfig | None = None):

@@ -1,12 +1,13 @@
 """Abstract contract between the post-processing engine and a tracker.
 
 The engine never talks to a concrete tracker directly; it sees a
-:class:`TrackerPort` that can crop templates, propose scored boxes for a
-frame given a search prior, and run short single-direction segments,
-one at a time (`track_segment`) or as a batch of chains over the same
-frames (`track_segments`, one call per backtrack). Implementations must
-be deterministic: identical (template, frame, prior) triples must yield
-identical proposals.
+:class:`TrackerPort` that crops templates (`make_template`) and proposes
+scored boxes for a frame given a search prior (`propose`). From those two
+the port derives `track_segment`, the one propose-argmax chain: the
+engine's backtracks run it backward, the argmax baseline runs it forward.
+A port may override `track_segment` with a leaner chain that returns the
+same tracklets. Implementations must be deterministic: identical
+(template, frame, prior) triples must yield identical proposals.
 """
 from __future__ import annotations
 
@@ -68,13 +69,9 @@ def segment_frames(frames: Sequence[int]) -> list[int]:
     frames = list(frames)
     if not frames:
         raise ValueError("a segment needs at least one frame")
-    if len(frames) > 1:
-        step = frames[1] - frames[0]
-        if step not in (1, -1):
-            raise ValueError("frames must be consecutive")
-        for a, b in zip(frames, frames[1:]):
-            if b - a != step:
-                raise ValueError("frames must advance by a constant step of 1")
+    step = 1 if frames[-1] >= frames[0] else -1
+    if frames != list(range(frames[0], frames[-1] + step, step)):
+        raise ValueError(f"frames must be consecutive in one direction, got {frames}")
     return frames
 
 
@@ -105,7 +102,8 @@ class TrackerPort(abc.ABC):
         descending (backtracking). The first proposal searches around
         `start`; each later step searches around the previous step's
         argmax box. The result is ordered newest-first regardless of the
-        traversal direction.
+        traversal direction. This is the port's one optional override; an
+        override must return the same tracklets as this chain.
         """
         frames = segment_frames(frames)
         prior = start
@@ -115,16 +113,3 @@ class TrackerPort(abc.ABC):
             prior = raw.boxes[raw.argmax()]
             chain.append(prior)
         return newest_first(frames, chain)
-
-    def track_segments(self, starts: Sequence[tuple[Template, BBox]],
-                       frames: Sequence[int]) -> list[Tracklet]:
-        """One tracklet per `(template, start)` pair, each tracked through
-        the same `frames` exactly as `track_segment` would.
-
-        The engine makes one such call per backtrack. This default runs
-        `track_segment` per start, so a leaner chain overrides that alone;
-        a port that can batch the chains (a siamese tracker running one
-        crop forward per frame for all of them) overrides this instead.
-        Either override must return the same tracklets.
-        """
-        return [self.track_segment(template, start, frames) for template, start in starts]

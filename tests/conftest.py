@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from retrack.geometry import BBox
+from retrack.candidate_select import CandidateSet
+from retrack.geometry import BBox, Tracklet
+from retrack.pools import build_candidate_pool
 from retrack.simworld import STATIC, ObjectSpec, OcclusionEvent, Path, Scene
 from retrack.tracker_port import RawCandidates, Template, TrackerPort
 
@@ -47,6 +49,15 @@ class DriftPort(TrackerPort):
     def propose(self, template, frame, prior):
         self.propose_calls += 1
         return RawCandidates((prior.translated(self.dx, self.dy),), (1.0,))
+
+
+def backtrack_all(cands: CandidateSet, port: TrackerPort,
+                  frames: range) -> tuple[Tracklet, ...]:
+    """`build_candidate_pool` as the engine's gate leads into it: the
+    argmax candidate is backtracked first and handed over."""
+    box = cands.boxes[cands.top]
+    top = port.track_segment(port.make_template(frames[0] + 1, box), box, frames)
+    return build_candidate_pool(cands, port, frames, top)
 
 
 def unit_vector(seed: int, dim: int = 16) -> tuple:

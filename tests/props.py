@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import ScriptPort
+from conftest import ScriptPort, backtrack_all
 from retrack.candidate_select import (CandidateSet, assemble,
                                       filter_by_confidence, soft_nms)
 from retrack.evalkit import REANCHOR_SKIP, eao_lite, success_metrics, vot_metrics
@@ -343,7 +343,7 @@ def scripted_world(draw):
 @prop("pools", "backtracks_follow_the_scripted_argmax", scripted_world())
 def _(value):
     script, cands, t, tau = value
-    tracklets = build_candidate_pool(cands, ScriptPort(script), backtrack_frames(t, tau, 0))
+    tracklets = backtrack_all(cands, ScriptPort(script), backtrack_frames(t, tau, 0))
     depth = min(tau, t)
     want = tuple(script[f].boxes[script[f].argmax()]
                  for f in range(t - 1, t - 1 - depth, -1))
@@ -353,19 +353,17 @@ def _(value):
         assert tracklet.boxes == want
 
 
-@prop("pools", "precomputed_tracklets_skip_port_calls",
+@prop("pools", "top_tracklet_skips_port_calls",
       st.tuples(scripted_world(), st.integers(0, 3)))
 def _(value):
-    (script, cands, t, tau), n_pre = value
-    n_pre = min(n_pre, len(cands))
-    sentinels = {i: Tracklet(t - 1, (cands.boxes[i],)) for i in range(n_pre)}
+    (script, cands, t, tau), top = value
+    top = min(top, len(cands) - 1)
+    cands = CandidateSet(cands.boxes, tuple(float(i == top) for i in range(len(cands))))
+    sentinel = Tracklet(t - 1, (cands.boxes[top],))
     port = ScriptPort(script)
-    tracklets = build_candidate_pool(cands, port, backtrack_frames(t, tau, 0),
-                                     precomputed=sentinels)
-    for i, tracklet in enumerate(tracklets):
-        if i in sentinels:
-            assert tracklet is sentinels[i]
-    assert port.propose_calls == min(tau, t) * (len(cands) - n_pre)
+    tracklets = build_candidate_pool(cands, port, backtrack_frames(t, tau, 0), sentinel)
+    assert [i for i, tracklet in enumerate(tracklets) if tracklet is sentinel] == [top]
+    assert port.propose_calls == min(tau, t) * (len(cands) - 1)
 
 
 @prop("pools", "rollover_shift_correctness",
@@ -375,7 +373,7 @@ def _(value):
     # a motion box at index `kal`, where there is one besides a real candidate
     kal = kal if kal < len(cands) > 1 else None
     cands = CandidateSet(cands.boxes, cands.scores, kal)
-    tracklets = build_candidate_pool(cands, ScriptPort(script), backtrack_frames(t, tau, 0))
+    tracklets = backtrack_all(cands, ScriptPort(script), backtrack_frames(t, tau, 0))
     sel = min(sel, len(cands) - 1)
     rolled = update_neighbor_pool(cands, tracklets, sel, tau)
     assert rolled.frame == t

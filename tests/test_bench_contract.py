@@ -19,6 +19,7 @@ import workloads  # noqa: E402
 import retrack.engine  # noqa: E402
 import retrack.matching  # noqa: E402
 from retrack.simworld import MockTracker  # noqa: E402
+from retrack.tracker_port import TrackerPort  # noqa: E402
 
 MODULES = ((retrack.engine, spans.ENGINE_NAMES), (retrack.matching, spans.MATCHING_NAMES))
 
@@ -39,6 +40,14 @@ def test_instrumented_installs_and_restores_its_wrappers():
         during = _wrapped()
         assert all(during[key] is not fn for key, fn in before.items())
     assert _wrapped() == before
+
+
+def test_counting_port_overrides_every_public_port_method():
+    # a method left to the base class would let the traced run take a
+    # different path through the port than the untraced run takes
+    public = {name for name in dir(TrackerPort) if not name.startswith("_")}
+    assert public
+    assert sorted(public - set(vars(spans.CountingPort))) == []
 
 
 def test_traced_run_gives_the_untraced_records_and_counts():

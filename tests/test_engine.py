@@ -292,13 +292,34 @@ class TestRunners:
 
 
 @pytest.mark.parametrize("kind, seed", [("crossing", 3), ("convoy", 103), ("deform", 3)])
-def test_batched_port_gives_the_same_run(kind, seed):
+def test_lean_chain_gives_the_base_chain_run(kind, seed):
     scene = generate_scene(ScenarioConfig(kind), seed)
     frames = range(scene.length)
     b0 = scene.true_box(1, 0)
-    batched = run_sequence(MockTracker(scene), frames, b0, EngineConfig())
+    lean = run_sequence(MockTracker(scene), frames, b0, EngineConfig())
     chained = run_sequence(ForwardingPort(MockTracker(scene)), frames, b0, EngineConfig())
-    assert batched == chained
+    assert lean == chained
+
+
+@pytest.mark.parametrize("kind, seed", [("crossing", 3), ("convoy", 103), ("deform", 3)])
+def test_baseline_is_the_forward_chain(kind, seed, monkeypatch):
+    scene = generate_scene(ScenarioConfig(kind), seed)
+    frames = range(scene.length)
+    b0 = scene.true_box(1, 0)
+    port = MockTracker(scene)
+    proposed = []
+
+    def counting(template, frame, prior):
+        proposed.append(frame)
+        return MockTracker.propose(port, template, frame, prior)
+
+    monkeypatch.setattr(port, "propose", counting)
+    lean = run_baseline(port, frames, b0)
+    # the mock's lean chain scores proposals without asking `propose`
+    assert proposed == []
+    chained = ForwardingPort(MockTracker(scene))
+    assert run_baseline(chained, frames, b0) == lean
+    assert chained.proposed == list(frames[1:])
 
 
 @pytest.mark.parametrize("kind, seed", [("crossing", 3), ("convoy", 103)])

@@ -209,6 +209,38 @@ class TestResolveTarget:
         assert assignment.pairs == ((0, 1), (2, 0))
         assert resolve_target(assignment, w, _cands(3, kalman_index=2)) == (2, "kalman_fallback")
 
+    def test_best_unmatched_only_within_the_optimality_tolerance(self):
+        # row 0's target weight sits under the tolerance, so pairing it with
+        # the neighbor at zero counts as optimal and leaves it unmatched
+        w = _w([[0.0, 5e-10], [0.0, 0.0]])
+        assert resolve_target(hungarian_max(w), w, _cands(2)) == (0, "best_unmatched")
+        w = _w([[0.0, 2e-9], [0.0, 0.0]])
+        assert resolve_target(hungarian_max(w), w, _cands(2)) == (0, "target_matched")
+
+    @pytest.mark.parametrize("motion", [False, True], ids=["no_motion", "motion"])
+    def test_best_unmatched_never_follows_an_optimal_assignment(self, motion):
+        # a row with positive target weight and no positive pairing could
+        # move onto the target column and raise the total, so once every
+        # positive weight clears the tolerance the branch is unreachable
+        rng = np.random.default_rng([11, motion])
+        low = 2e-6  # the smallest positive weight, above 1e-6
+        levels = np.array([0.0, low, 0.25, 0.5, 1.0])
+        for k in range(600):
+            rows = int(rng.integers(1 + motion, 7))
+            cols = int(rng.integers(1, 7))
+            if k % 2:
+                values = levels[rng.integers(0, 5, size=(rows, cols))]
+            else:
+                values = rng.uniform(low, 1.0, size=(rows, cols))
+                values[rng.random((rows, cols)) < 0.5] = 0.0
+            w = WeightMatrix(values, cols - 1)
+            cands = _cands(rows, kalman_index=rows - 1 if motion else None)
+            try:
+                _, source = resolve_target(hungarian_max(w), w, cands)
+            except NoViableCandidateError:
+                continue
+            assert source != "best_unmatched", values
+
     def test_error_when_nothing_viable(self):
         w = _w([[0.0, 0.0]])
         assignment = hungarian_max(w)

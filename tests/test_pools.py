@@ -1,7 +1,7 @@
 """Backtracked candidate tracklets and neighbor rollover."""
 import pytest
 
-from conftest import DriftPort, ScriptPort
+from conftest import DriftPort, ScriptPort, backtrack_all
 from retrack.candidate_select import CandidateSet
 from retrack.geometry import BBox, Tracklet
 from retrack.pools import (NeighborPool, backtrack_frames, build_candidate_pool,
@@ -17,7 +17,7 @@ class TestBuildCandidatePool:
     def test_backtracks_each_candidate_through_tau_frames(self):
         port = DriftPort(dx=1.0)
         cands = _cands([0.0, 100.0])
-        tracklets = build_candidate_pool(cands, port, backtrack_frames(t=5, tau=3, anchor=0))
+        tracklets = backtrack_all(cands, port, backtrack_frames(t=5, tau=3, anchor=0))
         assert len(tracklets) == 2
         for tracklet, x0 in zip(tracklets, (0.0, 100.0)):
             assert tracklet.end_frame == 4
@@ -29,8 +29,8 @@ class TestBuildCandidatePool:
 
     def test_depth_clamped_by_available_frames(self):
         port = DriftPort()
-        (tracklet,) = build_candidate_pool(_cands([0.0]), port,
-                                           backtrack_frames(t=2, tau=9, anchor=0))
+        (tracklet,) = backtrack_all(_cands([0.0]), port,
+                                    backtrack_frames(t=2, tau=9, anchor=0))
         assert len(tracklet) == 2
         assert tracklet.start_frame == 0
 
@@ -39,29 +39,27 @@ class TestBuildCandidatePool:
         assert list(backtrack_frames(t=31, tau=9, anchor=30)) == [30]
         assert list(backtrack_frames(t=50, tau=9, anchor=30)) == list(range(49, 40, -1))
 
-    def test_precomputed_tracklets_reused_verbatim(self):
+    def test_top_tracklet_reused_verbatim(self):
         script = {f: ([BBox(50, 0, 4, 4)], [0.5]) for f in range(8)}
         port = ScriptPort(script)
         ready = Tracklet(7, tuple(BBox(9, 9, 4, 4) for _ in range(3)))
-        tracklets = build_candidate_pool(_cands([0.0, 1.0, 2.0]), port,
-                                         backtrack_frames(t=8, tau=3, anchor=0),
-                                         precomputed={1: ready})
+        boxes = tuple(BBox(x, 0.0, 4.0, 4.0) for x in (0.0, 1.0, 2.0))
+        cands = CandidateSet(boxes, (0.2, 0.9, 0.5))
+        tracklets = build_candidate_pool(cands, port,
+                                         backtrack_frames(t=8, tau=3, anchor=0), ready)
+        assert cands.top == 1
         assert tracklets[1] is ready
-        # only the two missing candidates were backtracked, 3 frames each
+        # only the two other candidates were backtracked, 3 frames each
         assert port.propose_calls == 6
+        assert tracklets[0] == tracklets[2] == Tracklet(7, (BBox(50, 0, 4, 4),) * 3)
 
     def test_rejects_bad_arguments(self):
-        port = DriftPort()
         with pytest.raises(ValueError):
             backtrack_frames(t=0, tau=3, anchor=0)
         with pytest.raises(ValueError):
             backtrack_frames(t=30, tau=3, anchor=30)
         with pytest.raises(ValueError):
             backtrack_frames(t=5, tau=0, anchor=0)
-        with pytest.raises(ValueError):
-            build_candidate_pool(_cands([0.0]), port, range(0))
-        with pytest.raises(ValueError):
-            build_candidate_pool(_cands([0.0]), port, range(3, 5))
 
 
 class TestUpdateNeighborPool:

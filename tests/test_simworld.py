@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conformance import check_port
 from retrack.engine import run_baseline
 from retrack.evalkit import id_switches
 from retrack.geometry import BBox, iou
@@ -14,7 +15,6 @@ from retrack.simworld import (STATIC, MockConfig, MockTracker, MotFormatError,
                               Scene, _tapered_occlusion, _unit_with_cosine,
                               _visibility_to_events, generate_scene, load_mot,
                               load_scene, save_mot, save_scene)
-from retrack.tracker_port import TrackerPort
 
 DIM = 4
 E0 = (1.0, 0.0, 0.0, 0.0)
@@ -299,87 +299,32 @@ class TestMockTracker:
             tracker.propose(tpl, 4, scene.true_box(1, 0))
 
 
-class SegmentForwarder(TrackerPort):
-    """Forwards `make_template`, `propose` and `track_segment` to a port,
-    as a tracing wrapper does, and counts the proposals asked of it."""
-
-    def __init__(self, inner: TrackerPort):
-        self.inner = inner
-        self.propose_calls = 0
-
-    def make_template(self, frame, box):
-        return self.inner.make_template(frame, box)
-
-    def propose(self, template, frame, prior):
-        self.propose_calls += 1
-        return self.inner.propose(template, frame, prior)
-
-    def track_segment(self, template, start, frames):
-        return self.inner.track_segment(template, start, frames)
-
-
-class TestBatchedSegments:
-    """`MockTracker`'s lean `track_segment`, batched by the base class's
-    `track_segments`, against the base class's chaining of `propose` calls,
-    one chain per start."""
+class TestConformance:
+    """`MockTracker`'s lean `track_segment` against the port contract: the
+    same tracklets as the base class's chaining of `propose` calls."""
 
     FAR = BBox(-3000.0, -3000.0, 40.0, 40.0)  # no object ever in range
-
-    def _starts(self, port, scene, frame):
-        boxes = [scene.true_box(i, frame) for i in scene.ids()] + [self.FAR]
-        return [(port.make_template(frame, b), b) for b in boxes]
-
-    @staticmethod
-    def _base_chains(port, starts, frames):
-        return [TrackerPort.track_segment(port, tpl, start, frames)
-                for tpl, start in starts]
 
     @pytest.mark.parametrize("config", [MockConfig(), MockConfig(jitter=1.5),
                                         MockConfig(clutter=3)],
                              ids=["plain", "jitter", "clutter"])
-    @pytest.mark.parametrize("frames", [range(29, 20, -1), range(31, 40)],
-                             ids=["backward", "forward"])
     @pytest.mark.parametrize("kind, seed", [("crossing", 3), ("convoy", 103),
                                             ("deform", 3)])
-    def test_same_tracklets_as_per_start_chaining(self, kind, seed, frames, config):
+    def test_lean_chain_conforms(self, kind, seed, config):
         scene = generate_scene(ScenarioConfig(kind), seed)
         port = MockTracker(scene, config)
-        starts = self._starts(port, scene, 30)
-        got = port.track_segments(starts, frames)
-        assert got == self._base_chains(port, starts, frames)
-        assert len(got) == len(starts) == 3
+        boxes = [scene.true_box(i, 30) for i in scene.ids()] + [self.FAR]
+        starts = [(port.make_template(30, b), b) for b in boxes]
+        n = scene.length
+        backward, forward, _ = check_port(
+            port, starts, [range(29, 20, -1), range(31, 40), [29]],
+            outside=[range(1, -2, -1), range(n - 2, n + 1)])
+        assert len(starts) == 3
         if config.clutter == 0:
             # nothing in range and nothing cropped: the far chain coasts on
             # its start, proposed back as the prior at score zero
-            assert got[-1].boxes == (self.FAR,) * len(frames)
-
-    def test_single_frame_and_no_starts(self):
-        scene = generate_scene(ScenarioConfig("crossing"), 3)
-        port = MockTracker(scene)
-        starts = self._starts(port, scene, 5)
-        assert port.track_segments(starts, [4]) == \
-            self._base_chains(port, starts, [4])
-        assert port.track_segments([], range(4, 0, -1)) == []
-
-    @pytest.mark.parametrize("frames", [range(29, 20, -1), range(31, 40)],
-                             ids=["backward", "forward"])
-    def test_forwarding_wrapper_takes_the_lean_chain(self, frames):
-        scene = generate_scene(ScenarioConfig("crossing"), 3)
-        port = MockTracker(scene, MockConfig(jitter=1.5))
-        wrapper = SegmentForwarder(port)
-        starts = self._starts(port, scene, 30)
-        assert wrapper.track_segments(starts, frames) == \
-            port.track_segments(starts, frames)
-        assert wrapper.propose_calls == 0
-
-    def test_frames_checked(self):
-        scene = generate_scene(ScenarioConfig("convoy"), 103)
-        port = MockTracker(scene)
-        starts = self._starts(port, scene, 2)
-        for frames in (range(1, -2, -1), range(scene.length - 2, scene.length + 1),
-                       [], [1, 3], [3, 2, 3]):
-            with pytest.raises(ValueError):
-                port.track_segments(starts, frames)
+            for frames, row in ((range(29, 20, -1), backward), (range(31, 40), forward)):
+                assert row[-1].boxes == (self.FAR,) * len(frames)
 
 
 class TestDominantObject:

@@ -1,6 +1,7 @@
 """Port contract: proposal validation and segment tracking semantics."""
 import pytest
 
+from conformance import check_port
 from conftest import DriftPort, ScriptPort
 from retrack.geometry import BBox
 from retrack.tracker_port import RawCandidates, Template
@@ -60,48 +61,28 @@ class TestTrackSegment:
         assert t.end_frame == 7
         assert len(t) == 1
 
-    def test_matches_manual_argmax_chain(self):
-        script = {
-            4: ([BBox(0, 0, 2, 2), BBox(5, 0, 2, 2)], [0.4, 0.9]),
-            5: ([BBox(6, 0, 2, 2), BBox(1, 1, 2, 2)], [0.8, 0.3]),
-            6: ([BBox(7, 0, 2, 2)], [0.5]),
-        }
-        port = ScriptPort(script)
+
+SCRIPT = {
+    4: ([BBox(0, 0, 2, 2), BBox(5, 0, 2, 2)], [0.4, 0.9]),
+    5: ([BBox(6, 0, 2, 2), BBox(1, 1, 2, 2)], [0.8, 0.3]),
+    6: ([BBox(7, 0, 2, 2)], [0.5]),
+}
+
+
+class TestConformance:
+    """The base chain holds to the port contract on the test ports."""
+
+    def test_script_port(self):
+        port = ScriptPort(SCRIPT)
         start = BBox(0, 0, 2, 2)
-        got = port.track_segment(Template(3, start), start, [4, 5, 6])
-        prior = start
-        chain = []
-        for f in (4, 5, 6):
-            raw = port.script[f]
-            prior = raw.boxes[raw.argmax()]
-            chain.append(prior)
-        assert list(got.boxes) == list(reversed(chain))
+        (forward,), _, _ = check_port(port, [(Template(3, start), start)],
+                                      [[4, 5, 6], [6, 5, 4], [5]])
+        # newest first: the argmax boxes of frames 6, 5 and 4
+        assert forward.boxes == (BBox(7, 0, 2, 2), BBox(6, 0, 2, 2), BBox(5, 0, 2, 2))
 
-    def test_rejects_bad_frame_sequences(self):
-        port = DriftPort()
-        start = BBox(0, 0, 1, 1)
-        tpl = Template(0, start)
-        with pytest.raises(ValueError):
-            port.track_segment(tpl, start, [])
-        with pytest.raises(ValueError):
-            port.track_segment(tpl, start, [1, 3])
-        with pytest.raises(ValueError):
-            port.track_segment(tpl, start, [1, 2, 1])
-        with pytest.raises(ValueError):
-            port.track_segment(tpl, start, [3, 2, 3])
-
-
-class TestTrackSegments:
-    def test_default_chains_each_start_in_order(self):
+    def test_drift_port(self):
         port = DriftPort(dx=2.0)
         starts = [(Template(6, BBox(x, 10, 4, 4)), BBox(x, 10, 4, 4))
                   for x in (10.0, 50.0, 90.0)]
-        got = port.track_segments(starts, [5, 4, 3])
-        assert got == [port.track_segment(t, b, [5, 4, 3]) for t, b in starts]
-        assert [t.head.x for t in got] == [12.0, 52.0, 92.0]
-        assert port.propose_calls == 2 * 3 * 3
-
-    def test_no_starts_no_calls(self):
-        port = DriftPort()
-        assert port.track_segments([], [5, 4, 3]) == []
-        assert port.propose_calls == 0
+        backward, _, _ = check_port(port, starts, [[5, 4, 3], [3, 4, 5], [7]])
+        assert [t.head.x for t in backward] == [12.0, 52.0, 92.0]
