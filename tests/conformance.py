@@ -3,7 +3,8 @@
 `check_port` runs a port's `track_segment` over given starts and frame
 sequences and checks it against the base class's propose-argmax chain,
 so a port that overrides the chain (a lean or batched one) is held to
-the same tracklets as one that does not.
+the same tracklets as one that does not. `check_rejects` checks that
+both chains refuse frame sequences that are not segments.
 """
 from __future__ import annotations
 
@@ -29,12 +30,10 @@ def visited(port: TrackerPort, template: Template, start: BBox,
 
 
 def check_port(port: TrackerPort, starts: Sequence[tuple[Template, BBox]],
-               segments: Sequence[Sequence[int]],
-               outside: Sequence[Sequence[int]] = ()) -> list[list[Tracklet]]:
+               segments: Sequence[Sequence[int]]) -> list[list[Tracklet]]:
     """Check `port.track_segment` from every `(template, start box)` pair
     through every sequence of `segments` (each consecutive, ascending or
-    descending), and that it raises `ValueError` on `NOT_SEGMENTS` and on
-    the sequences in `outside`, which reach frames the port cannot see.
+    descending).
 
     Each tracklet must come out the same on a second call, equal the base
     class's chain, and hold the walk's boxes newest-first. Returns the
@@ -52,10 +51,16 @@ def check_port(port: TrackerPort, starts: Sequence[tuple[Template, BBox]],
             assert got.boxes == tuple(boxes[f] for f in sorted(frames, reverse=True))
             row.append(got)
         out.append(row)
-    template, start = starts[0]
+    return out
+
+
+def check_rejects(port: TrackerPort, template: Template, start: BBox,
+                  outside: Sequence[Sequence[int]] = ()) -> None:
+    """Check that `port.track_segment` and the base class's chain both
+    raise `ValueError` on `NOT_SEGMENTS` and on the sequences in
+    `outside`, which reach frames the port cannot see."""
     for frames in (*NOT_SEGMENTS, *outside):
         for chain in (port.track_segment,
                       lambda *args: TrackerPort.track_segment(port, *args)):
             with pytest.raises(ValueError):
                 chain(template, start, frames)
-    return out

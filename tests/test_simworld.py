@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conformance import check_port
+from conformance import check_port, check_rejects
 from retrack.engine import run_baseline
 from retrack.evalkit import id_switches
 from retrack.geometry import BBox, iou
@@ -305,26 +305,37 @@ class TestConformance:
 
     FAR = BBox(-3000.0, -3000.0, 40.0, 40.0)  # no object ever in range
 
+    @staticmethod
+    def _starts(port, scene, frame):
+        boxes = [scene.true_box(i, frame) for i in scene.ids()] + \
+            [TestConformance.FAR]
+        return [(port.make_template(frame, b), b) for b in boxes]
+
     @pytest.mark.parametrize("config", [MockConfig(), MockConfig(jitter=1.5),
                                         MockConfig(clutter=3)],
                              ids=["plain", "jitter", "clutter"])
+    @pytest.mark.parametrize("frames", [range(29, 20, -1), range(31, 40)],
+                             ids=["backward", "forward"])
     @pytest.mark.parametrize("kind, seed", [("crossing", 3), ("convoy", 103),
                                             ("deform", 3)])
-    def test_lean_chain_conforms(self, kind, seed, config):
+    def test_lean_chain_conforms(self, kind, seed, frames, config):
         scene = generate_scene(ScenarioConfig(kind), seed)
         port = MockTracker(scene, config)
-        boxes = [scene.true_box(i, 30) for i in scene.ids()] + [self.FAR]
-        starts = [(port.make_template(30, b), b) for b in boxes]
-        n = scene.length
-        backward, forward, _ = check_port(
-            port, starts, [range(29, 20, -1), range(31, 40), [29]],
-            outside=[range(1, -2, -1), range(n - 2, n + 1)])
-        assert len(starts) == 3
+        starts = self._starts(port, scene, 30)
+        got, _ = check_port(port, starts, [frames, [frames[0]]])
+        assert len(got) == len(starts) == 3
         if config.clutter == 0:
             # nothing in range and nothing cropped: the far chain coasts on
             # its start, proposed back as the prior at score zero
-            for frames, row in ((range(29, 20, -1), backward), (range(31, 40), forward)):
-                assert row[-1].boxes == (self.FAR,) * len(frames)
+            assert got[-1].boxes == (self.FAR,) * len(frames)
+
+    def test_frames_checked(self):
+        scene = generate_scene(ScenarioConfig("convoy"), 103)
+        port = MockTracker(scene)
+        n = scene.length
+        for template, start in self._starts(port, scene, 2):
+            check_rejects(port, template, start,
+                          outside=[range(1, -2, -1), range(n - 2, n + 1)])
 
 
 class TestDominantObject:

@@ -1,7 +1,7 @@
 """Port contract: proposal validation and segment tracking semantics."""
 import pytest
 
-from conformance import check_port
+from conformance import check_port, check_rejects
 from conftest import DriftPort, ScriptPort
 from retrack.geometry import BBox
 from retrack.tracker_port import RawCandidates, Template
@@ -34,6 +34,13 @@ class TestRawCandidates:
         assert RawCandidates(boxes, (0.7, 0.7, 0.7)).argmax() == 0
 
 
+SCRIPT = {
+    4: ([BBox(0, 0, 2, 2), BBox(5, 0, 2, 2)], [0.4, 0.9]),
+    5: ([BBox(6, 0, 2, 2), BBox(1, 1, 2, 2)], [0.8, 0.3]),
+    6: ([BBox(7, 0, 2, 2)], [0.5]),
+}
+
+
 class TestTrackSegment:
     def test_forward_chains_argmax_and_orders_newest_first(self):
         port = DriftPort(dx=2.0)
@@ -61,12 +68,19 @@ class TestTrackSegment:
         assert t.end_frame == 7
         assert len(t) == 1
 
+    def test_matches_manual_argmax_chain(self):
+        port = ScriptPort(SCRIPT)
+        start = BBox(0, 0, 2, 2)
+        got = port.track_segment(Template(3, start), start, [4, 5, 6])
+        chain = []
+        for f in (4, 5, 6):
+            raw = port.script[f]
+            chain.append(raw.boxes[raw.argmax()])
+        assert list(got.boxes) == list(reversed(chain))
 
-SCRIPT = {
-    4: ([BBox(0, 0, 2, 2), BBox(5, 0, 2, 2)], [0.4, 0.9]),
-    5: ([BBox(6, 0, 2, 2), BBox(1, 1, 2, 2)], [0.8, 0.3]),
-    6: ([BBox(7, 0, 2, 2)], [0.5]),
-}
+    def test_rejects_bad_frame_sequences(self):
+        start = BBox(0, 0, 1, 1)
+        check_rejects(DriftPort(), Template(0, start), start)
 
 
 class TestConformance:
@@ -77,6 +91,7 @@ class TestConformance:
         start = BBox(0, 0, 2, 2)
         (forward,), _, _ = check_port(port, [(Template(3, start), start)],
                                       [[4, 5, 6], [6, 5, 4], [5]])
+        check_rejects(port, Template(3, start), start)
         # newest first: the argmax boxes of frames 6, 5 and 4
         assert forward.boxes == (BBox(7, 0, 2, 2), BBox(6, 0, 2, 2), BBox(5, 0, 2, 2))
 
