@@ -20,8 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import BBox, Tracklet, iou
-from .tracker_port import (RawCandidates, Template, TrackerPort, first_max,
-                           newest_first, segment_frames)
+from .tracker_port import (RawCandidates, Template, TrackerPort, newest_first,
+                           segment_frames)
 
 log = logging.getLogger(__name__)
 
@@ -142,6 +142,7 @@ class Scene:
     _apps: dict = field(init=False, repr=False)        # raw (drifted) appearance
     _eff_apps: dict = field(init=False, repr=False)    # occlusion-mixed appearance
     _visibility: dict = field(init=False, repr=False)
+    _tables: tuple = field(init=False, repr=False)     # per object, in id order
 
     def __post_init__(self):
         if self.length < 1:
@@ -155,6 +156,11 @@ class Scene:
     # -- derived world state ------------------------------------------------
 
     def _derive(self):
+        """Per-frame tables of every object, keyed by id: true boxes,
+        visibility as plain floats, and raw and effective appearance rows.
+        `_tables` holds one `(id, boxes, visibility, effective appearances)`
+        tuple per object, in id order, sharing those tables: the mock
+        tracker scores from it without a lookup by id."""
         dim = len(self.objects[0].appearance) if self.objects else 16
         if self.static_appearance is None:
             wall = _random_unit(np.random.default_rng([self.seed, 911]), dim)
@@ -168,7 +174,7 @@ class Scene:
         self._eff_apps = {}
         wall = np.asarray(self.static_appearance, dtype=float)
         for obj in self.objects:
-            vis = np.ones(self.length)
+            vis = [1.0] * self.length
             eff = self._apps[obj.id].copy()
             for f in range(self.length):
                 severity, occluder = 0.0, None
@@ -183,6 +189,8 @@ class Scene:
                 eff[f] = _unit(mixed)
             self._visibility[obj.id] = vis
             self._eff_apps[obj.id] = eff
+        self._tables = tuple((obj.id, self._boxes[obj.id], self._visibility[obj.id],
+                              self._eff_apps[obj.id]) for obj in self.objects)
 
     def _walk_appearance(self, obj: ObjectSpec, dim: int) -> np.ndarray:
         base = _unit(np.asarray(obj.appearance, dtype=float))
@@ -209,7 +217,7 @@ class Scene:
         return self._boxes[obj_id][frame]
 
     def visibility(self, obj_id: int, frame: int) -> float:
-        return float(self._visibility[obj_id][frame])
+        return self._visibility[obj_id][frame]
 
     def effective_appearance(self, obj_id: int, frame: int) -> np.ndarray:
         return self._eff_apps[obj_id][frame]
@@ -339,7 +347,9 @@ class MockTracker(TrackerPort):
     Besides `make_template` and `propose`, it overrides the port's one
     optional method, `track_segment`, with a lean chain that the engine's
     backtracks and the argmax baseline both take. `propose` and the chain
-    score through one helper, so both give the same boxes and scores.
+    each have their own loop over the scene's per-object tables (the
+    chain keeps a running argmax and builds no proposal list); the port
+    conformance check in `tests/conformance.py` holds the two equal.
     """
 
     def __init__(self, scene: Scene, config: MockConfig | None = None):
@@ -385,33 +395,42 @@ class MockTracker(TrackerPort):
         radius = SEARCH_RADIUS_SCALE * math.hypot(pw, ph)
         boxes: list[BBox] = []
         scores: list[float] = []
-        for obj in scene.objects:
-            obj_id = obj.id
-            true = scene._boxes[obj_id][frame]
+        for obj_id, obj_boxes, vis, eff in scene._tables:
+            true = obj_boxes[frame]
             if math.hypot(pcx - (true.x + true.w / 2.0),
                           pcy - (true.y + true.h / 2.0)) > radius:
                 continue
             box = true
             if cfg.jitter > 0.0:
-                rng = np.random.default_rng([scene.seed, frame, obj_id, 3])
-                dx, dy, dw, dh = rng.normal(0.0, cfg.jitter, 4).tolist()
-                box = BBox(true.x + dx, true.y + dy,
-                           max(true.w + dw, 1.0), max(true.h + dh, 1.0))
-            sim = float(np.dot(tpl_app, scene._eff_apps[obj_id][frame]))
-            score = float(scene._visibility[obj_id][frame]) * sim
+                box = self._jittered(true, frame, obj_id)
+            score = vis[frame] * float(tpl_app.dot(eff[frame]))
             boxes.append(box)
             scores.append(min(max(score, 0.0), 1.0))
         for k in range(cfg.clutter):
-            rng = np.random.default_rng([scene.seed, frame, 7, k])
-            cx = pcx + rng.uniform(-radius, radius)
-            cy = pcy + rng.uniform(-radius, radius)
-            scale = rng.uniform(0.8, 1.2)
-            boxes.append(BBox(cx - pw * scale / 2.0, cy - ph * scale / 2.0,
-                              pw * scale, ph * scale))
-            scores.append(float(rng.uniform(0.0, cfg.clutter_score)))
+            box, score = self._clutter(frame, k, prior, pcx, pcy, radius)
+            boxes.append(box)
+            scores.append(score)
         if not boxes:
             return [prior], [0.0]
         return boxes, scores
+
+    def _jittered(self, true: BBox, frame: int, obj_id: int) -> BBox:
+        """`true` as proposed at `frame`, moved by the config's pixel noise."""
+        rng = np.random.default_rng([self.scene.seed, frame, obj_id, 3])
+        dx, dy, dw, dh = rng.normal(0.0, self.config.jitter, 4).tolist()
+        return BBox(true.x + dx, true.y + dy,
+                    max(true.w + dw, 1.0), max(true.h + dh, 1.0))
+
+    def _clutter(self, frame: int, k: int, prior: BBox, pcx: float, pcy: float,
+                 radius: float) -> tuple[BBox, float]:
+        """The `k`-th spurious box at `frame` around `prior`, with its score."""
+        rng = np.random.default_rng([self.scene.seed, frame, 7, k])
+        cx = pcx + rng.uniform(-radius, radius)
+        cy = pcy + rng.uniform(-radius, radius)
+        scale = rng.uniform(0.8, 1.2)
+        pw, ph = prior.w, prior.h
+        box = BBox(cx - pw * scale / 2.0, cy - ph * scale / 2.0, pw * scale, ph * scale)
+        return box, float(rng.uniform(0.0, self.config.clutter_score))
 
     def propose(self, template: Template, frame: int, prior: BBox) -> RawCandidates:
         self._check_frame(frame)
@@ -421,18 +440,39 @@ class MockTracker(TrackerPort):
     def track_segment(self, template: Template, start: BBox,
                       frames: Sequence[int]) -> Tracklet:
         """The base class's chain, lean: the frames are checked once, the
-        template's appearance is resolved once, and each step takes the
-        argmax of the scored proposals directly."""
+        template's appearance is resolved once, and each step keeps a
+        running argmax over the proposals as `_scored` orders and scores
+        them, ties going to the first, so no proposal list is built. Only
+        the winning object's box is jittered, from its own seeded draw."""
         frames = segment_frames(frames)
         self._check_frame(frames[0])
         self._check_frame(frames[-1])
         tpl_app = self.template_appearance(template)
+        tables, cfg = self.scene._tables, self.config
+        hypot, dot = math.hypot, tpl_app.dot
         prior = start
         chain = []
         for f in frames:
-            boxes, scores = self._scored(tpl_app, f, prior)
-            prior = boxes[first_max(scores)]
-            chain.append(prior)
+            pw, ph = prior.w, prior.h
+            pcx, pcy = prior.x + pw / 2.0, prior.y + ph / 2.0
+            radius = SEARCH_RADIUS_SCALE * hypot(pw, ph)
+            best, top, best_id = prior, -math.inf, None
+            for obj_id, obj_boxes, vis, eff in tables:
+                true = obj_boxes[f]
+                if hypot(pcx - (true.x + true.w / 2.0),
+                         pcy - (true.y + true.h / 2.0)) > radius:
+                    continue
+                score = min(max(vis[f] * float(dot(eff[f])), 0.0), 1.0)
+                if score > top:
+                    best, top, best_id = true, score, obj_id
+            if cfg.jitter > 0.0 and best_id is not None:
+                best = self._jittered(best, f, best_id)
+            for k in range(cfg.clutter):
+                box, score = self._clutter(f, k, prior, pcx, pcy, radius)
+                if score > top:
+                    best, top = box, score
+            prior = best
+            chain.append(best)
         return newest_first(frames, chain)
 
 

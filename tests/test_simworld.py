@@ -307,9 +307,14 @@ class TestConformance:
 
     @staticmethod
     def _starts(port, scene, frame):
-        boxes = [scene.true_box(i, frame) for i in scene.ids()] + \
-            [TestConformance.FAR]
-        return [(port.make_template(frame, b), b) for b in boxes]
+        """A start at each object's box and at `FAR`, each with the template
+        cropped there, and one from the first object's box with the template
+        cropped at `FAR`: empty ground, so every object in range scores zero
+        and each step's tie goes to the first proposal."""
+        far = TestConformance.FAR
+        boxes = [scene.true_box(i, frame) for i in scene.ids()] + [far]
+        return [(port.make_template(frame, b), b) for b in boxes] + \
+            [(port.make_template(frame, far), boxes[0])]
 
     @pytest.mark.parametrize("config", [MockConfig(), MockConfig(jitter=1.5),
                                         MockConfig(clutter=3)],
@@ -323,11 +328,11 @@ class TestConformance:
         port = MockTracker(scene, config)
         starts = self._starts(port, scene, 30)
         got, _ = check_port(port, starts, [frames, [frames[0]]])
-        assert len(got) == len(starts) == 3
+        assert len(got) == len(starts) == 4
         if config.clutter == 0:
             # nothing in range and nothing cropped: the far chain coasts on
             # its start, proposed back as the prior at score zero
-            assert got[-1].boxes == (self.FAR,) * len(frames)
+            assert got[2].boxes == (self.FAR,) * len(frames)
 
     def test_frames_checked(self):
         scene = generate_scene(ScenarioConfig("convoy"), 103)
