@@ -18,8 +18,7 @@ from .evalkit import (EvalReport, SuccessResult, VotResult, eao_lite,
 from .geometry import BBox, Tracklet, iou, tracklet_avg_iou
 from .matching import NoViableCandidateError, build_weights, hungarian_max, resolve_target
 from .motion import (MotionState, motion_init, motion_predict, motion_update)
-from .pools import (NeighborPool, backtrack_frames, build_candidate_pool,
-                    empty_neighbor_pool, update_neighbor_pool)
+from .pools import backtrack_frames, build_candidate_pool, update_neighbor_pool
 from .simworld import (MockConfig, MockTracker, MotFormatError, ObjectSpec,
                        OcclusionEvent, Path, Scene, ScenarioConfig,
                        generate_scene, load_mot, load_scene, save_mot,
@@ -33,9 +32,7 @@ __all__ = [
     "Template", "RawCandidates", "TrackerPort",
     "CandidateSet", "filter_by_confidence", "soft_nms", "assemble",
     "MotionState", "motion_init", "motion_predict", "motion_update",
-    "NeighborPool",
-    "backtrack_frames", "build_candidate_pool", "empty_neighbor_pool",
-    "update_neighbor_pool",
+    "backtrack_frames", "build_candidate_pool", "update_neighbor_pool",
     "build_weights", "hungarian_max", "resolve_target",
     "NoViableCandidateError",
     "EngineConfig", "EngineState", "engine_init", "step",

@@ -251,7 +251,7 @@ def cmd_simulate(scenario, config_path, seeds, out_dir):
 @_add_options(engine_options)
 @click.option("--baseline-only", is_flag=True, default=False,
               help="Run only the argmax baseline, no correction.")
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
 def cmd_track(scenario, mot_path, config_path, seeds, target_id, tau, alpha,
               nms_iou, nms_sigma, gate_iou, no_kalman, baseline_only, jobs,
@@ -275,7 +275,7 @@ def cmd_track(scenario, mot_path, config_path, seeds, target_id, tau, alpha,
 @click.option("--ablate", default=None,
               help="'tau=1,3,9,27' sweeps backtrack depth; 'kalman' compares "
                    "the motion candidate on and off.")
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
 def cmd_evaluate(scenario, mot_path, config_path, seeds, target_id, tau, alpha,
                  nms_iou, nms_sigma, gate_iou, no_kalman, fail_iou, ablate,

@@ -22,8 +22,7 @@ from .geometry import BBox, Tracklet, iou, tracklet_avg_iou
 from .matching import (NoViableCandidateError, build_weights, hungarian_max,
                        resolve_target)
 from .motion import MotionState, motion_init, motion_predict, motion_update
-from .pools import NeighborPool, backtrack_frames, build_candidate_pool, \
-    empty_neighbor_pool, update_neighbor_pool
+from .pools import backtrack_frames, build_candidate_pool, update_neighbor_pool
 from .tracker_port import Template, TrackerPort, segment_frames
 
 log = logging.getLogger(__name__)
@@ -66,7 +65,7 @@ class EngineState:
     anchor: int                 # the first frame; nothing before it is tracked
     template: Template
     target: Tracklet            # selected history, ends at `frame`
-    neighbors: NeighborPool     # loser histories, end at `frame`
+    neighbors: tuple[Tracklet, ...]  # loser histories, end at `frame`
     motion: MotionState | None
 
 
@@ -77,18 +76,17 @@ def engine_init(port: TrackerPort, frame0: int, b0: BBox,
     motion = motion_init(b0, frame0) if cfg.use_kalman else None
     return EngineState(frame=frame0, anchor=frame0, template=template,
                        target=Tracklet(frame0, (b0,)),
-                       neighbors=empty_neighbor_pool(frame0),
+                       neighbors=(),
                        motion=motion)
 
 
-def _advance_neighbors_stable(neighbors: NeighborPool, cands: CandidateSet,
-                              selected: int, t: int, cfg: EngineConfig) -> NeighborPool:
+def _advance_neighbors_stable(prev: tuple[Tracklet, ...], cands: CandidateSet, selected: int,
+                              t: int, cfg: EngineConfig) -> tuple[Tracklet, ...]:
     """Cheap neighbor refresh for stable frames: greedily associate each
     unselected real candidate with a previous neighbor head by IoU and
     prepend; candidates with no association start fresh histories. The
     injected motion box has no appearance identity and is left out."""
     losers = [i for i in cands.real if i != selected]
-    prev = neighbors.entries
     scored = []
     for ci, i in enumerate(losers):
         for nj, tr in enumerate(prev):
@@ -110,7 +108,7 @@ def _advance_neighbors_stable(neighbors: NeighborPool, cands: CandidateSet,
             out.append(prev[taken_c[ci]].pushed(box, cfg.tau))
         else:
             out.append(Tracklet(t, (box,)))
-    return NeighborPool(t, tuple(out))
+    return tuple(out)
 
 
 def step(state: EngineState, frame: int, port: TrackerPort,
@@ -153,7 +151,7 @@ def step(state: EngineState, frame: int, port: TrackerPort,
         except NoViableCandidateError:
             selected, source = top, "degraded_argmax"
             log.warning("frame %d: no viable candidate, degrading to argmax", t)
-        weights_list = weights.values.tolist()
+        weights_list = weights.tolist()
         pairs_list = [list(pair) for pair in assignment.pairs]
         neighbors = update_neighbor_pool(cands, tracklets, selected, cfg.tau)
 

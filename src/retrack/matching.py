@@ -15,44 +15,16 @@ from scipy.optimize import linear_sum_assignment
 
 from .candidate_select import CandidateSet
 from .geometry import Tracklet, tracklet_avg_iou
-from .pools import NeighborPool
 
-# sums of at most a few dozen weights in [0, 1]; roundoff stays far below this
+# absolute, sized for the engine's weights: sums of at most a few dozen IoU
+# means in [0, 1] keep their roundoff far below it. `hungarian_max` checks
+# no upper bound, so weights far above 1 would want a relative tolerance
 _OPT_TOL = 1e-9
 _NO_MATCH = np.empty(0, dtype=np.intp)
 
 
 class NoViableCandidateError(RuntimeError):
     """Raised when no candidate can be tied to the target by any rule."""
-
-
-@dataclass(frozen=True)
-class WeightMatrix:
-    """Candidate-by-(neighbors + target) tracklet-overlap weights."""
-
-    values: np.ndarray      # shape (n_candidates, n_neighbors + 1)
-    n_neighbors: int
-
-    def __post_init__(self):
-        # one conversion from an array or nested lists, then one check
-        values = np.array(self.values, dtype=float)
-        values.flags.writeable = False  # validated once, so it must not change
-        object.__setattr__(self, "values", values)
-        if values.ndim != 2:
-            raise ValueError("weight matrix must be 2-D")
-        if values.shape[1] != self.n_neighbors + 1:
-            raise ValueError("column count must be n_neighbors + 1")
-        # NaN fails both comparisons, so this rejects non-finite weights too
-        if not ((values >= 0) & (values <= 1)).all():
-            raise ValueError("weights must be finite and lie in [0, 1]")
-
-    @property
-    def target_col(self) -> int:
-        return self.n_neighbors
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
 
 
 @dataclass(frozen=True)
@@ -63,20 +35,23 @@ class Assignment:
     total_weight: float
 
 
-def build_weights(tracklets: Sequence[Tracklet], neighbors: NeighborPool,
+def build_weights(tracklets: Sequence[Tracklet], neighbors: Sequence[Tracklet],
                   target: Tracklet, target_weights: Mapping[int, float] | None = None
-                  ) -> WeightMatrix:
+                  ) -> np.ndarray:
     """Tracklet-overlap weights of each candidate tracklet (a row) against
-    each neighbor and the target. `target_weights` holds target weights the
-    caller already has (the gate's overlap of the argmax tracklet with the
-    target: `tracklet_avg_iou` is symmetric bit for bit)."""
+    each neighbor and, in the last column, the target: an array of shape
+    (len(tracklets), len(neighbors) + 1). `tracklet_avg_iou` rejects a
+    neighbor that does not end on the candidates' frame. `target_weights`
+    holds target weights the caller already has (the gate's overlap of the
+    argmax tracklet with the target: `tracklet_avg_iou` is symmetric bit
+    for bit)."""
     if not tracklets:
         raise ValueError("candidate pool is empty")
     known = target_weights or {}
-    rows = [[tracklet_avg_iou(tr, nb) for nb in neighbors.entries]
+    rows = [[tracklet_avg_iou(tr, nb) for nb in neighbors]
             + [known[r] if r in known else tracklet_avg_iou(tr, target)]
             for r, tr in enumerate(tracklets)]
-    return WeightMatrix(rows, len(neighbors))
+    return np.array(rows, dtype=float)
 
 
 def _best(values: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -87,31 +62,27 @@ def _best(values: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     return float(values[rows, cols].sum()), rows, cols
 
 
-def hungarian_max(w: WeightMatrix | np.ndarray) -> Assignment:
+def hungarian_max(w: np.ndarray) -> Assignment:
     """Maximum-weight bipartite matching with deterministic tie-breaking.
 
     Among all maximum-weight matchings, the one whose sorted pair list is
     lexicographically smallest is returned: each row in turn is matched to
     the lowest column that still permits an optimal completion, and rows
-    are skipped only when no column does. Weights must be nonnegative, so
-    an optimum of full cardinality min(n_rows, n_cols) always exists.
+    are skipped only when no column does. `w` must be 2-D, non-empty,
+    finite and nonnegative, which is checked here; nonnegative weights
+    mean an optimum of full cardinality min(n_rows, n_cols) always exists.
 
     One solve gives the optimum and an optimal matching, which is kept
     consistent with the pairs fixed so far. A row's column in that
     matching needs no further solve; only a lower column is probed, by
     solving the remaining rows without it, and a successful probe's
-    matching replaces the kept one. A `WeightMatrix` was validated when
-    it was built; a raw array is checked here.
+    matching replaces the kept one.
     """
-    trusted = isinstance(w, WeightMatrix)
-    values = w.values if trusted else np.asarray(w, dtype=float)
+    values = np.asarray(w, dtype=float)
     if values.ndim != 2 or values.size == 0:
         raise ValueError("weight matrix must be 2-D and non-empty")
-    if not trusted:
-        if not np.isfinite(values).all():
-            raise ValueError("weights must be finite")
-        if (values < 0).any():
-            raise ValueError("weights must be nonnegative")
+    if not (np.isfinite(values) & (values >= 0)).all():
+        raise ValueError("weights must be finite and nonnegative")
     best, rows, cols = _best(values)
     match = dict(zip(rows.tolist(), cols.tolist()))
 
@@ -143,12 +114,13 @@ def hungarian_max(w: WeightMatrix | np.ndarray) -> Assignment:
     return Assignment(tuple(pairs), total)
 
 
-def resolve_target(assignment: Assignment, w: WeightMatrix,
+def resolve_target(assignment: Assignment, w: np.ndarray,
                    cands: CandidateSet) -> tuple[int, str]:
     """Pick the candidate index that continues the target, and say why.
 
-    Order of precedence, with the source returned alongside the index: the
-    row matched to the target column with positive weight
+    `w` is the weight array `hungarian_max` matched, the target in its last
+    column. Order of precedence, with the source returned alongside the
+    index: the row matched to the target column with positive weight
     (``target_matched``); otherwise the effectively-unmatched row with the
     highest target-column weight, provided that weight is positive
     (``best_unmatched``); otherwise the injected motion box
@@ -163,10 +135,10 @@ def resolve_target(assignment: Assignment, w: WeightMatrix,
     """
     if w.shape[0] != len(cands):
         raise ValueError("weight matrix rows must correspond to the candidate set")
-    target_col = w.target_col
+    target_col = w.shape[1] - 1
     matched_rows = set()
     for r, c in assignment.pairs:
-        if w.values[r, c] <= 0.0:
+        if w[r, c] <= 0.0:
             continue  # no-evidence pairing
         if c == target_col:
             return r, "target_matched"
@@ -175,7 +147,7 @@ def resolve_target(assignment: Assignment, w: WeightMatrix,
     for r in range(w.shape[0]):
         if r in matched_rows:
             continue
-        weight = float(w.values[r, target_col])
+        weight = float(w[r, target_col])
         if weight > best_weight:
             best_row, best_weight = r, weight
     if best_row is not None:

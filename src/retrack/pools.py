@@ -10,36 +10,16 @@ After a winner is picked, every loser's current box is pushed onto its
 backtracked history to form the next frame's neighbor tracklets; the
 oldest box is dropped once a tracklet has grown to tau, so neighbor
 histories roll forward with bounded length.
+The neighbor pool is a plain tuple of those tracklets, each ending on the
+frame just decided; `build_weights` rejects one that does not.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .candidate_select import CandidateSet
 from .geometry import Tracklet
 from .tracker_port import TrackerPort
-
-
-@dataclass(frozen=True)
-class NeighborPool:
-    """Unselected candidates' tracklets, all ending at `frame`."""
-
-    frame: int
-    entries: tuple[Tracklet, ...]
-
-    def __post_init__(self):
-        for t in self.entries:
-            if t.end_frame != self.frame:
-                raise ValueError(f"neighbor tracklet ends at {t.end_frame}, "
-                                 f"pool frame is {self.frame}")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def empty_neighbor_pool(frame: int) -> NeighborPool:
-    return NeighborPool(frame, ())
 
 
 def backtrack_frames(t: int, tau: int, anchor: int) -> range:
@@ -70,7 +50,7 @@ def build_candidate_pool(cands: CandidateSet, port: TrackerPort, frames: range,
 
 
 def update_neighbor_pool(cands: CandidateSet, tracklets: Sequence[Tracklet],
-                         selected: int, tau: int) -> NeighborPool:
+                         selected: int, tau: int) -> tuple[Tracklet, ...]:
     """Roll every unselected candidate into the next neighbor pool.
 
     `tracklets` are the candidates' backtracked histories, aligned with
@@ -85,7 +65,6 @@ def update_neighbor_pool(cands: CandidateSet, tracklets: Sequence[Tracklet],
         raise ValueError(f"tau must be at least 1, got {tau}")
     if not 0 <= selected < len(cands):
         raise ValueError(f"selected index {selected} not present in the pool")
-    entries = tuple(tr.pushed(box, tau)
-                    for i, (box, tr) in enumerate(zip(cands.boxes, tracklets, strict=True))
-                    if i != selected and i != cands.kalman_index)
-    return NeighborPool(tracklets[0].end_frame + 1, entries)
+    return tuple(tr.pushed(box, tau)
+                 for i, (box, tr) in enumerate(zip(cands.boxes, tracklets, strict=True))
+                 if i != selected and i != cands.kalman_index)

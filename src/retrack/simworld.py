@@ -335,6 +335,14 @@ class MockConfig:
     clutter: int = 0                   # spurious boxes per frame
     clutter_score: float = 0.3
 
+    def __post_init__(self):
+        if not (math.isfinite(self.jitter) and self.jitter >= 0):
+            raise ValueError(f"jitter must be finite and >= 0, got {self.jitter!r}")
+        if not isinstance(self.clutter, int) or self.clutter < 0:
+            raise ValueError(f"clutter must be an integer >= 0, got {self.clutter!r}")
+        if not 0.0 <= self.clutter_score <= 1.0:
+            raise ValueError(f"clutter_score must lie in [0, 1], got {self.clutter_score!r}")
+
 
 class MockTracker(TrackerPort):
     """Deterministic tracker over a :class:`Scene`.

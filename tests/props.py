@@ -22,8 +22,8 @@ from retrack.candidate_select import (CandidateSet, assemble,
 from retrack.evalkit import REANCHOR_SKIP, eao_lite, success_metrics, vot_metrics
 from retrack.geometry import BBox, Tracklet, iou, tracklet_avg_iou
 from retrack.motion import MIN_SIZE, motion_init, motion_predict, motion_update
-from retrack.pools import (NeighborPool, backtrack_frames, build_candidate_pool,
-                           update_neighbor_pool)
+from retrack.matching import build_weights
+from retrack.pools import backtrack_frames, build_candidate_pool, update_neighbor_pool
 from retrack.tracker_port import RawCandidates
 
 
@@ -376,12 +376,11 @@ def _(value):
     tracklets = backtrack_all(cands, ScriptPort(script), backtrack_frames(t, tau, 0))
     sel = min(sel, len(cands) - 1)
     rolled = update_neighbor_pool(cands, tracklets, sel, tau)
-    assert rolled.frame == t
     want = tuple(((box,) + tracklet.boxes)[:tau]
                  for i, (box, tracklet) in enumerate(zip(cands.boxes, tracklets))
                  if i not in (sel, kal))
-    assert tuple(tr.boxes for tr in rolled.entries) == want
-    assert all(len(tr) <= tau for tr in rolled.entries)
+    assert tuple(tr.boxes for tr in rolled) == want
+    assert all(tr.end_frame == t and len(tr) <= tau for tr in rolled)
     with pytest.raises(ValueError):
         update_neighbor_pool(cands, tracklets, len(cands) + 5, tau)
 
@@ -395,8 +394,11 @@ def _(value):
         backtrack_frames(bad_t, 3, 0)
     with pytest.raises(ValueError):
         backtrack_frames(3, bad_tau, 0)
+    # a neighbor that does not end on the candidates' frame is stale
+    box = BBox(0, 0, 1, 1)
     with pytest.raises(ValueError):
-        NeighborPool(frame, (Tracklet(frame + 1, (BBox(0, 0, 1, 1),)),))
+        build_weights((Tracklet(frame, (box,)),), (Tracklet(frame + 1, (box,)),),
+                      Tracklet(frame, (box,)))
 
 
 # ---------------------------------------------------------------------------

@@ -276,6 +276,8 @@ class TestExitCodes:
         ["evaluate", "--scenario", "convoy", "--seeds", "0", "--target-id", "99"],
         ["track", "--scenario", "convoy", "--seeds", "0", "--gate-iou", "nan"],
         ["evaluate", "--scenario", "convoy", "--seeds", "0", "--ablate", "tau=0"],
+        ["track", "--scenario", "convoy", "--seeds", "0", "--jobs", "0"],
+        ["evaluate", "--scenario", "convoy", "--seeds", "0", "--jobs", "-3"],
     ])
     def test_config_and_usage_errors_exit_one(self, tmp_path, args):
         assert main(args + ["--out", str(tmp_path / "x")]) == 1

@@ -127,11 +127,11 @@ class TestStablePath:
             assert rec["gate_overlap"] == 1.0
             assert rec["source"] == "argmax"
             assert rec["weights"] is None and rec["pairs"] is None
-            lengths.append([len(tr) for tr in state.neighbors.entries])
+            lengths.append([len(tr) for tr in state.neighbors])
         # grows by one per frame, capped at tau, fresh after the jump
         assert lengths == [[1], [2], [3], [1], [2]]
-        assert state.neighbors.frame == 5
-        assert state.neighbors.entries[0].head == D_JUMPED
+        assert state.neighbors[0].end_frame == 5
+        assert state.neighbors[0].head == D_JUMPED
 
     def test_step_requires_the_next_frame(self):
         port = ScriptPort(_two_lane_script())
@@ -331,3 +331,20 @@ def test_gate_overlap_is_the_argmax_target_weight(kind, seed):
     assert fired
     for r in fired:
         assert r["weights"][r["top"]][-1] == r["gate_overlap"]
+
+
+@pytest.mark.parametrize("tau", [9, 1], ids=["default", "tau1"])
+@pytest.mark.parametrize("kind, seed", [("crossing", 3), ("convoy", 103), ("deform", 3)])
+def test_neighbors_end_at_the_frame_within_tau(kind, seed, tau):
+    scene = generate_scene(ScenarioConfig(kind), seed)
+    port = MockTracker(scene)
+    cfg = EngineConfig(tau=tau)
+    state = engine_init(port, 0, scene.true_box(1, 0), cfg)
+    longest = 0
+    for t in range(1, scene.length):
+        _, state, _ = step(state, t, port, cfg)
+        assert state.frame == t
+        for tr in state.neighbors:
+            assert tr.end_frame == t and len(tr) <= tau, t
+            longest = max(longest, len(tr))
+    assert longest == tau  # some neighbor history grew to the cap

@@ -8,14 +8,12 @@ import retrack.matching
 from oracles import brute_force_assignment
 from retrack.candidate_select import CandidateSet
 from retrack.geometry import BBox, Tracklet, tracklet_avg_iou
-from retrack.matching import (Assignment, NoViableCandidateError, WeightMatrix,
-                              build_weights, hungarian_max, resolve_target)
-from retrack.pools import NeighborPool
+from retrack.matching import (Assignment, NoViableCandidateError, build_weights,
+                              hungarian_max, resolve_target)
 
 
 def _w(rows):
-    values = np.asarray(rows, dtype=float)
-    return WeightMatrix(values, values.shape[1] - 1)
+    return np.array(rows, dtype=float)
 
 
 def _cands(n, kalman_index=None):
@@ -24,37 +22,20 @@ def _cands(n, kalman_index=None):
 
 
 class TestWeightMatrix:
-    def test_target_col_is_last(self):
-        w = _w([[0.1, 0.2, 0.3]])
-        assert w.n_neighbors == 2
-        assert w.target_col == 2
-        assert w.shape == (1, 3)
+    """The weight array's one boundary check, made by `hungarian_max`."""
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            WeightMatrix(np.zeros(3), 2)
-        with pytest.raises(ValueError):
-            WeightMatrix(np.zeros((2, 3)), 1)
-        with pytest.raises(ValueError):
-            _w([[0.5, -0.1]])
-        with pytest.raises(ValueError):
-            _w([[0.5, 1.1]])
-        with pytest.raises(ValueError):
-            _w([[0.5, float("nan")]])
+        with pytest.raises(ValueError, match="2-D and non-empty"):
+            hungarian_max(np.zeros(3))
+        with pytest.raises(ValueError, match="2-D and non-empty"):
+            hungarian_max(np.zeros((0, 0)))
+        # no upper bound: weights above 1 are matched like any others
+        assert hungarian_max(_w([[0.5, 1.5]])).pairs == ((0, 1),)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
-                                     -0.25, 1.25])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -0.25])
     def test_rejects_weight_outside_unit_interval(self, bad):
-        with pytest.raises(ValueError, match="finite and lie in"):
-            _w([[0.5, bad], [0.0, 1.0]])
-
-    def test_values_are_a_read_only_copy(self):
-        values = np.array([[0.25, 0.5]])
-        w = WeightMatrix(values, 1)
-        with pytest.raises(ValueError):
-            w.values[0, 0] = 1.0
-        values[0, 0] = 1.0  # the caller's array stays writable and separate
-        assert w.values[0, 0] == 0.25
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            hungarian_max(_w([[0.5, bad], [0.0, 1.0]]))
 
 
 class TestHungarianMax:
@@ -134,13 +115,13 @@ class TestBuildWeights:
         t = 6
         mk = lambda xs: Tracklet(t - 1, tuple(BBox(x, 0, 4, 4) for x in xs))
         tracklets = (mk([0.0, 1.0]), mk([8.0, 9.0]))
-        neighbors = NeighborPool(t - 1, (mk([8.5, 9.5]),))
+        neighbors = (mk([8.5, 9.5]),)
         target = mk([0.5, 1.5])
         w = build_weights(tracklets, neighbors, target)
-        assert w.n_neighbors == 1
+        assert w.shape == (len(tracklets), len(neighbors) + 1)
         for r, tracklet in enumerate(tracklets):
-            assert w.values[r, 0] == tracklet_avg_iou(tracklet, neighbors.entries[0])
-            assert w.values[r, 1] == tracklet_avg_iou(tracklet, target)
+            assert w[r, 0] == tracklet_avg_iou(tracklet, neighbors[0])
+            assert w[r, 1] == tracklet_avg_iou(tracklet, target)
 
     def test_known_target_weights_are_used_verbatim(self, monkeypatch):
         t = 6
@@ -151,9 +132,9 @@ class TestBuildWeights:
         overlap = retrack.matching.tracklet_avg_iou
         monkeypatch.setattr(retrack.matching, "tracklet_avg_iou",
                             lambda p, q: calls.append((p, q)) or overlap(p, q))
-        w = build_weights(tracklets, NeighborPool(t - 1, ()), target,
-                          target_weights={1: 0.125})
-        assert w.values.tolist() == [[tracklet_avg_iou(tracklets[0], target)], [0.125]]
+        w = build_weights(tracklets, (), target, target_weights={1: 0.125})
+        assert w.shape == (2, 1)
+        assert w.tolist() == [[tracklet_avg_iou(tracklets[0], target)], [0.125]]
         assert calls == [(tracklets[0], target)]
 
     def test_rejects_misaligned_tracklets(self):
@@ -161,12 +142,12 @@ class TestBuildWeights:
         tracklet = Tracklet(t - 1, (BBox(0, 0, 4, 4),))
         stale = Tracklet(t - 2, (BBox(0, 0, 4, 4),))
         with pytest.raises(ValueError):
-            build_weights((tracklet,), NeighborPool(t - 2, (stale,)), stale)
+            build_weights((tracklet,), (stale,), stale)
 
     def test_rejects_empty_pool(self):
         target = Tracklet(5, (BBox(0, 0, 4, 4),))
         with pytest.raises(ValueError):
-            build_weights((), NeighborPool(5, ()), target)
+            build_weights((), (), target)
 
 
 class TestResolveTarget:
@@ -233,10 +214,9 @@ class TestResolveTarget:
             else:
                 values = rng.uniform(low, 1.0, size=(rows, cols))
                 values[rng.random((rows, cols)) < 0.5] = 0.0
-            w = WeightMatrix(values, cols - 1)
             cands = _cands(rows, kalman_index=rows - 1 if motion else None)
             try:
-                _, source = resolve_target(hungarian_max(w), w, cands)
+                _, source = resolve_target(hungarian_max(values), values, cands)
             except NoViableCandidateError:
                 continue
             assert source != "best_unmatched", values

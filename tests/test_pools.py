@@ -4,8 +4,7 @@ import pytest
 from conftest import DriftPort, ScriptPort, backtrack_all
 from retrack.candidate_select import CandidateSet
 from retrack.geometry import BBox, Tracklet
-from retrack.pools import (NeighborPool, backtrack_frames, build_candidate_pool,
-                           empty_neighbor_pool, update_neighbor_pool)
+from retrack.pools import backtrack_frames, build_candidate_pool, update_neighbor_pool
 
 
 def _cands(xs, kalman_index=None):
@@ -74,18 +73,17 @@ class TestUpdateNeighborPool:
     def test_losers_roll_forward_with_current_box_as_head(self):
         cands, tracklets = self._pool()
         out = update_neighbor_pool(cands, tracklets, selected=1, tau=9)
-        assert out.frame == 6
         assert len(out) == 2
-        heads = [tr.head.x for tr in out.entries]
+        heads = [tr.head.x for tr in out]
         assert heads == [0.0, 20.0]
-        for tr, old in zip(out.entries, (tracklets[0], tracklets[2])):
+        for tr, old in zip(out, (tracklets[0], tracklets[2])):
             assert tr.end_frame == 6
             assert tr.boxes[1:] == old.boxes
 
     def test_growth_capped_at_tau(self):
         cands, tracklets = self._pool(n=2, hist=4)
         out = update_neighbor_pool(cands, tracklets, selected=0, tau=4)
-        tr = out.entries[0]
+        tr = out[0]
         assert len(tr) == 4
         # newest tau boxes survive: current box plus the three newest old ones
         assert tr.head == cands.boxes[1]
@@ -95,7 +93,7 @@ class TestUpdateNeighborPool:
         cands, tracklets = self._pool(n=3, kalman_index=2)
         out = update_neighbor_pool(cands, tracklets, selected=0, tau=9)
         assert len(out) == 1
-        assert out.entries[0].head == cands.boxes[1]
+        assert out[0].head == cands.boxes[1]
 
     def test_selected_motion_box(self):
         cands, tracklets = self._pool(n=2, kalman_index=1)
@@ -115,15 +113,3 @@ class TestUpdateNeighborPool:
         with pytest.raises(ValueError):
             update_neighbor_pool(*self._pool(), selected=0, tau=0)
 
-
-class TestNeighborPool:
-    def test_empty_pool(self):
-        pool = empty_neighbor_pool(4)
-        assert len(pool) == 0
-        assert pool.frame == 4
-
-    def test_entries_must_end_at_pool_frame(self):
-        good = Tracklet(4, (BBox(0, 0, 1, 1),))
-        NeighborPool(4, (good,))
-        with pytest.raises(ValueError):
-            NeighborPool(5, (good,))

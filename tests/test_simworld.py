@@ -289,6 +289,15 @@ class TestMockTracker:
         assert len(got.boxes) == 5  # both lane objects plus three spurious
         assert all(s <= 0.3 for s in got.scores[2:])
 
+    @pytest.mark.parametrize("field, value", [
+        ("jitter", -1.0), ("jitter", math.nan), ("jitter", math.inf),
+        ("clutter", -2), ("clutter", 1.5), ("clutter_score", 3.0),
+        ("clutter_score", -0.1), ("clutter_score", math.nan),
+    ])
+    def test_bad_config_fails_when_built(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            MockConfig(**{field: value})
+
     def test_frame_bounds_validated(self):
         scene = self._world()
         tracker = MockTracker(scene)
