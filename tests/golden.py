@@ -1,6 +1,6 @@
-"""Golden decision table: one sha256 per (scenario, seed, config) run.
+"""Golden tables: one sha256 per (scenario, seed, config) run.
 
-    PYTHONPATH=src python tests/golden.py    # rewrite tests/golden_decisions.tsv
+    PYTHONPATH=src python tests/golden.py    # rewrite both tables
 
 Each digest covers the three files `retrack track` writes for one run
 (`*_baseline.csv`, `*_engine.csv`, `*_engine_log.jsonl`), produced by the
@@ -9,6 +9,11 @@ decision flips the row. Each row also names the gates and sources its
 log holds, so the table shows which decision paths it covers. A change
 that moves a row must say why in CHANGES.md; `test_golden.py`
 regenerates every row and compares.
+
+The evaluation table pins what `retrack evaluate` computes from those
+runs: each digest is that of the `comparison.csv` the command writes for
+one seed (it holds no wall-clock field), under the default failure
+threshold and under `--fail-iou 0.3`.
 """
 from __future__ import annotations
 
@@ -21,10 +26,13 @@ from pathlib import Path
 from conftest import zero_iou_scene
 from retrack import cli
 from retrack.engine import EngineConfig, run_baseline, run_sequence
+from retrack.evalkit import EvalReport
 from retrack.simworld import MockConfig, MockTracker, ScenarioConfig, generate_scene
 
 TABLE = Path(__file__).with_name("golden_decisions.tsv")
 HEADER = "scenario\tseed\tconfig\tsha256\tgates\tsources"
+EVAL_TABLE = Path(__file__).with_name("golden_evaluations.tsv")
+EVAL_HEADER = "scenario\tseed\tfail_iou\tsha256"
 
 # scenario name -> (seeds, scene builder)
 SCENES = {
@@ -47,17 +55,26 @@ CONFIGS = {
     "jitter1.5": (DEFAULT, MockConfig(jitter=1.5)),
     "clutter3": (DEFAULT, MockConfig(clutter=3)),
 }
+# the scenarios `retrack evaluate` can generate, and its `--fail-iou` values
+EVAL_SCENES = ("crossing", "convoy", "deform")
+FAIL_IOUS = (0.0, 0.3)
+
+
+def _runs(scene, target: int, engine_cfg: EngineConfig, mock_cfg: MockConfig):
+    """The baseline boxes, engine boxes and engine records of one run."""
+    port = MockTracker(scene, mock_cfg)
+    frames = range(scene.length)
+    b0 = scene.true_box(target, 0)
+    baseline = run_baseline(port, frames, b0)
+    boxes, records = run_sequence(port, frames, b0, engine_cfg)
+    return baseline, boxes, records
 
 
 def track_files(scene, source: str, target: int, engine_cfg: EngineConfig,
                 mock_cfg: MockConfig) -> tuple[str, list[dict]]:
     """The baseline CSV, engine CSV and engine log of one run, concatenated
     as `retrack track` writes them, and the engine's decision records."""
-    port = MockTracker(scene, mock_cfg)
-    frames = range(scene.length)
-    b0 = scene.true_box(target, 0)
-    baseline = run_baseline(port, frames, b0)
-    boxes, records = run_sequence(port, frames, b0, engine_cfg)
+    baseline, boxes, records = _runs(scene, target, engine_cfg, mock_cfg)
     config = {"engine": engine_cfg.as_dict(), "seed": scene.seed, "target": target,
               "source": source}
     text = (cli._boxes_csv(baseline, config) + cli._boxes_csv(boxes, config)
@@ -84,10 +101,41 @@ def rows() -> list[str]:
     return out
 
 
+def comparison_csvs(scene, source: str) -> dict[float, str]:
+    """The `comparison.csv` that `retrack evaluate` writes for this one
+    scene, keyed by `--fail-iou`: the runs are tracked once and scored
+    under each threshold."""
+    target = min(scene.ids())
+    baseline, boxes, _ = _runs(scene, target, DEFAULT, MockConfig())
+    out = {}
+    for fail_iou in FAIL_IOUS:
+        row = {"name": f"{source}_{scene.seed:04d}", "seed": scene.seed,
+               "baseline": EvalReport.compute(baseline, scene, target, fail_iou).as_dict(),
+               "engine": EvalReport.compute(boxes, scene, target, fail_iou).as_dict()}
+        out[fail_iou] = cli._comparison_csv([row])
+    return out
+
+
+def eval_rows() -> list[str]:
+    out = []
+    for name in EVAL_SCENES:
+        seeds, build = SCENES[name]
+        for seed in seeds:
+            for fail_iou, text in comparison_csvs(build(seed), name).items():
+                digest = hashlib.sha256(text.encode()).hexdigest()
+                out.append("\t".join((name, str(seed), repr(fail_iou), digest)))
+    return out
+
+
 def render() -> str:
     return "\n".join([HEADER] + rows()) + "\n"
 
 
+def render_eval() -> str:
+    return "\n".join([EVAL_HEADER] + eval_rows()) + "\n"
+
+
 if __name__ == "__main__":
     TABLE.write_text(render())
-    print(f"wrote {TABLE}", file=sys.stderr)
+    EVAL_TABLE.write_text(render_eval())
+    print(f"wrote {TABLE} and {EVAL_TABLE}", file=sys.stderr)
