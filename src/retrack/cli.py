@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -270,7 +271,8 @@ def cmd_track(scenario, mot_path, config_path, seeds, target_id, tau, alpha,
 @cli.command("evaluate")
 @_add_options(input_options)
 @_add_options(engine_options)
-@click.option("--fail-iou", type=float, default=0.0, show_default=True,
+@click.option("--fail-iou", type=click.FloatRange(0.0, 1.0, max_open=True),
+              default=0.0, show_default=True,
               help="Overlap at or below which a frame counts as a failure.")
 @click.option("--ablate", default=None,
               help="'tau=1,3,9,27' sweeps backtrack depth; 'kalman' compares "
@@ -282,6 +284,8 @@ def cmd_evaluate(scenario, mot_path, config_path, seeds, target_id, tau, alpha,
                  jobs, out_dir):
     """Run baseline and engine, compute metrics, and write a side-by-side
     report; optionally sweep an ablation axis."""
+    if math.isnan(fail_iou):  # the only value FloatRange lets through unchecked
+        raise ConfigError("--fail-iou must be in [0, 1), got nan")
     engine_cfg = _engine_cfg(tau, alpha, nms_iou, nms_sigma, gate_iou, no_kalman)
     specs = _make_specs(scenario, mot_path, config_path, seeds, target_id,
                         engine_cfg)

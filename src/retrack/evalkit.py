@@ -5,6 +5,13 @@ not exceed `fail_iou` (default 0, i.e. the boxes are disjoint) counts as a
 failure, the next frames are skipped as if the tracker were re-anchored,
 and evaluation resumes after the skip. The success/precision family treats
 the prediction list as-is, with no resets.
+
+`EvalReport.compute` overlaps the prediction with every scene object in one
+`batch_iou` call, an (objects x frames) matrix. The target's row is the
+per-frame IoU that the VOT, EAO and success figures read, and the first
+maximum of each column (none where the column is all zero) is the identity
+`id_switches` follows. The public functions are thin wrappers over the same
+private cores, so each gives what the report gives.
 """
 from __future__ import annotations
 
@@ -14,10 +21,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import BBox, iou
+from .geometry import BBox, batch_iou, box_array
 from .simworld import Scene
 
 REANCHOR_SKIP = 5  # frames consumed by a failure before evaluation resumes
+THRESHOLDS = np.linspace(0.0, 1.0, 51)  # the success curve's IoU cutoffs
 
 
 @dataclass(frozen=True)
@@ -27,7 +35,7 @@ class VotResult:
     failures: tuple[int, ...]  # frame indices where tracking was lost
 
 
-def _check_lengths(pred: Sequence[BBox], gt: Sequence[BBox]) -> int:
+def _check_lengths(pred: Sequence[BBox], gt: Sequence) -> int:
     if len(pred) != len(gt):
         raise ValueError(f"prediction/ground-truth length mismatch: "
                          f"{len(pred)} != {len(gt)}")
@@ -36,15 +44,15 @@ def _check_lengths(pred: Sequence[BBox], gt: Sequence[BBox]) -> int:
     return len(pred)
 
 
-def vot_metrics(pred: Sequence[BBox], gt: Sequence[BBox],
-                fail_iou: float = 0.0) -> VotResult:
-    """Accuracy, robustness, and failure frames under re-anchoring."""
-    n = _check_lengths(pred, gt)
+def _vot(ious: list[float], fail_iou: float) -> VotResult:
+    if not (math.isfinite(fail_iou) and 0.0 <= fail_iou < 1.0):
+        raise ValueError(f"fail_iou must be finite and in [0, 1), got {fail_iou!r}")
+    n = len(ious)
     tracked: list[float] = []
     failures: list[int] = []
     i = 0
     while i < n:
-        ov = iou(pred[i], gt[i])
+        ov = ious[i]
         if ov <= fail_iou:
             failures.append(i)
             i += REANCHOR_SKIP
@@ -55,21 +63,32 @@ def vot_metrics(pred: Sequence[BBox], gt: Sequence[BBox],
     return VotResult(accuracy, len(tracked) / n, tuple(failures))
 
 
-def eao_lite(pred: Sequence[BBox], gt: Sequence[BBox],
-             intervals: Sequence[int] = (10, 25, 50)) -> float:
-    """Mean over interval lengths of the average overlap on the first
-    min(interval, n) frames. Disjoint frames contribute zero overlap."""
-    n = _check_lengths(pred, gt)
+def vot_metrics(pred: Sequence[BBox], gt: Sequence[BBox],
+                fail_iou: float = 0.0) -> VotResult:
+    """Accuracy, robustness, and failure frames under re-anchoring;
+    `fail_iou` must be finite and in [0, 1)."""
+    _check_lengths(pred, gt)
+    return _vot(batch_iou(box_array(pred), box_array(gt)).tolist(), fail_iou)
+
+
+def _eao(ious: list[float], intervals: Sequence[int]) -> float:
     if not intervals:
         raise ValueError("need at least one interval")
-    ious = [iou(p, g) for p, g in zip(pred, gt)]
     vals = []
     for L in intervals:
         if L < 1:
             raise ValueError(f"interval lengths must be positive, got {L}")
-        m = min(L, n)
+        m = min(L, len(ious))
         vals.append(sum(ious[:m]) / m)
     return sum(vals) / len(vals)
+
+
+def eao_lite(pred: Sequence[BBox], gt: Sequence[BBox],
+             intervals: Sequence[int] = (10, 25, 50)) -> float:
+    """Mean over interval lengths of the average overlap on the first
+    min(interval, n) frames. Disjoint frames contribute zero overlap."""
+    _check_lengths(pred, gt)
+    return _eao(batch_iou(box_array(pred), box_array(gt)).tolist(), intervals)
 
 
 @dataclass(frozen=True)
@@ -82,16 +101,16 @@ class SuccessResult:
     sr75: float            # fraction of frames with IoU > 0.75
 
 
-def success_metrics(pred: Sequence[BBox], gt: Sequence[BBox]) -> SuccessResult:
-    _check_lengths(pred, gt)
-    ious = np.array([iou(p, g) for p, g in zip(pred, gt)])
-    thresholds = np.linspace(0.0, 1.0, 51)
-    auc = float(np.mean([np.mean(ious >= t) for t in thresholds]))
-    err = np.array([p.center_distance(g) for p, g in zip(pred, gt)])
-    norm_err = np.array([
-        math.hypot((p.cx - g.cx) / g.w, (p.cy - g.cy) / g.h)
-        for p, g in zip(pred, gt)
-    ])
+def _success(ious: np.ndarray, pred: np.ndarray, gt: np.ndarray) -> SuccessResult:
+    """`pred` and `gt` are box arrays; centre offsets are taken as `BBox.cx`
+    computes them and measured with `math.hypot`, which `np.hypot` may miss
+    in the last bit."""
+    auc = float(np.mean(np.mean(ious >= THRESHOLDS[:, None], axis=1)))
+    dx = (pred[:, 0] + pred[:, 2] / 2.0) - (gt[:, 0] + gt[:, 2] / 2.0)
+    dy = (pred[:, 1] + pred[:, 3] / 2.0) - (gt[:, 1] + gt[:, 3] / 2.0)
+    err = np.array([math.hypot(a, b) for a, b in zip(dx.tolist(), dy.tolist())])
+    norm_err = np.array([math.hypot(a, b) for a, b in
+                         zip((dx / gt[:, 2]).tolist(), (dy / gt[:, 3]).tolist())])
     return SuccessResult(
         auc=auc,
         precision=float(np.mean(err <= 20.0)),
@@ -102,18 +121,37 @@ def success_metrics(pred: Sequence[BBox], gt: Sequence[BBox]) -> SuccessResult:
     )
 
 
+def success_metrics(pred: Sequence[BBox], gt: Sequence[BBox]) -> SuccessResult:
+    _check_lengths(pred, gt)
+    p, g = box_array(pred), box_array(gt)
+    return _success(batch_iou(p, g), p, g)
+
+
+def _switches(overlaps: np.ndarray, target_row: int) -> int:
+    """Identity changes along the columns of an (objects x frames) overlap
+    matrix whose rows run in id order, starting from `target_row`."""
+    owners = np.where(overlaps.max(axis=0) > 0.0,
+                      overlaps.argmax(axis=0), -1)
+    return int(np.count_nonzero(np.diff(owners, prepend=target_row)))
+
+
 def id_switches(pred: Sequence[BBox], scene: Scene, target_id: int) -> int:
     """Count changes of the best-overlap identity along the prediction.
 
     Each frame is assigned to the scene object overlapping the predicted
-    box the most (none if all overlaps are zero); every change of that
-    assignment is a switch, so a jump onto a bystander and the later
-    recovery count as two. The sequence starts on `target_id`.
+    box the most, a tie going to the lower id, as `Scene.dominant_object`
+    rules (none if all overlaps are zero); every change of that assignment
+    is a switch, so a jump onto a bystander and the later recovery count as
+    two. The sequence starts on `target_id`.
     """
-    if target_id not in scene.ids():
+    ids = scene.ids()
+    if target_id not in ids:
         raise ValueError(f"unknown target id {target_id}")
-    owners = [target_id] + [scene.dominant_object(box, f) for f, box in enumerate(pred)]
-    return sum(a != b for a, b in zip(owners, owners[1:]))
+    if len(pred) > scene.length:
+        raise ValueError(f"prediction of {len(pred)} frames is longer than "
+                         f"the scene ({scene.length})")
+    overlaps = batch_iou(box_array(pred), scene._box_array[:, :len(pred)])
+    return _switches(overlaps, ids.index(target_id))
 
 
 @dataclass(frozen=True)
@@ -136,21 +174,30 @@ class EvalReport:
     def compute(cls, pred: Sequence[BBox], scene: Scene, target_id: int,
                 fail_iou: float = 0.0,
                 intervals: Sequence[int] = (10, 25, 50)) -> "EvalReport":
-        gt = scene.target_path(target_id)
-        vot = vot_metrics(pred, gt, fail_iou)
-        succ = success_metrics(pred, gt)
+        ids = scene.ids()
+        if target_id not in ids:
+            raise KeyError(target_id)
+        row = ids.index(target_id)
+        gt = scene._box_array[row]
+        _check_lengths(pred, gt)
+        p = box_array(pred)
+        overlaps = batch_iou(p, scene._box_array)
+        ious = overlaps[row]
+        ious_list = ious.tolist()
+        vot = _vot(ious_list, fail_iou)
+        succ = _success(ious, p, gt)
         return cls(
             accuracy=vot.accuracy,
             robustness=vot.robustness,
             n_failures=len(vot.failures),
-            eao=eao_lite(pred, gt, intervals),
+            eao=_eao(ious_list, intervals),
             auc=succ.auc,
             precision=succ.precision,
             norm_precision=succ.norm_precision,
             ao=succ.ao,
             sr50=succ.sr50,
             sr75=succ.sr75,
-            id_switches=id_switches(pred, scene, target_id),
+            id_switches=_switches(overlaps, row),
         )
 
     def as_dict(self) -> dict:

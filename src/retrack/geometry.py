@@ -3,6 +3,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -66,6 +69,28 @@ def iou(a: BBox, b: BBox) -> float:
         return 0.0
     inter = ix * iy
     return inter / (a.area + b.area - inter)
+
+
+def box_array(boxes: Sequence[BBox]) -> np.ndarray:
+    """The boxes as a float array of shape (len(boxes), 4), rows (x, y, w, h)."""
+    return np.array([b.as_tuple() for b in boxes], dtype=float).reshape(-1, 4)
+
+
+def batch_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`iou(a, b)` over box arrays, rows (x, y, w, h) in the last axis, with
+    numpy broadcasting over the leading axes.
+
+    Each element is computed with `iou`'s operations in `iou`'s order, so it
+    equals the scalar result bit for bit; a pair with no overlap gives 0.0.
+    """
+    ax, ay, aw, ah = np.moveaxis(a, -1, 0)
+    bx, by, bw, bh = np.moveaxis(b, -1, 0)
+    ix = np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx)
+    iy = np.minimum(ay + ah, by + bh) - np.maximum(ay, by)
+    inter = ix * iy
+    union = aw * ah + bw * bh - inter
+    return np.divide(inter, union, out=np.zeros(inter.shape),
+                     where=(ix > 0) & (iy > 0))
 
 
 @dataclass(frozen=True)

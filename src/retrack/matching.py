@@ -16,9 +16,9 @@ from scipy.optimize import linear_sum_assignment
 from .candidate_select import CandidateSet
 from .geometry import Tracklet, tracklet_avg_iou
 
-# absolute, sized for the engine's weights: sums of at most a few dozen IoU
-# means in [0, 1] keep their roundoff far below it. `hungarian_max` checks
-# no upper bound, so weights far above 1 would want a relative tolerance
+# relative to the largest weight, but never below 1e-9 absolute: sums of at
+# most a few dozen weights keep their roundoff far below it at any scale, and
+# for the engine's IoU weights, at most 1, it is exactly 1e-9
 _OPT_TOL = 1e-9
 _NO_MATCH = np.empty(0, dtype=np.intp)
 
@@ -99,7 +99,9 @@ def hungarian_max(w: np.ndarray) -> Assignment:
                 break
             rest_cols = [x for x in free_cols if x != c]
             rest, rows, cols = _best(values[r + 1:, rest_cols])
-            if fixed + values[r, c] + rest >= best - _OPT_TOL:
+            # only a probe scans for the largest weight
+            tol = _OPT_TOL * max(1.0, values.max())
+            if fixed + values[r, c] + rest >= best - tol:
                 chosen = c
                 match = {r + 1 + i: rest_cols[j]
                          for i, j in zip(rows.tolist(), cols.tolist())}
@@ -128,10 +130,11 @@ def resolve_target(assignment: Assignment, w: np.ndarray,
     motion box left to fall back on, there is no viable candidate.
 
     Given `hungarian_max`'s assignment, ``best_unmatched`` needs a target
-    weight within ``_OPT_TOL`` of zero: a row with target weight x > 0 and
-    no positive pairing could move onto the target column, which holds no
-    positive pairing either, and raise the total by x, so an assignment
-    optimal to within ``_OPT_TOL`` leaves it there only if x is that small.
+    weight within its tolerance of zero (``_OPT_TOL`` for weights of at most
+    1): a row with target weight x > 0 and no positive pairing could move
+    onto the target column, which holds no positive pairing either, and
+    raise the total by x, so an assignment optimal to within the tolerance
+    leaves it there only if x is that small.
     """
     if w.shape[0] != len(cands):
         raise ValueError("weight matrix rows must correspond to the candidate set")

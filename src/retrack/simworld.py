@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import BBox, Tracklet, iou
+from .geometry import BBox, Tracklet, box_array, iou
 from .tracker_port import (RawCandidates, Template, TrackerPort, newest_first,
                            segment_frames)
 
@@ -143,6 +143,7 @@ class Scene:
     _eff_apps: dict = field(init=False, repr=False)    # occlusion-mixed appearance
     _visibility: dict = field(init=False, repr=False)
     _tables: tuple = field(init=False, repr=False)     # per object, in id order
+    _box_array: np.ndarray = field(init=False, repr=False)  # (objects, length, 4)
 
     def __post_init__(self):
         if self.length < 1:
@@ -160,7 +161,10 @@ class Scene:
         visibility as plain floats, and raw and effective appearance rows.
         `_tables` holds one `(id, boxes, visibility, effective appearances)`
         tuple per object, in id order, sharing those tables: the mock
-        tracker scores from it without a lookup by id."""
+        tracker scores from it without a lookup by id. `_box_array` holds
+        the same true boxes as one float array of shape (objects, length,
+        4), rows (x, y, w, h) and objects in id order: evaluation overlaps
+        a whole prediction with every object in one call."""
         dim = len(self.objects[0].appearance) if self.objects else 16
         if self.static_appearance is None:
             wall = _random_unit(np.random.default_rng([self.seed, 911]), dim)
@@ -191,6 +195,9 @@ class Scene:
             self._eff_apps[obj.id] = eff
         self._tables = tuple((obj.id, self._boxes[obj.id], self._visibility[obj.id],
                               self._eff_apps[obj.id]) for obj in self.objects)
+        self._box_array = box_array(
+            [b for obj in self.objects for b in self._boxes[obj.id]]
+        ).reshape(len(self.objects), self.length, 4)
 
     def _walk_appearance(self, obj: ObjectSpec, dim: int) -> np.ndarray:
         base = _unit(np.asarray(obj.appearance, dtype=float))

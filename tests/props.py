@@ -19,11 +19,13 @@ from hypothesis import strategies as st
 from conftest import ScriptPort, backtrack_all
 from retrack.candidate_select import (CandidateSet, assemble,
                                       filter_by_confidence, soft_nms)
-from retrack.evalkit import REANCHOR_SKIP, eao_lite, success_metrics, vot_metrics
-from retrack.geometry import BBox, Tracklet, iou, tracklet_avg_iou
+from retrack.evalkit import (REANCHOR_SKIP, EvalReport, eao_lite, id_switches,
+                             success_metrics, vot_metrics)
+from retrack.geometry import BBox, Tracklet, batch_iou, box_array, iou, tracklet_avg_iou
 from retrack.motion import MIN_SIZE, motion_init, motion_predict, motion_update
 from retrack.matching import build_weights
 from retrack.pools import backtrack_frames, build_candidate_pool, update_neighbor_pool
+from retrack.simworld import ObjectSpec, Path, Scene
 from retrack.tracker_port import RawCandidates
 
 
@@ -493,3 +495,55 @@ def _(gt):
     assert succ.norm_precision == 1.0
     assert succ.sr50 == 1.0
     assert succ.auc >= 50 / 51
+
+
+@st.composite
+def partnered_boxes(draw):
+    """Boxes, and for each one a partner that is often identical, nested in
+    it or touching one of its edges."""
+    first = draw(box_lists(1, 12))
+    return first, [draw(partner_box(a)) for a in first]
+
+
+@prop("evalkit", "batch_iou_matches_iou_bit_for_bit", partnered_boxes())
+def _(value):
+    first, second = value
+    want = [iou(a, b).hex() for a, b in zip(first, second)]
+    a, b = box_array(first), box_array(second)
+    assert [v.hex() for v in batch_iou(a, b).tolist()] == want
+    # broadcast against a stack of rows, as evaluation overlaps every object
+    stacked = batch_iou(a, np.stack([b, a]))
+    assert [v.hex() for v in stacked[0].tolist()] == want
+    assert (stacked[1] == [iou(x, x) for x in first]).all()
+
+
+@st.composite
+def tied_scenes(draw):
+    """A scene of 1-4 objects whose boxes come from a pool of at most three,
+    so two objects often share a box and tie on every overlap, a target id,
+    and a prediction whose boxes hit the pool, touch or nest in it, or lie
+    far from everything."""
+    length = draw(st.integers(1, 10))
+    pool = draw(box_lists(1, 3))
+    ids = draw(st.lists(st.integers(1, 9), min_size=1, max_size=4, unique=True))
+    objects = tuple(
+        ObjectSpec(i, Path("frames", boxes=tuple(
+            draw(st.sampled_from(pool)).as_tuple() for _ in range(length))),
+            (1.0, 0.0, 0.0, 0.0))
+        for i in ids)
+    scene = Scene(length, (1000.0, 1000.0), 0, objects,
+                  static_appearance=(0.0, 0.0, 1.0, 0.0))
+    far = BBox(5000.0, 5000.0, 1.0, 1.0)
+    pred = [draw(st.one_of(st.just(far), st.sampled_from(pool),
+                           st.sampled_from(pool).flatmap(partner_box)))
+            for _ in range(length)]
+    return scene, draw(st.sampled_from(ids)), pred
+
+
+@prop("evalkit", "id_switches_follow_the_dominant_object", tied_scenes())
+def _(value):
+    scene, target, pred = value
+    owners = [target] + [scene.dominant_object(box, f) for f, box in enumerate(pred)]
+    want = sum(a != b for a, b in zip(owners, owners[1:]))
+    assert id_switches(pred, scene, target) == want
+    assert EvalReport.compute(pred, scene, target).id_switches == want

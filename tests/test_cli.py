@@ -278,6 +278,10 @@ class TestExitCodes:
         ["evaluate", "--scenario", "convoy", "--seeds", "0", "--ablate", "tau=0"],
         ["track", "--scenario", "convoy", "--seeds", "0", "--jobs", "0"],
         ["evaluate", "--scenario", "convoy", "--seeds", "0", "--jobs", "-3"],
+        ["evaluate", "--scenario", "crossing", "--seeds", "0", "--fail-iou", "nan"],
+        ["evaluate", "--scenario", "crossing", "--seeds", "0", "--fail-iou", "-1"],
+        ["evaluate", "--scenario", "crossing", "--seeds", "0", "--fail-iou", "1"],
+        ["evaluate", "--scenario", "crossing", "--seeds", "0", "--fail-iou", "1.5"],
     ])
     def test_config_and_usage_errors_exit_one(self, tmp_path, args):
         assert main(args + ["--out", str(tmp_path / "x")]) == 1

@@ -57,6 +57,16 @@ class TestVotMetrics:
         with pytest.raises(ValueError):
             vot_metrics([], [])
 
+    @pytest.mark.parametrize("fail_iou", [float("nan"), float("inf"), -1.0, -1e-12,
+                                          1.0, 1.5])
+    def test_rejects_a_failure_threshold_outside_the_unit_interval(self, fail_iou):
+        with pytest.raises(ValueError, match="fail_iou"):
+            vot_metrics([BOX], [BOX], fail_iou)
+
+    def test_accepts_thresholds_in_the_half_open_interval(self):
+        assert vot_metrics([BOX], [BOX], 0.0).robustness == 1.0
+        assert vot_metrics([BOX], [BOX], 0.999).robustness == 1.0
+
 
 class TestEaoLite:
     def test_interval_averaging(self):

@@ -62,6 +62,18 @@ class TestHungarianMax:
                 assert got.total_weight == total
                 assert got.pairs == pairs
 
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6, 1e8, 1e10, 1e12])
+    def test_tie_break_holds_at_every_weight_scale(self, scale):
+        # the first column copies the last, so exact ties exist; an absolute
+        # tolerance let roundoff above 1e-9 pick a later column from 1e8 on
+        rng = np.random.default_rng(0)
+        for _ in range(400):
+            rows, cols = int(rng.integers(2, 6)), int(rng.integers(2, 6))
+            values = rng.random((rows, cols)) * scale
+            values[rng.random((rows, cols)) < 0.4] = 0.0
+            values[:, 0] = values[:, -1]
+            assert hungarian_max(values).pairs == brute_force_assignment(values)[0]
+
     @pytest.mark.parametrize("values, pairs, solves", [
         # the solver's matching is already the lexicographically smallest
         ([[1.0, 0.25], [0.25, 1.0], [0.0, 0.0]], ((0, 0), (1, 1)), 1),
