@@ -25,7 +25,7 @@ from .geometry import BBox, batch_iou, box_array
 from .simworld import Scene
 
 REANCHOR_SKIP = 5  # frames consumed by a failure before evaluation resumes
-THRESHOLDS = np.linspace(0.0, 1.0, 51)  # the success curve's IoU cutoffs
+_THRESHOLDS = np.linspace(0.0, 1.0, 51)  # the success curve's IoU cutoffs
 
 
 @dataclass(frozen=True)
@@ -35,13 +35,12 @@ class VotResult:
     failures: tuple[int, ...]  # frame indices where tracking was lost
 
 
-def _check_lengths(pred: Sequence[BBox], gt: Sequence) -> int:
+def _check_lengths(pred: Sequence[BBox], gt: Sequence) -> None:
     if len(pred) != len(gt):
         raise ValueError(f"prediction/ground-truth length mismatch: "
                          f"{len(pred)} != {len(gt)}")
     if len(pred) == 0:
         raise ValueError("empty sequence")
-    return len(pred)
 
 
 def _vot(ious: list[float], fail_iou: float) -> VotResult:
@@ -101,23 +100,30 @@ class SuccessResult:
     sr75: float            # fraction of frames with IoU > 0.75
 
 
+def _fraction(mask: np.ndarray) -> float:
+    """Share of true entries: the exact count over the length, the value
+    `np.mean` of a boolean array gives."""
+    return int(np.count_nonzero(mask)) / mask.size
+
+
 def _success(ious: np.ndarray, pred: np.ndarray, gt: np.ndarray) -> SuccessResult:
     """`pred` and `gt` are box arrays; centre offsets are taken as `BBox.cx`
     computes them and measured with `math.hypot`, which `np.hypot` may miss
     in the last bit."""
-    auc = float(np.mean(np.mean(ious >= THRESHOLDS[:, None], axis=1)))
+    curve = np.count_nonzero(ious >= _THRESHOLDS[:, None], axis=1) / len(ious)
+    auc = float(np.mean(curve))
     dx = (pred[:, 0] + pred[:, 2] / 2.0) - (gt[:, 0] + gt[:, 2] / 2.0)
     dy = (pred[:, 1] + pred[:, 3] / 2.0) - (gt[:, 1] + gt[:, 3] / 2.0)
-    err = np.array([math.hypot(a, b) for a, b in zip(dx.tolist(), dy.tolist())])
-    norm_err = np.array([math.hypot(a, b) for a, b in
-                         zip((dx / gt[:, 2]).tolist(), (dy / gt[:, 3]).tolist())])
+    err = np.array(list(map(math.hypot, dx.tolist(), dy.tolist())))
+    norm_err = np.array(list(map(math.hypot, (dx / gt[:, 2]).tolist(),
+                                 (dy / gt[:, 3]).tolist())))
     return SuccessResult(
         auc=auc,
-        precision=float(np.mean(err <= 20.0)),
-        norm_precision=float(np.mean(norm_err <= 0.2)),
+        precision=_fraction(err <= 20.0),
+        norm_precision=_fraction(norm_err <= 0.2),
         ao=float(ious.mean()),
-        sr50=float(np.mean(ious > 0.5)),
-        sr75=float(np.mean(ious > 0.75)),
+        sr50=_fraction(ious > 0.5),
+        sr75=_fraction(ious > 0.75),
     )
 
 
@@ -127,12 +133,20 @@ def success_metrics(pred: Sequence[BBox], gt: Sequence[BBox]) -> SuccessResult:
     return _success(batch_iou(p, g), p, g)
 
 
+def _target_row(scene: Scene, target_id: int) -> int:
+    """The target's row in `scene._box_array`: objects run in id order."""
+    ids = scene.ids()
+    if target_id not in ids:
+        raise ValueError(f"unknown target id {target_id}")
+    return ids.index(target_id)
+
+
 def _switches(overlaps: np.ndarray, target_row: int) -> int:
     """Identity changes along the columns of an (objects x frames) overlap
     matrix whose rows run in id order, starting from `target_row`."""
-    owners = np.where(overlaps.max(axis=0) > 0.0,
-                      overlaps.argmax(axis=0), -1)
-    return int(np.count_nonzero(np.diff(owners, prepend=target_row)))
+    owners = np.where(overlaps.any(axis=0), overlaps.argmax(axis=0), -1)
+    return int(np.count_nonzero(owners[:1] != target_row)
+               + np.count_nonzero(owners[1:] != owners[:-1]))
 
 
 def id_switches(pred: Sequence[BBox], scene: Scene, target_id: int) -> int:
@@ -144,14 +158,12 @@ def id_switches(pred: Sequence[BBox], scene: Scene, target_id: int) -> int:
     is a switch, so a jump onto a bystander and the later recovery count as
     two. The sequence starts on `target_id`.
     """
-    ids = scene.ids()
-    if target_id not in ids:
-        raise ValueError(f"unknown target id {target_id}")
+    row = _target_row(scene, target_id)
     if len(pred) > scene.length:
         raise ValueError(f"prediction of {len(pred)} frames is longer than "
                          f"the scene ({scene.length})")
     overlaps = batch_iou(box_array(pred), scene._box_array[:, :len(pred)])
-    return _switches(overlaps, ids.index(target_id))
+    return _switches(overlaps, row)
 
 
 @dataclass(frozen=True)
@@ -174,10 +186,7 @@ class EvalReport:
     def compute(cls, pred: Sequence[BBox], scene: Scene, target_id: int,
                 fail_iou: float = 0.0,
                 intervals: Sequence[int] = (10, 25, 50)) -> "EvalReport":
-        ids = scene.ids()
-        if target_id not in ids:
-            raise KeyError(target_id)
-        row = ids.index(target_id)
+        row = _target_row(scene, target_id)
         gt = scene._box_array[row]
         _check_lengths(pred, gt)
         p = box_array(pred)

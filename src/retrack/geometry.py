@@ -83,8 +83,8 @@ def batch_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Each element is computed with `iou`'s operations in `iou`'s order, so it
     equals the scalar result bit for bit; a pair with no overlap gives 0.0.
     """
-    ax, ay, aw, ah = np.moveaxis(a, -1, 0)
-    bx, by, bw, bh = np.moveaxis(b, -1, 0)
+    ax, ay, aw, ah = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bx, by, bw, bh = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
     ix = np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx)
     iy = np.minimum(ay + ah, by + bh) - np.maximum(ay, by)
     inter = ix * iy

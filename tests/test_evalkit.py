@@ -3,8 +3,10 @@ import pytest
 
 from retrack.evalkit import (REANCHOR_SKIP, EvalReport, eao_lite, id_switches,
                              success_metrics, vot_metrics)
+from retrack.engine import run_baseline
 from retrack.geometry import BBox
-from retrack.simworld import ObjectSpec, Path, Scene
+from retrack.simworld import (MockTracker, ObjectSpec, Path, Scene, ScenarioConfig,
+                              generate_scene)
 
 BOX = BBox(20.0, 20.0, 10.0, 10.0)
 FAR = BBox(300.0, 300.0, 10.0, 10.0)
@@ -151,6 +153,13 @@ class TestIdSwitches:
         with pytest.raises(ValueError):
             id_switches([BOX, BOX], scene, target_id=9)
 
+    def test_prediction_may_stop_early_but_not_outrun_the_scene(self):
+        scene = _two_object_scene(length=2)
+        assert id_switches([scene.true_box(2, 0)], scene, target_id=1) == 1
+        assert id_switches([], scene, target_id=1) == 0
+        with pytest.raises(ValueError, match="longer than the scene"):
+            id_switches([BOX] * 3, scene, target_id=1)
+
 
 class TestEvalReport:
     def test_perfect_run_report(self):
@@ -178,3 +187,22 @@ class TestEvalReport:
         scene = _two_object_scene(length=12)
         with pytest.raises(ValueError):
             EvalReport.compute([BOX] * 5, scene, target_id=1)
+        with pytest.raises(ValueError, match="unknown target id"):
+            EvalReport.compute(scene.target_path(1), scene, target_id=9)
+
+    @pytest.mark.parametrize("fail_iou", [0.0, 0.3])
+    def test_fields_are_those_of_the_public_functions(self, fail_iou):
+        # the baseline at the crossing is hijacked: failures, a switch and
+        # frames overlapping nothing
+        scene = generate_scene(ScenarioConfig("crossing"), 3)
+        pred = run_baseline(MockTracker(scene), range(scene.length),
+                            scene.true_box(1, 0))
+        gt = scene.target_path(1)
+        vot, succ = vot_metrics(pred, gt, fail_iou), success_metrics(pred, gt)
+        want = {"accuracy": vot.accuracy, "robustness": vot.robustness,
+                "n_failures": len(vot.failures), "eao": eao_lite(pred, gt),
+                **{k: getattr(succ, k) for k in ("auc", "precision", "norm_precision",
+                                                 "ao", "sr50", "sr75")},
+                "id_switches": id_switches(pred, scene, 1)}
+        assert want["n_failures"] > 0 and want["id_switches"] > 0
+        assert EvalReport.compute(pred, scene, 1, fail_iou).as_dict() == want
