@@ -127,15 +127,11 @@ def eval_rows() -> list[str]:
     return out
 
 
-def render() -> str:
-    return "\n".join([HEADER] + rows()) + "\n"
-
-
-def render_eval() -> str:
-    return "\n".join([EVAL_HEADER] + eval_rows()) + "\n"
+def render(header: str, lines: list[str]) -> str:
+    return "\n".join([header] + lines) + "\n"
 
 
 if __name__ == "__main__":
-    TABLE.write_text(render())
-    EVAL_TABLE.write_text(render_eval())
+    TABLE.write_text(render(HEADER, rows()))
+    EVAL_TABLE.write_text(render(EVAL_HEADER, eval_rows()))
     print(f"wrote {TABLE} and {EVAL_TABLE}", file=sys.stderr)
