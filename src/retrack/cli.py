@@ -6,6 +6,10 @@ command produces byte-identical files, except for the seconds per frame
 `evaluate` writes (`*_spf` in `report.json`, `ablation_*.csv`'s last
 column). Flags can also be set through
 environment variables prefixed with RETRACK_ (e.g. RETRACK_TRACK_TAU).
+
+One job per seed builds its scene and runs the baseline once, then the
+engine once per distinct config: `track`'s one config (none under
+`--baseline-only`), or `evaluate`'s main config and each other `--ablate` value.
 """
 from __future__ import annotations
 
@@ -22,7 +26,7 @@ import click
 from .engine import EngineConfig, run_baseline, run_sequence
 from .evalkit import EvalReport
 from .geometry import BBox
-from .simworld import (SCENARIOS, MockConfig, MockTracker, MotFormatError, Scene,
+from .simworld import (SCENARIOS, MockTracker, MotFormatError, Scene,
                        ScenarioConfig, generate_scene, load_mot, save_scene)
 
 TRACK_FORMAT = "retrack-track-v1"
@@ -59,15 +63,13 @@ def _scenario_config(scenario: str, config_path: str | None) -> ScenarioConfig:
 
 @dataclasses.dataclass(frozen=True)
 class RunSpec:
-    """One tracking run, fully determined and picklable."""
+    """One seed's scene source, fully determined and picklable."""
 
     name: str
     scenario_cfg: ScenarioConfig | None
     mot_path: str | None
     seed: int
     target_id: int | None
-    engine_cfg: EngineConfig
-    baseline_only: bool
 
     def build_scene(self) -> Scene:
         if self.mot_path is not None:
@@ -84,27 +86,28 @@ def _resolve_target(scene: Scene, target_id: int | None) -> int:
     return target_id
 
 
-def _execute_run(spec: RunSpec) -> dict:
-    """Run baseline and/or engine over one scene; returns results keyed by
-    system name, plus the scene-independent metadata."""
+def _timed(fn, *args) -> tuple:
+    start = time.perf_counter()
+    return fn(*args), time.perf_counter() - start
+
+
+def _execute_run(spec: RunSpec, cfgs: list[EngineConfig]) -> tuple:
+    """Build the scene once, run the baseline, then the engine under each of
+    `cfgs`. Returns the scene, the target, the baseline as `(boxes,
+    seconds)` and one `(boxes, records, seconds)` per config. Every run
+    gets its own tracker, so no run is timed on a template cache that
+    another filled."""
     scene = spec.build_scene()
     target = _resolve_target(scene, spec.target_id)
-    port = MockTracker(scene, MockConfig())
     frames = range(scene.length)
     b0 = scene.true_box(target, 0)
-    out: dict = {"name": spec.name, "seed": spec.seed, "target": target,
-                 "length": scene.length}
-    start = time.perf_counter()
-    out["baseline"] = run_baseline(port, frames, b0)
-    out["baseline_seconds"] = time.perf_counter() - start
-    if not spec.baseline_only:
-        start = time.perf_counter()
-        boxes, records = run_sequence(port, frames, b0, spec.engine_cfg)
-        out["engine_seconds"] = time.perf_counter() - start
-        out["engine"] = boxes
-        out["records"] = records
-    out["scene"] = scene
-    return out
+    baseline_run = _timed(run_baseline, MockTracker(scene), frames, b0)
+    engine_runs = []
+    for cfg in cfgs:
+        (boxes, records), seconds = _timed(run_sequence, MockTracker(scene),
+                                           frames, b0, cfg)
+        engine_runs.append((boxes, records, seconds))
+    return scene, target, baseline_run, engine_runs
 
 
 def _boxes_csv(boxes: list[BBox], config: dict) -> str:
@@ -122,33 +125,32 @@ def _records_jsonl(records: list[dict], config: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _track_one(args: tuple[RunSpec, str]) -> str:
-    spec, out_dir = args
-    result = _execute_run(spec)
+def _track_one(args: tuple[RunSpec, EngineConfig, bool, str]) -> str:
+    spec, engine_cfg, baseline_only, out_dir = args
+    _, target, (baseline, _), engine_runs = _execute_run(
+        spec, [] if baseline_only else [engine_cfg])
     out = FsPath(out_dir)
-    config = {"engine": spec.engine_cfg.as_dict(), "seed": spec.seed,
-              "target": result["target"],
+    config = {"engine": engine_cfg.as_dict(), "seed": spec.seed, "target": target,
               "source": spec.mot_path or spec.scenario_cfg.kind}
-    (out / f"{spec.name}_baseline.csv").write_text(
-        _boxes_csv(result["baseline"], config))
-    if "engine" in result:
-        (out / f"{spec.name}_engine.csv").write_text(
-            _boxes_csv(result["engine"], config))
+    (out / f"{spec.name}_baseline.csv").write_text(_boxes_csv(baseline, config))
+    for boxes, records, _ in engine_runs:
+        (out / f"{spec.name}_engine.csv").write_text(_boxes_csv(boxes, config))
         (out / f"{spec.name}_engine_log.jsonl").write_text(
-            _records_jsonl(result["records"], config))
+            _records_jsonl(records, config))
     return spec.name
 
 
-def _eval_one(args: tuple[RunSpec, float]) -> dict:
-    spec, fail_iou = args
-    result = _execute_run(spec)
-    scene, target = result["scene"], result["target"]
-    row: dict = {"name": result["name"], "seed": spec.seed}
-    for system in ("baseline", "engine"):
-        report = EvalReport.compute(result[system], scene, target, fail_iou)
-        row[system] = report.as_dict()
-        row[f"{system}_spf"] = result[f"{system}_seconds"] / scene.length
-    return row
+def _eval_one(args: tuple[RunSpec, list[EngineConfig], float]) -> list[dict]:
+    """One comparison row per config in `cfgs`, each scored against the
+    seed's one baseline report."""
+    spec, cfgs, fail_iou = args
+    scene, target, (baseline, baseline_s), engine_runs = _execute_run(spec, cfgs)
+    base = EvalReport.compute(baseline, scene, target, fail_iou).as_dict()
+    return [{"name": spec.name, "seed": spec.seed,
+             "baseline": base, "baseline_spf": baseline_s / scene.length,
+             "engine": EvalReport.compute(boxes, scene, target, fail_iou).as_dict(),
+             "engine_spf": seconds / scene.length}
+            for boxes, _, seconds in engine_runs]
 
 
 def _map_jobs(fn, items: list, jobs: int) -> list:
@@ -216,16 +218,14 @@ def _engine_cfg(tau: int, alpha: float, nms_iou: float, nms_sigma: float,
         raise ConfigError(str(exc)) from None
 
 
-def _make_specs(scenario, mot_path, config_path, seeds, target_id,
-                engine_cfg, baseline_only=False) -> list[RunSpec]:
+def _make_specs(scenario, mot_path, config_path, seeds, target_id) -> list[RunSpec]:
     if (scenario is None) == (mot_path is None):
         raise ConfigError("exactly one of --scenario or --mot is required")
     seed_list = _parse_seeds(seeds)
     scenario_cfg = None if mot_path else _scenario_config(scenario, config_path)
     stem = FsPath(mot_path).stem if mot_path else scenario
     return [RunSpec(name=f"{stem}_{seed:04d}", scenario_cfg=scenario_cfg,
-                    mot_path=mot_path, seed=seed, target_id=target_id,
-                    engine_cfg=engine_cfg, baseline_only=baseline_only)
+                    mot_path=mot_path, seed=seed, target_id=target_id)
             for seed in seed_list]
 
 
@@ -260,11 +260,11 @@ def cmd_track(scenario, mot_path, config_path, seeds, target_id, tau, alpha,
     """Track scenes with the baseline and the correction engine; write one
     CSV per system per seed plus a decision log for the engine."""
     engine_cfg = _engine_cfg(tau, alpha, nms_iou, nms_sigma, gate_iou, no_kalman)
-    specs = _make_specs(scenario, mot_path, config_path, seeds, target_id,
-                        engine_cfg, baseline_only)
+    specs = _make_specs(scenario, mot_path, config_path, seeds, target_id)
     out = FsPath(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    names = _map_jobs(_track_one, [(s, str(out)) for s in specs], jobs)
+    names = _map_jobs(_track_one,
+                      [(s, engine_cfg, baseline_only, str(out)) for s in specs], jobs)
     click.echo(f"tracked {len(names)} run(s) into {out}")
 
 
@@ -287,14 +287,17 @@ def cmd_evaluate(scenario, mot_path, config_path, seeds, target_id, tau, alpha,
     if math.isnan(fail_iou):  # the only value FloatRange lets through unchecked
         raise ConfigError("--fail-iou must be in [0, 1), got nan")
     engine_cfg = _engine_cfg(tau, alpha, nms_iou, nms_sigma, gate_iou, no_kalman)
-    specs = _make_specs(scenario, mot_path, config_path, seeds, target_id,
-                        engine_cfg)
+    specs = _make_specs(scenario, mot_path, config_path, seeds, target_id)
     # a bad sweep spec fails before the main evaluation writes anything
-    ablation = _ablation_configs(ablate, engine_cfg) if ablate else None
+    axis, values, swept = (_ablation_configs(ablate, engine_cfg) if ablate
+                           else (None, [], []))
+    cfgs = list(dict.fromkeys([engine_cfg, *swept]))
     out = FsPath(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    rows = _map_jobs(_eval_one, [(s, fail_iou) for s in specs], jobs)
+    # per seed, one row per config in `cfgs`; the main config's is first
+    per_seed = _map_jobs(_eval_one, [(s, cfgs, fail_iou) for s in specs], jobs)
+    rows = [seed_rows[0] for seed_rows in per_seed]
     aggregate = _aggregate(rows)
     report = {
         "config": {"engine": engine_cfg.as_dict(), "fail_iou": fail_iou,
@@ -308,8 +311,15 @@ def cmd_evaluate(scenario, mot_path, config_path, seeds, target_id, tau, alpha,
                f"engine robustness {aggregate['engine']['robustness']:.3f} | "
                f"delta {aggregate['delta']['robustness']:+.3f}")
 
-    if ablation:
-        _run_ablation(*ablation, specs, fail_iou, jobs, out)
+    if ablate:
+        lines = [f"{axis},auc,robustness,seconds_per_frame"]
+        for value, cfg in zip(values, swept):
+            col = [seed_rows[cfgs.index(cfg)] for seed_rows in per_seed]
+            auc = sum(r["engine"]["auc"] for r in col) / len(col)
+            rob = sum(r["engine"]["robustness"] for r in col) / len(col)
+            spf = sum(r["engine_spf"] for r in col) / len(col)
+            lines.append(f"{int(value)},{auc!r},{rob!r},{spf!r}")
+        (out / f"ablation_{axis}.csv").write_text("\n".join(lines) + "\n")
     click.echo(f"report written to {out}")
 
 
@@ -362,20 +372,6 @@ def _ablation_configs(ablate: str, engine_cfg: EngineConfig
     except ValueError as exc:
         raise ConfigError(f"ablation {ablate!r}: {exc}") from None
     return axis, values, cfgs
-
-
-def _run_ablation(axis: str, values: list, cfgs: list[EngineConfig],
-                  specs: list[RunSpec], fail_iou: float, jobs: int,
-                  out: FsPath) -> None:
-    lines = [f"{axis},auc,robustness,seconds_per_frame"]
-    for value, cfg in zip(values, cfgs):
-        variants = [dataclasses.replace(s, engine_cfg=cfg) for s in specs]
-        rows = _map_jobs(_eval_one, [(s, fail_iou) for s in variants], jobs)
-        auc = sum(r["engine"]["auc"] for r in rows) / len(rows)
-        rob = sum(r["engine"]["robustness"] for r in rows) / len(rows)
-        spf = sum(r["engine_spf"] for r in rows) / len(rows)
-        lines.append(f"{int(value)},{auc!r},{rob!r},{spf!r}")
-    (out / f"ablation_{axis}.csv").write_text("\n".join(lines) + "\n")
 
 
 def main(argv=None) -> int:

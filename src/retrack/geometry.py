@@ -49,12 +49,6 @@ class BBox:
     def diagonal(self) -> float:
         return math.hypot(self.w, self.h)
 
-    def center_distance(self, other: "BBox") -> float:
-        return math.hypot(self.cx - other.cx, self.cy - other.cy)
-
-    def translated(self, dx: float, dy: float) -> "BBox":
-        return BBox(self.x + dx, self.y + dy, self.w, self.h)
-
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x, self.y, self.w, self.h)
 

@@ -139,7 +139,6 @@ class Scene:
     static_appearance: tuple[float, ...] | None = None
 
     _boxes: dict = field(init=False, repr=False)
-    _apps: dict = field(init=False, repr=False)        # raw (drifted) appearance
     _eff_apps: dict = field(init=False, repr=False)    # occlusion-mixed appearance
     _visibility: dict = field(init=False, repr=False)
     _tables: tuple = field(init=False, repr=False)     # per object, in id order
@@ -158,7 +157,8 @@ class Scene:
 
     def _derive(self):
         """Per-frame tables of every object, keyed by id: true boxes,
-        visibility as plain floats, and raw and effective appearance rows.
+        visibility as plain floats, and effective appearance rows (the raw,
+        drifted appearance mixed with that of any occluder).
         `_tables` holds one `(id, boxes, visibility, effective appearances)`
         tuple per object, in id order, sharing those tables: the mock
         tracker scores from it without a lookup by id. `_box_array` holds
@@ -170,16 +170,16 @@ class Scene:
             wall = _random_unit(np.random.default_rng([self.seed, 911]), dim)
             self.static_appearance = tuple(float(v) for v in wall)
         self._boxes = {}
-        self._apps = {}
+        apps = {}  # raw (drifted) appearance
         for obj in self.objects:
             self._boxes[obj.id] = [obj.path.box_at(f) for f in range(self.length)]
-            self._apps[obj.id] = self._walk_appearance(obj, dim)
+            apps[obj.id] = self._walk_appearance(obj, dim)
         self._visibility = {}
         self._eff_apps = {}
         wall = np.asarray(self.static_appearance, dtype=float)
         for obj in self.objects:
             vis = [1.0] * self.length
-            eff = self._apps[obj.id].copy()
+            eff = apps[obj.id].copy()
             for f in range(self.length):
                 severity, occluder = 0.0, None
                 for ev in obj.occlusions:
@@ -188,8 +188,8 @@ class Scene:
                 if severity == 0.0:
                     continue
                 vis[f] = 1.0 - severity
-                occ_app = wall if occluder == STATIC else self._apps[occluder][f]
-                mixed = (1.0 - severity) * self._apps[obj.id][f] + severity * occ_app
+                occ_app = wall if occluder == STATIC else apps[occluder][f]
+                mixed = (1.0 - severity) * apps[obj.id][f] + severity * occ_app
                 eff[f] = _unit(mixed)
             self._visibility[obj.id] = vis
             self._eff_apps[obj.id] = eff
@@ -228,9 +228,6 @@ class Scene:
 
     def effective_appearance(self, obj_id: int, frame: int) -> np.ndarray:
         return self._eff_apps[obj_id][frame]
-
-    def target_path(self, obj_id: int) -> list[BBox]:
-        return list(self._boxes[obj_id])
 
     def dominant_object(self, box: BBox, frame: int) -> int | None:
         """Id of the object whose true box at `frame` overlaps `box` the
@@ -401,9 +398,10 @@ class MockTracker(TrackerPort):
         """Boxes and scores proposed at `frame` around `prior` for a template
         that looks like `tpl_app`; `frame` must lie inside the scene.
 
-        Reads the scene's per-object tables directly and spells out the
-        `BBox` helpers in their own operation order, so every distance and
-        score is bit-identical to the method-call form."""
+        Reads the scene's per-object tables directly and computes centres
+        and the search radius in the operation order of `BBox.cx`, `BBox.cy`
+        and `BBox.diagonal`, so every distance is bit-identical to one taken
+        from those properties."""
         scene, cfg = self.scene, self.config
         pw, ph = prior.w, prior.h
         pcx, pcy = prior.x + pw / 2.0, prior.y + ph / 2.0
@@ -716,16 +714,13 @@ def load_mot(path: FsPath | str, seed: int = 0, appearance_dim: int = 16) -> Sce
         try:
             frame = int(parts[0])
             obj_id = int(parts[1])
-            x, y, w, h = (float(p) for p in parts[2:6])
+            box = BBox(*(float(p) for p in parts[2:6]))
             float(parts[6])
             vis = float(parts[8])
         except ValueError as exc:
             raise MotFormatError(f"{path}: line {lineno}: {exc}") from None
         if frame < 1:
             raise MotFormatError(f"{path}: line {lineno}: frame must be >= 1, got {frame}")
-        if w <= 0 or h <= 0:
-            raise MotFormatError(f"{path}: line {lineno}: nonpositive box size "
-                                 f"w={w}, h={h}")
         if not (0.0 <= vis <= 1.0):
             raise MotFormatError(f"{path}: line {lineno}: visibility {vis} "
                                  f"outside [0, 1]")
@@ -733,7 +728,7 @@ def load_mot(path: FsPath | str, seed: int = 0, appearance_dim: int = 16) -> Sce
         if frame - 1 in entry:
             raise MotFormatError(f"{path}: line {lineno}: duplicate row for "
                                  f"id {obj_id} at frame {frame}")
-        entry[frame - 1] = (BBox(x, y, w, h), vis)
+        entry[frame - 1] = (box, vis)
         max_frame = max(max_frame, frame)
     if not per_id:
         raise MotFormatError(f"{path}: no data rows")

@@ -13,6 +13,11 @@ from retrack.simworld import STATIC, ObjectSpec, OcclusionEvent, Path, Scene
 from retrack.tracker_port import RawCandidates, Template, TrackerPort
 
 
+def shifted(box: BBox, dx: float, dy: float) -> BBox:
+    """`box` moved by (dx, dy), its size kept."""
+    return BBox(box.x + dx, box.y + dy, box.w, box.h)
+
+
 class ScriptPort(TrackerPort):
     """Plays back a fixed per-frame proposal script, ignoring the prior."""
 
@@ -48,7 +53,7 @@ class DriftPort(TrackerPort):
 
     def propose(self, template, frame, prior):
         self.propose_calls += 1
-        return RawCandidates((prior.translated(self.dx, self.dy),), (1.0,))
+        return RawCandidates((shifted(prior, self.dx, self.dy),), (1.0,))
 
 
 def backtrack_all(cands: CandidateSet, port: TrackerPort,

@@ -3,10 +3,12 @@
 Each property couples a hypothesis strategy with a checking body and is
 tagged with the module it exercises. `run_prop` executes one property at
 a chosen example budget; COUNTS tallies how many generated cases actually
-ran per module, so callers can enforce a minimum volume.
+ran per module, so callers can enforce a minimum volume. `run_volume`
+runs one module's properties at the acceptance volume.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import ScriptPort, backtrack_all
+from conftest import ScriptPort, backtrack_all, shifted
 from retrack.candidate_select import (CandidateSet, assemble,
                                       filter_by_confidence, soft_nms)
 from retrack.evalkit import (REANCHOR_SKIP, EvalReport, eao_lite, id_switches,
@@ -59,6 +61,26 @@ def run_prop(p: Prop, max_examples: int) -> None:
     check()
 
 
+def run_volume(module: str) -> Counter:
+    """Run every property of `module` at an even share of 10,400 cases,
+    then top up until the module has generated at least 10,200. Returns
+    the cases this call generated, keyed by module; a module-level
+    function, so a process pool can run one module per task."""
+    start = COUNTS[module]
+    group = [p for p in PROPS if p.module == module]
+    budget = -(-10_400 // len(group))
+    for p in group:
+        run_prop(p, budget)
+    # narrow strategies can exhaust below their budget; top up on the
+    # wide ones until the module crosses the volume floor
+    for p in group * 3:
+        short = 10_200 - (COUNTS[module] - start)
+        if short <= 0:
+            break
+        run_prop(p, short)
+    return Counter({module: COUNTS[module] - start})
+
+
 coords = st.floats(-500.0, 500.0)
 sizes = st.floats(0.5, 200.0)
 unit_floats = st.floats(0.0, 1.0)
@@ -79,9 +101,9 @@ def partner_box(draw, a: BBox):
     if kind == "same":
         return a
     if kind == "touch_x":
-        return a.translated(a.w, draw(st.floats(-a.h, a.h)))
+        return shifted(a, a.w, draw(st.floats(-a.h, a.h)))
     if kind == "touch_y":
-        return a.translated(draw(st.floats(-a.w, a.w)), a.h)
+        return shifted(a, draw(st.floats(-a.w, a.w)), a.h)
     scale = draw(st.floats(0.1, 0.9))
     fx, fy = draw(st.floats(0.0, 1.0 - scale)), draw(st.floats(0.0, 1.0 - scale))
     return BBox(a.x + fx * a.w, a.y + fy * a.h, a.w * scale, a.h * scale)
@@ -123,8 +145,8 @@ def _(value):
 def _(value):
     box, gap = value
     assert abs(iou(box, box) - 1.0) <= 1e-9
-    assert iou(box, box.translated(box.w + gap + 1.0, 0.0)) == 0.0
-    assert iou(box, box.translated(0.0, box.h + gap + 1.0)) == 0.0
+    assert iou(box, shifted(box, box.w + gap + 1.0, 0.0)) == 0.0
+    assert iou(box, shifted(box, 0.0, box.h + gap + 1.0)) == 0.0
 
 
 @prop("geometry", "avg_iou_matches_direct_mean", coterminal_tracklets())
@@ -314,10 +336,10 @@ def _(value):
     state = motion_init(box, 0)
     for k in range(1, n + 1):
         _, state = motion_predict(state)
-        state = motion_update(state, box.translated(vx * k, vy * k))
+        state = motion_update(state, shifted(box, vx * k, vy * k))
     pred, _ = motion_predict(state)
-    true = box.translated(vx * (n + 1), vy * (n + 1))
-    assert pred.center_distance(true) < 0.5
+    true = shifted(box, vx * (n + 1), vy * (n + 1))
+    assert math.hypot(pred.cx - true.cx, pred.cy - true.cy) < 0.5
 
 
 # ---------------------------------------------------------------------------

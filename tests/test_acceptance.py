@@ -9,7 +9,10 @@ evaluation kit.
 
 import functools
 import math
+import multiprocessing
 import time
+from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -225,23 +228,14 @@ def test_cycle_consistency():
 
 @criterion(7, "property volumes per module")
 def test_property_volume():
-    modules = ("geometry", "candidate_select", "motion", "pools", "evalkit")
-    start = dict(prop_harness.COUNTS)
+    # one module per task on two worker processes, each returning its
+    # counts; slowest first, so the workers finish close together
+    modules = ("evalkit", "pools", "candidate_select", "geometry", "motion")
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:
+        counts = sum(pool.map(prop_harness.run_volume, modules), Counter())
     for module in modules:
-        group = [p for p in prop_harness.PROPS if p.module == module]
-        budget = -(-10_400 // len(group))
-        for p in group:
-            prop_harness.run_prop(p, budget)
-        # narrow strategies can exhaust below their budget; top up on the
-        # wide ones until the module crosses the volume floor
-        for p in group * 3:
-            short = 10_200 - (prop_harness.COUNTS[module] - start.get(module, 0))
-            if short <= 0:
-                break
-            prop_harness.run_prop(p, short)
-    for module in modules:
-        generated = prop_harness.COUNTS[module] - start.get(module, 0)
-        assert generated >= 10_000, (module, generated)
+        assert counts[module] >= 10_000, (module, counts[module])
 
     names = {p.name for p in prop_harness.PROPS}
     assert {

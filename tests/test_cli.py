@@ -250,6 +250,39 @@ class TestEvaluate:
         assert lines[0] == "kalman,auc,robustness,seconds_per_frame"
         assert [l.split(",")[0] for l in lines[1:]] == ["1", "0"]
 
+    @staticmethod
+    def _hard_convoy(tmp_path):
+        """Evaluate args for two convoy seeds on which backtrack depth
+        changes the engine's result: look-alike neighbors, heavy occlusion."""
+        cfg = tmp_path / "hard.json"
+        cfg.write_text('{"similarity": [0.8, 0.85], "severity": [0.4, 0.45]}')
+        return ["evaluate", "--scenario", "convoy", "--config", str(cfg),
+                "--seeds", "0:2"]
+
+    def test_sweep_values_are_those_of_standalone_runs(self, tmp_path):
+        # tau=9 is the main config: its sweep row reuses the main run
+        base = self._hard_convoy(tmp_path)
+        assert main(base + ["--ablate", "tau=1,9", "--out", str(tmp_path / "sweep")]) == 0
+        lines = (tmp_path / "sweep" / "ablation_tau.csv").read_text().splitlines()
+        swept = [line.split(",")[:3] for line in lines[1:]]
+        assert [row[0] for row in swept] == ["1", "9"]
+        assert swept[0][1:] != swept[1][1:]
+        for tau, auc, rob in swept:
+            out = tmp_path / f"tau{tau}"
+            assert main(base + ["--tau", tau, "--out", str(out)]) == 0
+            engine = json.loads((out / "report.json").read_text())["aggregate"]["engine"]
+            assert (float(auc), float(rob)) == (engine["auc"], engine["robustness"])
+
+    def test_sweep_is_the_same_under_parallel_jobs(self, tmp_path):
+        def sweep(jobs):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(self._hard_convoy(tmp_path) + [
+                "--ablate", "tau=1,3,9", "--jobs", str(jobs), "--out", str(out)]) == 0
+            lines = (out / "ablation_tau.csv").read_text().splitlines()
+            return [line.rsplit(",", 1)[0] for line in lines]
+
+        assert sweep(1) == sweep(2)
+
 
 class TestExitCodes:
     def test_success_is_zero(self, tmp_path):

@@ -1,6 +1,7 @@
 """Metric arithmetic, pinned against hand-computed values."""
 import pytest
 
+from conftest import shifted
 from retrack.evalkit import (REANCHOR_SKIP, EvalReport, eao_lite, id_switches,
                              success_metrics, vot_metrics)
 from retrack.engine import run_baseline
@@ -12,6 +13,10 @@ BOX = BBox(20.0, 20.0, 10.0, 10.0)
 FAR = BBox(300.0, 300.0, 10.0, 10.0)
 HALF_A = BBox(0.0, 0.0, 2.0, 3.0)
 HALF_B = BBox(0.0, 1.0, 2.0, 3.0)  # IoU exactly 0.5 against HALF_A
+
+
+def _true_path(scene, obj_id):
+    return [scene.true_box(obj_id, f) for f in range(scene.length)]
 
 
 def _static(cx, cy, size=10.0):
@@ -124,13 +129,13 @@ class TestSuccessMetrics:
 
     def test_precision_boundary_is_inclusive_at_20px(self):
         gt = [BBox(0.0, 0.0, 10.0, 10.0)]
-        assert success_metrics([gt[0].translated(16.0, 12.0)], gt).precision == 1.0
-        assert success_metrics([gt[0].translated(16.5, 12.0)], gt).precision == 0.0
+        assert success_metrics([shifted(gt[0], 16.0, 12.0)], gt).precision == 1.0
+        assert success_metrics([shifted(gt[0], 16.5, 12.0)], gt).precision == 0.0
 
     def test_norm_precision_boundary_inclusive_at_fifth_of_box(self):
         gt = [BBox(0.0, 0.0, 10.0, 10.0)]
-        assert success_metrics([gt[0].translated(2.0, 0.0)], gt).norm_precision == 1.0
-        assert success_metrics([gt[0].translated(0.0, 2.5)], gt).norm_precision == 0.0
+        assert success_metrics([shifted(gt[0], 2.0, 0.0)], gt).norm_precision == 1.0
+        assert success_metrics([shifted(gt[0], 0.0, 2.5)], gt).norm_precision == 0.0
 
 
 class TestIdSwitches:
@@ -164,7 +169,7 @@ class TestIdSwitches:
 class TestEvalReport:
     def test_perfect_run_report(self):
         scene = _two_object_scene(length=12)
-        pred = scene.target_path(1)
+        pred = _true_path(scene, 1)
         report = EvalReport.compute(pred, scene, target_id=1)
         assert report.accuracy == 1.0
         assert report.robustness == 1.0
@@ -174,7 +179,7 @@ class TestEvalReport:
 
     def test_as_dict_mirrors_fields(self):
         scene = _two_object_scene(length=12)
-        report = EvalReport.compute(scene.target_path(1), scene, target_id=1)
+        report = EvalReport.compute(_true_path(scene, 1), scene, target_id=1)
         d = report.as_dict()
         # field order is the column order of `comparison.csv`
         assert list(d) == ["accuracy", "robustness", "n_failures", "eao", "auc",
@@ -188,7 +193,7 @@ class TestEvalReport:
         with pytest.raises(ValueError):
             EvalReport.compute([BOX] * 5, scene, target_id=1)
         with pytest.raises(ValueError, match="unknown target id"):
-            EvalReport.compute(scene.target_path(1), scene, target_id=9)
+            EvalReport.compute(_true_path(scene, 1), scene, target_id=9)
 
     @pytest.mark.parametrize("fail_iou", [0.0, 0.3])
     def test_fields_are_those_of_the_public_functions(self, fail_iou):
@@ -197,7 +202,7 @@ class TestEvalReport:
         scene = generate_scene(ScenarioConfig("crossing"), 3)
         pred = run_baseline(MockTracker(scene), range(scene.length),
                             scene.true_box(1, 0))
-        gt = scene.target_path(1)
+        gt = _true_path(scene, 1)
         vot, succ = vot_metrics(pred, gt, fail_iou), success_metrics(pred, gt)
         want = {"accuracy": vot.accuracy, "robustness": vot.robustness,
                 "n_failures": len(vot.failures), "eao": eao_lite(pred, gt),

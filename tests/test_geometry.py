@@ -27,16 +27,6 @@ class TestBBox:
         assert b.diagonal == math.hypot(4.0, 6.0)
         assert b.as_tuple() == (2.0, 3.0, 4.0, 6.0)
 
-    def test_center_distance(self):
-        a = BBox(0, 0, 2, 2)
-        b = BBox(3, 4, 2, 2)
-        assert a.center_distance(b) == 5.0
-        assert b.center_distance(a) == 5.0
-
-    def test_translated(self):
-        b = BBox(1, 2, 3, 4).translated(-1.0, 2.5)
-        assert b.as_tuple() == (0.0, 4.5, 3.0, 4.0)
-
 
 class TestIou:
     def test_identical_boxes(self):

@@ -521,7 +521,9 @@ class TestMotParsing:
         ("1,1,0.0,0.0,10.0,10.0,1,1", "expected 9"),
         ("1,1,abc,0.0,10.0,10.0,1,1,1.0", "line 2"),
         ("0,1,0.0,0.0,10.0,10.0,1,1,1.0", "frame must be >= 1"),
-        ("1,1,0.0,0.0,0.0,10.0,1,1,1.0", "nonpositive box size"),
+        ("1,1,0.0,0.0,0.0,10.0,1,1,1.0", "positive size"),
+        ("1,1,nan,0,10,10,1,1,1.0", "x must be finite"),
+        ("1,1,0,0,inf,10,1,1,1.0", "w must be finite"),
         ("1,1,0.0,0.0,10.0,10.0,1,1,1.5", "outside"),
         ("2,7,0.0,0.0,10.0,10.0,1,1,1.0", "duplicate"),
     ])
