@@ -42,14 +42,14 @@ class EngineConfig:
     use_kalman: bool = True
 
     def __post_init__(self):
-        if not isinstance(self.tau, int) or self.tau < 1:
+        if type(self.tau) is not int or self.tau < 1:  # a bool is an int too
             raise ValueError(f"tau must be an integer >= 1, got {self.tau!r}")
         for name in ("alpha", "nms_iou", "stability_iou", "assoc_iou"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-        if not self.nms_sigma > 0:
-            raise ValueError(f"nms_sigma must be positive, got {self.nms_sigma!r}")
+        if not 0 < self.nms_sigma < math.inf:
+            raise ValueError(f"nms_sigma must be positive and finite, got {self.nms_sigma!r}")
         if not math.isfinite(self.nms_floor):
             raise ValueError(f"nms_floor must be finite, got {self.nms_floor!r}")
 

@@ -7,6 +7,7 @@ evidence and are treated as unmatched when resolving the target.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -81,8 +82,15 @@ def hungarian_max(w: np.ndarray) -> Assignment:
     values = np.asarray(w, dtype=float)
     if values.ndim != 2 or values.size == 0:
         raise ValueError("weight matrix must be 2-D and non-empty")
-    if not (np.isfinite(values) & (values >= 0)).all():
-        raise ValueError("weights must be finite and nonnegative")
+    grid = values.tolist()
+    top = 1.0  # the largest weight, but at least 1 (see _OPT_TOL)
+    for row in grid:
+        for v in row:
+            if not 0.0 <= v < math.inf:
+                raise ValueError("weights must be finite and nonnegative")
+            if v > top:
+                top = v
+    tol = _OPT_TOL * top
     best, rows, cols = _best(values)
     match = dict(zip(rows.tolist(), cols.tolist()))
 
@@ -99,9 +107,7 @@ def hungarian_max(w: np.ndarray) -> Assignment:
                 break
             rest_cols = [x for x in free_cols if x != c]
             rest, rows, cols = _best(values[r + 1:, rest_cols])
-            # only a probe scans for the largest weight
-            tol = _OPT_TOL * max(1.0, values.max())
-            if fixed + values[r, c] + rest >= best - tol:
+            if fixed + grid[r][c] + rest >= best - tol:
                 chosen = c
                 match = {r + 1 + i: rest_cols[j]
                          for i, j in zip(rows.tolist(), cols.tolist())}
@@ -109,10 +115,10 @@ def hungarian_max(w: np.ndarray) -> Assignment:
         if chosen is not None:
             pairs.append((r, chosen))
             free_cols.remove(chosen)
-            fixed += values[r, chosen]
+            fixed += grid[r][chosen]
     total = 0.0
     for r, c in pairs:
-        total += float(values[r, c])
+        total += grid[r][c]
     return Assignment(tuple(pairs), total)
 
 

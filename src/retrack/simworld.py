@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from array import array
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path as FsPath
 from typing import Sequence
@@ -159,9 +160,11 @@ class Scene:
         """Per-frame tables of every object, keyed by id: true boxes,
         visibility as plain floats, and effective appearance rows (the raw,
         drifted appearance mixed with that of any occluder).
-        `_tables` holds one `(id, boxes, visibility, effective appearances)`
-        tuple per object, in id order, sharing those tables: the mock
-        tracker scores from it without a lookup by id. `_box_array` holds
+        `_tables` holds one `(id, boxes, visibility, effective appearances,
+        centre x, centre y)` tuple per object, in id order, sharing those
+        tables: the mock tracker scores from it without a lookup by id. The
+        centres are `BBox.cx` and `BBox.cy` bit for bit, each an `array('d')`
+        (a quarter of a float list's memory). `_box_array` holds
         the same true boxes as one float array of shape (objects, length,
         4), rows (x, y, w, h) and objects in id order: evaluation overlaps
         a whole prediction with every object in one call."""
@@ -193,8 +196,13 @@ class Scene:
                 eff[f] = _unit(mixed)
             self._visibility[obj.id] = vis
             self._eff_apps[obj.id] = eff
-        self._tables = tuple((obj.id, self._boxes[obj.id], self._visibility[obj.id],
-                              self._eff_apps[obj.id]) for obj in self.objects)
+        tables = []
+        for obj in self.objects:
+            boxes = self._boxes[obj.id]
+            tables.append((obj.id, boxes, self._visibility[obj.id], self._eff_apps[obj.id],
+                           array("d", [b.x + b.w / 2.0 for b in boxes]),
+                           array("d", [b.y + b.h / 2.0 for b in boxes])))
+        self._tables = tuple(tables)
         self._box_array = box_array(
             [b for obj in self.objects for b in self._boxes[obj.id]]
         ).reshape(len(self.objects), self.length, 4)
@@ -342,7 +350,7 @@ class MockConfig:
     def __post_init__(self):
         if not (math.isfinite(self.jitter) and self.jitter >= 0):
             raise ValueError(f"jitter must be finite and >= 0, got {self.jitter!r}")
-        if not isinstance(self.clutter, int) or self.clutter < 0:
+        if type(self.clutter) is not int or self.clutter < 0:  # a bool is an int too
             raise ValueError(f"clutter must be an integer >= 0, got {self.clutter!r}")
         if not 0.0 <= self.clutter_score <= 1.0:
             raise ValueError(f"clutter_score must lie in [0, 1], got {self.clutter_score!r}")
@@ -362,6 +370,8 @@ class MockTracker(TrackerPort):
     each have their own loop over the scene's per-object tables (the
     chain keeps a running argmax and builds no proposal list); the port
     conformance check in `tests/conformance.py` holds the two equal.
+    A port frame reads each object's centre for the range test; only an
+    object in range has its score computed and its true box read.
     """
 
     def __init__(self, scene: Scene, config: MockConfig | None = None):
@@ -398,27 +408,25 @@ class MockTracker(TrackerPort):
         """Boxes and scores proposed at `frame` around `prior` for a template
         that looks like `tpl_app`; `frame` must lie inside the scene.
 
-        Reads the scene's per-object tables directly and computes centres
-        and the search radius in the operation order of `BBox.cx`, `BBox.cy`
-        and `BBox.diagonal`, so every distance is bit-identical to one taken
-        from those properties."""
+        Reads the scene's per-object tables directly: object centres from
+        their centre columns, the prior's centre and the search radius in
+        the operation order of `BBox.cx`, `BBox.cy` and `BBox.diagonal`, so
+        every distance is bit-identical to one taken from those properties."""
         scene, cfg = self.scene, self.config
         pw, ph = prior.w, prior.h
         pcx, pcy = prior.x + pw / 2.0, prior.y + ph / 2.0
         radius = SEARCH_RADIUS_SCALE * math.hypot(pw, ph)
         boxes: list[BBox] = []
         scores: list[float] = []
-        for obj_id, obj_boxes, vis, eff in scene._tables:
-            true = obj_boxes[frame]
-            if math.hypot(pcx - (true.x + true.w / 2.0),
-                          pcy - (true.y + true.h / 2.0)) > radius:
+        for obj_id, obj_boxes, vis, eff, cxs, cys in scene._tables:
+            if math.hypot(pcx - cxs[frame], pcy - cys[frame]) > radius:
                 continue
-            box = true
+            box = obj_boxes[frame]
             if cfg.jitter > 0.0:
-                box = self._jittered(true, frame, obj_id)
-            score = vis[frame] * float(tpl_app.dot(eff[frame]))
+                box = self._jittered(box, frame, obj_id)
+            s = vis[frame] * float(tpl_app.dot(eff[frame]))
             boxes.append(box)
-            scores.append(min(max(score, 0.0), 1.0))
+            scores.append(0.0 if s < 0.0 else 1.0 if s > 1.0 else s)
         for k in range(cfg.clutter):
             box, score = self._clutter(frame, k, prior, pcx, pcy, radius)
             boxes.append(box)
@@ -470,14 +478,13 @@ class MockTracker(TrackerPort):
             pcx, pcy = prior.x + pw / 2.0, prior.y + ph / 2.0
             radius = SEARCH_RADIUS_SCALE * hypot(pw, ph)
             best, top, best_id = prior, -math.inf, None
-            for obj_id, obj_boxes, vis, eff in tables:
-                true = obj_boxes[f]
-                if hypot(pcx - (true.x + true.w / 2.0),
-                         pcy - (true.y + true.h / 2.0)) > radius:
+            for obj_id, obj_boxes, vis, eff, cxs, cys in tables:
+                if hypot(pcx - cxs[f], pcy - cys[f]) > radius:
                     continue
-                score = min(max(vis[f] * float(dot(eff[f])), 0.0), 1.0)
+                s = vis[f] * float(dot(eff[f]))
+                score = 0.0 if s < 0.0 else 1.0 if s > 1.0 else s
                 if score > top:
-                    best, top, best_id = true, score, obj_id
+                    best, top, best_id = obj_boxes[f], score, obj_id
             if cfg.jitter > 0.0 and best_id is not None:
                 best = self._jittered(best, f, best_id)
             for k in range(cfg.clutter):

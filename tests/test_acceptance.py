@@ -189,9 +189,37 @@ def test_history_depth_tradeoff(corpus):
             steps += scene.length - 1
         return (time.perf_counter() - t0) / steps
 
+    class CountingTracker(MockTracker):
+        """Counts backbone passes: one per `propose`, one per chain frame."""
+
+        port_frames = 0
+
+        def propose(self, template, frame, prior):
+            self.port_frames += 1
+            return super().propose(template, frame, prior)
+
+        def track_segment(self, template, start, frames):
+            chain = super().track_segment(template, start, frames)
+            self.port_frames += len(chain.boxes)
+            return chain
+
+    def port_frames_per_frame(tau):
+        cfg = EngineConfig(tau=tau)
+        port_frames = steps = 0
+        for scene, b0 in starts:
+            port = CountingTracker(scene)
+            run_sequence(port, range(scene.length), b0, cfg)
+            port_frames += port.port_frames
+            steps += scene.length - 1
+        return port_frames / steps
+
     taus = (1, 3, 9, 27)
+    # the machine-free order: each depth asks the backbone for more frames
+    passes = {tau: port_frames_per_frame(tau) for tau in taus}
+    assert passes[1] < passes[3] < passes[9] < passes[27], passes
+
     timings = {tau: [] for tau in taus}
-    for _ in range(5):
+    for _ in range(9):
         for tau in taus:
             timings[tau].append(seconds_per_frame(tau))
     cost = {tau: min(reps) for tau, reps in timings.items()}

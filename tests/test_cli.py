@@ -308,6 +308,7 @@ class TestExitCodes:
         ["evaluate", "--scenario", "convoy", "--seeds", "0", "--ablate", "beta=2"],
         ["evaluate", "--scenario", "convoy", "--seeds", "0", "--target-id", "99"],
         ["track", "--scenario", "convoy", "--seeds", "0", "--gate-iou", "nan"],
+        ["track", "--scenario", "convoy", "--seeds", "0", "--nms-sigma", "inf"],
         ["evaluate", "--scenario", "convoy", "--seeds", "0", "--ablate", "tau=0"],
         ["track", "--scenario", "convoy", "--seeds", "0", "--jobs", "0"],
         ["evaluate", "--scenario", "convoy", "--seeds", "0", "--jobs", "-3"],

@@ -218,6 +218,32 @@ class TestSceneSerialization:
             Scene.from_jsonable(data)
 
 
+class TestSceneTables:
+    """The mock tracker's range test reads each object's centre columns in
+    place of `BBox.cx` and `BBox.cy`, so they must agree bit for bit."""
+
+    @staticmethod
+    def _scene(source, tmp_path):
+        if source in ("crossing", "convoy", "deform"):
+            return generate_scene(ScenarioConfig(source), 7)
+        scene = generate_scene(ScenarioConfig("convoy"), 103)
+        if source == "json":
+            return Scene.from_jsonable(json.loads(json.dumps(scene.to_jsonable())))
+        save_mot(scene, tmp_path / "gt.txt")
+        return load_mot(tmp_path / "gt.txt", seed=103)
+
+    @pytest.mark.parametrize("source", ["crossing", "convoy", "deform", "json", "mot"])
+    def test_centre_columns_equal_box_centres(self, source, tmp_path):
+        scene = self._scene(source, tmp_path)
+        assert [table[0] for table in scene._tables] == scene.ids()
+        for obj_id, boxes, _vis, _eff, cxs, cys in scene._tables:
+            assert len(cxs) == len(cys) == scene.length
+            for f, box in enumerate(boxes):
+                assert box == scene.true_box(obj_id, f)
+                assert cxs[f].hex() == box.cx.hex()
+                assert cys[f].hex() == box.cy.hex()
+
+
 class TestMockTracker:
     def _world(self):
         near = ObjectSpec(1, _static(135.0, 20.0), E0)     # 120 px from prior
@@ -291,7 +317,7 @@ class TestMockTracker:
 
     @pytest.mark.parametrize("field, value", [
         ("jitter", -1.0), ("jitter", math.nan), ("jitter", math.inf),
-        ("clutter", -2), ("clutter", 1.5), ("clutter_score", 3.0),
+        ("clutter", -2), ("clutter", 1.5), ("clutter", True), ("clutter_score", 3.0),
         ("clutter_score", -0.1), ("clutter_score", math.nan),
     ])
     def test_bad_config_fails_when_built(self, field, value):
