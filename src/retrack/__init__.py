@@ -19,10 +19,9 @@ from .geometry import BBox, Tracklet, iou, tracklet_avg_iou
 from .matching import NoViableCandidateError, build_weights, hungarian_max, resolve_target
 from .motion import (MotionState, motion_init, motion_predict, motion_update)
 from .pools import backtrack_frames, build_candidate_pool, update_neighbor_pool
-from .simworld import (MockConfig, MockTracker, MotFormatError, ObjectSpec,
-                       OcclusionEvent, Path, Scene, ScenarioConfig,
-                       generate_scene, load_mot, load_scene, save_mot,
-                       save_scene)
+from .simworld import (MockTracker, MotFormatError, ObjectSpec, OcclusionEvent,
+                       Path, Scene, ScenarioConfig, generate_scene, load_mot,
+                       load_scene, save_mot, save_scene)
 from .tracker_port import RawCandidates, Template, TrackerPort
 
 __version__ = "0.1.0"
@@ -38,7 +37,7 @@ __all__ = [
     "EngineConfig", "EngineState", "engine_init", "step",
     "run_sequence", "run_baseline",
     "Scene", "ObjectSpec", "OcclusionEvent", "Path", "ScenarioConfig",
-    "MockTracker", "MockConfig", "MotFormatError",
+    "MockTracker", "MotFormatError",
     "generate_scene", "save_scene", "load_scene", "save_mot", "load_mot",
     "VotResult", "SuccessResult", "EvalReport",
     "vot_metrics", "eao_lite", "success_metrics", "id_switches",

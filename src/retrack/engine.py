@@ -44,14 +44,17 @@ class EngineConfig:
     def __post_init__(self):
         if type(self.tau) is not int or self.tau < 1:  # a bool is an int too
             raise ValueError(f"tau must be an integer >= 1, got {self.tau!r}")
+        if type(self.use_kalman) is not bool:
+            raise ValueError(f"use_kalman must be a bool, got {self.use_kalman!r}")
         for name in ("alpha", "nms_iou", "stability_iou", "assoc_iou"):
             value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
+            if isinstance(value, bool) or not 0.0 <= value <= 1.0:  # True compares as 1
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-        if not 0 < self.nms_sigma < math.inf:
-            raise ValueError(f"nms_sigma must be positive and finite, got {self.nms_sigma!r}")
-        if not math.isfinite(self.nms_floor):
-            raise ValueError(f"nms_floor must be finite, got {self.nms_floor!r}")
+        sigma, floor = self.nms_sigma, self.nms_floor
+        if isinstance(sigma, bool) or not 0 < sigma < math.inf:
+            raise ValueError(f"nms_sigma must be positive and finite, got {sigma!r}")
+        if isinstance(floor, bool) or not math.isfinite(floor):
+            raise ValueError(f"nms_floor must be finite, got {floor!r}")
 
     def as_dict(self) -> dict:
         return asdict(self)

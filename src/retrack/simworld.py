@@ -3,10 +3,10 @@
 A :class:`Scene` is a fully deterministic ground-truth world: every object
 has a parametric box path, a unit appearance vector that may drift as a
 spherical random walk, and scripted occlusion events. A mock tracker
-implements the engine's port against a scene, scoring each proposal as
-visibility times the cosine between the template appearance and the
-object's effective (occlusion-mixed) appearance. Scenes can also be
-ingested from and written to MOT ground-truth text files.
+implements the engine's port against a scene, proposing each object near
+the prior at its true box, scored as visibility times the cosine between
+the template appearance and the object's effective (occlusion-mixed)
+appearance. Scenes can also be read from and written to MOT files.
 """
 from __future__ import annotations
 
@@ -80,8 +80,7 @@ class Path:
 
     def box_at(self, frame: int) -> BBox:
         if self.kind == "frames":
-            x, y, w, h = self.boxes[frame]
-            return BBox(x, y, w, h)
+            return BBox(*self.boxes[frame])
         if self.kind == "linear":
             cx, cy = self._interp(frame)
         elif self.kind == "sine":
@@ -152,6 +151,14 @@ class Scene:
         if len(ids) != len(set(ids)):
             raise ValueError("object ids must be unique")
         self.objects = tuple(sorted(self.objects, key=lambda o: o.id))
+        for obj in self.objects:
+            if obj.path.kind == "frames" and len(obj.path.boxes) != self.length:
+                raise ValueError(f"object {obj.id}: its frames path holds "
+                                 f"{len(obj.path.boxes)} boxes, the scene {self.length} frames")
+            for ev in obj.occlusions:
+                if ev.occluder != STATIC and ev.occluder not in ids:
+                    raise ValueError(f"object {obj.id}: occluder {ev.occluder!r} is neither "
+                                     f"{STATIC!r} nor an object of the scene")
         self._derive()
 
     # -- derived world state ------------------------------------------------
@@ -172,6 +179,9 @@ class Scene:
         if self.static_appearance is None:
             wall = _random_unit(np.random.default_rng([self.seed, 911]), dim)
             self.static_appearance = tuple(float(v) for v in wall)
+        elif self.objects and len(self.static_appearance) != dim:
+            raise ValueError(f"static_appearance has dimension {len(self.static_appearance)}, "
+                             f"object {self.objects[0].id}'s appearance {dim}")
         self._boxes = {}
         apps = {}  # raw (drifted) appearance
         for obj in self.objects:
@@ -180,6 +190,7 @@ class Scene:
         self._visibility = {}
         self._eff_apps = {}
         wall = np.asarray(self.static_appearance, dtype=float)
+        tables = []
         for obj in self.objects:
             vis = [1.0] * self.length
             eff = apps[obj.id].copy()
@@ -196,10 +207,8 @@ class Scene:
                 eff[f] = _unit(mixed)
             self._visibility[obj.id] = vis
             self._eff_apps[obj.id] = eff
-        tables = []
-        for obj in self.objects:
             boxes = self._boxes[obj.id]
-            tables.append((obj.id, boxes, self._visibility[obj.id], self._eff_apps[obj.id],
+            tables.append((obj.id, boxes, vis, eff,
                            array("d", [b.x + b.w / 2.0 for b in boxes]),
                            array("d", [b.y + b.h / 2.0 for b in boxes])))
         self._tables = tuple(tables)
@@ -210,7 +219,7 @@ class Scene:
     def _walk_appearance(self, obj: ObjectSpec, dim: int) -> np.ndarray:
         base = _unit(np.asarray(obj.appearance, dtype=float))
         if base.shape != (dim,):
-            raise ValueError("appearance vectors must share one dimension")
+            raise ValueError(f"object {obj.id}: appearance of shape {base.shape}, not ({dim},)")
         out = np.empty((self.length, dim))
         out[0] = base
         if obj.drift == 0.0 and not obj.drift_spikes:
@@ -339,31 +348,14 @@ def _unit_with_cosine(rng: np.random.Generator, u: np.ndarray, c: float) -> np.n
 # mock tracker
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MockConfig:
-    """Knobs for the scene-backed tracker."""
-
-    jitter: float = 0.0                # Gaussian pixel noise on proposals
-    clutter: int = 0                   # spurious boxes per frame
-    clutter_score: float = 0.3
-
-    def __post_init__(self):
-        if not (math.isfinite(self.jitter) and self.jitter >= 0):
-            raise ValueError(f"jitter must be finite and >= 0, got {self.jitter!r}")
-        if type(self.clutter) is not int or self.clutter < 0:  # a bool is an int too
-            raise ValueError(f"clutter must be an integer >= 0, got {self.clutter!r}")
-        if not 0.0 <= self.clutter_score <= 1.0:
-            raise ValueError(f"clutter_score must lie in [0, 1], got {self.clutter_score!r}")
-
-
 class MockTracker(TrackerPort):
     """Deterministic tracker over a :class:`Scene`.
 
     Each object whose center lies within the search radius of the prior is
-    proposed at its true box (optionally jittered), scored by visibility
-    times the clipped cosine between the template appearance and the
-    object's effective appearance. When nothing is in range the prior
-    itself is returned at score zero, so a proposal always exists.
+    proposed at its true box, scored by visibility times the clipped
+    cosine between the template appearance and the object's effective
+    appearance. When nothing is in range the prior itself is returned at
+    score zero, so a proposal always exists.
     Besides `make_template` and `propose`, it overrides the port's one
     optional method, `track_segment`, with a lean chain that the engine's
     backtracks and the argmax baseline both take. `propose` and the chain
@@ -374,9 +366,8 @@ class MockTracker(TrackerPort):
     object in range has its score computed and its true box read.
     """
 
-    def __init__(self, scene: Scene, config: MockConfig | None = None):
+    def __init__(self, scene: Scene):
         self.scene = scene
-        self.config = config or MockConfig()
         self._template_cache: dict = {}
 
     def _check_frame(self, frame: int) -> None:
@@ -403,73 +394,36 @@ class MockTracker(TrackerPort):
         self._template_cache[key] = app
         return app
 
-    def _scored(self, tpl_app: np.ndarray, frame: int,
-                prior: BBox) -> tuple[list[BBox], list[float]]:
-        """Boxes and scores proposed at `frame` around `prior` for a template
-        that looks like `tpl_app`; `frame` must lie inside the scene.
-
-        Reads the scene's per-object tables directly: object centres from
-        their centre columns, the prior's centre and the search radius in
-        the operation order of `BBox.cx`, `BBox.cy` and `BBox.diagonal`, so
-        every distance is bit-identical to one taken from those properties."""
-        scene, cfg = self.scene, self.config
+    def propose(self, template: Template, frame: int, prior: BBox) -> RawCandidates:
+        self._check_frame(frame)
+        tpl_app = self.template_appearance(template)
+        # the prior's centre and diagonal exactly as `BBox.cx`, `.cy`, `.diagonal`
         pw, ph = prior.w, prior.h
         pcx, pcy = prior.x + pw / 2.0, prior.y + ph / 2.0
         radius = SEARCH_RADIUS_SCALE * math.hypot(pw, ph)
         boxes: list[BBox] = []
         scores: list[float] = []
-        for obj_id, obj_boxes, vis, eff, cxs, cys in scene._tables:
+        for _, obj_boxes, vis, eff, cxs, cys in self.scene._tables:
             if math.hypot(pcx - cxs[frame], pcy - cys[frame]) > radius:
                 continue
-            box = obj_boxes[frame]
-            if cfg.jitter > 0.0:
-                box = self._jittered(box, frame, obj_id)
             s = vis[frame] * float(tpl_app.dot(eff[frame]))
-            boxes.append(box)
+            boxes.append(obj_boxes[frame])
             scores.append(0.0 if s < 0.0 else 1.0 if s > 1.0 else s)
-        for k in range(cfg.clutter):
-            box, score = self._clutter(frame, k, prior, pcx, pcy, radius)
-            boxes.append(box)
-            scores.append(score)
         if not boxes:
-            return [prior], [0.0]
-        return boxes, scores
-
-    def _jittered(self, true: BBox, frame: int, obj_id: int) -> BBox:
-        """`true` as proposed at `frame`, moved by the config's pixel noise."""
-        rng = np.random.default_rng([self.scene.seed, frame, obj_id, 3])
-        dx, dy, dw, dh = rng.normal(0.0, self.config.jitter, 4).tolist()
-        return BBox(true.x + dx, true.y + dy,
-                    max(true.w + dw, 1.0), max(true.h + dh, 1.0))
-
-    def _clutter(self, frame: int, k: int, prior: BBox, pcx: float, pcy: float,
-                 radius: float) -> tuple[BBox, float]:
-        """The `k`-th spurious box at `frame` around `prior`, with its score."""
-        rng = np.random.default_rng([self.scene.seed, frame, 7, k])
-        cx = pcx + rng.uniform(-radius, radius)
-        cy = pcy + rng.uniform(-radius, radius)
-        scale = rng.uniform(0.8, 1.2)
-        pw, ph = prior.w, prior.h
-        box = BBox(cx - pw * scale / 2.0, cy - ph * scale / 2.0, pw * scale, ph * scale)
-        return box, float(rng.uniform(0.0, self.config.clutter_score))
-
-    def propose(self, template: Template, frame: int, prior: BBox) -> RawCandidates:
-        self._check_frame(frame)
-        boxes, scores = self._scored(self.template_appearance(template), frame, prior)
+            return RawCandidates((prior,), (0.0,))
         return RawCandidates(tuple(boxes), tuple(scores))
 
     def track_segment(self, template: Template, start: BBox,
                       frames: Sequence[int]) -> Tracklet:
         """The base class's chain, lean: the frames are checked once, the
         template's appearance is resolved once, and each step keeps a
-        running argmax over the proposals as `_scored` orders and scores
-        them, ties going to the first, so no proposal list is built. Only
-        the winning object's box is jittered, from its own seeded draw."""
+        running argmax over the proposals as `propose` orders and scores
+        them, ties going to the first, so no proposal list is built."""
         frames = segment_frames(frames)
         self._check_frame(frames[0])
         self._check_frame(frames[-1])
         tpl_app = self.template_appearance(template)
-        tables, cfg = self.scene._tables, self.config
+        tables = self.scene._tables
         hypot, dot = math.hypot, tpl_app.dot
         prior = start
         chain = []
@@ -477,20 +431,14 @@ class MockTracker(TrackerPort):
             pw, ph = prior.w, prior.h
             pcx, pcy = prior.x + pw / 2.0, prior.y + ph / 2.0
             radius = SEARCH_RADIUS_SCALE * hypot(pw, ph)
-            best, top, best_id = prior, -math.inf, None
-            for obj_id, obj_boxes, vis, eff, cxs, cys in tables:
+            best, top = prior, -math.inf
+            for _, obj_boxes, vis, eff, cxs, cys in tables:
                 if hypot(pcx - cxs[f], pcy - cys[f]) > radius:
                     continue
                 s = vis[f] * float(dot(eff[f]))
                 score = 0.0 if s < 0.0 else 1.0 if s > 1.0 else s
                 if score > top:
-                    best, top, best_id = obj_boxes[f], score, obj_id
-            if cfg.jitter > 0.0 and best_id is not None:
-                best = self._jittered(best, f, best_id)
-            for k in range(cfg.clutter):
-                box, score = self._clutter(f, k, prior, pcx, pcy, radius)
-                if score > top:
-                    best, top = box, score
+                    best, top = obj_boxes[f], score
             prior = best
             chain.append(best)
         return newest_first(frames, chain)

@@ -27,7 +27,7 @@ from conftest import zero_iou_scene
 from retrack import cli
 from retrack.engine import EngineConfig, run_baseline, run_sequence
 from retrack.evalkit import EvalReport
-from retrack.simworld import MockConfig, MockTracker, ScenarioConfig, generate_scene
+from retrack.simworld import MockTracker, ScenarioConfig, generate_scene
 
 TABLE = Path(__file__).with_name("golden_decisions.tsv")
 HEADER = "scenario\tseed\tconfig\tsha256\tgates\tsources"
@@ -46,23 +46,21 @@ SCENES = {
 TARGETS = {"zero_iou": 2}
 
 DEFAULT = EngineConfig()
-# config name -> (engine config, mock tracker config)
+# config name -> engine config
 CONFIGS = {
-    "default": (DEFAULT, MockConfig()),
-    "no_kalman": (dataclasses.replace(DEFAULT, use_kalman=False), MockConfig()),
-    "tau1": (dataclasses.replace(DEFAULT, tau=1), MockConfig()),
-    "tau27": (dataclasses.replace(DEFAULT, tau=27), MockConfig()),
-    "jitter1.5": (DEFAULT, MockConfig(jitter=1.5)),
-    "clutter3": (DEFAULT, MockConfig(clutter=3)),
+    "default": DEFAULT,
+    "no_kalman": dataclasses.replace(DEFAULT, use_kalman=False),
+    "tau1": dataclasses.replace(DEFAULT, tau=1),
+    "tau27": dataclasses.replace(DEFAULT, tau=27),
 }
 # the scenarios `retrack evaluate` can generate, and its `--fail-iou` values
 EVAL_SCENES = ("crossing", "convoy", "deform")
 FAIL_IOUS = (0.0, 0.3)
 
 
-def _runs(scene, target: int, engine_cfg: EngineConfig, mock_cfg: MockConfig):
+def _runs(scene, target: int, engine_cfg: EngineConfig):
     """The baseline boxes, engine boxes and engine records of one run."""
-    port = MockTracker(scene, mock_cfg)
+    port = MockTracker(scene)
     frames = range(scene.length)
     b0 = scene.true_box(target, 0)
     baseline = run_baseline(port, frames, b0)
@@ -70,11 +68,11 @@ def _runs(scene, target: int, engine_cfg: EngineConfig, mock_cfg: MockConfig):
     return baseline, boxes, records
 
 
-def track_files(scene, source: str, target: int, engine_cfg: EngineConfig,
-                mock_cfg: MockConfig) -> tuple[str, list[dict]]:
+def track_files(scene, source: str, target: int,
+                engine_cfg: EngineConfig) -> tuple[str, list[dict]]:
     """The baseline CSV, engine CSV and engine log of one run, concatenated
     as `retrack track` writes them, and the engine's decision records."""
-    baseline, boxes, records = _runs(scene, target, engine_cfg, mock_cfg)
+    baseline, boxes, records = _runs(scene, target, engine_cfg)
     config = {"engine": engine_cfg.as_dict(), "seed": scene.seed, "target": target,
               "source": source}
     text = (cli._boxes_csv(baseline, config) + cli._boxes_csv(boxes, config)
@@ -92,8 +90,8 @@ def rows() -> list[str]:
         for seed in seeds:
             scene = build(seed)
             target = TARGETS.get(name, min(scene.ids()))
-            for cfg_name, (engine_cfg, mock_cfg) in CONFIGS.items():
-                text, records = track_files(scene, name, target, engine_cfg, mock_cfg)
+            for cfg_name, engine_cfg in CONFIGS.items():
+                text, records = track_files(scene, name, target, engine_cfg)
                 digest = hashlib.sha256(text.encode()).hexdigest()
                 out.append("\t".join((name, str(seed), cfg_name, digest,
                                       _histogram(r["gate"] for r in records),
@@ -106,7 +104,7 @@ def comparison_csvs(scene, source: str) -> dict[float, str]:
     scene, keyed by `--fail-iou`: the runs are tracked once and scored
     under each threshold."""
     target = min(scene.ids())
-    baseline, boxes, _ = _runs(scene, target, DEFAULT, MockConfig())
+    baseline, boxes, _ = _runs(scene, target, DEFAULT)
     out = {}
     for fail_iou in FAIL_IOUS:
         row = {"name": f"{source}_{scene.seed:04d}", "seed": scene.seed,

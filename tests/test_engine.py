@@ -57,7 +57,10 @@ class TestConfig:
         ("tau", 0), ("tau", 2.5), ("tau", True), ("alpha", 1.5), ("alpha", -0.1),
         ("nms_iou", 1.01), ("stability_iou", math.nan), ("assoc_iou", -1.0),
         ("nms_sigma", 0.0), ("nms_sigma", math.nan), ("nms_sigma", math.inf),
-        ("nms_floor", math.inf),
+        ("nms_floor", math.inf), ("alpha", True), ("nms_iou", False),
+        ("nms_sigma", True), ("nms_floor", True), ("stability_iou", True),
+        ("assoc_iou", False), ("use_kalman", "no"), ("use_kalman", 1),
+        ("use_kalman", None),
     ])
     def test_bad_values_fail_when_built(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from conformance import check_port, check_rejects
+from conftest import zero_iou_scene
 from retrack.engine import run_baseline
 from retrack.evalkit import id_switches
 from retrack.geometry import BBox, iou
-from retrack.simworld import (STATIC, MockConfig, MockTracker, MotFormatError,
-                              ObjectSpec, OcclusionEvent, Path, ScenarioConfig,
-                              Scene, _tapered_occlusion, _unit_with_cosine,
+from retrack.simworld import (STATIC, MockTracker, MotFormatError, ObjectSpec,
+                              OcclusionEvent, Path, ScenarioConfig, Scene,
+                              _tapered_occlusion, _unit_with_cosine,
                               _visibility_to_events, generate_scene, load_mot,
                               load_scene, save_mot, save_scene)
 
@@ -217,6 +218,31 @@ class TestSceneSerialization:
         with pytest.raises(ValueError, match=f"{change} keys \\[{name!r}\\]"):
             Scene.from_jsonable(data)
 
+    @pytest.mark.parametrize("change, message", [
+        ("short_frames", "object 2: its frames path holds 7 boxes"),
+        ("long_frames", "object 2: its frames path holds 9 boxes"),
+        ("unknown_occluder", "object 1: occluder 3 is neither"),
+        ("static_dimension", "static_appearance has dimension 3, object 1"),
+        ("object_dimension", "object 2: appearance of shape \\(3,\\), not \\(4,\\)"),
+    ], ids=["short_frames", "long_frames", "unknown_occluder", "static_dimension",
+            "object_dimension"])
+    def test_bad_spec_fails_when_built(self, change, message):
+        """Unchecked, each would fail later with an error that names no
+        object, or run silently on a truncated path."""
+        data = json.loads(json.dumps(self._sample().to_jsonable()))
+        target, other = data["objects"]
+        if change.endswith("_frames"):
+            n = 7 if change == "short_frames" else 9
+            other["path"].update(kind="frames", boxes=[[95.0, 95.0, 10.0, 10.0]] * n)
+        elif change == "unknown_occluder":
+            target["occlusions"][1]["occluder"] = 3
+        elif change == "static_dimension":
+            data["static_appearance"] = data["static_appearance"][:3]
+        else:
+            other["appearance"] = other["appearance"][:3]
+        with pytest.raises(ValueError, match=message):
+            Scene.from_jsonable(data)
+
 
 class TestSceneTables:
     """The mock tracker's range test reads each object's centre columns in
@@ -286,44 +312,6 @@ class TestMockTracker:
         assert got.boxes
         assert set(got.scores) == {0.0}
 
-    def test_jitter_is_deterministic_across_instances(self):
-        scene = self._world()
-        cfg = MockConfig(jitter=2.0)
-        prior = scene.true_box(1, 0)
-        tpl_box = scene.true_box(1, 0)
-        one = MockTracker(scene, cfg)
-        two = MockTracker(scene, cfg)
-        a = one.propose(one.make_template(0, tpl_box), 1, prior)
-        b = two.propose(two.make_template(0, tpl_box), 1, prior)
-        assert a == b
-        assert a.boxes[0] != scene.true_box(1, 1)
-
-    def test_jittered_box_fields_are_python_floats(self):
-        scene = self._world()
-        tracker = MockTracker(scene, MockConfig(jitter=1.5))
-        prior = scene.true_box(1, 0)
-        got = tracker.propose(tracker.make_template(0, prior), 1, prior)
-        assert got.boxes[0] != scene.true_box(1, 1)
-        assert all(type(v) is float for b in got.boxes for v in b.as_tuple())
-
-    def test_clutter_adds_scored_boxes(self):
-        scene = self._world()
-        cfg = MockConfig(clutter=3, clutter_score=0.3)
-        tracker = MockTracker(scene, cfg)
-        prior = scene.true_box(1, 0)
-        got = tracker.propose(tracker.make_template(0, prior), 1, prior)
-        assert len(got.boxes) == 5  # both lane objects plus three spurious
-        assert all(s <= 0.3 for s in got.scores[2:])
-
-    @pytest.mark.parametrize("field, value", [
-        ("jitter", -1.0), ("jitter", math.nan), ("jitter", math.inf),
-        ("clutter", -2), ("clutter", 1.5), ("clutter", True), ("clutter_score", 3.0),
-        ("clutter_score", -0.1), ("clutter_score", math.nan),
-    ])
-    def test_bad_config_fails_when_built(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            MockConfig(**{field: value})
-
     def test_frame_bounds_validated(self):
         scene = self._world()
         tracker = MockTracker(scene)
@@ -351,23 +339,22 @@ class TestConformance:
         return [(port.make_template(frame, b), b) for b in boxes] + \
             [(port.make_template(frame, far), boxes[0])]
 
-    @pytest.mark.parametrize("config", [MockConfig(), MockConfig(jitter=1.5),
-                                        MockConfig(clutter=3)],
-                             ids=["plain", "jitter", "clutter"])
     @pytest.mark.parametrize("frames", [range(29, 20, -1), range(31, 40)],
                              ids=["backward", "forward"])
     @pytest.mark.parametrize("kind, seed", [("crossing", 3), ("convoy", 103),
-                                            ("deform", 3)])
-    def test_lean_chain_conforms(self, kind, seed, frames, config):
-        scene = generate_scene(ScenarioConfig(kind), seed)
-        port = MockTracker(scene, config)
+                                            ("deform", 3), ("zero_iou", 0)])
+    def test_lean_chain_conforms(self, kind, seed, frames):
+        # the zero-IoU scene's frames 20-38 are blacked out: every score
+        # there is exactly zero and the first object in range wins the tie
+        scene = (zero_iou_scene(seed) if kind == "zero_iou"
+                 else generate_scene(ScenarioConfig(kind), seed))
+        port = MockTracker(scene)
         starts = self._starts(port, scene, 30)
         got, _ = check_port(port, starts, [frames, [frames[0]]])
         assert len(got) == len(starts) == 4
-        if config.clutter == 0:
-            # nothing in range and nothing cropped: the far chain coasts on
-            # its start, proposed back as the prior at score zero
-            assert got[2].boxes == (self.FAR,) * len(frames)
+        # nothing in range and nothing cropped: the far chain coasts on its
+        # start, proposed back as the prior at score zero
+        assert got[2].boxes == (self.FAR,) * len(frames)
 
     def test_frames_checked(self):
         scene = generate_scene(ScenarioConfig("convoy"), 103)
