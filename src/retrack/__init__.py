@@ -22,13 +22,13 @@ from .pools import backtrack_frames, build_candidate_pool, update_neighbor_pool
 from .simworld import (MockTracker, MotFormatError, ObjectSpec, OcclusionEvent,
                        Path, Scene, ScenarioConfig, generate_scene, load_mot,
                        load_scene, save_mot, save_scene)
-from .tracker_port import RawCandidates, Template, TrackerPort
+from .tracker_port import RawCandidates, TrackerPort
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BBox", "Tracklet", "iou", "tracklet_avg_iou",
-    "Template", "RawCandidates", "TrackerPort",
+    "RawCandidates", "TrackerPort",
     "CandidateSet", "filter_by_confidence", "soft_nms", "assemble",
     "MotionState", "motion_init", "motion_predict", "motion_update",
     "backtrack_frames", "build_candidate_pool", "update_neighbor_pool",

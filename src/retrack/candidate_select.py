@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from .geometry import BBox, iou
 from .tracker_port import RawCandidates, first_max
 
+NMS_FLOOR = 1e-3  # decayed scores below this are dropped
+
 
 @dataclass(frozen=True)
 class CandidateSet:
@@ -60,7 +62,7 @@ def filter_by_confidence(raw: RawCandidates, alpha: float) -> list[int]:
 
 
 def soft_nms(raw: RawCandidates, keep: list[int], iou_thresh: float, sigma: float,
-             score_floor: float = 1e-3) -> list[tuple[int, float]]:
+             score_floor: float = NMS_FLOOR) -> list[tuple[int, float]]:
     """Greedy soft suppression with a Gaussian score decay over the boxes
     whose indices `keep` lists in ascending order.
 

@@ -94,9 +94,7 @@ def _timed(fn, *args) -> tuple:
 def _execute_run(spec: RunSpec, cfgs: list[EngineConfig]) -> tuple:
     """Build the scene once, run the baseline, then the engine under each of
     `cfgs`. Returns the scene, the target, the baseline as `(boxes,
-    seconds)` and one `(boxes, records, seconds)` per config. Every run
-    gets its own tracker, so no run is timed on a template cache that
-    another filled."""
+    seconds)` and one `(boxes, records, seconds)` per config."""
     scene = spec.build_scene()
     target = _resolve_target(scene, spec.target_id)
     frames = range(scene.length)

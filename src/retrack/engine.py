@@ -17,15 +17,17 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-from .candidate_select import CandidateSet, assemble, filter_by_confidence, soft_nms
+from .candidate_select import NMS_FLOOR, CandidateSet, assemble, filter_by_confidence, soft_nms
 from .geometry import BBox, Tracklet, iou, tracklet_avg_iou
 from .matching import (NoViableCandidateError, build_weights, hungarian_max,
                        resolve_target)
 from .motion import MotionState, motion_init, motion_predict, motion_update
 from .pools import backtrack_frames, build_candidate_pool, update_neighbor_pool
-from .tracker_port import Template, TrackerPort, segment_frames
+from .tracker_port import TrackerPort, segment_frames
 
 log = logging.getLogger(__name__)
+
+ASSOC_IOU = 0.3  # stable-path neighbor association
 
 
 @dataclass(frozen=True)
@@ -35,10 +37,8 @@ class EngineConfig:
     alpha: float = 0.7            # confidence-ratio filter
     nms_iou: float = 0.25         # overlap above which scores decay
     nms_sigma: float = 0.01       # Gaussian decay width
-    nms_floor: float = 1e-3       # decayed scores below this are dropped
     tau: int = 9                  # backtrack depth in frames
     stability_iou: float = 0.6    # history-overlap gate threshold
-    assoc_iou: float = 0.3        # stable-path neighbor association
     use_kalman: bool = True
 
     def __post_init__(self):
@@ -46,18 +46,16 @@ class EngineConfig:
             raise ValueError(f"tau must be an integer >= 1, got {self.tau!r}")
         if type(self.use_kalman) is not bool:
             raise ValueError(f"use_kalman must be a bool, got {self.use_kalman!r}")
-        for name in ("alpha", "nms_iou", "stability_iou", "assoc_iou"):
+        for name in ("alpha", "nms_iou", "stability_iou"):
             value = getattr(self, name)
             if isinstance(value, bool) or not 0.0 <= value <= 1.0:  # True compares as 1
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-        sigma, floor = self.nms_sigma, self.nms_floor
-        if isinstance(sigma, bool) or not 0 < sigma < math.inf:
-            raise ValueError(f"nms_sigma must be positive and finite, got {sigma!r}")
-        if isinstance(floor, bool) or not math.isfinite(floor):
-            raise ValueError(f"nms_floor must be finite, got {floor!r}")
+        if isinstance(self.nms_sigma, bool) or not 0 < self.nms_sigma < math.inf:
+            raise ValueError(f"nms_sigma must be positive and finite, got {self.nms_sigma!r}")
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        """The fields plus the fixed constants that written configs report."""
+        return {**asdict(self), "nms_floor": NMS_FLOOR, "assoc_iou": ASSOC_IOU}
 
 
 @dataclass(frozen=True)
@@ -66,7 +64,7 @@ class EngineState:
 
     frame: int
     anchor: int                 # the first frame; nothing before it is tracked
-    template: Template
+    template: object            # the port's handle, cropped at the anchor
     target: Tracklet            # selected history, ends at `frame`
     neighbors: tuple[Tracklet, ...]  # loser histories, end at `frame`
     motion: MotionState | None
@@ -94,7 +92,7 @@ def _advance_neighbors_stable(prev: tuple[Tracklet, ...], cands: CandidateSet, s
     for ci, i in enumerate(losers):
         for nj, tr in enumerate(prev):
             ov = iou(cands.boxes[i], tr.head)
-            if ov >= cfg.assoc_iou:
+            if ov >= ASSOC_IOU:
                 scored.append((ov, ci, nj))
     scored.sort(key=lambda s: (-s[0], s[1], s[2]))
     taken_c: dict[int, int] = {}
@@ -122,8 +120,7 @@ def step(state: EngineState, frame: int, port: TrackerPort,
     t = frame
     prior = state.target.head
     raw = port.propose(state.template, t, prior)
-    kept = soft_nms(raw, filter_by_confidence(raw, cfg.alpha),
-                    cfg.nms_iou, cfg.nms_sigma, cfg.nms_floor)
+    kept = soft_nms(raw, filter_by_confidence(raw, cfg.alpha), cfg.nms_iou, cfg.nms_sigma)
     kalman_box = predicted = None
     if cfg.use_kalman:
         kalman_box, predicted = motion_predict(state.motion)
@@ -148,14 +145,14 @@ def step(state: EngineState, frame: int, port: TrackerPort,
         tracklets = build_candidate_pool(cands, port, back_frames, top_tracklet)
         weights = build_weights(tracklets, state.neighbors, state.target,
                                 target_weights={top: gate_overlap})
-        assignment = hungarian_max(weights)
+        pairs = hungarian_max(weights)
         try:
-            selected, source = resolve_target(assignment, weights, cands)
+            selected, source = resolve_target(pairs, weights, cands)
         except NoViableCandidateError:
             selected, source = top, "degraded_argmax"
             log.warning("frame %d: no viable candidate, degrading to argmax", t)
         weights_list = weights.tolist()
-        pairs_list = [list(pair) for pair in assignment.pairs]
+        pairs_list = [list(pair) for pair in pairs]
         neighbors = update_neighbor_pool(cands, tracklets, selected, cfg.tau)
 
     box = cands.boxes[selected]

@@ -45,10 +45,6 @@ class BBox:
     def area(self) -> float:
         return self.w * self.h
 
-    @property
-    def diagonal(self) -> float:
-        return math.hypot(self.w, self.h)
-
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x, self.y, self.w, self.h)
 
@@ -108,20 +104,9 @@ class Tracklet:
         return len(self.boxes)
 
     @property
-    def start_frame(self) -> int:
-        return self.end_frame - len(self.boxes) + 1
-
-    @property
     def head(self) -> BBox:
         """Box at end_frame (the newest one)."""
         return self.boxes[0]
-
-    def box_at(self, frame: int) -> BBox:
-        k = self.end_frame - frame
-        if k < 0 or k >= len(self.boxes):
-            raise ValueError(f"frame {frame} outside tracklet span "
-                             f"[{self.start_frame}, {self.end_frame}]")
-        return self.boxes[k]
 
     def pushed(self, box: BBox, cap: int) -> "Tracklet":
         """`box` as the new head at end_frame + 1, keeping only the newest

@@ -8,7 +8,6 @@ evidence and are treated as unmatched when resolving the target.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -26,14 +25,6 @@ _NO_MATCH = np.empty(0, dtype=np.intp)
 
 class NoViableCandidateError(RuntimeError):
     """Raised when no candidate can be tied to the target by any rule."""
-
-
-@dataclass(frozen=True)
-class Assignment:
-    """A maximum-weight matching; pairs are (row, col), sorted by row."""
-
-    pairs: tuple[tuple[int, int], ...]
-    total_weight: float
 
 
 def build_weights(tracklets: Sequence[Tracklet], neighbors: Sequence[Tracklet],
@@ -63,10 +54,11 @@ def _best(values: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     return float(values[rows, cols].sum()), rows, cols
 
 
-def hungarian_max(w: np.ndarray) -> Assignment:
+def hungarian_max(w: np.ndarray) -> tuple[tuple[int, int], ...]:
     """Maximum-weight bipartite matching with deterministic tie-breaking.
 
-    Among all maximum-weight matchings, the one whose sorted pair list is
+    Returns the matching's (row, col) pairs, sorted by row. Among all
+    maximum-weight matchings, the one whose sorted pair list is
     lexicographically smallest is returned: each row in turn is matched to
     the lowest column that still permits an optimal completion, and rows
     are skipped only when no column does. `w` must be 2-D, non-empty,
@@ -116,26 +108,23 @@ def hungarian_max(w: np.ndarray) -> Assignment:
             pairs.append((r, chosen))
             free_cols.remove(chosen)
             fixed += grid[r][chosen]
-    total = 0.0
-    for r, c in pairs:
-        total += grid[r][c]
-    return Assignment(tuple(pairs), total)
+    return tuple(pairs)
 
 
-def resolve_target(assignment: Assignment, w: np.ndarray,
+def resolve_target(pairs: Sequence[tuple[int, int]], w: np.ndarray,
                    cands: CandidateSet) -> tuple[int, str]:
     """Pick the candidate index that continues the target, and say why.
 
-    `w` is the weight array `hungarian_max` matched, the target in its last
-    column. Order of precedence, with the source returned alongside the
-    index: the row matched to the target column with positive weight
+    `pairs` is the matching `hungarian_max` returned for the weight array
+    `w`, the target in its last column. Order of precedence, with the
+    source returned alongside the index: the row matched to the target column with positive weight
     (``target_matched``); otherwise the effectively-unmatched row with the
     highest target-column weight, provided that weight is positive
     (``best_unmatched``); otherwise the injected motion box
     (``kalman_fallback``). Zero-weight pairings count as unmatched. With no
     motion box left to fall back on, there is no viable candidate.
 
-    Given `hungarian_max`'s assignment, ``best_unmatched`` needs a target
+    Given `hungarian_max`'s matching, ``best_unmatched`` needs a target
     weight within its tolerance of zero (``_OPT_TOL`` for weights of at most
     1): a row with target weight x > 0 and no positive pairing could move
     onto the target column, which holds no positive pairing either, and
@@ -146,7 +135,7 @@ def resolve_target(assignment: Assignment, w: np.ndarray,
         raise ValueError("weight matrix rows must correspond to the candidate set")
     target_col = w.shape[1] - 1
     matched_rows = set()
-    for r, c in assignment.pairs:
+    for r, c in pairs:
         if w[r, c] <= 0.0:
             continue  # no-evidence pairing
         if c == target_col:

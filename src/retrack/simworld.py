@@ -21,8 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import BBox, Tracklet, box_array, iou
-from .tracker_port import (RawCandidates, Template, TrackerPort, newest_first,
-                           segment_frames)
+from .tracker_port import RawCandidates, TrackerPort, newest_first, segment_frames
 
 log = logging.getLogger(__name__)
 
@@ -182,6 +181,8 @@ class Scene:
         elif self.objects and len(self.static_appearance) != dim:
             raise ValueError(f"static_appearance has dimension {len(self.static_appearance)}, "
                              f"object {self.objects[0].id}'s appearance {dim}")
+        wall = np.asarray(self.static_appearance, dtype=float)
+        _length(wall, "static_appearance")
         self._boxes = {}
         apps = {}  # raw (drifted) appearance
         for obj in self.objects:
@@ -189,7 +190,6 @@ class Scene:
             apps[obj.id] = self._walk_appearance(obj, dim)
         self._visibility = {}
         self._eff_apps = {}
-        wall = np.asarray(self.static_appearance, dtype=float)
         tables = []
         for obj in self.objects:
             vis = [1.0] * self.length
@@ -204,7 +204,11 @@ class Scene:
                 vis[f] = 1.0 - severity
                 occ_app = wall if occluder == STATIC else apps[occluder][f]
                 mixed = (1.0 - severity) * apps[obj.id][f] + severity * occ_app
-                eff[f] = _unit(mixed)
+                n = np.linalg.norm(mixed)
+                if n == 0:
+                    raise ValueError(f"object {obj.id}: the occlusion at frame {f} "
+                                     f"mixes its appearance to zero")
+                eff[f] = mixed / n
             self._visibility[obj.id] = vis
             self._eff_apps[obj.id] = eff
             boxes = self._boxes[obj.id]
@@ -217,9 +221,10 @@ class Scene:
         ).reshape(len(self.objects), self.length, 4)
 
     def _walk_appearance(self, obj: ObjectSpec, dim: int) -> np.ndarray:
-        base = _unit(np.asarray(obj.appearance, dtype=float))
+        base = np.asarray(obj.appearance, dtype=float)
         if base.shape != (dim,):
             raise ValueError(f"object {obj.id}: appearance of shape {base.shape}, not ({dim},)")
+        base = base / _length(base, f"object {obj.id}: appearance")
         out = np.empty((self.length, dim))
         out[0] = base
         if obj.drift == 0.0 and not obj.drift_spikes:
@@ -320,6 +325,14 @@ def load_scene(path: FsPath | str) -> Scene:
 # appearance helpers
 # ---------------------------------------------------------------------------
 
+def _length(v: np.ndarray, what: str) -> float:
+    """Length of appearance `v`, checked finite and nonzero: a cosine needs it."""
+    n = float(np.linalg.norm(v))  # NaN if an entry is
+    if not 0.0 < n < math.inf:
+        raise ValueError(f"{what} must be finite and not all zero")
+    return n
+
+
 def _unit(v: np.ndarray) -> np.ndarray:
     n = np.linalg.norm(v)
     if n == 0:
@@ -351,11 +364,14 @@ def _unit_with_cosine(rng: np.random.Generator, u: np.ndarray, c: float) -> np.n
 class MockTracker(TrackerPort):
     """Deterministic tracker over a :class:`Scene`.
 
+    A template is an appearance vector, resolved once when it is cropped:
+    the effective appearance, at the crop's frame, of the object its box
+    overlaps the most, or zeros when it overlaps none.
     Each object whose center lies within the search radius of the prior is
     proposed at its true box, scored by visibility times the clipped
-    cosine between the template appearance and the object's effective
-    appearance. When nothing is in range the prior itself is returned at
-    score zero, so a proposal always exists.
+    cosine between the template and the object's effective appearance.
+    When nothing is in range the prior itself is returned at score zero,
+    so a proposal always exists.
     Besides `make_template` and `propose`, it overrides the port's one
     optional method, `track_segment`, with a lean chain that the engine's
     backtracks and the argmax baseline both take. `propose` and the chain
@@ -368,36 +384,23 @@ class MockTracker(TrackerPort):
 
     def __init__(self, scene: Scene):
         self.scene = scene
-        self._template_cache: dict = {}
 
     def _check_frame(self, frame: int) -> None:
         if not (0 <= frame < self.scene.length):
             raise ValueError(f"frame {frame} outside scene [0, {self.scene.length})")
 
-    def make_template(self, frame: int, box: BBox) -> Template:
+    def make_template(self, frame: int, box: BBox) -> np.ndarray:
+        """What the crop at `box` in `frame` looks like: the effective
+        appearance of the object overlapping it the most, else zeros."""
         self._check_frame(frame)
-        return Template(frame, box)
-
-    def template_appearance(self, template: Template) -> np.ndarray:
-        """What the crop at (source_frame, source_box) actually looks like:
-        the effective appearance of the object overlapping it the most."""
-        key = (template.source_frame, template.source_box.as_tuple())
-        cached = self._template_cache.get(key)
-        if cached is not None:
-            return cached
-        best_id = self.scene.dominant_object(template.source_box,
-                                             template.source_frame)
+        best_id = self.scene.dominant_object(box, frame)
         if best_id is None:
-            app = np.zeros(len(self.scene.static_appearance))
-        else:
-            app = self.scene.effective_appearance(best_id, template.source_frame)
-        self._template_cache[key] = app
-        return app
+            return np.zeros(len(self.scene.static_appearance))
+        return self.scene.effective_appearance(best_id, frame)
 
-    def propose(self, template: Template, frame: int, prior: BBox) -> RawCandidates:
+    def propose(self, template: np.ndarray, frame: int, prior: BBox) -> RawCandidates:
         self._check_frame(frame)
-        tpl_app = self.template_appearance(template)
-        # the prior's centre and diagonal exactly as `BBox.cx`, `.cy`, `.diagonal`
+        # the prior's centre exactly as `BBox.cx` and `.cy`
         pw, ph = prior.w, prior.h
         pcx, pcy = prior.x + pw / 2.0, prior.y + ph / 2.0
         radius = SEARCH_RADIUS_SCALE * math.hypot(pw, ph)
@@ -406,25 +409,24 @@ class MockTracker(TrackerPort):
         for _, obj_boxes, vis, eff, cxs, cys in self.scene._tables:
             if math.hypot(pcx - cxs[frame], pcy - cys[frame]) > radius:
                 continue
-            s = vis[frame] * float(tpl_app.dot(eff[frame]))
+            s = vis[frame] * float(template.dot(eff[frame]))
             boxes.append(obj_boxes[frame])
             scores.append(0.0 if s < 0.0 else 1.0 if s > 1.0 else s)
         if not boxes:
             return RawCandidates((prior,), (0.0,))
         return RawCandidates(tuple(boxes), tuple(scores))
 
-    def track_segment(self, template: Template, start: BBox,
+    def track_segment(self, template: np.ndarray, start: BBox,
                       frames: Sequence[int]) -> Tracklet:
-        """The base class's chain, lean: the frames are checked once, the
-        template's appearance is resolved once, and each step keeps a
-        running argmax over the proposals as `propose` orders and scores
-        them, ties going to the first, so no proposal list is built."""
+        """The base class's chain, lean: the frames are checked once, and
+        each step keeps a running argmax over the proposals as `propose`
+        orders and scores them, ties going to the first, so no proposal
+        list is built."""
         frames = segment_frames(frames)
         self._check_frame(frames[0])
         self._check_frame(frames[-1])
-        tpl_app = self.template_appearance(template)
         tables = self.scene._tables
-        hypot, dot = math.hypot, tpl_app.dot
+        hypot, dot = math.hypot, template.dot
         prior = start
         chain = []
         for f in frames:

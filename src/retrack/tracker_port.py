@@ -2,8 +2,10 @@
 
 The engine never talks to a concrete tracker directly; it sees a
 :class:`TrackerPort` that crops templates (`make_template`) and proposes
-scored boxes for a frame given a search prior (`propose`). From those two
-the port derives `track_segment`, the one propose-argmax chain: the
+scored boxes for a frame given a search prior (`propose`). A template is
+the port's own handle, computed when it is cropped (a siamese port would
+return its template features); the engine only hands it back. From those
+two the port derives `track_segment`, the one propose-argmax chain: the
 engine's backtracks run it backward, the argmax baseline runs it forward.
 A port may override `track_segment` with a leaner chain that returns the
 same tracklets. Implementations must be deterministic: identical
@@ -16,14 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .geometry import BBox, Tracklet
-
-
-@dataclass(frozen=True)
-class Template:
-    """Opaque handle for an appearance patch cropped at a frame/box."""
-
-    source_frame: int
-    source_box: BBox
 
 
 @dataclass(frozen=True)
@@ -87,14 +81,16 @@ class TrackerPort(abc.ABC):
     """What the engine needs from a single-object tracker."""
 
     @abc.abstractmethod
-    def make_template(self, frame: int, box: BBox) -> Template:
-        """Crop an appearance template at `box` in `frame`."""
+    def make_template(self, frame: int, box: BBox) -> object:
+        """Crop a template at `box` in `frame`: the port's own handle, computed
+        now (a siamese port would return its template features), which the
+        engine hands back to `propose` and `track_segment` unread."""
 
     @abc.abstractmethod
-    def propose(self, template: Template, frame: int, prior: BBox) -> RawCandidates:
+    def propose(self, template: object, frame: int, prior: BBox) -> RawCandidates:
         """Scored box proposals for `frame`, searching around `prior`."""
 
-    def track_segment(self, template: Template, start: BBox,
+    def track_segment(self, template: object, start: BBox,
                       frames: Sequence[int]) -> Tracklet:
         """Track through `frames` by chaining propose + per-step argmax.
 

@@ -13,13 +13,13 @@ from typing import Sequence
 import pytest
 
 from retrack.geometry import BBox, Tracklet
-from retrack.tracker_port import Template, TrackerPort
+from retrack.tracker_port import TrackerPort
 
 # empty, a gap, and direction changes either way
 NOT_SEGMENTS = ([], [1, 3], [1, 2, 1], [3, 2, 3])
 
 
-def visited(port: TrackerPort, template: Template, start: BBox,
+def visited(port: TrackerPort, template: object, start: BBox,
             frames: Sequence[int]) -> dict[int, BBox]:
     """The argmax box at each frame of a propose-argmax walk, by frame."""
     prior, out = start, {}
@@ -29,7 +29,7 @@ def visited(port: TrackerPort, template: Template, start: BBox,
     return out
 
 
-def check_port(port: TrackerPort, starts: Sequence[tuple[Template, BBox]],
+def check_port(port: TrackerPort, starts: Sequence[tuple[object, BBox]],
                segments: Sequence[Sequence[int]]) -> list[list[Tracklet]]:
     """Check `port.track_segment` from every `(template, start box)` pair
     through every sequence of `segments` (each consecutive, ascending or
@@ -54,7 +54,7 @@ def check_port(port: TrackerPort, starts: Sequence[tuple[Template, BBox]],
     return out
 
 
-def check_rejects(port: TrackerPort, template: Template, start: BBox,
+def check_rejects(port: TrackerPort, template: object, start: BBox,
                   outside: Sequence[Sequence[int]] = ()) -> None:
     """Check that `port.track_segment` and the base class's chain both
     raise `ValueError` on `NOT_SEGMENTS` and on the sequences in

@@ -10,7 +10,7 @@ from retrack.candidate_select import CandidateSet
 from retrack.geometry import BBox, Tracklet
 from retrack.pools import build_candidate_pool
 from retrack.simworld import STATIC, ObjectSpec, OcclusionEvent, Path, Scene
-from retrack.tracker_port import RawCandidates, Template, TrackerPort
+from retrack.tracker_port import RawCandidates, TrackerPort
 
 
 def shifted(box: BBox, dx: float, dy: float) -> BBox:
@@ -28,8 +28,8 @@ class ScriptPort(TrackerPort):
         }
         self.propose_calls = 0
 
-    def make_template(self, frame: int, box: BBox) -> Template:
-        return Template(frame, box)
+    def make_template(self, frame: int, box: BBox) -> tuple:
+        return frame, box
 
     def propose(self, template, frame, prior):
         self.propose_calls += 1
@@ -48,8 +48,8 @@ class DriftPort(TrackerPort):
         self.dy = dy
         self.propose_calls = 0
 
-    def make_template(self, frame: int, box: BBox) -> Template:
-        return Template(frame, box)
+    def make_template(self, frame: int, box: BBox) -> tuple:
+        return frame, box
 
     def propose(self, template, frame, prior):
         self.propose_calls += 1

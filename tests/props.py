@@ -174,12 +174,7 @@ def _(value):
     end, bs, new, keep = value
     t = Tracklet(end, tuple(bs))
     assert len(t) == len(bs)
-    assert t.start_frame == end - len(bs) + 1
     assert t.head == bs[0]
-    for i, b in enumerate(bs):
-        assert t.box_at(end - i) == b
-    with pytest.raises(ValueError):
-        t.box_at(end + 1)
     pushed = t.pushed(new, keep)
     assert pushed.end_frame == end + 1
     assert pushed.boxes == ((new,) + t.boxes)[:keep]

@@ -1,5 +1,4 @@
 """Box and tracklet geometry against hand-computed overlap values."""
-import math
 
 import pytest
 
@@ -24,7 +23,6 @@ class TestBBox:
         assert (b.x2, b.y2) == (6.0, 9.0)
         assert (b.cx, b.cy) == (4.0, 6.0)
         assert b.area == 24.0
-        assert b.diagonal == math.hypot(4.0, 6.0)
         assert b.as_tuple() == (2.0, 3.0, 4.0, 6.0)
 
 
@@ -62,18 +60,8 @@ class TestTracklet:
         b9, b8, b7 = BBox(9, 0, 1, 1), BBox(8, 0, 1, 1), BBox(7, 0, 1, 1)
         t = Tracklet(9, (b9, b8, b7))
         assert len(t) == 3
-        assert t.start_frame == 7
         assert t.head == b9
-        assert t.box_at(9) == b9
-        assert t.box_at(8) == b8
-        assert t.box_at(7) == b7
-
-    def test_box_at_outside_span(self):
-        t = Tracklet(5, (BBox(0, 0, 1, 1),))
-        with pytest.raises(ValueError):
-            t.box_at(6)
-        with pytest.raises(ValueError):
-            t.box_at(4)
+        assert t.boxes == (b9, b8, b7)
 
     def test_pushed_grows_then_caps(self):
         t = Tracklet(4, (BBox(4, 0, 1, 1), BBox(3, 0, 1, 1)))

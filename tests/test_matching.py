@@ -8,8 +8,8 @@ import retrack.matching
 from oracles import brute_force_assignment
 from retrack.candidate_select import CandidateSet
 from retrack.geometry import BBox, Tracklet, tracklet_avg_iou
-from retrack.matching import (Assignment, NoViableCandidateError, build_weights,
-                              hungarian_max, resolve_target)
+from retrack.matching import (NoViableCandidateError, build_weights, hungarian_max,
+                              resolve_target)
 
 
 def _w(rows):
@@ -30,7 +30,7 @@ class TestWeightMatrix:
         with pytest.raises(ValueError, match="2-D and non-empty"):
             hungarian_max(np.zeros((0, 0)))
         # no upper bound: weights above 1 are matched like any others
-        assert hungarian_max(_w([[0.5, 1.5]])).pairs == ((0, 1),)
+        assert hungarian_max(_w([[0.5, 1.5]])) == ((0, 1),)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -0.25])
     def test_rejects_weight_outside_unit_interval(self, bad):
@@ -48,8 +48,8 @@ class TestHungarianMax:
             values = rng.integers(0, 65, size=(rows, cols)) / 64.0
             got = hungarian_max(values)
             pairs, total = brute_force_assignment(values)
-            assert got.total_weight == total
-            assert got.pairs == pairs
+            assert got == pairs
+            assert sum(values[r, c] for r, c in got) == total
 
     def test_matches_brute_force_on_tie_heavy_matrices(self):
         rng = np.random.default_rng(7)
@@ -59,8 +59,8 @@ class TestHungarianMax:
                 values = levels[rng.integers(0, 4, size=(rows, cols))]
                 got = hungarian_max(values)
                 pairs, total = brute_force_assignment(values)
-                assert got.total_weight == total
-                assert got.pairs == pairs
+                assert got == pairs
+                assert sum(values[r, c] for r, c in got) == total
 
     @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6, 1e8, 1e10, 1e12])
     def test_tie_break_holds_at_every_weight_scale(self, scale):
@@ -72,7 +72,7 @@ class TestHungarianMax:
             values = rng.random((rows, cols)) * scale
             values[rng.random((rows, cols)) < 0.4] = 0.0
             values[:, 0] = values[:, -1]
-            assert hungarian_max(values).pairs == brute_force_assignment(values)[0]
+            assert hungarian_max(values) == brute_force_assignment(values)[0]
 
     @pytest.mark.parametrize("values, pairs, solves", [
         # the solver's matching is already the lexicographically smallest
@@ -94,24 +94,18 @@ class TestHungarianMax:
 
         monkeypatch.setattr(retrack.matching, "linear_sum_assignment", counting)
         got = hungarian_max(_w(values))
-        assert got.pairs == pairs
-        assert got.pairs == brute_force_assignment(values)[0]
+        assert got == pairs
+        assert got == brute_force_assignment(values)[0]
         assert len(calls) == solves
 
     def test_all_equal_ties_break_lexicographically(self):
-        got = hungarian_max(np.full((2, 2), 0.5))
-        assert got.pairs == ((0, 0), (1, 1))
-        assert got.total_weight == 1.0
+        assert hungarian_max(np.full((2, 2), 0.5)) == ((0, 0), (1, 1))
 
     def test_zero_matrix_still_matches_fully(self):
-        got = hungarian_max(np.zeros((2, 2)))
-        assert got.pairs == ((0, 0), (1, 1))
-        assert got.total_weight == 0.0
+        assert hungarian_max(np.zeros((2, 2))) == ((0, 0), (1, 1))
 
     def test_more_rows_than_columns_skips_weak_rows(self):
-        got = hungarian_max(np.array([[0.25], [0.5], [0.125]]))
-        assert got.pairs == ((1, 0),)
-        assert got.total_weight == 0.5
+        assert hungarian_max(np.array([[0.25], [0.5], [0.125]])) == ((1, 0),)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -165,42 +159,40 @@ class TestBuildWeights:
 class TestResolveTarget:
     def test_positive_target_match_wins(self):
         w = _w([[0.9, 0.1], [0.0, 0.6]])
-        assignment = hungarian_max(w)
-        assert resolve_target(assignment, w, _cands(2)) == (1, "target_matched")
+        pairs = hungarian_max(w)
+        assert resolve_target(pairs, w, _cands(2)) == (1, "target_matched")
 
     def test_zero_weight_target_pairing_is_unmatched(self):
         w = _w([[0.5, 0.0], [0.0, 0.0], [0.0, 0.0]])
-        assignment = hungarian_max(w)
-        assert assignment.pairs == ((0, 0), (1, 1))
+        pairs = hungarian_max(w)
+        assert pairs == ((0, 0), (1, 1))
         # row 1 holds the target column at zero weight: no evidence, so the
         # motion box is the only viable continuation
-        assert resolve_target(assignment, w, _cands(3, kalman_index=2)) == (2, "kalman_fallback")
+        assert resolve_target(pairs, w, _cands(3, kalman_index=2)) == (2, "kalman_fallback")
         with pytest.raises(NoViableCandidateError):
-            resolve_target(assignment, w, _cands(3))
+            resolve_target(pairs, w, _cands(3))
 
     def test_best_unmatched_row_by_target_weight(self):
         w = _w([[0.5, 0.4], [0.0, 0.25], [0.0, 0.3]])
-        # hand-built assignment leaves rows 1 and 2 out entirely
-        assignment = Assignment(((0, 0),), 0.5)
-        assert resolve_target(assignment, w, _cands(3)) == (2, "best_unmatched")
+        # hand-built pairs leave rows 1 and 2 out entirely
+        assert resolve_target(((0, 0),), w, _cands(3)) == (2, "best_unmatched")
 
     def test_best_unmatched_tie_keeps_first_row(self):
         w = _w([[0.5, 0.4], [0.0, 0.3], [0.0, 0.3]])
-        assignment = Assignment(((0, 0),), 0.5)
-        assert resolve_target(assignment, w, _cands(3)) == (1, "best_unmatched")
+        assert resolve_target(((0, 0),), w, _cands(3)) == (1, "best_unmatched")
 
     def test_matched_rows_not_eligible_as_fallback(self):
         # row 0 is matched to a neighbor with positive weight, so its
         # positive target weight must not rescue it
         w = _w([[0.9, 0.3], [0.0, 0.0], [0.0, 0.0]])
-        assignment = hungarian_max(w)
-        assert resolve_target(assignment, w, _cands(3, kalman_index=2)) == (2, "kalman_fallback")
+        pairs = hungarian_max(w)
+        assert resolve_target(pairs, w, _cands(3, kalman_index=2)) == (2, "kalman_fallback")
         # the same holds for the motion row itself: it is picked as the
         # fallback, not as the best unmatched row
         w = _w([[0.0, 0.0], [0.0, 0.0], [0.9, 0.6]])
-        assignment = hungarian_max(w)
-        assert assignment.pairs == ((0, 1), (2, 0))
-        assert resolve_target(assignment, w, _cands(3, kalman_index=2)) == (2, "kalman_fallback")
+        pairs = hungarian_max(w)
+        assert pairs == ((0, 1), (2, 0))
+        assert resolve_target(pairs, w, _cands(3, kalman_index=2)) == (2, "kalman_fallback")
 
     def test_best_unmatched_only_within_the_optimality_tolerance(self):
         # row 0's target weight sits under the tolerance, so pairing it with
@@ -235,12 +227,12 @@ class TestResolveTarget:
 
     def test_error_when_nothing_viable(self):
         w = _w([[0.0, 0.0]])
-        assignment = hungarian_max(w)
+        pairs = hungarian_max(w)
         with pytest.raises(NoViableCandidateError):
-            resolve_target(assignment, w, _cands(1))
+            resolve_target(pairs, w, _cands(1))
 
     def test_row_count_must_match_candidates(self):
         w = _w([[0.5, 0.5]])
-        assignment = hungarian_max(w)
+        pairs = hungarian_max(w)
         with pytest.raises(ValueError):
-            resolve_target(assignment, w, _cands(2))
+            resolve_target(pairs, w, _cands(2))

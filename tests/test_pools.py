@@ -22,16 +22,13 @@ class TestBuildCandidatePool:
             assert tracklet.end_frame == 4
             assert len(tracklet) == 3
             # drift port walks one step per frame away from the candidate
-            assert tracklet.box_at(4).x == x0 + 1.0
-            assert tracklet.box_at(3).x == x0 + 2.0
-            assert tracklet.box_at(2).x == x0 + 3.0
+            assert [b.x for b in tracklet.boxes] == [x0 + 1.0, x0 + 2.0, x0 + 3.0]
 
     def test_depth_clamped_by_available_frames(self):
         port = DriftPort()
         (tracklet,) = backtrack_all(_cands([0.0]), port,
                                     backtrack_frames(t=2, tau=9, anchor=0))
-        assert len(tracklet) == 2
-        assert tracklet.start_frame == 0
+        assert (tracklet.end_frame, len(tracklet)) == (1, 2)  # frames 1 and 0
 
     def test_depth_clamped_at_the_anchor(self):
         assert list(backtrack_frames(t=33, tau=9, anchor=30)) == [32, 31, 30]

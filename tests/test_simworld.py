@@ -224,11 +224,18 @@ class TestSceneSerialization:
         ("unknown_occluder", "object 1: occluder 3 is neither"),
         ("static_dimension", "static_appearance has dimension 3, object 1"),
         ("object_dimension", "object 2: appearance of shape \\(3,\\), not \\(4,\\)"),
+        ("object_zero", "object 2: appearance must be finite and not all zero"),
+        ("object_nan", "object 1: appearance must be finite and not all zero"),
+        ("static_zero", "static_appearance must be finite and not all zero"),
+        ("static_nan", "static_appearance must be finite and not all zero"),
+        ("mix_cancels", "object 1: the occlusion at frame 5 mixes its appearance to zero"),
     ], ids=["short_frames", "long_frames", "unknown_occluder", "static_dimension",
-            "object_dimension"])
+            "object_dimension", "object_zero", "object_nan", "static_zero",
+            "static_nan", "mix_cancels"])
     def test_bad_spec_fails_when_built(self, change, message):
         """Unchecked, each would fail later with an error that names no
-        object, or run silently on a truncated path."""
+        object, mid-run with a NaN score, or run silently on a truncated
+        path."""
         data = json.loads(json.dumps(self._sample().to_jsonable()))
         target, other = data["objects"]
         if change.endswith("_frames"):
@@ -238,10 +245,21 @@ class TestSceneSerialization:
             target["occlusions"][1]["occluder"] = 3
         elif change == "static_dimension":
             data["static_appearance"] = data["static_appearance"][:3]
-        else:
+        elif change == "object_dimension":
             other["appearance"] = other["appearance"][:3]
+        elif change == "object_zero":
+            other["appearance"] = [0.0] * DIM
+        elif change == "object_nan":
+            target["appearance"][1] = math.nan
+        elif change == "static_zero":
+            data["static_appearance"] = [0.0] * DIM
+        elif change == "static_nan":
+            data["static_appearance"][3] = math.nan
+        else:  # object 2 occludes object 1 at half strength over frame 5
+            target.update(drift=0.0, drift_spikes=[])
+            other["appearance"] = [-v for v in target["appearance"]]
         with pytest.raises(ValueError, match=message):
-            Scene.from_jsonable(data)
+            Scene.from_jsonable(json.loads(json.dumps(data)))
 
 
 class TestSceneTables:

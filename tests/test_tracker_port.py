@@ -4,7 +4,7 @@ import pytest
 from conformance import check_port, check_rejects
 from conftest import DriftPort, ScriptPort
 from retrack.geometry import BBox
-from retrack.tracker_port import RawCandidates, Template
+from retrack.tracker_port import RawCandidates
 
 
 class TestRawCandidates:
@@ -45,33 +45,33 @@ class TestTrackSegment:
     def test_forward_chains_argmax_and_orders_newest_first(self):
         port = DriftPort(dx=2.0)
         start = BBox(10, 10, 4, 4)
-        t = port.track_segment(Template(2, start), start, [3, 4, 5])
+        t = port.track_segment(port.make_template(2, start), start, [3, 4, 5])
         assert t.end_frame == 5
         # head is the frame-5 box: three drift steps from the start
         assert t.head.as_tuple() == (16.0, 10.0, 4.0, 4.0)
-        assert t.box_at(4).as_tuple() == (14.0, 10.0, 4.0, 4.0)
-        assert t.box_at(3).as_tuple() == (12.0, 10.0, 4.0, 4.0)
+        assert t.boxes[1].as_tuple() == (14.0, 10.0, 4.0, 4.0)  # frame 4
+        assert t.boxes[2].as_tuple() == (12.0, 10.0, 4.0, 4.0)  # frame 3
 
     def test_backward_keeps_newest_first(self):
         port = DriftPort(dx=2.0)
         start = BBox(10, 10, 4, 4)
-        t = port.track_segment(Template(6, start), start, [5, 4, 3])
+        t = port.track_segment(port.make_template(6, start), start, [5, 4, 3])
         assert t.end_frame == 5
         # the frame-5 box is one drift step, frame 3 is three
         assert t.head.as_tuple() == (12.0, 10.0, 4.0, 4.0)
-        assert t.box_at(3).as_tuple() == (16.0, 10.0, 4.0, 4.0)
+        assert t.boxes[2].as_tuple() == (16.0, 10.0, 4.0, 4.0)  # frame 3
 
     def test_single_frame(self):
         port = DriftPort(dx=1.0)
         start = BBox(0, 0, 1, 1)
-        t = port.track_segment(Template(1, start), start, [7])
+        t = port.track_segment(port.make_template(1, start), start, [7])
         assert t.end_frame == 7
         assert len(t) == 1
 
     def test_matches_manual_argmax_chain(self):
         port = ScriptPort(SCRIPT)
         start = BBox(0, 0, 2, 2)
-        got = port.track_segment(Template(3, start), start, [4, 5, 6])
+        got = port.track_segment(port.make_template(3, start), start, [4, 5, 6])
         chain = []
         for f in (4, 5, 6):
             raw = port.script[f]
@@ -80,7 +80,8 @@ class TestTrackSegment:
 
     def test_rejects_bad_frame_sequences(self):
         start = BBox(0, 0, 1, 1)
-        check_rejects(DriftPort(), Template(0, start), start)
+        port = DriftPort()
+        check_rejects(port, port.make_template(0, start), start)
 
 
 class TestConformance:
@@ -89,15 +90,15 @@ class TestConformance:
     def test_script_port(self):
         port = ScriptPort(SCRIPT)
         start = BBox(0, 0, 2, 2)
-        (forward,), _, _ = check_port(port, [(Template(3, start), start)],
+        (forward,), _, _ = check_port(port, [(port.make_template(3, start), start)],
                                       [[4, 5, 6], [6, 5, 4], [5]])
-        check_rejects(port, Template(3, start), start)
+        check_rejects(port, port.make_template(3, start), start)
         # newest first: the argmax boxes of frames 6, 5 and 4
         assert forward.boxes == (BBox(7, 0, 2, 2), BBox(6, 0, 2, 2), BBox(5, 0, 2, 2))
 
     def test_drift_port(self):
         port = DriftPort(dx=2.0)
-        starts = [(Template(6, BBox(x, 10, 4, 4)), BBox(x, 10, 4, 4))
+        starts = [(port.make_template(6, BBox(x, 10, 4, 4)), BBox(x, 10, 4, 4))
                   for x in (10.0, 50.0, 90.0)]
         backward, _, _ = check_port(port, starts, [[5, 4, 3], [3, 4, 5], [7]])
         assert [t.head.x for t in backward] == [12.0, 52.0, 92.0]
