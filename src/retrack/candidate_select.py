@@ -15,6 +15,9 @@ from dataclasses import dataclass, field
 from .geometry import BBox, iou
 from .tracker_port import RawCandidates, first_max
 
+ALPHA = 0.7       # confidence-ratio filter
+NMS_IOU = 0.25    # overlap above which scores decay
+NMS_SIGMA = 0.01  # Gaussian decay width
 NMS_FLOOR = 1e-3  # decayed scores below this are dropped
 
 

@@ -37,7 +37,8 @@ class ConfigError(click.ClickException):
 
 
 def _parse_seeds(text: str) -> list[int]:
-    """'0:200' (half-open range) or '3,7,19' or a single integer."""
+    """'0:200' (half-open range) or '3,7,19' or a single integer; the
+    seeds must be non-negative and distinct."""
     text = text.strip()
     try:
         if ":" in text:
@@ -49,6 +50,13 @@ def _parse_seeds(text: str) -> list[int]:
         raise ConfigError(f"cannot parse seed list {text!r}") from None
     if not seeds:
         raise ConfigError(f"seed list {text!r} is empty")
+    seen: set[int] = set()
+    for seed in seeds:
+        if seed < 0:
+            raise ConfigError(f"seed list {text!r}: seed {seed} is negative")
+        if seed in seen:
+            raise ConfigError(f"seed list {text!r}: seed {seed} is repeated")
+        seen.add(seed)
     return seeds
 
 
@@ -176,7 +184,8 @@ input_options = [
                  type=click.Path(exists=True, dir_okay=False), default=None,
                  help="JSON scenario config overriding the defaults."),
     click.option("--seeds", default="0:10", show_default=True,
-                 help="Seed list: 'a:b' half-open range or comma-separated."),
+                 help="Distinct non-negative seeds: 'a:b' half-open range "
+                      "or comma-separated."),
     click.option("--target-id", type=int, default=None,
                  help="Object id to track (default: lowest id)."),
 ]
@@ -184,15 +193,6 @@ input_options = [
 engine_options = [
     click.option("--tau", type=int, default=EngineConfig.tau, show_default=True,
                  help="Backtrack depth in frames."),
-    click.option("--alpha", type=float, default=EngineConfig.alpha, show_default=True,
-                 help="Confidence-ratio filter threshold."),
-    click.option("--nms-iou", type=float, default=EngineConfig.nms_iou,
-                 show_default=True),
-    click.option("--nms-sigma", type=float, default=EngineConfig.nms_sigma,
-                 show_default=True),
-    click.option("--gate-iou", type=float, default=EngineConfig.stability_iou,
-                 show_default=True,
-                 help="Stability-gate history-overlap threshold."),
     click.option("--no-kalman", is_flag=True, default=False,
                  help="Do not inject the motion-predicted candidate."),
 ]
@@ -206,12 +206,9 @@ def _add_options(options):
     return wrap
 
 
-def _engine_cfg(tau: int, alpha: float, nms_iou: float, nms_sigma: float,
-                gate_iou: float, no_kalman: bool) -> EngineConfig:
+def _engine_cfg(tau: int, no_kalman: bool) -> EngineConfig:
     try:
-        return EngineConfig(alpha=alpha, nms_iou=nms_iou, nms_sigma=nms_sigma,
-                            tau=tau, stability_iou=gate_iou,
-                            use_kalman=not no_kalman)
+        return EngineConfig(tau=tau, use_kalman=not no_kalman)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -252,12 +249,11 @@ def cmd_simulate(scenario, config_path, seeds, out_dir):
               help="Run only the argmax baseline, no correction.")
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
-def cmd_track(scenario, mot_path, config_path, seeds, target_id, tau, alpha,
-              nms_iou, nms_sigma, gate_iou, no_kalman, baseline_only, jobs,
-              out_dir):
+def cmd_track(scenario, mot_path, config_path, seeds, target_id, tau, no_kalman,
+              baseline_only, jobs, out_dir):
     """Track scenes with the baseline and the correction engine; write one
     CSV per system per seed plus a decision log for the engine."""
-    engine_cfg = _engine_cfg(tau, alpha, nms_iou, nms_sigma, gate_iou, no_kalman)
+    engine_cfg = _engine_cfg(tau, no_kalman)
     specs = _make_specs(scenario, mot_path, config_path, seeds, target_id)
     out = FsPath(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -277,14 +273,13 @@ def cmd_track(scenario, mot_path, config_path, seeds, target_id, tau, alpha,
                    "the motion candidate on and off.")
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
-def cmd_evaluate(scenario, mot_path, config_path, seeds, target_id, tau, alpha,
-                 nms_iou, nms_sigma, gate_iou, no_kalman, fail_iou, ablate,
-                 jobs, out_dir):
+def cmd_evaluate(scenario, mot_path, config_path, seeds, target_id, tau, no_kalman,
+                 fail_iou, ablate, jobs, out_dir):
     """Run baseline and engine, compute metrics, and write a side-by-side
     report; optionally sweep an ablation axis."""
     if math.isnan(fail_iou):  # the only value FloatRange lets through unchecked
         raise ConfigError("--fail-iou must be in [0, 1), got nan")
-    engine_cfg = _engine_cfg(tau, alpha, nms_iou, nms_sigma, gate_iou, no_kalman)
+    engine_cfg = _engine_cfg(tau, no_kalman)
     specs = _make_specs(scenario, mot_path, config_path, seeds, target_id)
     # a bad sweep spec fails before the main evaluation writes anything
     axis, values, swept = (_ablation_configs(ablate, engine_cfg) if ablate

@@ -13,11 +13,11 @@ never refreshed.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-from .candidate_select import NMS_FLOOR, CandidateSet, assemble, filter_by_confidence, soft_nms
+from .candidate_select import (ALPHA, NMS_FLOOR, NMS_IOU, NMS_SIGMA, CandidateSet, assemble,
+                               filter_by_confidence, soft_nms)
 from .geometry import BBox, Tracklet, iou, tracklet_avg_iou
 from .matching import (NoViableCandidateError, build_weights, hungarian_max,
                        resolve_target)
@@ -27,18 +27,21 @@ from .tracker_port import TrackerPort, segment_frames
 
 log = logging.getLogger(__name__)
 
-ASSOC_IOU = 0.3  # stable-path neighbor association
+STABILITY_IOU = 0.6  # history-overlap gate threshold
+ASSOC_IOU = 0.3      # stable-path neighbor association
 
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Tunables; defaults follow the reference operating point."""
+    """What a run may vary: the backtrack depth `tau` in frames, and
+    `use_kalman`, whether the motion-predicted box joins the candidates.
 
-    alpha: float = 0.7            # confidence-ratio filter
-    nms_iou: float = 0.25         # overlap above which scores decay
-    nms_sigma: float = 0.01       # Gaussian decay width
-    tau: int = 9                  # backtrack depth in frames
-    stability_iou: float = 0.6    # history-overlap gate threshold
+    The thresholds are scale-free, so one operating point serves every
+    backbone; they are constants: `ALPHA`, `NMS_IOU`, `NMS_SIGMA` and
+    `NMS_FLOOR` in `candidate_select`, `STABILITY_IOU` and `ASSOC_IOU` here.
+    """
+
+    tau: int = 9
     use_kalman: bool = True
 
     def __post_init__(self):
@@ -46,16 +49,12 @@ class EngineConfig:
             raise ValueError(f"tau must be an integer >= 1, got {self.tau!r}")
         if type(self.use_kalman) is not bool:
             raise ValueError(f"use_kalman must be a bool, got {self.use_kalman!r}")
-        for name in ("alpha", "nms_iou", "stability_iou"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not 0.0 <= value <= 1.0:  # True compares as 1
-                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-        if isinstance(self.nms_sigma, bool) or not 0 < self.nms_sigma < math.inf:
-            raise ValueError(f"nms_sigma must be positive and finite, got {self.nms_sigma!r}")
 
     def as_dict(self) -> dict:
         """The fields plus the fixed constants that written configs report."""
-        return {**asdict(self), "nms_floor": NMS_FLOOR, "assoc_iou": ASSOC_IOU}
+        return {**asdict(self), "alpha": ALPHA, "nms_iou": NMS_IOU, "nms_sigma": NMS_SIGMA,
+                "nms_floor": NMS_FLOOR, "stability_iou": STABILITY_IOU,
+                "assoc_iou": ASSOC_IOU}
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,7 @@ def step(state: EngineState, frame: int, port: TrackerPort,
     t = frame
     prior = state.target.head
     raw = port.propose(state.template, t, prior)
-    kept = soft_nms(raw, filter_by_confidence(raw, cfg.alpha), cfg.nms_iou, cfg.nms_sigma)
+    kept = soft_nms(raw, filter_by_confidence(raw, ALPHA), NMS_IOU, NMS_SIGMA)
     kalman_box = predicted = None
     if cfg.use_kalman:
         kalman_box, predicted = motion_predict(state.motion)
@@ -135,7 +134,7 @@ def step(state: EngineState, frame: int, port: TrackerPort,
         template = port.make_template(t, cands.boxes[top])
         top_tracklet = port.track_segment(template, cands.boxes[top], back_frames)
         gate_overlap = tracklet_avg_iou(state.target, top_tracklet)
-        gate = "history_overlap" if gate_overlap > cfg.stability_iou else "fired"
+        gate = "history_overlap" if gate_overlap > STABILITY_IOU else "fired"
 
     weights_list = pairs_list = None
     if gate != "fired":

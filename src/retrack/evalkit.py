@@ -26,6 +26,7 @@ from .simworld import Scene
 
 REANCHOR_SKIP = 5  # frames consumed by a failure before evaluation resumes
 _THRESHOLDS = np.linspace(0.0, 1.0, 51)  # the success curve's IoU cutoffs
+EAO_INTERVALS = (10, 25, 50)  # interval lengths the report's EAO averages over
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,7 @@ def _eao(ious: list[float], intervals: Sequence[int]) -> float:
 
 
 def eao_lite(pred: Sequence[BBox], gt: Sequence[BBox],
-             intervals: Sequence[int] = (10, 25, 50)) -> float:
+             intervals: Sequence[int] = EAO_INTERVALS) -> float:
     """Mean over interval lengths of the average overlap on the first
     min(interval, n) frames. Disjoint frames contribute zero overlap."""
     _check_lengths(pred, gt)
@@ -184,8 +185,7 @@ class EvalReport:
 
     @classmethod
     def compute(cls, pred: Sequence[BBox], scene: Scene, target_id: int,
-                fail_iou: float = 0.0,
-                intervals: Sequence[int] = (10, 25, 50)) -> "EvalReport":
+                fail_iou: float = 0.0) -> "EvalReport":
         row = _target_row(scene, target_id)
         gt = scene._box_array[row]
         _check_lengths(pred, gt)
@@ -199,7 +199,7 @@ class EvalReport:
             accuracy=vot.accuracy,
             robustness=vot.robustness,
             n_failures=len(vot.failures),
-            eao=_eao(ious_list, intervals),
+            eao=_eao(ious_list, EAO_INTERVALS),
             auc=succ.auc,
             precision=succ.precision,
             norm_precision=succ.norm_precision,

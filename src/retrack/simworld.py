@@ -33,6 +33,8 @@ SCENE_FORMAT = "retrack-scene-v1"
 # crossing scenario sizes its occlusion to carry the pair beyond it.
 SEARCH_RADIUS_SCALE = 2.5
 
+APPEARANCE_DIM = 16  # appearance length of generated and MOT-loaded scenes
+
 
 class MotFormatError(ValueError):
     """A MOT ground-truth file violated the expected row format."""
@@ -119,6 +121,18 @@ class ObjectSpec:
     drift_spikes: tuple[tuple[int, int, float], ...] = ()
     occlusions: tuple[OcclusionEvent, ...] = ()
 
+    def __post_init__(self):
+        if not 0.0 <= self.drift < math.inf:  # false for NaN too
+            raise ValueError(f"object {self.id}: drift must be finite and >= 0, "
+                             f"got {self.drift!r}")
+        for start, end, rate in self.drift_spikes:
+            if end < start:
+                raise ValueError(f"object {self.id}: drift_spikes window "
+                                 f"{start}..{end} ends before it starts")
+            if not 0.0 <= rate < math.inf:
+                raise ValueError(f"object {self.id}: drift_spikes rate must be finite "
+                                 f"and >= 0, got {rate!r}")
+
     def drift_at(self, frame: int) -> float:
         rate = self.drift
         for start, end, spike in self.drift_spikes:
@@ -174,7 +188,7 @@ class Scene:
         the same true boxes as one float array of shape (objects, length,
         4), rows (x, y, w, h) and objects in id order: evaluation overlaps
         a whole prediction with every object in one call."""
-        dim = len(self.objects[0].appearance) if self.objects else 16
+        dim = len(self.objects[0].appearance) if self.objects else APPEARANCE_DIM
         if self.static_appearance is None:
             wall = _random_unit(np.random.default_rng([self.seed, 911]), dim)
             self.static_appearance = tuple(float(v) for v in wall)
@@ -232,9 +246,10 @@ class Scene:
             return out
         rng = np.random.default_rng([self.seed, obj.id, 1])
         steps = rng.standard_normal((self.length - 1, dim))
+        what = f"object {obj.id}: drifted appearance"
         for f in range(1, self.length):
             rate = obj.drift_at(f - 1)
-            out[f] = _unit(out[f - 1] + rate * steps[f - 1])
+            out[f] = _unit(out[f - 1] + rate * steps[f - 1], what)
         return out
 
     # -- queries ------------------------------------------------------------
@@ -333,28 +348,25 @@ def _length(v: np.ndarray, what: str) -> float:
     return n
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(v)
-    if n == 0:
-        raise ValueError("cannot normalize a zero vector")
-    return v / n
+def _unit(v: np.ndarray, what: str) -> np.ndarray:
+    return v / _length(v, what)
 
 
 def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
-    return _unit(rng.standard_normal(dim))
+    return _unit(rng.standard_normal(dim), "a random appearance")
 
 
 def _orthogonal_unit(rng: np.random.Generator, basis: list[np.ndarray]) -> np.ndarray:
     v = rng.standard_normal(len(basis[0]))
     for b in basis:
         v = v - np.dot(v, b) * b
-    return _unit(v)
+    return _unit(v, "an orthogonal appearance")
 
 
 def _unit_with_cosine(rng: np.random.Generator, u: np.ndarray, c: float) -> np.ndarray:
     """A unit vector whose cosine against unit vector `u` is exactly c."""
     w = _orthogonal_unit(rng, [u])
-    return _unit(c * u + math.sqrt(max(0.0, 1.0 - c * c)) * w)
+    return _unit(c * u + math.sqrt(max(0.0, 1.0 - c * c)) * w, "a look-alike appearance")
 
 
 # ---------------------------------------------------------------------------
@@ -469,13 +481,40 @@ class ScenarioConfig:
     kind: str
     length: int = 64
     bounds: tuple[float, float] = (512.0, 512.0)
-    appearance_dim: int = 16
+    appearance_dim: int = APPEARANCE_DIM
     box_size: float = 40.0
     similarity: tuple[float, float] = (0.71, 0.73)
     severity: tuple[float, float] = (0.26171875, 0.296875)
     speed: tuple[float, float] = (3.5, 4.5)
     lane_gap: tuple[float, float] = (55.0, 75.0)
     drift: float = 0.0
+
+    def __post_init__(self):
+        # a shorter crossing can script an occlusion that ends before it starts
+        min_length = 6 if self.kind == "crossing" else 1
+        _require("length", self.length, type(self.length) is int and self.length >= min_length,
+                 f"an integer >= {min_length}")
+        _require("appearance_dim", self.appearance_dim,
+                 type(self.appearance_dim) is int and self.appearance_dim >= 2,
+                 "an integer >= 2")
+        _require("box_size", self.box_size, _finite(self.box_size) and self.box_size > 0,
+                 "finite and > 0")
+        _require("drift", self.drift, _finite(self.drift) and self.drift >= 0,
+                 "finite and >= 0")
+        for name in ("bounds", "similarity", "severity", "speed", "lane_gap"):
+            pair = getattr(self, name)
+            _require(name, pair, type(pair) is tuple and len(pair) == 2
+                     and all(map(_finite, pair)), "a pair of finite numbers")
+        for name in ("similarity", "severity", "speed", "lane_gap"):
+            lo, hi = getattr(self, name)
+            _require(name, (lo, hi), lo <= hi, "an ordered range")
+        _require("bounds", self.bounds, min(self.bounds) > 0, "> 0")
+        _require("similarity", self.similarity,
+                 -1.0 <= self.similarity[0] and self.similarity[1] <= 1.0, "within [-1, 1]")
+        lo_t, hi_t = _severity_grid(*self.severity)
+        _require("severity", self.severity, 0.0 < self.severity[0] and self.severity[1] <= 1.0
+                 and lo_t <= hi_t, "within (0, 1] and hold a multiple of 1/256")
+        _require("speed", self.speed, self.speed[0] > 0, "> 0")
 
     @classmethod
     def from_file(cls, path: FsPath | str, kind: str) -> "ScenarioConfig":
@@ -485,6 +524,17 @@ class ScenarioConfig:
         if fields["kind"] != kind:
             raise ValueError(f"the file's kind {fields['kind']!r} differs from {kind!r}")
         return cls(**_tuples(fields))
+
+
+def _finite(value) -> bool:
+    """A finite int or float, and not a bool."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _require(name: str, value, ok: bool, rule: str) -> None:
+    if not ok:
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 SCENARIOS = ("crossing", "convoy", "deform")
@@ -501,18 +551,22 @@ def generate_scene(cfg: ScenarioConfig, seed: int) -> Scene:
     raise ValueError(f"unknown scenario {cfg.kind!r}; expected one of {SCENARIOS}")
 
 
+def _severity_grid(lo: float, hi: float) -> tuple[int, int]:
+    """The first and last multiple of 1/256 in [lo, hi], in 256ths."""
+    return math.ceil(lo * 256), math.floor(hi * 256)
+
+
 def _sample_severity(rng: np.random.Generator, lo: float, hi: float) -> float:
     # 1/256 grid: exact complements, exact file round-trips
-    lo_t, hi_t = int(math.ceil(lo * 256)), int(math.floor(hi * 256))
+    lo_t, hi_t = _severity_grid(lo, hi)
     return int(rng.integers(lo_t, hi_t + 1)) / 256.0
 
 TAPER_STEP = 8.0 / 256
 
 
-def _tapered_occlusion(start: int, end: int, sev: float,
-                       step: float = TAPER_STEP) -> tuple[OcclusionEvent, ...]:
+def _tapered_occlusion(start: int, end: int, sev: float) -> tuple[OcclusionEvent, ...]:
     """Full-strength occlusion over [start, end] that then fades out one
-    small severity step per frame.
+    severity step of `TAPER_STEP` per frame.
 
     A hard trailing edge would leave a freshly-visible target whose recent
     past is still fully obscured; nothing cropped at the clear frame can
@@ -522,11 +576,11 @@ def _tapered_occlusion(start: int, end: int, sev: float,
     from that frame's own appearance. Steps stay on the dyadic grid, so
     visibility values round-trip exactly."""
     events = [OcclusionEvent(start, end, STATIC, sev)]
-    level = sev - step
+    level = sev - TAPER_STEP
     frame = end + 1
     while level > 1e-12:
         events.append(OcclusionEvent(frame, frame, STATIC, level))
-        level -= step
+        level -= TAPER_STEP
         frame += 1
     return tuple(events)
 
@@ -538,7 +592,7 @@ def _pair_appearances(rng: np.random.Generator, dim: int,
     u = _random_unit(rng, dim)
     v = _unit_with_cosine(rng, u, similarity)
     residual = v - np.dot(v, u) * u
-    basis = [u] if np.linalg.norm(residual) < 1e-12 else [u, _unit(residual)]
+    basis = [u] if np.linalg.norm(residual) < 1e-12 else [u, _unit(residual, "a residual")]
     wall = _orthogonal_unit(rng, basis)
     return (tuple(map(float, u)), tuple(map(float, v)), tuple(map(float, wall)))
 
@@ -648,7 +702,7 @@ def save_mot(scene: Scene, path: FsPath | str) -> None:
     FsPath(path).write_text("\n".join(lines) + "\n")
 
 
-def load_mot(path: FsPath | str, seed: int = 0, appearance_dim: int = 16) -> Scene:
+def load_mot(path: FsPath | str, seed: int = 0) -> Scene:
     """Build a Scene from a MOT ground-truth file.
 
     Visibility maps to occlusion severity (1 - visibility) attributed to
@@ -720,7 +774,7 @@ def load_mot(path: FsPath | str, seed: int = 0, appearance_dim: int = 16) -> Sce
             vis_seq.append(vis)
         occlusions = _visibility_to_events(vis_seq)
         rng = np.random.default_rng([seed, obj_id])
-        app = tuple(float(v) for v in _random_unit(rng, appearance_dim))
+        app = tuple(float(v) for v in _random_unit(rng, APPEARANCE_DIM))
         objects.append(ObjectSpec(obj_id, Path("frames", boxes=tuple(boxes)),
                                   app, occlusions=occlusions))
     xmax = max(b[0] + b[2] for o in objects for b in o.path.boxes)

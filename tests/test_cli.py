@@ -25,6 +25,15 @@ class TestSeedParsing:
         with pytest.raises(ConfigError):
             _parse_seeds("5:5")
 
+    @pytest.mark.parametrize("text, message", [
+        ("-1", "seed -1 is negative"), ("-3:2", "seed -3 is negative"),
+        ("4,-2", "seed -2 is negative"), ("1,1", "seed 1 is repeated"),
+        ("3,7,3", "seed 3 is repeated"),
+    ])
+    def test_rejects_negative_and_repeated_seeds(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            _parse_seeds(text)
+
 
 class TestAggregate:
     def test_means_and_deltas(self):
@@ -303,12 +312,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("args", [
         ["track", "--scenario", "convoy", "--seeds", "abc"],
         ["track", "--scenario", "convoy", "--seeds", "0", "--tau", "0"],
-        ["track", "--scenario", "convoy", "--seeds", "0", "--alpha", "1.5"],
+        ["track", "--scenario", "convoy", "--seeds", "-1"],
         ["track", "--seeds", "0"],
         ["evaluate", "--scenario", "convoy", "--seeds", "0", "--ablate", "beta=2"],
         ["evaluate", "--scenario", "convoy", "--seeds", "0", "--target-id", "99"],
-        ["track", "--scenario", "convoy", "--seeds", "0", "--gate-iou", "nan"],
-        ["track", "--scenario", "convoy", "--seeds", "0", "--nms-sigma", "inf"],
+        ["simulate", "--scenario", "convoy", "--seeds", "-3:2"],
+        ["evaluate", "--scenario", "convoy", "--seeds", "1,1"],
         ["evaluate", "--scenario", "convoy", "--seeds", "0", "--ablate", "tau=0"],
         ["track", "--scenario", "convoy", "--seeds", "0", "--jobs", "0"],
         ["evaluate", "--scenario", "convoy", "--seeds", "0", "--jobs", "-3"],
@@ -322,6 +331,40 @@ class TestExitCodes:
         # nothing that looks like a finished report is left behind
         assert not (tmp_path / "x" / "report.json").exists()
         assert not (tmp_path / "x" / "comparison.csv").exists()
+
+    @pytest.mark.parametrize("config, seeds, message", [
+        ('{"speed": "fast"}', "0", "speed must be"),
+        ('{"bounds": [512]}', "0", "bounds must be"),
+        ('{"length": 64.5}', "0", "length must be"),
+        ('{"speed": [0, 0]}', "0", "speed must be"),
+        ('{"similarity": [0.9, 0.1]}', "0", "similarity must be"),
+        ('{"severity": [0.5001, 0.502]}', "0", "severity must be"),
+        ('{"length": 3}', "0", "length must be"),
+        ('{"similarity": [1.5, 1.6]}', "0", "similarity must be"),
+        ('{"drift": NaN}', "0", "drift must be"),
+        ("{}", "-1", "seed -1 is negative"),
+        ("{}", "1,1", "seed 1 is repeated"),
+    ])
+    def test_bad_input_fails_before_any_output(self, tmp_path, capsys, config, seeds,
+                                               message):
+        """Unchecked, each would end in a traceback, fail mid-run, run on a
+        silently clamped value, or run a seed twice."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        out = tmp_path / "x"
+        assert main(["evaluate", "--scenario", "crossing", "--config", str(cfg),
+                     "--seeds", seeds, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["track", "evaluate"])
+    @pytest.mark.parametrize("flag", ["--alpha", "--nms-iou", "--nms-sigma", "--gate-iou"])
+    def test_fixed_thresholds_have_no_flag(self, tmp_path, capsys, command, flag):
+        assert main([command, "--scenario", "convoy", "--seeds", "0", flag, "0.5",
+                     "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert "No such option" in err and flag in err
+        assert not (tmp_path / "x").exists()
 
     def test_missing_out_dir_is_a_usage_error(self):
         assert main(["track", "--scenario", "convoy", "--seeds", "0"]) == 1

@@ -229,9 +229,15 @@ class TestSceneSerialization:
         ("static_zero", "static_appearance must be finite and not all zero"),
         ("static_nan", "static_appearance must be finite and not all zero"),
         ("mix_cancels", "object 1: the occlusion at frame 5 mixes its appearance to zero"),
+        ("drift_nan", "object 1: drift must be finite and >= 0, got nan"),
+        ("drift_negative", "object 2: drift must be finite and >= 0, got -0.01"),
+        ("spike_nan", "object 1: drift_spikes rate must be finite and >= 0, got nan"),
+        ("spike_negative", "object 1: drift_spikes rate must be finite and >= 0, got -0.3"),
+        ("spike_reversed", "object 1: drift_spikes window 4..2 ends before it starts"),
     ], ids=["short_frames", "long_frames", "unknown_occluder", "static_dimension",
             "object_dimension", "object_zero", "object_nan", "static_zero",
-            "static_nan", "mix_cancels"])
+            "static_nan", "mix_cancels", "drift_nan", "drift_negative", "spike_nan",
+            "spike_negative", "spike_reversed"])
     def test_bad_spec_fails_when_built(self, change, message):
         """Unchecked, each would fail later with an error that names no
         object, mid-run with a NaN score, or run silently on a truncated
@@ -255,6 +261,15 @@ class TestSceneSerialization:
             data["static_appearance"] = [0.0] * DIM
         elif change == "static_nan":
             data["static_appearance"][3] = math.nan
+        elif change == "drift_nan":
+            target["drift"] = math.nan
+        elif change == "drift_negative":
+            other["drift"] = -0.01
+        elif change.startswith("spike_"):
+            start, end, rate = target["drift_spikes"][0]
+            target["drift_spikes"][0] = {"spike_nan": [start, end, math.nan],
+                                         "spike_negative": [start, end, -rate],
+                                         "spike_reversed": [end, start, rate]}[change]
         else:  # object 2 occludes object 1 at half strength over frame 5
             target.update(drift=0.0, drift_spikes=[])
             other["appearance"] = [-v for v in target["appearance"]]
@@ -481,6 +496,41 @@ class TestScenarioGeneration:
         assert target.drift_spikes and not target.occlusions
         start, end, rate = target.drift_spikes[0]
         assert 20 <= start < 27 and rate == 0.12
+
+    @pytest.mark.parametrize("kind, change, message", [
+        ("crossing", {"length": 5}, "length must be an integer >= 6, got 5"),
+        ("convoy", {"length": 0}, "length must be an integer >= 1, got 0"),
+        ("convoy", {"length": True}, "length must be an integer"),
+        ("convoy", {"appearance_dim": 1}, "appearance_dim must be an integer >= 2"),
+        ("convoy", {"box_size": 0.0}, "box_size must be finite and > 0"),
+        ("convoy", {"box_size": False}, "box_size must be finite and > 0"),
+        ("convoy", {"drift": -0.1}, "drift must be finite and >= 0"),
+        ("convoy", {"drift": math.inf}, "drift must be finite and >= 0"),
+        ("convoy", {"similarity": [0.5, 0.6]}, "similarity must be a pair"),
+        ("convoy", {"bounds": (512.0, math.inf)}, "bounds must be a pair of finite"),
+        ("convoy", {"bounds": (512.0, 0.0)}, "bounds must be > 0"),
+        ("convoy", {"lane_gap": (75.0, 55.0)}, "lane_gap must be an ordered range"),
+        ("convoy", {"similarity": (-1.5, 0.5)}, "similarity must be within \\[-1, 1\\]"),
+        ("convoy", {"severity": (0.0, 0.1)}, "severity must be within \\(0, 1\\]"),
+        ("convoy", {"severity": (0.9, 1.5)}, "severity must be within \\(0, 1\\]"),
+        ("convoy", {"speed": (-1.0, 2.0)}, "speed must be > 0"),
+    ], ids=["crossing_length_5", "length_0", "length_bool", "appearance_dim_1",
+            "box_size_0", "box_size_bool", "drift_negative", "drift_inf", "similarity_list",
+            "bounds_inf", "bounds_0", "lane_gap_reversed", "similarity_below_-1",
+            "severity_from_0", "severity_above_1", "speed_negative"])
+    def test_bad_config_fails_when_built(self, kind, change, message):
+        with pytest.raises(ValueError, match=message):
+            ScenarioConfig(kind, **change)
+
+    @pytest.mark.parametrize("kind, change", [
+        ("crossing", {"length": 6}), ("convoy", {"length": 1}),
+        ("deform", {"appearance_dim": 2}), ("convoy", {"similarity": (-1.0, 1.0)}),
+        ("convoy", {"severity": (0.5, 0.5)}), ("crossing", {"speed": (2.0, 2.0)}),
+    ], ids=["crossing_length_6", "length_1", "appearance_dim_2", "similarity_full",
+            "severity_one_point", "speed_one_point"])
+    def test_edge_configs_generate(self, kind, change):
+        for seed in range(5):
+            generate_scene(ScenarioConfig(kind, **change), seed)
 
     def test_config_from_file_coerces_ranges(self, tmp_path):
         p = tmp_path / "cfg.json"
