@@ -13,8 +13,7 @@ from .candidate_select import (CandidateSet, assemble, filter_by_confidence,
                                soft_nms)
 from .engine import (EngineConfig, EngineState, engine_init, run_baseline,
                      run_sequence, step)
-from .evalkit import (EvalReport, SuccessResult, VotResult, eao_lite,
-                      id_switches, success_metrics, vot_metrics)
+from .evalkit import EvalReport
 from .geometry import BBox, Tracklet, iou, tracklet_avg_iou
 from .matching import NoViableCandidateError, build_weights, hungarian_max, resolve_target
 from .motion import (MotionState, motion_init, motion_predict, motion_update)
@@ -39,7 +38,6 @@ __all__ = [
     "Scene", "ObjectSpec", "OcclusionEvent", "Path", "ScenarioConfig",
     "MockTracker", "MotFormatError",
     "generate_scene", "save_scene", "load_scene", "save_mot", "load_mot",
-    "VotResult", "SuccessResult", "EvalReport",
-    "vot_metrics", "eao_lite", "success_metrics", "id_switches",
+    "EvalReport",
     "__version__",
 ]

@@ -16,7 +16,7 @@ import math
 from array import array
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path as FsPath
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -141,6 +141,16 @@ class ObjectSpec:
         return rate
 
 
+class _Table(NamedTuple):
+    """One object's per-frame tables."""
+
+    boxes: list[BBox]
+    visibility: list[float]
+    appearance: np.ndarray  # effective: drifted, then mixed with any occluder's
+    cx: array  # centres, `BBox.cx` and `.cy` bit for bit; an `array('d')`
+    cy: array  # takes a quarter of a float list's memory
+
+
 @dataclass(eq=False)
 class Scene:
     """Ground-truth world with precomputed per-frame observables."""
@@ -151,10 +161,7 @@ class Scene:
     objects: tuple[ObjectSpec, ...]
     static_appearance: tuple[float, ...] | None = None
 
-    _boxes: dict = field(init=False, repr=False)
-    _eff_apps: dict = field(init=False, repr=False)    # occlusion-mixed appearance
-    _visibility: dict = field(init=False, repr=False)
-    _tables: tuple = field(init=False, repr=False)     # per object, in id order
+    _tables: dict = field(init=False, repr=False)  # id -> _Table, in id order
     _box_array: np.ndarray = field(init=False, repr=False)  # (objects, length, 4)
 
     def __post_init__(self):
@@ -177,17 +184,12 @@ class Scene:
     # -- derived world state ------------------------------------------------
 
     def _derive(self):
-        """Per-frame tables of every object, keyed by id: true boxes,
-        visibility as plain floats, and effective appearance rows (the raw,
-        drifted appearance mixed with that of any occluder).
-        `_tables` holds one `(id, boxes, visibility, effective appearances,
-        centre x, centre y)` tuple per object, in id order, sharing those
-        tables: the mock tracker scores from it without a lookup by id. The
-        centres are `BBox.cx` and `BBox.cy` bit for bit, each an `array('d')`
-        (a quarter of a float list's memory). `_box_array` holds
-        the same true boxes as one float array of shape (objects, length,
-        4), rows (x, y, w, h) and objects in id order: evaluation overlaps
-        a whole prediction with every object in one call."""
+        """`_tables` maps each object's id, in id order, to its `_Table`:
+        true boxes, visibility as plain floats, effective appearance rows
+        and box centres. `_box_array` holds the same true boxes as one float
+        array of shape (objects, length, 4), rows (x, y, w, h) and objects
+        in id order: evaluation overlaps a whole prediction with every
+        object in one call."""
         dim = len(self.objects[0].appearance) if self.objects else APPEARANCE_DIM
         if self.static_appearance is None:
             wall = _random_unit(np.random.default_rng([self.seed, 911]), dim)
@@ -197,14 +199,11 @@ class Scene:
                              f"object {self.objects[0].id}'s appearance {dim}")
         wall = np.asarray(self.static_appearance, dtype=float)
         _length(wall, "static_appearance")
-        self._boxes = {}
-        apps = {}  # raw (drifted) appearance
+        boxes, apps = {}, {}  # apps: raw (drifted) appearance
         for obj in self.objects:
-            self._boxes[obj.id] = [obj.path.box_at(f) for f in range(self.length)]
+            boxes[obj.id] = [obj.path.box_at(f) for f in range(self.length)]
             apps[obj.id] = self._walk_appearance(obj, dim)
-        self._visibility = {}
-        self._eff_apps = {}
-        tables = []
+        self._tables = {}
         for obj in self.objects:
             vis = [1.0] * self.length
             eff = apps[obj.id].copy()
@@ -223,15 +222,12 @@ class Scene:
                     raise ValueError(f"object {obj.id}: the occlusion at frame {f} "
                                      f"mixes its appearance to zero")
                 eff[f] = mixed / n
-            self._visibility[obj.id] = vis
-            self._eff_apps[obj.id] = eff
-            boxes = self._boxes[obj.id]
-            tables.append((obj.id, boxes, vis, eff,
-                           array("d", [b.x + b.w / 2.0 for b in boxes]),
-                           array("d", [b.y + b.h / 2.0 for b in boxes])))
-        self._tables = tuple(tables)
+            bs = boxes[obj.id]
+            self._tables[obj.id] = _Table(bs, vis, eff,
+                                          array("d", [b.x + b.w / 2.0 for b in bs]),
+                                          array("d", [b.y + b.h / 2.0 for b in bs]))
         self._box_array = box_array(
-            [b for obj in self.objects for b in self._boxes[obj.id]]
+            [b for table in self._tables.values() for b in table.boxes]
         ).reshape(len(self.objects), self.length, 4)
 
     def _walk_appearance(self, obj: ObjectSpec, dim: int) -> np.ndarray:
@@ -258,22 +254,22 @@ class Scene:
         return [o.id for o in self.objects]
 
     def true_box(self, obj_id: int, frame: int) -> BBox:
-        return self._boxes[obj_id][frame]
+        return self._tables[obj_id].boxes[frame]
 
     def visibility(self, obj_id: int, frame: int) -> float:
-        return self._visibility[obj_id][frame]
+        return self._tables[obj_id].visibility[frame]
 
     def effective_appearance(self, obj_id: int, frame: int) -> np.ndarray:
-        return self._eff_apps[obj_id][frame]
+        return self._tables[obj_id].appearance[frame]
 
     def dominant_object(self, box: BBox, frame: int) -> int | None:
         """Id of the object whose true box at `frame` overlaps `box` the
         most; a tie goes to the lower id, and None if nothing overlaps."""
         best_id, best_ov = None, 0.0
-        for obj in self.objects:
-            ov = iou(box, self._boxes[obj.id][frame])
+        for obj_id, table in self._tables.items():
+            ov = iou(box, table.boxes[frame])
             if ov > best_ov:
-                best_id, best_ov = obj.id, ov
+                best_id, best_ov = obj_id, ov
         return best_id
 
     # -- serialization ------------------------------------------------------
@@ -396,6 +392,9 @@ class MockTracker(TrackerPort):
 
     def __init__(self, scene: Scene):
         self.scene = scene
+        # the scene's tables as plain tuples in a tuple: CPython unpacks an
+        # exact tuple, and walks a tuple, faster than a NamedTuple in a dict
+        self._tables = tuple(map(tuple, scene._tables.values()))
 
     def _check_frame(self, frame: int) -> None:
         if not (0 <= frame < self.scene.length):
@@ -418,7 +417,7 @@ class MockTracker(TrackerPort):
         radius = SEARCH_RADIUS_SCALE * math.hypot(pw, ph)
         boxes: list[BBox] = []
         scores: list[float] = []
-        for _, obj_boxes, vis, eff, cxs, cys in self.scene._tables:
+        for obj_boxes, vis, eff, cxs, cys in self._tables:
             if math.hypot(pcx - cxs[frame], pcy - cys[frame]) > radius:
                 continue
             s = vis[frame] * float(template.dot(eff[frame]))
@@ -437,7 +436,7 @@ class MockTracker(TrackerPort):
         frames = segment_frames(frames)
         self._check_frame(frames[0])
         self._check_frame(frames[-1])
-        tables = self.scene._tables
+        tables = self._tables
         hypot, dot = math.hypot, template.dot
         prior = start
         chain = []
@@ -446,7 +445,7 @@ class MockTracker(TrackerPort):
             pcx, pcy = prior.x + pw / 2.0, prior.y + ph / 2.0
             radius = SEARCH_RADIUS_SCALE * hypot(pw, ph)
             best, top = prior, -math.inf
-            for _, obj_boxes, vis, eff, cxs, cys in tables:
+            for obj_boxes, vis, eff, cxs, cys in tables:
                 if hypot(pcx - cxs[f], pcy - cys[f]) > radius:
                     continue
                 s = vis[f] * float(dot(eff[f]))
@@ -490,13 +489,16 @@ class ScenarioConfig:
     drift: float = 0.0
 
     def __post_init__(self):
-        # a shorter crossing can script an occlusion that ends before it starts
-        min_length = 6 if self.kind == "crossing" else 1
+        # a crossing's occlusion starts at int(0.42 * length) minus up to 12
+        # frames, which is frame 0 or later only from length 29 on
+        min_length = 29 if self.kind == "crossing" else 1
         _require("length", self.length, type(self.length) is int and self.length >= min_length,
                  f"an integer >= {min_length}")
+        # the wall vector must be orthogonal to both the target and the
+        # distractor, which two dimensions leave no room for
         _require("appearance_dim", self.appearance_dim,
-                 type(self.appearance_dim) is int and self.appearance_dim >= 2,
-                 "an integer >= 2")
+                 type(self.appearance_dim) is int and self.appearance_dim >= 3,
+                 "an integer >= 3")
         _require("box_size", self.box_size, _finite(self.box_size) and self.box_size > 0,
                  "finite and > 0")
         _require("drift", self.drift, _finite(self.drift) and self.drift >= 0,

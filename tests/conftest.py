@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -63,6 +64,13 @@ def backtrack_all(cands: CandidateSet, port: TrackerPort,
     box = cands.boxes[cands.top]
     top = port.track_segment(port.make_template(frames[0] + 1, box), box, frames)
     return build_candidate_pool(cands, port, frames, top)
+
+
+def box_scene(boxes: Sequence[BBox]) -> Scene:
+    """One object, id 1, whose true box at each frame is the given box."""
+    path = Path("frames", boxes=tuple(b.as_tuple() for b in boxes))
+    return Scene(len(boxes), (512.0, 512.0), 0, (ObjectSpec(1, path, (1.0, 0.0, 0.0)),),
+                 static_appearance=(0.0, 0.0, 1.0))
 
 
 def unit_vector(seed: int, dim: int = 16) -> tuple:

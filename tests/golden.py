@@ -24,6 +24,7 @@ from collections import Counter
 from pathlib import Path
 
 from conftest import zero_iou_scene
+from props import WindowPort
 from retrack import cli
 from retrack.engine import EngineConfig, run_baseline, run_sequence
 from retrack.evalkit import EvalReport
@@ -59,12 +60,13 @@ FAIL_IOUS = (0.0, 0.3)
 
 
 def _runs(scene, target: int, engine_cfg: EngineConfig):
-    """The baseline boxes, engine boxes and engine records of one run."""
+    """The baseline boxes, engine boxes and engine records of one run; the
+    engine's port calls must stay within its frame window."""
     port = MockTracker(scene)
     frames = range(scene.length)
     b0 = scene.true_box(target, 0)
     baseline = run_baseline(port, frames, b0)
-    boxes, records = run_sequence(port, frames, b0, engine_cfg)
+    boxes, records = run_sequence(WindowPort(port), frames, b0, engine_cfg)
     return baseline, boxes, records
 
 

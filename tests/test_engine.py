@@ -5,6 +5,7 @@ import pytest
 
 import retrack.engine
 from conftest import ScriptPort, solo_scene, zero_iou_scene
+from props import WindowPort
 from retrack.engine import EngineConfig, engine_init, run_baseline, run_sequence, step
 from retrack.geometry import BBox, iou
 from retrack.simworld import MockTracker, ScenarioConfig, generate_scene
@@ -282,12 +283,31 @@ class TestRunners:
         port = ForwardingPort(MockTracker(scene))
         frames = range(30, scene.length)
         b0 = scene.true_box(1, 30)
-        boxes, records = run_sequence(port, frames, b0, EngineConfig())
+        boxes, records = run_sequence(WindowPort(port), frames, b0, EngineConfig())
         # the first stepped frame already backtracks, from frame 30 only
         assert records[0]["gate"] == "history_overlap"
         assert min(port.proposed) == 30
         assert run_sequence(MockTracker(scene), frames, b0, EngineConfig()) == \
             (boxes, records)
+
+    def test_window_port_fails_each_call_outside_the_window(self):
+        scene = generate_scene(ScenarioConfig("crossing"), 3)
+        port, b0 = WindowPort(MockTracker(scene)), scene.true_box(1, 30)
+        anchor = port.make_template(30, b0)
+        with pytest.raises(AssertionError, match="step to frame 32 after frame 30"):
+            port.propose(anchor, 32, b0)
+        port.propose(anchor, 31, b0)
+        template = port.make_template(31, b0)
+        port.propose(template, 30, b0)
+        port.track_segment(template, b0, range(30, 32))
+        outside = "outside the window \\[30, 31\\]"
+        for call in (lambda: port.make_template(29, b0), lambda: port.make_template(32, b0),
+                     lambda: port.propose(template, 29, b0),
+                     lambda: port.propose(template, 32, b0),
+                     lambda: port.track_segment(template, b0, [30, 29]),
+                     lambda: port.track_segment(template, b0, [31, 32])):
+            with pytest.raises(AssertionError, match=outside):
+                call()
 
 
 class BoxingPort(TrackerPort):

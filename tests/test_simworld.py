@@ -9,7 +9,7 @@ import pytest
 from conformance import check_port, check_rejects
 from conftest import zero_iou_scene
 from retrack.engine import run_baseline
-from retrack.evalkit import id_switches
+from retrack.evalkit import EvalReport
 from retrack.geometry import BBox, iou
 from retrack.simworld import (STATIC, MockTracker, MotFormatError, ObjectSpec,
                               OcclusionEvent, Path, ScenarioConfig, Scene,
@@ -278,8 +278,9 @@ class TestSceneSerialization:
 
 
 class TestSceneTables:
-    """The mock tracker's range test reads each object's centre columns in
-    place of `BBox.cx` and `BBox.cy`, so they must agree bit for bit."""
+    """`Scene._tables` maps each id, in id order, to the object's tables;
+    the mock tracker's range test reads its centre columns in place of
+    `BBox.cx` and `BBox.cy`, so they must agree bit for bit."""
 
     @staticmethod
     def _scene(source, tmp_path):
@@ -292,13 +293,26 @@ class TestSceneTables:
         return load_mot(tmp_path / "gt.txt", seed=103)
 
     @pytest.mark.parametrize("source", ["crossing", "convoy", "deform", "json", "mot"])
+    def test_one_table_per_id_serves_every_query(self, source, tmp_path):
+        scene = self._scene(source, tmp_path)
+        assert list(scene._tables) == scene.ids()
+        for row, (obj_id, table) in enumerate(scene._tables.items()):
+            assert len(table.boxes) == len(table.visibility) == len(table.appearance) \
+                == scene.length
+            for f, box in enumerate(table.boxes):
+                assert box == scene.true_box(obj_id, f)
+                assert table.visibility[f] == scene.visibility(obj_id, f)
+                np.testing.assert_array_equal(table.appearance[f],
+                                              scene.effective_appearance(obj_id, f))
+            # evaluation's box array holds the same boxes, objects in id order
+            assert scene._box_array[row].tolist() == [list(b.as_tuple()) for b in table.boxes]
+
+    @pytest.mark.parametrize("source", ["crossing", "convoy", "deform", "json", "mot"])
     def test_centre_columns_equal_box_centres(self, source, tmp_path):
         scene = self._scene(source, tmp_path)
-        assert [table[0] for table in scene._tables] == scene.ids()
-        for obj_id, boxes, _vis, _eff, cxs, cys in scene._tables:
+        for boxes, _vis, _eff, cxs, cys in scene._tables.values():
             assert len(cxs) == len(cys) == scene.length
             for f, box in enumerate(boxes):
-                assert box == scene.true_box(obj_id, f)
                 assert cxs[f].hex() == box.cx.hex()
                 assert cys[f].hex() == box.cy.hex()
 
@@ -430,7 +444,7 @@ class TestDominantObject:
         # the baseline is hijacked by the distractor at the crossing
         assert set(owners) == {1, 2}
         changes = sum(a != b for a, b in zip([1] + owners, owners))
-        assert id_switches(pred, scene, 1) == changes >= 1
+        assert EvalReport.compute(pred, scene, 1).id_switches == changes >= 1
 
 
 class TestAppearanceHelpers:
@@ -498,10 +512,11 @@ class TestScenarioGeneration:
         assert 20 <= start < 27 and rate == 0.12
 
     @pytest.mark.parametrize("kind, change, message", [
-        ("crossing", {"length": 5}, "length must be an integer >= 6, got 5"),
+        ("crossing", {"length": 28}, "length must be an integer >= 29, got 28"),
         ("convoy", {"length": 0}, "length must be an integer >= 1, got 0"),
         ("convoy", {"length": True}, "length must be an integer"),
-        ("convoy", {"appearance_dim": 1}, "appearance_dim must be an integer >= 2"),
+        ("convoy", {"appearance_dim": 1}, "appearance_dim must be an integer >= 3"),
+        ("deform", {"appearance_dim": 2}, "appearance_dim must be an integer >= 3, got 2"),
         ("convoy", {"box_size": 0.0}, "box_size must be finite and > 0"),
         ("convoy", {"box_size": False}, "box_size must be finite and > 0"),
         ("convoy", {"drift": -0.1}, "drift must be finite and >= 0"),
@@ -514,8 +529,9 @@ class TestScenarioGeneration:
         ("convoy", {"severity": (0.0, 0.1)}, "severity must be within \\(0, 1\\]"),
         ("convoy", {"severity": (0.9, 1.5)}, "severity must be within \\(0, 1\\]"),
         ("convoy", {"speed": (-1.0, 2.0)}, "speed must be > 0"),
-    ], ids=["crossing_length_5", "length_0", "length_bool", "appearance_dim_1",
-            "box_size_0", "box_size_bool", "drift_negative", "drift_inf", "similarity_list",
+    ], ids=["crossing_length_28", "length_0", "length_bool", "appearance_dim_1",
+            "appearance_dim_2", "box_size_0", "box_size_bool", "drift_negative", "drift_inf",
+            "similarity_list",
             "bounds_inf", "bounds_0", "lane_gap_reversed", "similarity_below_-1",
             "severity_from_0", "severity_above_1", "speed_negative"])
     def test_bad_config_fails_when_built(self, kind, change, message):
@@ -523,14 +539,28 @@ class TestScenarioGeneration:
             ScenarioConfig(kind, **change)
 
     @pytest.mark.parametrize("kind, change", [
-        ("crossing", {"length": 6}), ("convoy", {"length": 1}),
-        ("deform", {"appearance_dim": 2}), ("convoy", {"similarity": (-1.0, 1.0)}),
+        ("crossing", {"length": 29}), ("convoy", {"length": 1}),
+        ("deform", {"appearance_dim": 3}), ("convoy", {"similarity": (-1.0, 1.0)}),
         ("convoy", {"severity": (0.5, 0.5)}), ("crossing", {"speed": (2.0, 2.0)}),
-    ], ids=["crossing_length_6", "length_1", "appearance_dim_2", "similarity_full",
+    ], ids=["crossing_length_29", "length_1", "appearance_dim_3", "similarity_full",
             "severity_one_point", "speed_one_point"])
     def test_edge_configs_generate(self, kind, change):
         for seed in range(5):
             generate_scene(ScenarioConfig(kind, **change), seed)
+
+    def test_shortest_crossing_starts_its_occlusion_in_the_scene(self):
+        cfg = ScenarioConfig("crossing", length=29)
+        for seed in range(50):
+            assert generate_scene(cfg, seed).objects[0].occlusions[0].start >= 0
+
+    @pytest.mark.parametrize("kind", ["crossing", "convoy", "deform"])
+    def test_wall_is_orthogonal_at_three_dimensions(self, kind):
+        cfg = ScenarioConfig(kind, appearance_dim=3)
+        for seed in range(10):
+            scene = generate_scene(cfg, seed)
+            wall = np.asarray(scene.static_appearance)
+            for obj in scene.objects:
+                assert abs(float(np.dot(wall, obj.appearance))) <= 1e-12
 
     def test_config_from_file_coerces_ranges(self, tmp_path):
         p = tmp_path / "cfg.json"
