@@ -15,7 +15,7 @@ from .engine import (EngineConfig, EngineState, engine_init, run_baseline,
                      run_sequence, step)
 from .evalkit import EvalReport
 from .geometry import BBox, Tracklet, iou, tracklet_avg_iou
-from .matching import NoViableCandidateError, build_weights, hungarian_max, resolve_target
+from .matching import build_weights, hungarian_max, resolve_target
 from .motion import (MotionState, motion_init, motion_predict, motion_update)
 from .pools import backtrack_frames, build_candidate_pool, update_neighbor_pool
 from .simworld import (MockTracker, MotFormatError, ObjectSpec, OcclusionEvent,
@@ -32,7 +32,6 @@ __all__ = [
     "MotionState", "motion_init", "motion_predict", "motion_update",
     "backtrack_frames", "build_candidate_pool", "update_neighbor_pool",
     "build_weights", "hungarian_max", "resolve_target",
-    "NoViableCandidateError",
     "EngineConfig", "EngineState", "engine_init", "step",
     "run_sequence", "run_baseline",
     "Scene", "ObjectSpec", "OcclusionEvent", "Path", "ScenarioConfig",

@@ -175,17 +175,21 @@ def cli():
     """Synthetic tracking benchmark and correction-engine runner."""
 
 
-input_options = [
-    click.option("--scenario", type=click.Choice(SCENARIOS), default=None,
-                 help="Scripted scenario to generate per seed."),
-    click.option("--mot", "mot_path", type=click.Path(exists=True, dir_okay=False),
-                 default=None, help="MOT ground-truth file to ingest instead."),
+scene_options = [  # what `simulate` shares with the other commands' inputs
     click.option("--config", "config_path",
                  type=click.Path(exists=True, dir_okay=False), default=None,
                  help="JSON scenario config overriding the defaults."),
     click.option("--seeds", default="0:10", show_default=True,
                  help="Distinct non-negative seeds: 'a:b' half-open range "
                       "or comma-separated."),
+]
+
+input_options = [
+    click.option("--scenario", type=click.Choice(SCENARIOS), default=None,
+                 help="Scripted scenario to generate per seed."),
+    click.option("--mot", "mot_path", type=click.Path(exists=True, dir_okay=False),
+                 default=None, help="MOT ground-truth file to ingest instead."),
+    *scene_options,
     click.option("--target-id", type=int, default=None,
                  help="Object id to track (default: lowest id)."),
 ]
@@ -226,20 +230,16 @@ def _make_specs(scenario, mot_path, config_path, seeds, target_id) -> list[RunSp
 
 @cli.command("simulate")
 @click.option("--scenario", type=click.Choice(SCENARIOS), required=True)
-@click.option("--config", "config_path",
-              type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--seeds", default="0:10", show_default=True)
+@_add_options(scene_options)
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
 def cmd_simulate(scenario, config_path, seeds, out_dir):
     """Generate scripted scenes and write them as JSON files."""
-    cfg = _scenario_config(scenario, config_path)
-    seed_list = _parse_seeds(seeds)
+    specs = _make_specs(scenario, None, config_path, seeds, None)
     out = FsPath(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for seed in seed_list:
-        scene = generate_scene(cfg, seed)
-        save_scene(scene, out / f"scene_{scenario}_{seed:04d}.json")
-    click.echo(f"wrote {len(seed_list)} scene(s) to {out}")
+    for spec in specs:
+        save_scene(spec.build_scene(), out / f"scene_{spec.name}.json")
+    click.echo(f"wrote {len(specs)} scene(s) to {out}")
 
 
 @cli.command("track")
@@ -308,10 +308,9 @@ def cmd_evaluate(scenario, mot_path, config_path, seeds, target_id, tau, no_kalm
         lines = [f"{axis},auc,robustness,seconds_per_frame"]
         for value, cfg in zip(values, swept):
             col = [seed_rows[cfgs.index(cfg)] for seed_rows in per_seed]
-            auc = sum(r["engine"]["auc"] for r in col) / len(col)
-            rob = sum(r["engine"]["robustness"] for r in col) / len(col)
+            engine = _aggregate(col)["engine"]
             spf = sum(r["engine_spf"] for r in col) / len(col)
-            lines.append(f"{int(value)},{auc!r},{rob!r},{spf!r}")
+            lines.append(f"{int(value)},{engine['auc']!r},{engine['robustness']!r},{spf!r}")
         (out / f"ablation_{axis}.csv").write_text("\n".join(lines) + "\n")
     click.echo(f"report written to {out}")
 

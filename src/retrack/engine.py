@@ -7,8 +7,10 @@ cheap stability gate decides whether its argmax is trustworthy; when it
 is not, every candidate is backtracked into tracklets aligned with the
 set, and a maximum-weight matching against the neighbor pool and the
 target history picks the winner, the gate's overlap serving as the
-argmax row's target weight. The template is fixed at the init frame and
-never refreshed.
+argmax row's target weight. `matching.resolve_target` ends that cascade:
+with no candidate tied to the target it coasts on the motion box, and
+without one it keeps the argmax, logging a warning. The template is
+fixed at the init frame and never refreshed.
 """
 from __future__ import annotations
 
@@ -19,8 +21,7 @@ from typing import Sequence
 from .candidate_select import (ALPHA, NMS_FLOOR, NMS_IOU, NMS_SIGMA, CandidateSet, assemble,
                                filter_by_confidence, soft_nms)
 from .geometry import BBox, Tracklet, iou, tracklet_avg_iou
-from .matching import (NoViableCandidateError, build_weights, hungarian_max,
-                       resolve_target)
+from .matching import build_weights, hungarian_max, resolve_target
 from .motion import MotionState, motion_init, motion_predict, motion_update
 from .pools import backtrack_frames, build_candidate_pool, update_neighbor_pool
 from .tracker_port import TrackerPort, segment_frames
@@ -61,11 +62,10 @@ class EngineConfig:
 class EngineState:
     """Everything carried between frames. Value-semantic."""
 
-    frame: int
     anchor: int                 # the first frame; nothing before it is tracked
     template: object            # the port's handle, cropped at the anchor
-    target: Tracklet            # selected history, ends at `frame`
-    neighbors: tuple[Tracklet, ...]  # loser histories, end at `frame`
+    target: Tracklet            # selected history, ends on the frame last stepped
+    neighbors: tuple[Tracklet, ...]  # loser histories, end where the target does
     motion: MotionState | None
 
 
@@ -74,10 +74,8 @@ def engine_init(port: TrackerPort, frame0: int, b0: BBox,
     """Anchor the engine on the ground-truth box of the first frame."""
     template = port.make_template(frame0, b0)
     motion = motion_init(b0, frame0) if cfg.use_kalman else None
-    return EngineState(frame=frame0, anchor=frame0, template=template,
-                       target=Tracklet(frame0, (b0,)),
-                       neighbors=(),
-                       motion=motion)
+    return EngineState(anchor=frame0, template=template, target=Tracklet(frame0, (b0,)),
+                       neighbors=(), motion=motion)
 
 
 def _advance_neighbors_stable(prev: tuple[Tracklet, ...], cands: CandidateSet, selected: int,
@@ -114,8 +112,8 @@ def _advance_neighbors_stable(prev: tuple[Tracklet, ...], cands: CandidateSet, s
 def step(state: EngineState, frame: int, port: TrackerPort,
          cfg: EngineConfig) -> tuple[BBox, EngineState, dict]:
     """Advance one frame; returns (selected box, new state, decision record)."""
-    if frame != state.frame + 1:
-        raise ValueError(f"expected frame {state.frame + 1}, got {frame}")
+    if frame != state.target.end_frame + 1:
+        raise ValueError(f"expected frame {state.target.end_frame + 1}, got {frame}")
     t = frame
     prior = state.target.head
     raw = port.propose(state.template, t, prior)
@@ -145,10 +143,8 @@ def step(state: EngineState, frame: int, port: TrackerPort,
         weights = build_weights(tracklets, state.neighbors, state.target,
                                 target_weights={top: gate_overlap})
         pairs = hungarian_max(weights)
-        try:
-            selected, source = resolve_target(pairs, weights, cands)
-        except NoViableCandidateError:
-            selected, source = top, "degraded_argmax"
+        selected, source = resolve_target(pairs, weights, cands)
+        if source == "degraded_argmax":
             log.warning("frame %d: no viable candidate, degrading to argmax", t)
         weights_list = weights.tolist()
         pairs_list = [list(pair) for pair in pairs]
@@ -172,7 +168,7 @@ def step(state: EngineState, frame: int, port: TrackerPort,
         "source": source,
         "box": list(box.as_tuple()),
     }
-    new_state = EngineState(frame=t, anchor=state.anchor, template=state.template,
+    new_state = EngineState(anchor=state.anchor, template=state.template,
                             target=target, neighbors=neighbors, motion=motion)
     return box, new_state, record
 

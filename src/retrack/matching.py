@@ -4,6 +4,8 @@ Rows are candidate tracklets; columns are the neighbor tracklets followed
 by the target history in the last column. Weights are mean per-frame IoU.
 The assignment maximizes total weight; zero-weight pairings carry no
 evidence and are treated as unmatched when resolving the target.
+`resolve_target` ends the engine's fallback cascade: the candidate matched
+to the target, else the best unmatched one, the motion box, the argmax.
 """
 from __future__ import annotations
 
@@ -21,10 +23,6 @@ from .geometry import Tracklet, tracklet_avg_iou
 # for the engine's IoU weights, at most 1, it is exactly 1e-9
 _OPT_TOL = 1e-9
 _NO_MATCH = np.empty(0, dtype=np.intp)
-
-
-class NoViableCandidateError(RuntimeError):
-    """Raised when no candidate can be tied to the target by any rule."""
 
 
 def build_weights(tracklets: Sequence[Tracklet], neighbors: Sequence[Tracklet],
@@ -116,13 +114,14 @@ def resolve_target(pairs: Sequence[tuple[int, int]], w: np.ndarray,
     """Pick the candidate index that continues the target, and say why.
 
     `pairs` is the matching `hungarian_max` returned for the weight array
-    `w`, the target in its last column. Order of precedence, with the
-    source returned alongside the index: the row matched to the target column with positive weight
-    (``target_matched``); otherwise the effectively-unmatched row with the
-    highest target-column weight, provided that weight is positive
-    (``best_unmatched``); otherwise the injected motion box
-    (``kalman_fallback``). Zero-weight pairings count as unmatched. With no
-    motion box left to fall back on, there is no viable candidate.
+    `w`, the target in its last column. The four sources, in order of
+    precedence and returned alongside the index: ``target_matched``, the
+    row matched to the target column with positive weight;
+    ``best_unmatched``, the effectively-unmatched row with the highest
+    target-column weight, provided that weight is positive;
+    ``kalman_fallback``, the injected motion box; ``degraded_argmax``, the
+    argmax, when nothing ties to the target and there is no motion box.
+    Zero-weight pairings count as unmatched.
 
     Given `hungarian_max`'s matching, ``best_unmatched`` needs a target
     weight within its tolerance of zero (``_OPT_TOL`` for weights of at most
@@ -152,6 +151,4 @@ def resolve_target(pairs: Sequence[tuple[int, int]], w: np.ndarray,
         return best_row, "best_unmatched"
     if cands.kalman_index is not None:
         return cands.kalman_index, "kalman_fallback"
-    raise NoViableCandidateError("target unmatched, every candidate tracklet "
-                                 "disjoint from the target history, and no "
-                                 "motion-predicted box to fall back on")
+    return cands.top, "degraded_argmax"

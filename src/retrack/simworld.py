@@ -489,9 +489,8 @@ class ScenarioConfig:
     drift: float = 0.0
 
     def __post_init__(self):
-        # a crossing's occlusion starts at int(0.42 * length) minus up to 12
-        # frames, which is frame 0 or later only from length 29 on
-        min_length = 29 if self.kind == "crossing" else 1
+        _require("kind", self.kind, self.kind in SCENARIOS, f"one of {SCENARIOS}")
+        min_length = _SCENARIO_TABLE[self.kind][1]
         _require("length", self.length, type(self.length) is int and self.length >= min_length,
                  f"an integer >= {min_length}")
         # the wall vector must be orthogonal to both the target and the
@@ -539,20 +538,6 @@ def _require(name: str, value, ok: bool, rule: str) -> None:
         raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
-SCENARIOS = ("crossing", "convoy", "deform")
-
-
-def generate_scene(cfg: ScenarioConfig, seed: int) -> Scene:
-    """Deterministic scripted scene for (config, seed)."""
-    if cfg.kind == "crossing":
-        return _gen_crossing(cfg, seed)
-    if cfg.kind == "convoy":
-        return _gen_convoy(cfg, seed)
-    if cfg.kind == "deform":
-        return _gen_deform(cfg, seed)
-    raise ValueError(f"unknown scenario {cfg.kind!r}; expected one of {SCENARIOS}")
-
-
 def _severity_grid(lo: float, hi: float) -> tuple[int, int]:
     """The first and last multiple of 1/256 in [lo, hi], in 256ths."""
     return math.ceil(lo * 256), math.floor(hi * 256)
@@ -587,16 +572,27 @@ def _tapered_occlusion(start: int, end: int, sev: float) -> tuple[OcclusionEvent
     return tuple(events)
 
 
-def _pair_appearances(rng: np.random.Generator, dim: int,
-                      similarity: float) -> tuple[tuple, tuple, tuple]:
-    """Target and distractor vectors at the given cosine, plus a wall
-    vector orthogonal to both so static occlusion adds no bias."""
-    u = _random_unit(rng, dim)
+def _lane(cfg: ScenarioConfig, x0: float, x1: float, cy: float) -> Path:
+    """A straight lane at height `cy`, from `x0` at frame 0 to `x1` at the last."""
+    return Path("linear", size=(cfg.box_size, cfg.box_size),
+                waypoints=((0, x0, cy), (cfg.length - 1, x1, cy)))
+
+
+def _pair_scene(cfg: ScenarioConfig, seed: int, rng: np.random.Generator, similarity: float,
+                target_path: Path, other_path: Path, **script) -> Scene:
+    """The scene of target 1, which takes `script` (its `occlusions` or
+    `drift_spikes`), and object 2. Their appearances are drawn last from
+    `rng`, at cosine `similarity`, plus a wall vector orthogonal to both so
+    static occlusion adds no bias."""
+    u = _random_unit(rng, cfg.appearance_dim)
     v = _unit_with_cosine(rng, u, similarity)
     residual = v - np.dot(v, u) * u
     basis = [u] if np.linalg.norm(residual) < 1e-12 else [u, _unit(residual, "a residual")]
     wall = _orthogonal_unit(rng, basis)
-    return (tuple(map(float, u)), tuple(map(float, v)), tuple(map(float, wall)))
+    target = ObjectSpec(1, target_path, tuple(map(float, u)), drift=cfg.drift, **script)
+    other = ObjectSpec(2, other_path, tuple(map(float, v)), drift=cfg.drift)
+    return Scene(cfg.length, cfg.bounds, seed, (target, other),
+                 static_appearance=tuple(map(float, wall)))
 
 
 def _gen_crossing(cfg: ScenarioConfig, seed: int) -> Scene:
@@ -612,27 +608,18 @@ def _gen_crossing(cfg: ScenarioConfig, seed: int) -> Scene:
     t_meet = int(cfg.length * 0.42)
     cy = cfg.bounds[1] / 2.0
     mid = cfg.bounds[0] / 2.0
-    size = (cfg.box_size, cfg.box_size)
-    radius = SEARCH_RADIUS_SCALE * math.hypot(*size)
+    radius = SEARCH_RADIUS_SCALE * math.hypot(cfg.box_size, cfg.box_size)
     dy = 0.75 * cfg.box_size
     # full-strength occlusion holds until the pair has separated beyond the
     # search radius; the fade tail comes on top of that
     w_pre = int(rng.integers(8, 13))
     w_post = int(math.ceil((radius + 5.0) / (2.0 * v))) + 1
     start, end = t_meet - w_pre, min(t_meet + w_post, cfg.length - 12)
-
-    def lane(direction: float, cy_lane: float) -> Path:
-        x0 = mid - direction * v * t_meet
-        x1 = mid + direction * v * (cfg.length - 1 - t_meet)
-        return Path("linear", size=size,
-                    waypoints=((0, x0, cy_lane), (cfg.length - 1, x1, cy_lane)))
-
-    app_t, app_d, wall = _pair_appearances(rng, cfg.appearance_dim, sim)
-    target = ObjectSpec(1, lane(+1.0, cy - dy / 2.0), app_t, drift=cfg.drift,
-                        occlusions=_tapered_occlusion(start, end, sev))
-    distractor = ObjectSpec(2, lane(-1.0, cy + dy / 2.0), app_d, drift=cfg.drift)
-    return Scene(cfg.length, cfg.bounds, seed, (target, distractor),
-                 static_appearance=wall)
+    before, after = v * t_meet, v * (cfg.length - 1 - t_meet)  # distances to and from the meeting
+    target = _lane(cfg, mid - before, mid + after, cy - dy / 2.0)
+    distractor = _lane(cfg, mid + before, mid - after, cy + dy / 2.0)
+    return _pair_scene(cfg, seed, rng, sim, target, distractor,
+                       occlusions=_tapered_occlusion(start, end, sev))
 
 
 def _gen_convoy(cfg: ScenarioConfig, seed: int) -> Scene:
@@ -646,20 +633,10 @@ def _gen_convoy(cfg: ScenarioConfig, seed: int) -> Scene:
     start = int(rng.integers(14, 19))
     end = start + int(rng.integers(12, 17))
     cy = cfg.bounds[1] / 2.0
-    size = (cfg.box_size, cfg.box_size)
-    x0 = 40.0
-
-    def lane(cy_lane: float) -> Path:
-        return Path("linear", size=size,
-                    waypoints=((0, x0, cy_lane),
-                               (cfg.length - 1, x0 + v * (cfg.length - 1), cy_lane)))
-
-    app_t, app_d, wall = _pair_appearances(rng, cfg.appearance_dim, sim)
-    target = ObjectSpec(1, lane(cy - gap / 2.0), app_t, drift=cfg.drift,
-                        occlusions=_tapered_occlusion(start, end, sev))
-    companion = ObjectSpec(2, lane(cy + gap / 2.0), app_d, drift=cfg.drift)
-    return Scene(cfg.length, cfg.bounds, seed, (target, companion),
-                 static_appearance=wall)
+    x1 = 40.0 + v * (cfg.length - 1)
+    return _pair_scene(cfg, seed, rng, sim, _lane(cfg, 40.0, x1, cy - gap / 2.0),
+                       _lane(cfg, 40.0, x1, cy + gap / 2.0),
+                       occlusions=_tapered_occlusion(start, end, sev))
 
 
 def _gen_deform(cfg: ScenarioConfig, seed: int) -> Scene:
@@ -670,19 +647,26 @@ def _gen_deform(cfg: ScenarioConfig, seed: int) -> Scene:
     spike_start = int(rng.integers(20, 27))
     spike = (spike_start, spike_start + int(rng.integers(8, 13)), 0.12)
     cy = cfg.bounds[1] / 2.0
-    size = (cfg.box_size, cfg.box_size)
-    app_t, app_d, wall = _pair_appearances(rng, cfg.appearance_dim, 0.5)
-    target = ObjectSpec(
-        1, Path("sine", size=size, start=(40.0, cy), velocity=(v, 0.0),
-                amplitude=30.0, period=40.0, axis="y"),
-        app_t, drift=cfg.drift, drift_spikes=(spike,))
-    bystander = ObjectSpec(
-        2, Path("linear", size=size,
-                waypoints=((0, 40.0, cy + 90.0),
-                           (cfg.length - 1, 40.0 + v * (cfg.length - 1), cy + 90.0))),
-        app_d, drift=cfg.drift)
-    return Scene(cfg.length, cfg.bounds, seed, (target, bystander),
-                 static_appearance=wall)
+    weave = Path("sine", size=(cfg.box_size, cfg.box_size), start=(40.0, cy),
+                 velocity=(v, 0.0), amplitude=30.0, period=40.0, axis="y")
+    return _pair_scene(cfg, seed, rng, 0.5, weave,
+                       _lane(cfg, 40.0, 40.0 + v * (cfg.length - 1), cy + 90.0),
+                       drift_spikes=(spike,))
+
+
+# kind -> (generator, shortest length): the first length at which every
+# seed's scripted event happens inside the scene. A crossing's occlusion
+# starts at int(0.42 * length) minus up to 12 frames, frame 0 or later only
+# from 29 on; a convoy's starts by frame 18; a deform's drift spike starts
+# by frame 26 and first changes the appearance one frame later.
+_SCENARIO_TABLE = {"crossing": (_gen_crossing, 29), "convoy": (_gen_convoy, 19),
+                   "deform": (_gen_deform, 28)}
+SCENARIOS = tuple(_SCENARIO_TABLE)
+
+
+def generate_scene(cfg: ScenarioConfig, seed: int) -> Scene:
+    """Deterministic scripted scene for (config, seed)."""
+    return _SCENARIO_TABLE[cfg.kind][0](cfg, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -357,6 +357,19 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "evaluate"])
+    @pytest.mark.parametrize("scenario, length", [("convoy", 18), ("deform", 27)])
+    def test_scene_too_short_for_its_event_fails_before_any_output(
+            self, tmp_path, capsys, command, scenario, length):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"length": {length}}}')
+        out = tmp_path / "x"
+        assert main([command, "--scenario", scenario, "--config", str(cfg),
+                     "--seeds", "0", "--out", str(out)]) == 1
+        assert f"length must be an integer >= {length + 1}, got {length}" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["track", "evaluate"])
     @pytest.mark.parametrize("flag", ["--alpha", "--nms-iou", "--nms-sigma", "--gate-iou"])
     def test_fixed_thresholds_have_no_flag(self, tmp_path, capsys, command, flag):

@@ -1,4 +1,5 @@
 """Engine behavior: gating, neighbor upkeep, rescue, and fallbacks."""
+import logging
 import math
 
 import pytest
@@ -68,7 +69,7 @@ class TestInit:
         port = ScriptPort(_two_lane_script())
         b0 = _target_box(0)
         state = engine_init(port, 0, b0, EngineConfig())
-        assert state.frame == 0
+        assert state.target.end_frame == 0
         assert state.target.head == b0
         assert len(state.target) == 1
         assert len(state.neighbors) == 0
@@ -151,11 +152,14 @@ class TestFallbacks:
                  BBox(200.0, 200.0, 10.0, 10.0)), (0.9, 0.8)),
         })
 
-    def test_no_kalman_degrades_to_argmax(self):
+    def test_no_kalman_degrades_to_argmax(self, caplog):
         port = self._script()
         cfg = EngineConfig(use_kalman=False)
         state = engine_init(port, 0, BBox(0.0, 0.0, 10.0, 10.0), cfg)
-        box, state, rec = step(state, 1, port, cfg)
+        with caplog.at_level(logging.WARNING, logger="retrack.engine"):
+            box, state, rec = step(state, 1, port, cfg)
+        assert [r.getMessage() for r in caplog.records] == [
+            "frame 1: no viable candidate, degrading to argmax"]
         assert rec["gate"] == "fired"
         assert rec["gate_overlap"] == 0.0
         assert rec["source"] == "degraded_argmax"
@@ -400,7 +404,7 @@ def test_neighbors_end_at_the_frame_within_tau(kind, seed, tau):
     longest = 0
     for t in range(1, scene.length):
         _, state, _ = step(state, t, port, cfg)
-        assert state.frame == t
+        assert state.target.end_frame == t
         for tr in state.neighbors:
             assert tr.end_frame == t and len(tr) <= tau, t
             longest = max(longest, len(tr))

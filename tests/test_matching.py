@@ -8,8 +8,7 @@ import retrack.matching
 from oracles import brute_force_assignment
 from retrack.candidate_select import CandidateSet
 from retrack.geometry import BBox, Tracklet, tracklet_avg_iou
-from retrack.matching import (NoViableCandidateError, build_weights, hungarian_max,
-                              resolve_target)
+from retrack.matching import build_weights, hungarian_max, resolve_target
 
 
 def _w(rows):
@@ -167,10 +166,10 @@ class TestResolveTarget:
         pairs = hungarian_max(w)
         assert pairs == ((0, 0), (1, 1))
         # row 1 holds the target column at zero weight: no evidence, so the
-        # motion box is the only viable continuation
+        # motion box is the only viable continuation, and without it the argmax
         assert resolve_target(pairs, w, _cands(3, kalman_index=2)) == (2, "kalman_fallback")
-        with pytest.raises(NoViableCandidateError):
-            resolve_target(pairs, w, _cands(3))
+        cands = _cands(3)
+        assert resolve_target(pairs, w, cands) == (cands.top, "degraded_argmax")
 
     def test_best_unmatched_row_by_target_weight(self):
         w = _w([[0.5, 0.4], [0.0, 0.25], [0.0, 0.3]])
@@ -219,17 +218,14 @@ class TestResolveTarget:
                 values = rng.uniform(low, 1.0, size=(rows, cols))
                 values[rng.random((rows, cols)) < 0.5] = 0.0
             cands = _cands(rows, kalman_index=rows - 1 if motion else None)
-            try:
-                _, source = resolve_target(hungarian_max(values), values, cands)
-            except NoViableCandidateError:
-                continue
+            _, source = resolve_target(hungarian_max(values), values, cands)
             assert source != "best_unmatched", values
 
-    def test_error_when_nothing_viable(self):
+    def test_argmax_when_nothing_viable(self):
         w = _w([[0.0, 0.0]])
         pairs = hungarian_max(w)
-        with pytest.raises(NoViableCandidateError):
-            resolve_target(pairs, w, _cands(1))
+        cands = _cands(1)
+        assert resolve_target(pairs, w, cands) == (cands.top, "degraded_argmax")
 
     def test_row_count_must_match_candidates(self):
         w = _w([[0.5, 0.5]])

@@ -471,10 +471,6 @@ class TestTaperedOcclusion:
 
 
 class TestScenarioGeneration:
-    def test_unknown_kind_lists_the_valid_ones(self):
-        with pytest.raises(ValueError, match="crossing.*convoy.*deform"):
-            generate_scene(ScenarioConfig("drift"), 0)
-
     def test_generation_is_deterministic(self):
         for kind in ("crossing", "convoy", "deform"):
             cfg = ScenarioConfig(kind)
@@ -512,8 +508,11 @@ class TestScenarioGeneration:
         assert 20 <= start < 27 and rate == 0.12
 
     @pytest.mark.parametrize("kind, change, message", [
+        ("drift", {}, "kind must be one of .*crossing.*convoy.*deform.*, got 'drift'"),
         ("crossing", {"length": 28}, "length must be an integer >= 29, got 28"),
-        ("convoy", {"length": 0}, "length must be an integer >= 1, got 0"),
+        ("convoy", {"length": 18}, "length must be an integer >= 19, got 18"),
+        ("deform", {"length": 27}, "length must be an integer >= 28, got 27"),
+        ("convoy", {"length": 0}, "length must be an integer >= 19, got 0"),
         ("convoy", {"length": True}, "length must be an integer"),
         ("convoy", {"appearance_dim": 1}, "appearance_dim must be an integer >= 3"),
         ("deform", {"appearance_dim": 2}, "appearance_dim must be an integer >= 3, got 2"),
@@ -529,7 +528,8 @@ class TestScenarioGeneration:
         ("convoy", {"severity": (0.0, 0.1)}, "severity must be within \\(0, 1\\]"),
         ("convoy", {"severity": (0.9, 1.5)}, "severity must be within \\(0, 1\\]"),
         ("convoy", {"speed": (-1.0, 2.0)}, "speed must be > 0"),
-    ], ids=["crossing_length_28", "length_0", "length_bool", "appearance_dim_1",
+    ], ids=["kind_unknown", "crossing_length_28", "convoy_length_18", "deform_length_27",
+            "length_0", "length_bool", "appearance_dim_1",
             "appearance_dim_2", "box_size_0", "box_size_bool", "drift_negative", "drift_inf",
             "similarity_list",
             "bounds_inf", "bounds_0", "lane_gap_reversed", "similarity_below_-1",
@@ -539,19 +539,33 @@ class TestScenarioGeneration:
             ScenarioConfig(kind, **change)
 
     @pytest.mark.parametrize("kind, change", [
-        ("crossing", {"length": 29}), ("convoy", {"length": 1}),
+        ("crossing", {"length": 29}), ("convoy", {"length": 19}), ("deform", {"length": 28}),
         ("deform", {"appearance_dim": 3}), ("convoy", {"similarity": (-1.0, 1.0)}),
         ("convoy", {"severity": (0.5, 0.5)}), ("crossing", {"speed": (2.0, 2.0)}),
-    ], ids=["crossing_length_29", "length_1", "appearance_dim_3", "similarity_full",
+    ], ids=["crossing_length_29", "convoy_length_19", "deform_length_28",
+            "appearance_dim_3", "similarity_full",
             "severity_one_point", "speed_one_point"])
     def test_edge_configs_generate(self, kind, change):
         for seed in range(5):
             generate_scene(ScenarioConfig(kind, **change), seed)
 
-    def test_shortest_crossing_starts_its_occlusion_in_the_scene(self):
-        cfg = ScenarioConfig("crossing", length=29)
+    @pytest.mark.parametrize("kind, length", [("crossing", 29), ("convoy", 19),
+                                              ("deform", 28)])
+    def test_shortest_scene_carries_its_event(self, kind, length):
+        """At its kind's minimum length, every scene holds its scripted
+        event: an occlusion frame with visibility below 1, or a frame whose
+        appearance the drift spike changed."""
+        cfg = ScenarioConfig(kind, length=length)
         for seed in range(50):
-            assert generate_scene(cfg, seed).objects[0].occlusions[0].start >= 0
+            scene = generate_scene(cfg, seed)
+            target = scene.objects[0]
+            if kind == "deform":
+                start = target.drift_spikes[0][0]
+                before, after = (scene.effective_appearance(1, f) for f in (start, start + 1))
+                assert float(np.abs(after - before).max()) > 1e-9, seed
+            else:
+                start = target.occlusions[0].start
+                assert start >= 0 and scene.visibility(1, start) < 1.0, seed
 
     @pytest.mark.parametrize("kind", ["crossing", "convoy", "deform"])
     def test_wall_is_orthogonal_at_three_dimensions(self, kind):
