@@ -6,6 +6,10 @@ The assignment maximizes total weight; zero-weight pairings carry no
 evidence and are treated as unmatched when resolving the target.
 `resolve_target` ends the engine's fallback cascade: the candidate matched
 to the target, else the best unmatched one, the motion box, the argmax.
+
+Each assignment is solved by Crouse's shortest augmenting path (IEEE TAES
+2016), ported from SciPy's `rectangular_lsap` operation for operation, so
+it returns SciPy's matching; its total is summed in row order.
 """
 from __future__ import annotations
 
@@ -13,7 +17,6 @@ import math
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .candidate_select import CandidateSet
 from .geometry import Tracklet, tracklet_avg_iou
@@ -22,7 +25,6 @@ from .geometry import Tracklet, tracklet_avg_iou
 # most a few dozen weights keep their roundoff far below it at any scale, and
 # for the engine's IoU weights, at most 1, it is exactly 1e-9
 _OPT_TOL = 1e-9
-_NO_MATCH = np.empty(0, dtype=np.intp)
 
 
 def build_weights(tracklets: Sequence[Tracklet], neighbors: Sequence[Tracklet],
@@ -44,12 +46,65 @@ def build_weights(tracklets: Sequence[Tracklet], neighbors: Sequence[Tracklet],
     return np.array(rows, dtype=float)
 
 
-def _best(values: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Maximum matching weight and the solver's matching, as (rows, cols)."""
-    if values.size == 0:
-        return 0.0, _NO_MATCH, _NO_MATCH
-    rows, cols = linear_sum_assignment(values, maximize=True)
-    return float(values[rows, cols].sum()), rows, cols
+def linear_sum_assignment(grid: Sequence[Sequence[float]], rows: Sequence[int],
+                          cols: Sequence[int]) -> tuple[float, dict[int, int]]:
+    """Maximum-weight matching of full cardinality on the non-empty sub-grid
+    `rows` x `cols` of `grid`, as (total, {row: col}) in ascending row order.
+
+    SciPy's `rectangular_lsap` (`maximize=True`) step for step: a tall
+    sub-grid is transposed; the negated weight enters the reduced cost as
+    `minval - w`, exact in IEEE arithmetic; each search visits the remaining
+    columns from the last, prefers an unassigned column on a tie, and drops
+    a visited column by moving the last one into its place.
+    """
+    transpose = len(cols) < len(rows)
+    w = ([[grid[r][c] for r in rows] for c in cols] if transpose
+         else [[grid[r][c] for c in cols] for r in rows])
+    nr, nc = len(w), len(w[0])
+    u, v = [0.0] * nr, [0.0] * nc
+    col4row, row4col, path = [-1] * nr, [-1] * nc, [-1] * nc
+    for cur in range(nr):
+        costs, other_rows, seen_cols = [math.inf] * nc, [], []
+        remaining = list(range(nc - 1, -1, -1))
+        minval, i = 0.0, cur
+        while True:
+            wi, ui = w[i], u[i]
+            lowest, index = math.inf, -1
+            for it, j in enumerate(remaining):
+                cost = costs[j]
+                reduced = minval - wi[j] - ui - v[j]
+                if reduced < cost:
+                    path[j] = i
+                    costs[j] = cost = reduced
+                if cost < lowest or (cost == lowest and row4col[j] == -1):
+                    lowest, index = cost, it
+            minval = lowest
+            remaining[index], remaining[-1] = remaining[-1], remaining[index]
+            j = remaining.pop()
+            seen_cols.append(j)
+            i = row4col[j]
+            if i == -1:
+                break
+            other_rows.append(i)
+        u[cur] += minval
+        for i in other_rows:
+            u[i] += minval - costs[col4row[i]]
+        for j in seen_cols:
+            v[j] -= minval - costs[j]
+        while True:  # augment along the path back to `cur`, from the sink `j`
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    # transposed, `row4col` maps each original row to its column, or to -1
+    pairs = (((r, c) for r, c in enumerate(row4col) if c >= 0) if transpose
+             else enumerate(col4row))
+    match, total = {}, 0.0
+    for r, c in pairs:
+        match[rows[r]] = cols[c]
+        total += grid[rows[r]][cols[c]]
+    return total, match
 
 
 def hungarian_max(w: np.ndarray) -> tuple[tuple[int, int], ...]:
@@ -67,7 +122,9 @@ def hungarian_max(w: np.ndarray) -> tuple[tuple[int, int], ...]:
     consistent with the pairs fixed so far. A row's column in that
     matching needs no further solve; only a lower column is probed, by
     solving the remaining rows without it, and a successful probe's
-    matching replaces the kept one.
+    matching replaces the kept one. Every solve is `linear_sum_assignment`:
+    Crouse's shortest augmenting path, ported from SciPy's
+    `rectangular_lsap`, with the total summed in row order.
     """
     values = np.asarray(w, dtype=float)
     if values.ndim != 2 or values.size == 0:
@@ -81,13 +138,13 @@ def hungarian_max(w: np.ndarray) -> tuple[tuple[int, int], ...]:
             if v > top:
                 top = v
     tol = _OPT_TOL * top
-    best, rows, cols = _best(values)
-    match = dict(zip(rows.tolist(), cols.tolist()))
+    n_rows, n_cols = values.shape
+    best, match = linear_sum_assignment(grid, range(n_rows), range(n_cols))
 
     pairs: list[tuple[int, int]] = []
-    free_cols = list(range(values.shape[1]))
+    free_cols = list(range(n_cols))
     fixed = 0.0
-    for r in range(values.shape[0]):
+    for r in range(n_rows):
         chosen = None
         for c in free_cols:
             # the kept matching proves (r, c) has an optimal completion; a
@@ -96,11 +153,13 @@ def hungarian_max(w: np.ndarray) -> tuple[tuple[int, int], ...]:
                 chosen = c
                 break
             rest_cols = [x for x in free_cols if x != c]
-            rest, rows, cols = _best(values[r + 1:, rest_cols])
+            # an empty remainder is not solved: it weighs 0 and matches nothing
+            rest, rest_match = (
+                linear_sum_assignment(grid, range(r + 1, n_rows), rest_cols)
+                if r + 1 < n_rows and rest_cols else (0.0, {}))
             if fixed + grid[r][c] + rest >= best - tol:
                 chosen = c
-                match = {r + 1 + i: rest_cols[j]
-                         for i, j in zip(rows.tolist(), cols.tolist())}
+                match = rest_match
                 break
         if chosen is not None:
             pairs.append((r, chosen))

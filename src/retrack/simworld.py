@@ -641,7 +641,8 @@ def _gen_convoy(cfg: ScenarioConfig, seed: int) -> Scene:
 
 def _gen_deform(cfg: ScenarioConfig, seed: int) -> Scene:
     """A single weaving target whose appearance drifts sharply for a spell,
-    with a mildly similar bystander parked nearby."""
+    and a mildly similar bystander on a straight lane 90 px below it, from
+    x 40 at the target's speed for the whole scene."""
     rng = np.random.default_rng([seed, 303])
     v = float(rng.uniform(*cfg.speed))
     spike_start = int(rng.integers(20, 27))

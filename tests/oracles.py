@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 
 def brute_force_assignment(values) -> tuple[tuple[tuple[int, int], ...], float]:
@@ -33,3 +34,11 @@ def brute_force_assignment(values) -> tuple[tuple[tuple[int, int], ...], float]:
         elif total == best_total and pairs < best_pairs:
             best_pairs = pairs
     return best_pairs, best_total
+
+
+def scipy_matching(values) -> tuple[dict[int, int], float]:
+    """SciPy's maximum-weight matching of full cardinality, as {row: col}
+    in ascending row order, and its total summed by numpy."""
+    values = np.asarray(values, dtype=float)
+    rows, cols = linear_sum_assignment(values, maximize=True)
+    return dict(zip(rows.tolist(), cols.tolist())), float(values[rows, cols].sum())

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 import retrack.matching
-from oracles import brute_force_assignment
+from oracles import brute_force_assignment, scipy_matching
 from retrack.candidate_select import CandidateSet
 from retrack.geometry import BBox, Tracklet, tracklet_avg_iou
-from retrack.matching import build_weights, hungarian_max, resolve_target
+from retrack.matching import (build_weights, hungarian_max, linear_sum_assignment,
+                              resolve_target)
 
 
 def _w(rows):
@@ -35,6 +36,37 @@ class TestWeightMatrix:
     def test_rejects_weight_outside_unit_interval(self, bad):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             hungarian_max(_w([[0.5, bad], [0.0, 1.0]]))
+
+
+class TestLinearSumAssignment:
+    """The in-package solver returns SciPy's matching on every input."""
+
+    KINDS = ("random", "tie_heavy", "near_tie")
+    LEVELS = {"tie_heavy": np.array([0.0, 0.25, 0.5, 1.0]),
+              "near_tie": np.array([0.0, 1e-12, 0.3, np.nextafter(0.3, 1.0)])}
+
+    def _entries(self, rng, kind, shape):
+        if kind == "random":
+            return rng.random(shape)
+        return self.LEVELS[kind][rng.integers(0, 4, size=shape)]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_returns_scipys_matching_on_every_shape(self, kind):
+        # every other grid is larger than the problem, so rows and columns are
+        # a non-contiguous sub-grid, and the answer is in grid indices
+        rng = np.random.default_rng(self.KINDS.index(kind))
+        for n_rows, n_cols in itertools.product(range(1, 9), repeat=2):
+            for k in range(20):
+                pad = 3 * (k % 2)
+                grid = self._entries(rng, kind, (n_rows + pad, n_cols + pad))
+                rows = sorted(rng.choice(n_rows + pad, n_rows, replace=False).tolist())
+                cols = sorted(rng.choice(n_cols + pad, n_cols, replace=False).tolist())
+                total, match = linear_sum_assignment(grid.tolist(), rows, cols)
+                want, want_total = scipy_matching(grid[np.ix_(rows, cols)])
+                assert list(match.items()) == [(rows[r], cols[c]) for r, c in want.items()]
+                # numpy sums 8 terms or more in pairwise blocks
+                if len(match) < 8:
+                    assert total == want_total
 
 
 class TestHungarianMax:
