@@ -85,15 +85,6 @@ class RunSpec:
         return generate_scene(self.scenario_cfg, self.seed)
 
 
-def _resolve_target(scene: Scene, target_id: int | None) -> int:
-    if target_id is None:
-        return min(scene.ids())
-    if target_id not in scene.ids():
-        raise ConfigError(f"target id {target_id} not present in scene "
-                          f"(have {scene.ids()})")
-    return target_id
-
-
 def _timed(fn, *args) -> tuple:
     start = time.perf_counter()
     return fn(*args), time.perf_counter() - start
@@ -104,7 +95,7 @@ def _execute_run(spec: RunSpec, cfgs: list[EngineConfig]) -> tuple:
     `cfgs`. Returns the scene, the target, the baseline as `(boxes,
     seconds)` and one `(boxes, records, seconds)` per config."""
     scene = spec.build_scene()
-    target = _resolve_target(scene, spec.target_id)
+    target = min(scene.ids()) if spec.target_id is None else spec.target_id
     frames = range(scene.length)
     b0 = scene.true_box(target, 0)
     baseline_run = _timed(run_baseline, MockTracker(scene), frames, b0)
@@ -223,9 +214,14 @@ def _make_specs(scenario, mot_path, config_path, seeds, target_id) -> list[RunSp
     seed_list = _parse_seeds(seeds)
     scenario_cfg = None if mot_path else _scenario_config(scenario, config_path)
     stem = FsPath(mot_path).stem if mot_path else scenario
-    return [RunSpec(name=f"{stem}_{seed:04d}", scenario_cfg=scenario_cfg,
-                    mot_path=mot_path, seed=seed, target_id=target_id)
-            for seed in seed_list]
+    specs = [RunSpec(name=f"{stem}_{seed:04d}", scenario_cfg=scenario_cfg,
+                     mot_path=mot_path, seed=seed, target_id=target_id)
+             for seed in seed_list]
+    # a scene's ids come from its scenario or MOT file, never from its seed,
+    # so the first seed's scene checks the target for every seed
+    if target_id is not None and target_id not in (ids := specs[0].build_scene().ids()):
+        raise ConfigError(f"target id {target_id} not present in scene (have {ids})")
+    return specs
 
 
 @cli.command("simulate")
@@ -348,11 +344,12 @@ def _ablation_configs(ablate: str, engine_cfg: EngineConfig
     validated engine config per value."""
     if ablate.startswith("tau="):
         try:
-            values = [int(v) for v in ablate[4:].split(",") if v]
-        except ValueError:
-            values = []
-        if not values:
-            raise ConfigError(f"cannot parse ablation spec {ablate!r}")
+            values = [int(v) for v in ablate[4:].split(",")]
+        except ValueError as exc:  # the message names the entry, an empty one as ''
+            raise ConfigError(f"ablation {ablate!r}: {exc}") from None
+        repeated = [v for k, v in enumerate(values) if v in values[:k]]
+        if repeated:
+            raise ConfigError(f"ablation {ablate!r}: tau {repeated[0]} is repeated")
         axis, field = "tau", "tau"
     elif ablate == "kalman":
         axis, field, values = "kalman", "use_kalman", [True, False]

@@ -9,8 +9,9 @@ set, and a maximum-weight matching against the neighbor pool and the
 target history picks the winner, the gate's overlap serving as the
 argmax row's target weight. `matching.resolve_target` ends that cascade:
 with no candidate tied to the target it coasts on the motion box, and
-without one it keeps the argmax, logging a warning. The template is
-fixed at the init frame and never refreshed.
+without one it keeps the argmax, logging a warning. The losers roll
+into the neighbor pool by the fired or the stable rule of `pools`. The
+template is fixed at the init frame and never refreshed.
 """
 from __future__ import annotations
 
@@ -18,18 +19,18 @@ import logging
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-from .candidate_select import (ALPHA, NMS_FLOOR, NMS_IOU, NMS_SIGMA, CandidateSet, assemble,
+from .candidate_select import (ALPHA, NMS_FLOOR, NMS_IOU, NMS_SIGMA, assemble,
                                filter_by_confidence, soft_nms)
-from .geometry import BBox, Tracklet, iou, tracklet_avg_iou
+from .geometry import BBox, Tracklet, tracklet_avg_iou
 from .matching import build_weights, hungarian_max, resolve_target
 from .motion import MotionState, motion_init, motion_predict, motion_update
-from .pools import backtrack_frames, build_candidate_pool, update_neighbor_pool
+from .pools import (ASSOC_IOU, advance_neighbor_pool, backtrack_frames, build_candidate_pool,
+                    update_neighbor_pool)
 from .tracker_port import TrackerPort, segment_frames
 
 log = logging.getLogger(__name__)
 
 STABILITY_IOU = 0.6  # history-overlap gate threshold
-ASSOC_IOU = 0.3      # stable-path neighbor association
 
 
 @dataclass(frozen=True)
@@ -38,8 +39,8 @@ class EngineConfig:
     `use_kalman`, whether the motion-predicted box joins the candidates.
 
     The thresholds are scale-free, so one operating point serves every
-    backbone; they are constants: `ALPHA`, `NMS_IOU`, `NMS_SIGMA` and
-    `NMS_FLOOR` in `candidate_select`, `STABILITY_IOU` and `ASSOC_IOU` here.
+    backbone; they are constants: `ALPHA`, `NMS_IOU`, `NMS_SIGMA` and `NMS_FLOOR`
+    in `candidate_select`, `ASSOC_IOU` in `pools`, `STABILITY_IOU` here.
     """
 
     tau: int = 9
@@ -66,47 +67,16 @@ class EngineState:
     template: object            # the port's handle, cropped at the anchor
     target: Tracklet            # selected history, ends on the frame last stepped
     neighbors: tuple[Tracklet, ...]  # loser histories, end where the target does
-    motion: MotionState | None
+    motion: MotionState | None  # set by engine_init iff cfg.use_kalman
 
 
 def engine_init(port: TrackerPort, frame0: int, b0: BBox,
                 cfg: EngineConfig) -> EngineState:
     """Anchor the engine on the ground-truth box of the first frame."""
     template = port.make_template(frame0, b0)
-    motion = motion_init(b0, frame0) if cfg.use_kalman else None
+    motion = motion_init(b0) if cfg.use_kalman else None
     return EngineState(anchor=frame0, template=template, target=Tracklet(frame0, (b0,)),
                        neighbors=(), motion=motion)
-
-
-def _advance_neighbors_stable(prev: tuple[Tracklet, ...], cands: CandidateSet, selected: int,
-                              t: int, cfg: EngineConfig) -> tuple[Tracklet, ...]:
-    """Cheap neighbor refresh for stable frames: greedily associate each
-    unselected real candidate with a previous neighbor head by IoU and
-    prepend; candidates with no association start fresh histories. The
-    injected motion box has no appearance identity and is left out."""
-    losers = [i for i in cands.real if i != selected]
-    scored = []
-    for ci, i in enumerate(losers):
-        for nj, tr in enumerate(prev):
-            ov = iou(cands.boxes[i], tr.head)
-            if ov >= ASSOC_IOU:
-                scored.append((ov, ci, nj))
-    scored.sort(key=lambda s: (-s[0], s[1], s[2]))
-    taken_c: dict[int, int] = {}
-    taken_n: set[int] = set()
-    for ov, ci, nj in scored:
-        if ci in taken_c or nj in taken_n:
-            continue
-        taken_c[ci] = nj
-        taken_n.add(nj)
-    out = []
-    for ci, i in enumerate(losers):
-        box = cands.boxes[i]
-        if ci in taken_c:
-            out.append(prev[taken_c[ci]].pushed(box, cfg.tau))
-        else:
-            out.append(Tracklet(t, (box,)))
-    return tuple(out)
 
 
 def step(state: EngineState, frame: int, port: TrackerPort,
@@ -118,9 +88,9 @@ def step(state: EngineState, frame: int, port: TrackerPort,
     prior = state.target.head
     raw = port.propose(state.template, t, prior)
     kept = soft_nms(raw, filter_by_confidence(raw, ALPHA), NMS_IOU, NMS_SIGMA)
-    kalman_box = predicted = None
-    if cfg.use_kalman:
-        kalman_box, predicted = motion_predict(state.motion)
+    kalman_box, motion = None, state.motion
+    if motion is not None:
+        kalman_box, motion = motion_predict(motion)
     cands = assemble(raw, kept, kalman_box)
 
     top = cands.top
@@ -137,7 +107,7 @@ def step(state: EngineState, frame: int, port: TrackerPort,
     weights_list = pairs_list = None
     if gate != "fired":
         selected, source = top, "argmax"
-        neighbors = _advance_neighbors_stable(state.neighbors, cands, selected, t, cfg)
+        neighbors = advance_neighbor_pool(state.neighbors, cands, selected, t, cfg.tau)
     else:
         tracklets = build_candidate_pool(cands, port, back_frames, top_tracklet)
         weights = build_weights(tracklets, state.neighbors, state.target,
@@ -152,7 +122,8 @@ def step(state: EngineState, frame: int, port: TrackerPort,
 
     box = cands.boxes[selected]
     target = state.target.pushed(box, cfg.tau)
-    motion = motion_update(predicted, box) if cfg.use_kalman else None
+    if motion is not None:
+        motion = motion_update(motion, box)
 
     record = {
         "frame": t,

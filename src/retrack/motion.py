@@ -11,14 +11,14 @@ coordinate separately, and the noise variances are the same for all four
 coordinates because they are scaled by the one box height. Starting from
 a diagonal covariance with equal spread per coordinate, predict and update
 therefore keep one shared block, so the filter carries just its 3 entries
-and runs per-coordinate scalar equations with no numpy call. States are
-immutable: every operation returns a new one.
+and runs per-coordinate scalar equations with no numpy call. A state is a
+plain `(mean, block)` pair of Python floats, as `motion_init` and
+`motion_update` coerce the boxes they take in. Every operation returns a
+new state; one of the wrong length fails unpacking with a `ValueError`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
+from typing import NamedTuple
 
 from .geometry import BBox
 
@@ -29,8 +29,7 @@ STD_WEIGHT_VELOCITY = 1.0 / 160
 MIN_SIZE = 1.0  # smallest box side the filter will report
 
 
-@dataclass(frozen=True)
-class MotionState:
+class MotionState(NamedTuple):
     """Filter state at a frame.
 
     `mean` is 8 floats, (cx, cy, w, h, vcx, vcy, vw, vh); `block` is the
@@ -40,23 +39,6 @@ class MotionState:
 
     mean: tuple[float, ...]
     block: tuple[float, float, float]
-    frame: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "mean", tuple(float(v) for v in self.mean))
-        object.__setattr__(self, "block", tuple(float(v) for v in self.block))
-        if len(self.mean) != 8:
-            raise ValueError(f"mean must hold 8 entries, got {len(self.mean)}")
-        if len(self.block) != 3:
-            raise ValueError(f"block must hold 3 entries, got {len(self.block)}")
-
-    @property
-    def covariance(self) -> np.ndarray:
-        """The full 8x8 covariance, built read-only from the shared block."""
-        pp, pv, vv = self.block
-        cov = np.kron([[pp, pv], [pv, vv]], np.eye(4))
-        cov.flags.writeable = False
-        return cov
 
     def predicted_box(self) -> BBox:
         cx, cy, w, h = self.mean[:4]
@@ -65,21 +47,13 @@ class MotionState:
         return BBox(cx - w / 2.0, cy - h / 2.0, w, h)
 
 
-def _next_state(mean: tuple[float, ...], block: tuple[float, float, float],
-                frame: int) -> MotionState:
-    """A state computed from a checked one, so already 8 and 3 Python
-    floats: the constructor's coercion and checks are skipped."""
-    state = object.__new__(MotionState)
-    state.__dict__.update(mean=mean, block=block, frame=frame)
-    return state
-
-
-def motion_init(b0: BBox, frame: int = 0) -> MotionState:
+def motion_init(b0: BBox) -> MotionState:
     """Start a filter at `b0` with zero velocity and scale-matched spread."""
-    mean = (b0.cx, b0.cy, b0.w, b0.h, 0.0, 0.0, 0.0, 0.0)
-    std_p = 2 * STD_WEIGHT_POSITION * b0.h
-    std_v = 10 * STD_WEIGHT_VELOCITY * b0.h
-    return MotionState(mean, (std_p * std_p, 0.0, std_v * std_v), frame)
+    cx, cy, w, h = float(b0.cx), float(b0.cy), float(b0.w), float(b0.h)
+    std_p = 2 * STD_WEIGHT_POSITION * h
+    std_v = 10 * STD_WEIGHT_VELOCITY * h
+    return MotionState((cx, cy, w, h, 0.0, 0.0, 0.0, 0.0),
+                       (std_p * std_p, 0.0, std_v * std_v))
 
 
 def motion_predict(s: MotionState) -> tuple[BBox, MotionState]:
@@ -91,7 +65,7 @@ def motion_predict(s: MotionState) -> tuple[BBox, MotionState]:
     std_v = STD_WEIGHT_VELOCITY * h
     pp, pv, vv = s.block
     block = ((pp + pv) + (pv + vv) + std_p * std_p, pv + vv, vv + std_v * std_v)
-    state = _next_state((cx + vcx, cy + vcy, w, h, vcx, vcy, vw, vh), block, s.frame + 1)
+    state = MotionState((cx + vcx, cy + vcy, w, h, vcx, vcy, vw, vh), block)
     return state.predicted_box(), state
 
 
@@ -102,7 +76,6 @@ def motion_update(s: MotionState, observed: BBox) -> MotionState:
     pp, pv, vv = s.block
     inv = 1.0 / (pp + r)
     kp, kv = pp * inv, pv * inv
-    # the observed box is the one outside value, so it alone is coerced
     dx, dy = float(observed.cx) - cx, float(observed.cy) - cy
     dw, dh = float(observed.w) - w, float(observed.h) - h
     # keep the filter inside the valid box domain
@@ -118,4 +91,4 @@ def motion_update(s: MotionState, observed: BBox) -> MotionState:
     block = (ppa * a + kp * r * kp,
              ((ppa * -kv + pv * a + kp * r * kv) + (vp * a + kv * r * kp)) / 2.0,
              vp * -kv + (-kv * pv + vv) + kv * r * kv)
-    return _next_state(mean, block, s.frame)
+    return MotionState(mean, block)

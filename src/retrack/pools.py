@@ -6,20 +6,32 @@ reaching before the frame the run was anchored on, template cropped at
 the candidate box itself and the box doubling as the first search prior.
 Each chain is one `track_segment` call, and the chains come back as a
 tuple of tracklets aligned with the candidate set.
-After a winner is picked, every loser's current box is pushed onto its
-backtracked history to form the next frame's neighbor tracklets; the
-oldest box is dropped once a tracklet has grown to tau, so neighbor
-histories roll forward with bounded length.
-The neighbor pool is a plain tuple of those tracklets, each ending on the
-frame just decided; `build_weights` rejects one that does not.
+
+The neighbor pool is a plain tuple of tracklets, each ending on the frame
+just decided; `build_weights` rejects one that does not. Its members come
+from the frame's losers: every real candidate other than the selected
+one. The motion box has no appearance identity, so it is never a loser;
+as a neighbor it would shadow the target history and drain matches away
+from real detections. Two rules roll the losers forward, each pushing a
+loser's box as the new head and dropping the oldest box once a tracklet
+has grown to tau:
+- on a fired frame, `update_neighbor_pool` pushes each loser onto its
+  own backtracked tracklet;
+- on a stable frame nothing is backtracked, so `advance_neighbor_pool`
+  associates losers with the previous neighbors' heads, greedily by IoU
+  of at least `ASSOC_IOU`, highest first, ties to the lower candidate and
+  then the lower neighbor. An associated loser is pushed onto its
+  neighbor; any other starts a fresh one-box tracklet at t.
 """
 from __future__ import annotations
 
 from typing import Sequence
 
 from .candidate_select import CandidateSet
-from .geometry import Tracklet
+from .geometry import Tracklet, iou
 from .tracker_port import TrackerPort
+
+ASSOC_IOU = 0.3  # stable-frame neighbor association
 
 
 def backtrack_frames(t: int, tau: int, anchor: int) -> range:
@@ -49,22 +61,42 @@ def build_candidate_pool(cands: CandidateSet, port: TrackerPort, frames: range,
                  for i, box in enumerate(cands.boxes))
 
 
-def update_neighbor_pool(cands: CandidateSet, tracklets: Sequence[Tracklet],
-                         selected: int, tau: int) -> tuple[Tracklet, ...]:
-    """Roll every unselected candidate into the next neighbor pool.
-
-    `tracklets` are the candidates' backtracked histories, aligned with
-    `cands`. The candidate's current box becomes the new tracklet head;
-    the oldest box is dropped once the history already holds tau boxes,
-    otherwise the tracklet simply grows. The selected candidate never
-    enters the pool, and neither does the injected motion box: it has no
-    appearance identity, so it must not seed a neighbor that would shadow
-    the target history and drain matches away from real detections.
-    """
+def _losers(cands: CandidateSet, selected: int, tau: int) -> list[int]:
+    """The frame's losers, in order, once the arguments both rules share check out."""
     if tau < 1:
         raise ValueError(f"tau must be at least 1, got {tau}")
     if not 0 <= selected < len(cands):
         raise ValueError(f"selected index {selected} not present in the pool")
-    return tuple(tr.pushed(box, tau)
-                 for i, (box, tr) in enumerate(zip(cands.boxes, tracklets, strict=True))
-                 if i != selected and i != cands.kalman_index)
+    return [i for i in cands.real if i != selected]
+
+
+def update_neighbor_pool(cands: CandidateSet, tracklets: Sequence[Tracklet],
+                         selected: int, tau: int) -> tuple[Tracklet, ...]:
+    """The fired-frame rule, over `tracklets`, one per candidate."""
+    losers = _losers(cands, selected, tau)
+    if len(tracklets) != len(cands):
+        raise ValueError(f"{len(tracklets)} tracklets for {len(cands)} candidates")
+    return tuple(tracklets[i].pushed(cands.boxes[i], tau) for i in losers)
+
+
+def advance_neighbor_pool(prev: Sequence[Tracklet], cands: CandidateSet, selected: int,
+                          t: int, tau: int) -> tuple[Tracklet, ...]:
+    """The stable-frame rule at frame t, associating with the previous
+    pool `prev`."""
+    losers = _losers(cands, selected, tau)
+    scored = []
+    for ci, i in enumerate(losers):
+        for nj, tr in enumerate(prev):
+            ov = iou(cands.boxes[i], tr.head)
+            if ov >= ASSOC_IOU:
+                scored.append((-ov, ci, nj))
+    scored.sort()
+    taken_c: dict[int, int] = {}
+    taken_n: set[int] = set()
+    for _, ci, nj in scored:
+        if ci not in taken_c and nj not in taken_n:
+            taken_c[ci] = nj
+            taken_n.add(nj)
+    return tuple(prev[taken_c[ci]].pushed(cands.boxes[i], tau) if ci in taken_c
+                 else Tracklet(t, (cands.boxes[i],))
+                 for ci, i in enumerate(losers))

@@ -36,6 +36,12 @@ def brute_force_assignment(values) -> tuple[tuple[tuple[int, int], ...], float]:
     return best_pairs, best_total
 
 
+def motion_covariance(state) -> np.ndarray:
+    """The full 8x8 covariance of a motion state, from its shared block."""
+    pp, pv, vv = state.block
+    return np.kron([[pp, pv], [pv, vv]], np.eye(4))
+
+
 def scipy_matching(values) -> tuple[dict[int, int], float]:
     """SciPy's maximum-weight matching of full cardinality, as {row: col}
     in ascending row order, and its total summed by numpy."""

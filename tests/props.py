@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import ScriptPort, backtrack_all, box_scene, shifted
+from oracles import motion_covariance
 from retrack.candidate_select import (CandidateSet, assemble,
                                       filter_by_confidence, soft_nms)
 from retrack.evalkit import EAO_INTERVALS, REANCHOR_SKIP, EvalReport
@@ -325,34 +326,32 @@ def _(value):
 # motion
 # ---------------------------------------------------------------------------
 
-@prop("motion", "init_spread_formula", st.tuples(boxes, st.integers(0, 100)))
-def _(value):
-    box, frame = value
-    s = motion_init(box, frame)
-    assert s.frame == frame
+@prop("motion", "init_spread_formula", boxes)
+def _(box):
+    s = motion_init(box)
     np.testing.assert_array_equal(s.mean[:4], [box.cx, box.cy, box.w, box.h])
     np.testing.assert_array_equal(s.mean[4:], np.zeros(4))
     std = np.array([box.h / 10.0] * 4 + [box.h / 16.0] * 4)
-    np.testing.assert_allclose(s.covariance, np.diag(std ** 2), rtol=1e-12)
-    assert np.all(np.linalg.eigvalsh(s.covariance) > 0)
+    cov = motion_covariance(s)
+    np.testing.assert_allclose(cov, np.diag(std ** 2), rtol=1e-12)
+    assert np.all(np.linalg.eigvalsh(cov) > 0)
 
 
 @prop("motion", "covariance_psd_under_prediction",
-      st.tuples(boxes, st.integers(0, 50), st.integers(1, 5)))
+      st.tuples(boxes, st.integers(1, 5)))
 def _(value):
-    box, frame, n = value
-    state = motion_init(box, frame)
+    box, n = value
+    state = motion_init(box)
     for _ in range(n):
         prev = state
-        before = (list(prev.mean), prev.block, prev.frame)
+        before = (list(prev.mean), prev.block)
         pred, state = motion_predict(prev)
-        assert (list(prev.mean), prev.block, prev.frame) == before  # input untouched
+        assert (list(prev.mean), prev.block) == before  # input untouched
         assert all(type(v) is float for v in state.mean)
         assert all(type(v) is float for v in pred.as_tuple())
-        assert state.frame == frame + 1
-        frame = state.frame
-        np.testing.assert_array_equal(state.covariance, state.covariance.T)
-        assert np.linalg.eigvalsh(state.covariance).min() > 0
+        cov = motion_covariance(state)
+        np.testing.assert_array_equal(cov, cov.T)
+        assert np.linalg.eigvalsh(cov).min() > 0
         assert state.mean[2] >= MIN_SIZE and state.mean[3] >= MIN_SIZE
         assert pred == state.predicted_box()
 
@@ -365,11 +364,11 @@ def _(value):
 def _(value):
     box, dx, dy, scale = value
     observed = BBox(box.x + dx, box.y + dy, box.w * scale, box.h * scale)
-    _, prior = motion_predict(motion_init(box, 0))
+    _, prior = motion_predict(motion_init(box))
     post = motion_update(prior, observed)
-    assert post.frame == prior.frame
-    np.testing.assert_array_equal(post.covariance, post.covariance.T)
-    assert np.linalg.eigvalsh(post.covariance).min() > -1e-8
+    cov = motion_covariance(post)
+    np.testing.assert_array_equal(cov, cov.T)
+    assert np.linalg.eigvalsh(cov).min() > -1e-8
     z = np.array([observed.cx, observed.cy, observed.w, observed.h])
     # one cycle from init keeps the measurement block diagonal, so the
     # posterior lands between the prior and the observation per component
@@ -384,7 +383,7 @@ def _(value):
                 st.integers(15, 30)))
 def _(value):
     box, vx, vy, n = value
-    state = motion_init(box, 0)
+    state = motion_init(box)
     for k in range(1, n + 1):
         _, state = motion_predict(state)
         state = motion_update(state, shifted(box, vx * k, vy * k))

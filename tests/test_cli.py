@@ -370,6 +370,34 @@ class TestExitCodes:
             capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec, message", [
+        ("tau=3,3", "tau 3 is repeated"), ("tau=1,9,1", "tau 1 is repeated"),
+        ("tau=1,,3", "''"), ("tau=", "''"), ("tau=1,x", "'x'"),
+    ])
+    def test_ablation_entries_fail_before_any_output(self, tmp_path, capsys, spec, message):
+        """A repeated tau would write two identical rows, an empty entry
+        would be dropped without a word."""
+        out = tmp_path / "x"
+        assert main(["evaluate", "--scenario", "convoy", "--seeds", "0", "--ablate", spec,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert repr(spec) in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["track", "evaluate"])
+    @pytest.mark.parametrize("source", ["scenario", "mot"])
+    def test_unknown_target_fails_before_any_output(self, tmp_path, capsys, command, source):
+        if source == "mot":
+            gt = tmp_path / "gt.txt"
+            save_mot(generate_scene(ScenarioConfig("convoy"), 0), gt)
+            args = ["--mot", str(gt), "--seeds", "0"]
+        else:
+            args = ["--scenario", "crossing", "--seeds", "0:2"]
+        out = tmp_path / "x"
+        assert main([command, *args, "--target-id", "7", "--out", str(out)]) == 1
+        assert "target id 7 not present in scene (have [1, 2])" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["track", "evaluate"])
     @pytest.mark.parametrize("flag", ["--alpha", "--nms-iou", "--nms-sigma", "--gate-iou"])
     def test_fixed_thresholds_have_no_flag(self, tmp_path, capsys, command, flag):

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from oracles import motion_covariance
 from retrack.geometry import BBox
 from retrack.motion import (MIN_SIZE, STD_WEIGHT_POSITION, STD_WEIGHT_VELOCITY,
                             MotionState, motion_init, motion_predict,
@@ -45,24 +46,26 @@ class Oracle:
 
 def test_init_state_matches_measurement():
     b = BBox(10, 20, 30, 40)
-    s = motion_init(b, frame=3)
-    assert s.frame == 3
+    s = motion_init(b)
     np.testing.assert_allclose(s.mean[:4], [25, 40, 30, 40])
     np.testing.assert_array_equal(s.mean[4:], np.zeros(4))
     assert s.predicted_box().as_tuple() == b.as_tuple()
     # spread scales with box height
     expected = np.array([2 * STD_WEIGHT_POSITION * 40] * 4 +
                         [10 * STD_WEIGHT_VELOCITY * 40] * 4) ** 2
-    np.testing.assert_allclose(np.diag(s.covariance), expected)
+    np.testing.assert_allclose(np.diag(motion_covariance(s)), expected)
 
 
 def test_state_shape_validation():
-    with pytest.raises(ValueError):
-        MotionState(np.zeros(7), (1.0, 0.0, 1.0), 0)
-    with pytest.raises(ValueError):
-        MotionState([0.0] * 9, (1.0, 0.0, 1.0), 0)
-    with pytest.raises(ValueError):
-        MotionState(np.zeros(8), (1.0, 0.0), 0)
+    # a state is a plain pair; a wrong length fails the first operation on it
+    mean = (0.0, 0.0, 4.0, 4.0, 0.0, 0.0, 0.0, 0.0)
+    block = (1.0, 0.0, 1.0)
+    for s in (MotionState(mean[:7], block), MotionState(mean + (0.0,), block),
+              MotionState(mean, block[:2]), MotionState(mean, block + (0.0,))):
+        with pytest.raises(ValueError):
+            motion_predict(s)
+        with pytest.raises(ValueError):
+            motion_update(s, BBox(0, 0, 4, 4))
 
 
 @pytest.mark.parametrize("seed, size", [
@@ -78,13 +81,13 @@ def test_tracks_oracle_through_noisy_sequence(seed, size):
         _, s = motion_predict(s)
         oracle.predict()
         np.testing.assert_allclose(s.mean, oracle.x, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(s.covariance, oracle.p, rtol=0, atol=1e-7)
+        np.testing.assert_allclose(motion_covariance(s), oracle.p, rtol=0, atol=1e-7)
         dx, dy = rng.normal(0, 1.5, 2)
         obs = BBox(50 + 3 * i + dx, 60 + dy, *size)
         s = motion_update(s, obs)
         oracle.update(obs)
         np.testing.assert_allclose(s.mean, oracle.x, rtol=0, atol=1e-8)
-        np.testing.assert_allclose(s.covariance, oracle.p, rtol=0, atol=1e-7)
+        np.testing.assert_allclose(motion_covariance(s), oracle.p, rtol=0, atol=1e-7)
 
 
 def test_constant_velocity_convergence():
@@ -102,8 +105,7 @@ def test_constant_velocity_convergence():
 
 
 def test_predicted_box_floors_size():
-    mean = np.array([5.0, 5.0, 0.2, 0.4, 0, 0, 0, 0])
-    s = MotionState(mean, (1.0, 0.0, 1.0), 0)
+    s = MotionState((5.0, 5.0, 0.2, 0.4, 0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 1.0))
     box = s.predicted_box()
     assert box.w == MIN_SIZE and box.h == MIN_SIZE
     assert (box.cx, box.cy) == (5.0, 5.0)
@@ -124,32 +126,34 @@ def test_covariance_stays_symmetric_psd():
     s = motion_init(BBox(0, 0, 10, 10))
     for i in range(40):
         _, s = motion_predict(s)
-        np.testing.assert_array_equal(s.covariance, s.covariance.T)
-        assert np.linalg.eigvalsh(s.covariance).min() > 0
+        cov = motion_covariance(s)
+        np.testing.assert_array_equal(cov, cov.T)
+        assert np.linalg.eigvalsh(cov).min() > 0
         jx, jy = rng.normal(0, 5, 2)
         s = motion_update(s, BBox(4 * i + jx, jy, 10, 10))
-        np.testing.assert_array_equal(s.covariance, s.covariance.T)
-        assert np.linalg.eigvalsh(s.covariance).min() > 0
+        cov = motion_covariance(s)
+        np.testing.assert_array_equal(cov, cov.T)
+        assert np.linalg.eigvalsh(cov).min() > 0
 
 
 def test_operations_do_not_mutate_inputs():
     s = motion_init(BBox(1, 2, 3, 4))
-    s0 = (list(s.mean), s.block, s.covariance.copy(), s.frame)
+    s0 = (list(s.mean), s.block)
     _, pred = motion_predict(s)
-    pred0 = (list(pred.mean), pred.block, pred.covariance.copy(), pred.frame)
+    pred0 = (list(pred.mean), pred.block)
     motion_update(pred, BBox(2, 3, 3, 4))
-    for state, (mean0, block0, cov0, frame0) in ((s, s0), (pred, pred0)):
+    for state, (mean0, block0) in ((s, s0), (pred, pred0)):
         assert list(state.mean) == mean0
         assert state.block == block0
-        np.testing.assert_array_equal(state.covariance, cov0)
-        assert state.frame == frame0
-    assert pred.frame == s.frame + 1
 
 
 def test_state_and_predicted_box_are_python_floats():
-    s = MotionState(np.arange(8.0), (1.0, 0.0, 1.0), 0)
-    assert s.mean == (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)
+    # the anchor box is coerced, whether it holds ints or numpy floats
+    s = motion_init(BBox(1, 2, 3, 4))
+    assert s.mean == (2.5, 4.0, 3.0, 4.0, 0.0, 0.0, 0.0, 0.0)
+    assert all(type(v) is float for v in s.mean + s.block)
     s = motion_init(BBox(np.float64(1), np.float64(2), np.float64(3), np.float64(4)))
+    assert all(type(v) is float for v in s.mean + s.block)
     for _ in range(3):
         box, s = motion_predict(s)
         assert all(type(v) is float for v in s.mean)

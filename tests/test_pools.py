@@ -3,8 +3,9 @@ import pytest
 
 from conftest import DriftPort, ScriptPort, backtrack_all
 from retrack.candidate_select import CandidateSet
-from retrack.geometry import BBox, Tracklet
-from retrack.pools import backtrack_frames, build_candidate_pool, update_neighbor_pool
+from retrack.geometry import BBox, Tracklet, iou
+from retrack.pools import (ASSOC_IOU, advance_neighbor_pool, backtrack_frames,
+                           build_candidate_pool, update_neighbor_pool)
 
 
 def _cands(xs, kalman_index=None):
@@ -110,3 +111,96 @@ class TestUpdateNeighborPool:
         with pytest.raises(ValueError):
             update_neighbor_pool(*self._pool(), selected=0, tau=0)
 
+
+
+class TestAdvanceNeighborPool:
+    """The stable-frame rule. Boxes are 13 x 4 on one row, so two boxes d
+    apart overlap by (13 - d) / (13 + d): 1 at d = 0, 0.625 at d = 3 and
+    exactly 0.3 at d = 7."""
+
+    T = 6
+
+    def _box(self, x):
+        return BBox(x, 0.0, 13.0, 4.0)
+
+    def _cands(self, xs, kalman_index=None):
+        """Candidate 0 sits far from everything and is the one selected."""
+        boxes = tuple(self._box(x) for x in (1000.0, *xs))
+        return CandidateSet(boxes, (0.9,) + (0.5,) * len(xs), kalman_index)
+
+    def _neighbor(self, x, n=1, y0=50.0):
+        """A neighbor ending at T - 1 with head at `x`; its older boxes sit
+        out of reach, one row each, so every history is told apart."""
+        older = tuple(BBox(x, y0 + 10.0 * k, 13.0, 4.0) for k in range(1, n))
+        return Tracklet(self.T - 1, (self._box(x),) + older)
+
+    def _advance(self, prev, cands, tau=9):
+        return advance_neighbor_pool(prev, cands, 0, self.T, tau)
+
+    def test_association_threshold_is_inclusive(self):
+        assert iou(self._box(7.0), self._box(0.0)) == ASSOC_IOU
+        prev = (self._neighbor(0.0, n=2),)
+        (tr,) = self._advance(prev, self._cands([7.0]))
+        assert tr == prev[0].pushed(self._box(7.0), 9)
+        # a hair farther apart, the loser starts afresh
+        (tr,) = self._advance(prev, self._cands([7.001]))
+        assert tr == Tracklet(self.T, (self._box(7.001),))
+
+    def test_greedy_takes_the_highest_overlap_first(self):
+        # in loser order, candidate 1 would take neighbor 0 (0.733); the
+        # greedy rule gives it to candidate 2 (1.0) and candidate 1 falls
+        # back on neighbor 1 (0.529)
+        prev = (self._neighbor(0.0), self._neighbor(6.0, y0=90.0))
+        cands = self._cands([2.0, 0.0])
+        out = self._advance(prev, cands)
+        assert out == (prev[1].pushed(cands.boxes[1], 9),
+                       prev[0].pushed(cands.boxes[2], 9))
+
+    def test_tie_goes_to_the_lower_candidate(self):
+        prev = (self._neighbor(0.0, n=3),)
+        cands = self._cands([-3.0, 3.0])
+        assert iou(cands.boxes[1], prev[0].head) == iou(cands.boxes[2], prev[0].head)
+        out = self._advance(prev, cands)
+        assert out == (prev[0].pushed(cands.boxes[1], 9),
+                       Tracklet(self.T, (cands.boxes[2],)))
+
+    def test_tie_goes_to_the_lower_neighbor(self):
+        prev = (self._neighbor(-3.0, n=2), self._neighbor(3.0, n=2, y0=90.0))
+        cands = self._cands([0.0])
+        assert iou(cands.boxes[1], prev[0].head) == iou(cands.boxes[1], prev[1].head)
+        assert self._advance(prev, cands) == (prev[0].pushed(cands.boxes[1], 9),)
+
+    def test_neither_selected_nor_motion_box_enters(self):
+        # the selected candidate and the motion box each sit on a neighbor
+        prev = (self._neighbor(1000.0), self._neighbor(0.0, y0=90.0),
+                self._neighbor(400.0, y0=130.0))
+        cands = self._cands([0.0, 400.0], kalman_index=2)
+        assert self._advance(prev, cands) == (prev[1].pushed(cands.boxes[1], 9),)
+        # a selected motion box leaves every real candidate a loser
+        out = advance_neighbor_pool(prev, cands, 2, self.T, 9)
+        assert [tr.head for tr in out] == [cands.boxes[0], cands.boxes[1]]
+
+    def test_unassociated_loser_starts_a_fresh_history(self):
+        prev = (self._neighbor(0.0, n=4),)
+        cands = self._cands([200.0, 0.0])
+        out = self._advance(prev, cands)
+        assert out == (Tracklet(self.T, (cands.boxes[1],)),
+                       prev[0].pushed(cands.boxes[2], 9))
+        # with no previous pool every loser starts afresh
+        assert self._advance((), cands) == (Tracklet(self.T, (cands.boxes[1],)),
+                                            Tracklet(self.T, (cands.boxes[2],)))
+
+    def test_growth_capped_at_tau(self):
+        prev = (self._neighbor(0.0, n=4),)
+        (tr,) = self._advance(prev, self._cands([1.0]), tau=4)
+        assert len(tr) == 4 and tr.end_frame == self.T
+        assert tr.boxes == (self._box(1.0),) + prev[0].boxes[:3]
+        (tr,) = self._advance(prev, self._cands([1.0]), tau=9)
+        assert tr.boxes == (self._box(1.0),) + prev[0].boxes
+
+    def test_rejects_bad_arguments(self):
+        cands = self._cands([0.0])
+        with pytest.raises(ValueError):
+            advance_neighbor_pool((), cands, 2, self.T, 9)
+        with pytest.raises(ValueError):
+            advance_neighbor_pool((), cands, 0, self.T, 0)
