@@ -1,11 +1,11 @@
 """Command-line front end: simulate scenes, track them, evaluate runs.
 
-Every command is reproducible from its flags and seeds alone; outputs
-embed the resolved configuration and contain no timestamps. Re-running a
-command produces byte-identical files, except for the seconds per frame
-`evaluate` writes (`*_spf` in `report.json`, `ablation_*.csv`'s last
-column). Flags can also be set through
-environment variables prefixed with RETRACK_ (e.g. RETRACK_TRACK_TAU).
+Every command is reproducible from its flags and seeds alone: no setting
+is read from the environment, outputs embed the resolved configuration and
+contain no timestamps. Re-running a command produces byte-identical files,
+except for the seconds per frame `evaluate` writes (`*_spf` in
+`report.json`, `ablation_*.csv`'s last column). `--config` applies to
+`--scenario` only; given with `--mot`, it is an error.
 
 One job per seed builds its scene and runs the baseline once, then the
 engine once per distinct config: `track`'s one config (none under
@@ -13,9 +13,9 @@ engine once per distinct config: `track`'s one config (none under
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
-import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -24,7 +24,7 @@ from pathlib import Path as FsPath
 import click
 
 from .engine import EngineConfig, run_baseline, run_sequence
-from .evalkit import EvalReport
+from .evalkit import EvalReport, check_fail_iou
 from .geometry import BBox
 from .simworld import (SCENARIOS, MockTracker, MotFormatError, Scene,
                        ScenarioConfig, generate_scene, load_mot, save_scene)
@@ -33,7 +33,16 @@ TRACK_FORMAT = "retrack-track-v1"
 
 
 class ConfigError(click.ClickException):
-    exit_code = 1
+    """A flag value or config file that no run can use."""
+
+
+@contextlib.contextmanager
+def _config_errors(prefix: str = ""):
+    """Turn a bad value met while building configuration into a ConfigError."""
+    try:
+        yield
+    except (TypeError, ValueError, KeyError) as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -58,15 +67,6 @@ def _parse_seeds(text: str) -> list[int]:
             raise ConfigError(f"seed list {text!r}: seed {seed} is repeated")
         seen.add(seed)
     return seeds
-
-
-def _scenario_config(scenario: str, config_path: str | None) -> ScenarioConfig:
-    if config_path is None:
-        return ScenarioConfig(kind=scenario)
-    try:
-        return ScenarioConfig.from_file(config_path, kind=scenario)
-    except (TypeError, ValueError, KeyError) as exc:
-        raise ConfigError(f"bad scenario config {config_path}: {exc}") from None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -169,7 +169,7 @@ def cli():
 scene_options = [  # what `simulate` shares with the other commands' inputs
     click.option("--config", "config_path",
                  type=click.Path(exists=True, dir_okay=False), default=None,
-                 help="JSON scenario config overriding the defaults."),
+                 help="JSON scenario config overriding the defaults (--scenario only)."),
     click.option("--seeds", default="0:10", show_default=True,
                  help="Distinct non-negative seeds: 'a:b' half-open range "
                       "or comma-separated."),
@@ -201,18 +201,15 @@ def _add_options(options):
     return wrap
 
 
-def _engine_cfg(tau: int, no_kalman: bool) -> EngineConfig:
-    try:
-        return EngineConfig(tau=tau, use_kalman=not no_kalman)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def _make_specs(scenario, mot_path, config_path, seeds, target_id) -> list[RunSpec]:
     if (scenario is None) == (mot_path is None):
         raise ConfigError("exactly one of --scenario or --mot is required")
+    if mot_path is not None and config_path is not None:
+        raise ConfigError("--config applies to --scenario only, not to --mot")
     seed_list = _parse_seeds(seeds)
-    scenario_cfg = None if mot_path else _scenario_config(scenario, config_path)
+    with _config_errors(f"bad scenario config {config_path}: "):
+        scenario_cfg = (ScenarioConfig.from_file(config_path, kind=scenario) if config_path
+                        else ScenarioConfig(kind=scenario) if scenario else None)
     stem = FsPath(mot_path).stem if mot_path else scenario
     specs = [RunSpec(name=f"{stem}_{seed:04d}", scenario_cfg=scenario_cfg,
                      mot_path=mot_path, seed=seed, target_id=target_id)
@@ -249,7 +246,8 @@ def cmd_track(scenario, mot_path, config_path, seeds, target_id, tau, no_kalman,
               baseline_only, jobs, out_dir):
     """Track scenes with the baseline and the correction engine; write one
     CSV per system per seed plus a decision log for the engine."""
-    engine_cfg = _engine_cfg(tau, no_kalman)
+    with _config_errors():
+        engine_cfg = EngineConfig(tau=tau, use_kalman=not no_kalman)
     specs = _make_specs(scenario, mot_path, config_path, seeds, target_id)
     out = FsPath(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -261,8 +259,7 @@ def cmd_track(scenario, mot_path, config_path, seeds, target_id, tau, no_kalman,
 @cli.command("evaluate")
 @_add_options(input_options)
 @_add_options(engine_options)
-@click.option("--fail-iou", type=click.FloatRange(0.0, 1.0, max_open=True),
-              default=0.0, show_default=True,
+@click.option("--fail-iou", type=float, default=0.0, show_default=True,
               help="Overlap at or below which a frame counts as a failure.")
 @click.option("--ablate", default=None,
               help="'tau=1,3,9,27' sweeps backtrack depth; 'kalman' compares "
@@ -273,9 +270,9 @@ def cmd_evaluate(scenario, mot_path, config_path, seeds, target_id, tau, no_kalm
                  fail_iou, ablate, jobs, out_dir):
     """Run baseline and engine, compute metrics, and write a side-by-side
     report; optionally sweep an ablation axis."""
-    if math.isnan(fail_iou):  # the only value FloatRange lets through unchecked
-        raise ConfigError("--fail-iou must be in [0, 1), got nan")
-    engine_cfg = _engine_cfg(tau, no_kalman)
+    with _config_errors():
+        check_fail_iou(fail_iou)
+        engine_cfg = EngineConfig(tau=tau, use_kalman=not no_kalman)
     specs = _make_specs(scenario, mot_path, config_path, seeds, target_id)
     # a bad sweep spec fails before the main evaluation writes anything
     axis, values, swept = (_ablation_configs(ablate, engine_cfg) if ablate
@@ -342,45 +339,35 @@ def _ablation_configs(ablate: str, engine_cfg: EngineConfig
                       ) -> tuple[str, list, list[EngineConfig]]:
     """Parse an ablation spec into its axis name, the swept values and one
     validated engine config per value."""
-    if ablate.startswith("tau="):
-        try:
+    with _config_errors(f"ablation {ablate!r}: "):
+        if ablate.startswith("tau="):
+            # a bad entry's message names it, an empty one as ''
             values = [int(v) for v in ablate[4:].split(",")]
-        except ValueError as exc:  # the message names the entry, an empty one as ''
-            raise ConfigError(f"ablation {ablate!r}: {exc}") from None
-        repeated = [v for k, v in enumerate(values) if v in values[:k]]
-        if repeated:
-            raise ConfigError(f"ablation {ablate!r}: tau {repeated[0]} is repeated")
-        axis, field = "tau", "tau"
-    elif ablate == "kalman":
-        axis, field, values = "kalman", "use_kalman", [True, False]
-    else:
-        raise ConfigError(f"unknown ablation axis {ablate!r}; "
-                          f"expected 'tau=...' or 'kalman'")
-    try:
+            repeated = [v for k, v in enumerate(values) if v in values[:k]]
+            if repeated:
+                raise ValueError(f"tau {repeated[0]} is repeated")
+            axis, field = "tau", "tau"
+        elif ablate == "kalman":
+            axis, field, values = "kalman", "use_kalman", [True, False]
+        else:
+            raise ConfigError(f"unknown ablation axis {ablate!r}; "
+                              f"expected 'tau=...' or 'kalman'")
         cfgs = [dataclasses.replace(engine_cfg, **{field: v}) for v in values]
-    except ValueError as exc:
-        raise ConfigError(f"ablation {ablate!r}: {exc}") from None
     return axis, values, cfgs
 
 
 def main(argv=None) -> int:
-    """Entry point with stable exit codes: 0 ok, 1 config error, 2 runtime."""
+    """Entry point with stable exit codes: 0 ok, 1 usage or config, 2 runtime."""
     try:
-        cli.main(args=argv, standalone_mode=False, auto_envvar_prefix="RETRACK")
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except (click.UsageError, ConfigError) as exc:
+        return cli.main(args=argv, standalone_mode=False) or 0
+    except click.ClickException as exc:
         click.echo(f"error: {exc.format_message()}", err=True)
         return 1
-    except click.ClickException as exc:
-        exc.show()
-        return exc.exit_code
     except click.Abort:
         return 1
     except (MotFormatError, ValueError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

@@ -28,10 +28,15 @@ _THRESHOLDS = np.linspace(0.0, 1.0, 51)  # the success curve's IoU cutoffs
 EAO_INTERVALS = (10, 25, 50)  # interval lengths the report's EAO averages over
 
 
+def check_fail_iou(fail_iou: float) -> None:
+    """The one rule for a failure threshold: in [0, 1), which NaN is not."""
+    if not 0.0 <= fail_iou < 1.0:
+        raise ValueError(f"fail_iou must be in [0, 1), got {fail_iou!r}")
+
+
 def _vot(ious: list[float], fail_iou: float) -> tuple[float, float, int]:
     """The report's accuracy, robustness and n_failures, in that order."""
-    if not (math.isfinite(fail_iou) and 0.0 <= fail_iou < 1.0):
-        raise ValueError(f"fail_iou must be finite and in [0, 1), got {fail_iou!r}")
+    check_fail_iou(fail_iou)
     n = len(ious)
     tracked: list[float] = []
     failures = i = 0
@@ -109,7 +114,7 @@ class EvalReport:
     def compute(cls, pred: Sequence[BBox], scene: Scene, target_id: int,
                 fail_iou: float = 0.0) -> "EvalReport":
         """Score `pred`, one box per scene frame, against object `target_id`;
-        `fail_iou` must be finite and in [0, 1)."""
+        `fail_iou` must pass `check_fail_iou`."""
         ids = scene.ids()
         if target_id not in ids:
             raise ValueError(f"unknown target id {target_id}")

@@ -713,7 +713,7 @@ def load_mot(path: FsPath | str, seed: int = 0) -> Scene:
             frame = int(parts[0])
             obj_id = int(parts[1])
             box = BBox(*(float(p) for p in parts[2:6]))
-            float(parts[6])
+            float(parts[6]), float(parts[7])  # conf and class: checked, not kept
             vis = float(parts[8])
         except ValueError as exc:
             raise MotFormatError(f"{path}: line {lineno}: {exc}") from None

@@ -1,6 +1,8 @@
 """Command-line behavior: exit codes, file outputs, determinism."""
 import json
+from pathlib import Path
 
+import click
 import pytest
 
 from conftest import zero_iou_scene
@@ -159,13 +161,16 @@ class TestTrack:
         assert head[1] == "frame,x,y,w,h"
         assert len(head) == 2 + 64  # one data row per frame
 
-    def test_env_var_overrides_flag_default(self, tmp_path, monkeypatch):
+    def test_environment_sets_no_flag(self, tmp_path, monkeypatch):
+        """A run is fixed by its flags: variables named like a flag are ignored."""
         monkeypatch.setenv("RETRACK_TRACK_TAU", "5")
+        monkeypatch.setenv("RETRACK_TRACK_NO_KALMAN", "1")
         out = tmp_path / "runs"
         assert main(["track", "--scenario", "convoy", "--seeds", "0",
                      "--out", str(out)]) == 0
         head = (out / "convoy_0000_engine.csv").read_text().splitlines()[0]
-        assert json.loads(head.split("config=", 1)[1])["engine"]["tau"] == 5
+        engine = json.loads(head.split("config=", 1)[1])["engine"]
+        assert engine["tau"] == 9 and engine["use_kalman"] is True
 
     def test_baseline_only_skips_engine_outputs(self, tmp_path):
         out = tmp_path / "runs"
@@ -259,18 +264,14 @@ class TestEvaluate:
         assert lines[0] == "kalman,auc,robustness,seconds_per_frame"
         assert [l.split(",")[0] for l in lines[1:]] == ["1", "0"]
 
-    @staticmethod
-    def _hard_convoy(tmp_path):
-        """Evaluate args for two convoy seeds on which backtrack depth
-        changes the engine's result: look-alike neighbors, heavy occlusion."""
-        cfg = tmp_path / "hard.json"
-        cfg.write_text('{"similarity": [0.8, 0.85], "severity": [0.4, 0.45]}')
-        return ["evaluate", "--scenario", "convoy", "--config", str(cfg),
-                "--seeds", "0:2"]
+    # look-alike neighbors and heavy occlusion: backtrack depth changes the
+    # engine's result on these two convoy seeds
+    HARD_CONVOY = ["evaluate", "--scenario", "convoy", "--config",
+                   str(Path(__file__).parent / "hard_scenario.json"), "--seeds", "0:2"]
 
     def test_sweep_values_are_those_of_standalone_runs(self, tmp_path):
         # tau=9 is the main config: its sweep row reuses the main run
-        base = self._hard_convoy(tmp_path)
+        base = self.HARD_CONVOY
         assert main(base + ["--ablate", "tau=1,9", "--out", str(tmp_path / "sweep")]) == 0
         lines = (tmp_path / "sweep" / "ablation_tau.csv").read_text().splitlines()
         swept = [line.split(",")[:3] for line in lines[1:]]
@@ -285,7 +286,7 @@ class TestEvaluate:
     def test_sweep_is_the_same_under_parallel_jobs(self, tmp_path):
         def sweep(jobs):
             out = tmp_path / f"jobs{jobs}"
-            assert main(self._hard_convoy(tmp_path) + [
+            assert main(self.HARD_CONVOY + [
                 "--ablate", "tau=1,3,9", "--jobs", str(jobs), "--out", str(out)]) == 0
             lines = (out / "ablation_tau.csv").read_text().splitlines()
             return [line.rsplit(",", 1)[0] for line in lines]
@@ -301,6 +302,20 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "simulate" in capsys.readouterr().out
+
+    def test_no_command_exits_one(self, capsys):
+        assert main([]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_click_exception_inside_a_command_exits_one(self, tmp_path, capsys,
+                                                        monkeypatch):
+        def fail(text):
+            raise click.ClickException("no seeds today")
+
+        monkeypatch.setattr("retrack.cli._parse_seeds", fail)
+        assert main(["simulate", "--scenario", "convoy", "--out", str(tmp_path / "x")]) == 1
+        assert "error: no seeds today" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_unknown_scenario_lists_choices(self, tmp_path, capsys):
         code = main(["track", "--scenario", "drift", "--seeds", "0",
@@ -331,6 +346,29 @@ class TestExitCodes:
         # nothing that looks like a finished report is left behind
         assert not (tmp_path / "x" / "report.json").exists()
         assert not (tmp_path / "x" / "comparison.csv").exists()
+
+    @pytest.mark.parametrize("command", ["track", "evaluate"])
+    def test_config_with_mot_fails_before_any_output(self, tmp_path, capsys, command):
+        """A scenario config has nothing to configure in a MOT file."""
+        gt = tmp_path / "gt.txt"
+        save_mot(generate_scene(ScenarioConfig("convoy"), 0), gt)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"length": 999, "bogus": 1}')
+        out = tmp_path / "x"
+        assert main([command, "--mot", str(gt), "--config", str(cfg), "--seeds", "0",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "--config" in err and "--mot" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "1", "1.5"])
+    def test_fail_iou_outside_the_unit_interval_fails_before_any_output(
+            self, tmp_path, capsys, value):
+        out = tmp_path / "x"
+        assert main(["evaluate", "--scenario", "crossing", "--seeds", "0",
+                     "--fail-iou", value, "--out", str(out)]) == 1
+        assert f"fail_iou must be in [0, 1), got {float(value)!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("config, seeds, message", [
         ('{"speed": "fast"}', "0", "speed must be"),

@@ -651,6 +651,7 @@ class TestMotParsing:
         ("1,1,0,0,inf,10,1,1,1.0", "w must be finite"),
         ("1,1,0.0,0.0,10.0,10.0,1,1,1.5", "outside"),
         ("2,7,0.0,0.0,10.0,10.0,1,1,1.0", "duplicate"),
+        ("1,1,0,0,10,10,1,abc,1.0", "line 2"),
     ])
     def test_malformed_rows_report_line_numbers(self, tmp_path, row, hint):
         text = "2,7,5.0,5.0,10.0,10.0,1,1,1.0\n" + row + "\n"
