@@ -214,9 +214,10 @@ def _make_specs(scenario, mot_path, config_path, seeds, target_id) -> list[RunSp
     specs = [RunSpec(name=f"{stem}_{seed:04d}", scenario_cfg=scenario_cfg,
                      mot_path=mot_path, seed=seed, target_id=target_id)
              for seed in seed_list]
-    # a scene's ids come from its scenario or MOT file, never from its seed,
-    # so the first seed's scene checks the target for every seed
-    if target_id is not None and target_id not in (ids := specs[0].build_scene().ids()):
+    # a scene's ids come from its scenario or MOT file, never from its seed, so the
+    # first seed's scene checks the target for every seed, and a bad MOT row too
+    ids = specs[0].build_scene().ids() if mot_path or target_id is not None else []
+    if target_id is not None and target_id not in ids:
         raise ConfigError(f"target id {target_id} not present in scene (have {ids})")
     return specs
 

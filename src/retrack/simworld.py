@@ -6,7 +6,8 @@ spherical random walk, and scripted occlusion events. A mock tracker
 implements the engine's port against a scene, proposing each object near
 the prior at its true box, scored as visibility times the cosine between
 the template appearance and the object's effective (occlusion-mixed)
-appearance. Scenes can also be read from and written to MOT files.
+appearance, which the scene stores once per distinct row. Scenes can also
+be read from and written to MOT files.
 """
 from __future__ import annotations
 
@@ -146,7 +147,8 @@ class _Table(NamedTuple):
 
     boxes: list[BBox]
     visibility: list[float]
-    appearance: np.ndarray  # effective: drifted, then mixed with any occluder's
+    appearance: list[int]  # effective, drifted then mixed with any occluder's:
+    # per frame, its row of `Scene._appearances`
     cx: array  # centres, `BBox.cx` and `.cy` bit for bit; an `array('d')`
     cy: array  # takes a quarter of a float list's memory
 
@@ -162,6 +164,7 @@ class Scene:
     static_appearance: tuple[float, ...] | None = None
 
     _tables: dict = field(init=False, repr=False)  # id -> _Table, in id order
+    _appearances: np.ndarray = field(init=False, repr=False)  # (distinct rows, dim)
     _box_array: np.ndarray = field(init=False, repr=False)  # (objects, length, 4)
 
     def __post_init__(self):
@@ -185,11 +188,13 @@ class Scene:
 
     def _derive(self):
         """`_tables` maps each object's id, in id order, to its `_Table`:
-        true boxes, visibility as plain floats, effective appearance rows
-        and box centres. `_box_array` holds the same true boxes as one float
-        array of shape (objects, length, 4), rows (x, y, w, h) and objects
-        in id order: evaluation overlaps a whole prediction with every
-        object in one call."""
+        true boxes, visibility as plain floats, effective appearance row
+        indices and box centres. `_appearances` holds each distinct
+        effective row once, bit for bit, in first-seen order: a default
+        scenario's scene has 11 to 21, for 128 object frames. `_box_array`
+        holds the same true boxes as one float array of shape (objects,
+        length, 4), rows (x, y, w, h) and objects in id order: evaluation
+        overlaps a whole prediction with every object in one call."""
         dim = len(self.objects[0].appearance) if self.objects else APPEARANCE_DIM
         if self.static_appearance is None:
             wall = _random_unit(np.random.default_rng([self.seed, 911]), dim)
@@ -204,28 +209,31 @@ class Scene:
             boxes[obj.id] = [obj.path.box_at(f) for f in range(self.length)]
             apps[obj.id] = self._walk_appearance(obj, dim)
         self._tables = {}
+        seen: dict[bytes, int] = {}  # each distinct effective row's bytes -> its index
         for obj in self.objects:
             vis = [1.0] * self.length
-            eff = apps[obj.id].copy()
+            index = []
             for f in range(self.length):
+                row = apps[obj.id][f]
                 severity, occluder = 0.0, None
                 for ev in obj.occlusions:
                     if ev.active(f) and ev.severity > severity:
                         severity, occluder = ev.severity, ev.occluder
-                if severity == 0.0:
-                    continue
-                vis[f] = 1.0 - severity
-                occ_app = wall if occluder == STATIC else apps[occluder][f]
-                mixed = (1.0 - severity) * apps[obj.id][f] + severity * occ_app
-                n = np.linalg.norm(mixed)
-                if n == 0:
-                    raise ValueError(f"object {obj.id}: the occlusion at frame {f} "
-                                     f"mixes its appearance to zero")
-                eff[f] = mixed / n
+                if severity > 0.0:
+                    vis[f] = 1.0 - severity
+                    mixed = (1.0 - severity) * row + severity * (
+                        wall if occluder == STATIC else apps[occluder][f])
+                    n = np.linalg.norm(mixed)
+                    if n == 0:
+                        raise ValueError(f"object {obj.id}: the occlusion at frame {f} "
+                                         f"mixes its appearance to zero")
+                    row = mixed / n
+                index.append(seen.setdefault(row.tobytes(), len(seen)))
             bs = boxes[obj.id]
-            self._tables[obj.id] = _Table(bs, vis, eff,
+            self._tables[obj.id] = _Table(bs, vis, index,
                                           array("d", [b.x + b.w / 2.0 for b in bs]),
                                           array("d", [b.y + b.h / 2.0 for b in bs]))
+        self._appearances = np.frombuffer(b"".join(seen)).reshape(len(seen), dim)
         self._box_array = box_array(
             [b for table in self._tables.values() for b in table.boxes]
         ).reshape(len(self.objects), self.length, 4)
@@ -260,7 +268,7 @@ class Scene:
         return self._tables[obj_id].visibility[frame]
 
     def effective_appearance(self, obj_id: int, frame: int) -> np.ndarray:
-        return self._tables[obj_id].appearance[frame]
+        return self._appearances[self._tables[obj_id].appearance[frame]]
 
     def dominant_object(self, box: BBox, frame: int) -> int | None:
         """Id of the object whose true box at `frame` overlaps `box` the
@@ -369,12 +377,30 @@ def _unit_with_cosine(rng: np.random.Generator, u: np.ndarray, c: float) -> np.n
 # mock tracker
 # ---------------------------------------------------------------------------
 
+class _Cosines(dict):
+    """A template: appearance vector `vec`, and under key j its cosine
+    against `rows[j]`, computed on first use and kept."""
+
+    __slots__ = ("vec", "rows")
+
+    def __init__(self, vec: np.ndarray, rows: np.ndarray):
+        self.vec, self.rows = vec, rows
+
+    def __missing__(self, j: int) -> float:
+        cos = self[j] = float(self.vec.dot(self.rows[j]))
+        return cos
+
+
 class MockTracker(TrackerPort):
     """Deterministic tracker over a :class:`Scene`.
 
     A template is an appearance vector, resolved once when it is cropped:
     the effective appearance, at the crop's frame, of the object its box
-    overlaps the most, or zeros when it overlaps none.
+    overlaps the most, or zeros when it overlaps none. The port keeps one
+    handle per such vector, a dict of its cosines against the scene's
+    interned rows, each filled on first use; a fresh port holds none. A
+    cosine is `float(vec.dot(row))` of the same bits as a dot against the
+    object's own row at that frame, so the cache changes no score.
     Each object whose center lies within the search radius of the prior is
     proposed at its true box, scored by visibility times the clipped
     cosine between the template and the object's effective appearance.
@@ -387,7 +413,7 @@ class MockTracker(TrackerPort):
     chain keeps a running argmax and builds no proposal list); the port
     conformance check in `tests/conformance.py` holds the two equal.
     A port frame reads each object's centre for the range test; only an
-    object in range has its score computed and its true box read.
+    object in range has its score looked up and its true box read.
     """
 
     def __init__(self, scene: Scene):
@@ -395,21 +421,27 @@ class MockTracker(TrackerPort):
         # the scene's tables as plain tuples in a tuple: CPython unpacks an
         # exact tuple, and walks a tuple, faster than a NamedTuple in a dict
         self._tables = tuple(map(tuple, scene._tables.values()))
+        self._templates: dict[int | None, _Cosines] = {}  # row index, None for zeros
 
     def _check_frame(self, frame: int) -> None:
         if not (0 <= frame < self.scene.length):
             raise ValueError(f"frame {frame} outside scene [0, {self.scene.length})")
 
-    def make_template(self, frame: int, box: BBox) -> np.ndarray:
+    def make_template(self, frame: int, box: BBox) -> _Cosines:
         """What the crop at `box` in `frame` looks like: the effective
         appearance of the object overlapping it the most, else zeros."""
         self._check_frame(frame)
-        best_id = self.scene.dominant_object(box, frame)
-        if best_id is None:
-            return np.zeros(len(self.scene.static_appearance))
-        return self.scene.effective_appearance(best_id, frame)
+        scene = self.scene
+        best_id = scene.dominant_object(box, frame)
+        j = None if best_id is None else scene._tables[best_id].appearance[frame]
+        template = self._templates.get(j)
+        if template is None:
+            vec = (np.zeros(len(scene.static_appearance)) if j is None
+                   else scene._appearances[j])
+            template = self._templates[j] = _Cosines(vec, scene._appearances)
+        return template
 
-    def propose(self, template: np.ndarray, frame: int, prior: BBox) -> RawCandidates:
+    def propose(self, template: _Cosines, frame: int, prior: BBox) -> RawCandidates:
         self._check_frame(frame)
         # the prior's centre exactly as `BBox.cx` and `.cy`
         pw, ph = prior.w, prior.h
@@ -417,17 +449,17 @@ class MockTracker(TrackerPort):
         radius = SEARCH_RADIUS_SCALE * math.hypot(pw, ph)
         boxes: list[BBox] = []
         scores: list[float] = []
-        for obj_boxes, vis, eff, cxs, cys in self._tables:
+        for obj_boxes, vis, app, cxs, cys in self._tables:
             if math.hypot(pcx - cxs[frame], pcy - cys[frame]) > radius:
                 continue
-            s = vis[frame] * float(template.dot(eff[frame]))
+            s = vis[frame] * template[app[frame]]
             boxes.append(obj_boxes[frame])
             scores.append(0.0 if s < 0.0 else 1.0 if s > 1.0 else s)
         if not boxes:
             return RawCandidates((prior,), (0.0,))
         return RawCandidates(tuple(boxes), tuple(scores))
 
-    def track_segment(self, template: np.ndarray, start: BBox,
+    def track_segment(self, template: _Cosines, start: BBox,
                       frames: Sequence[int]) -> Tracklet:
         """The base class's chain, lean: the frames are checked once, and
         each step keeps a running argmax over the proposals as `propose`
@@ -437,7 +469,7 @@ class MockTracker(TrackerPort):
         self._check_frame(frames[0])
         self._check_frame(frames[-1])
         tables = self._tables
-        hypot, dot = math.hypot, template.dot
+        hypot = math.hypot
         prior = start
         chain = []
         for f in frames:
@@ -445,10 +477,10 @@ class MockTracker(TrackerPort):
             pcx, pcy = prior.x + pw / 2.0, prior.y + ph / 2.0
             radius = SEARCH_RADIUS_SCALE * hypot(pw, ph)
             best, top = prior, -math.inf
-            for obj_boxes, vis, eff, cxs, cys in tables:
+            for obj_boxes, vis, app, cxs, cys in tables:
                 if hypot(pcx - cxs[f], pcy - cys[f]) > radius:
                     continue
-                s = vis[f] * float(dot(eff[f]))
+                s = vis[f] * template[app[f]]
                 score = 0.0 if s < 0.0 else 1.0 if s > 1.0 else s
                 if score > top:
                     best, top = obj_boxes[f], score

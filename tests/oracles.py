@@ -48,3 +48,52 @@ def scipy_matching(values) -> tuple[dict[int, int], float]:
     values = np.asarray(values, dtype=float)
     rows, cols = linear_sum_assignment(values, maximize=True)
     return dict(zip(rows.tolist(), cols.tolist())), float(values[rows, cols].sum())
+
+
+def mock_score(scene, crop, obj_id: int, frame: int) -> float:
+    """The mock tracker's score of object `obj_id` at `frame` under the
+    template cropped on object `crop[0]`'s box at frame `crop[1]`, or on
+    empty ground if `crop` is None: visibility times the cosine between
+    the two effective appearances (zeros for empty ground), clipped to
+    [0, 1]. Both appearances are rebuilt from the scene's `ObjectSpec`s."""
+    template = (np.zeros(len(scene.static_appearance)) if crop is None
+                else _effective(scene, *crop)[0])
+    appearance, visibility = _effective(scene, obj_id, frame)
+    return min(max(visibility * float(template.dot(appearance)), 0.0), 1.0)
+
+
+def _effective(scene, obj_id: int, frame: int) -> tuple[np.ndarray, float]:
+    """An object's effective appearance at `frame` and its visibility:
+    its drifted walk, mixed (1 - s) to s with the walk of the strongest
+    active occluder (the first listed of equals; the scene's wall vector
+    for static scenery) and normalised, at visibility 1 - s."""
+    obj = next(o for o in scene.objects if o.id == obj_id)
+    own = _walk(scene, obj, frame)
+    active = [ev for ev in obj.occlusions if ev.start <= frame <= ev.end]
+    if not active:
+        return own, 1.0
+    event = max(active, key=lambda ev: ev.severity)
+    other = (np.asarray(scene.static_appearance, dtype=float) if event.occluder == "static"
+             else _walk(scene, next(o for o in scene.objects if o.id == event.occluder),
+                        frame))
+    mixed = (1.0 - event.severity) * own + event.severity * other
+    return mixed / np.linalg.norm(mixed), 1.0 - event.severity
+
+
+def _walk(scene, obj, frame: int) -> np.ndarray:
+    """An object's unit appearance after `frame` steps of its spherical
+    random walk: each step adds the rate at the step's start frame (the
+    largest of `drift` and any spike window holding it) times a standard
+    normal draw from the object's stream, then normalises. An object that
+    never drifts keeps its unit appearance exactly."""
+    v = np.asarray(obj.appearance, dtype=float)
+    v = v / float(np.linalg.norm(v))
+    if obj.drift == 0.0 and not obj.drift_spikes:
+        return v
+    steps = np.random.default_rng([scene.seed, obj.id, 1]).standard_normal(
+        (scene.length - 1, len(v)))
+    for f in range(frame):
+        rate = max([obj.drift] + [r for a, b, r in obj.drift_spikes if a <= f <= b])
+        v = v + rate * steps[f]
+        v = v / float(np.linalg.norm(v))
+    return v

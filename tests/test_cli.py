@@ -458,6 +458,17 @@ class TestExitCodes:
         assert main(["track", "--scenario", "convoy", "--mot", str(gt),
                      "--seeds", "0", "--out", str(tmp_path / "x")]) == 1
 
+    @pytest.mark.parametrize("command", ["track", "evaluate"])
+    def test_malformed_mot_fails_before_any_output(self, tmp_path, capsys, command):
+        """The file is parsed before `--out` is made, with or without
+        `--target-id`, so a bad row leaves no empty directory behind."""
+        gt = tmp_path / "gt.txt"
+        gt.write_text("1,1,0,0,10,10,1,abc,1\n")
+        out = tmp_path / "x"
+        assert main([command, "--mot", str(gt), "--seeds", "0", "--out", str(out)]) == 2
+        assert "line 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_mot_content_is_a_data_error(self, tmp_path, capsys):
         gt = tmp_path / "gt.txt"
         gt.write_text("1,1,0,0,10,10,1,1\n")

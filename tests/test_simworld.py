@@ -8,11 +8,12 @@ import pytest
 
 from conformance import check_port, check_rejects
 from conftest import zero_iou_scene
-from retrack.engine import run_baseline
+from oracles import mock_score
+from retrack.engine import EngineConfig, run_baseline, run_sequence
 from retrack.evalkit import EvalReport
 from retrack.geometry import BBox, iou
-from retrack.simworld import (STATIC, MockTracker, MotFormatError, ObjectSpec,
-                              OcclusionEvent, Path, ScenarioConfig, Scene,
+from retrack.simworld import (SEARCH_RADIUS_SCALE, STATIC, MockTracker, MotFormatError,
+                              ObjectSpec, OcclusionEvent, Path, ScenarioConfig, Scene,
                               _tapered_occlusion, _unit_with_cosine,
                               _visibility_to_events, generate_scene, load_mot,
                               load_scene, save_mot, save_scene)
@@ -280,7 +281,8 @@ class TestSceneSerialization:
 class TestSceneTables:
     """`Scene._tables` maps each id, in id order, to the object's tables;
     the mock tracker's range test reads its centre columns in place of
-    `BBox.cx` and `BBox.cy`, so they must agree bit for bit."""
+    `BBox.cx` and `BBox.cy`, so they must agree bit for bit. Appearance
+    columns index `Scene._appearances`, which holds each row once."""
 
     @staticmethod
     def _scene(source, tmp_path):
@@ -302,10 +304,13 @@ class TestSceneTables:
             for f, box in enumerate(table.boxes):
                 assert box == scene.true_box(obj_id, f)
                 assert table.visibility[f] == scene.visibility(obj_id, f)
-                np.testing.assert_array_equal(table.appearance[f],
+                assert 0 <= table.appearance[f] < len(scene._appearances)
+                np.testing.assert_array_equal(scene._appearances[table.appearance[f]],
                                               scene.effective_appearance(obj_id, f))
             # evaluation's box array holds the same boxes, objects in id order
             assert scene._box_array[row].tolist() == [list(b.as_tuple()) for b in table.boxes]
+        rows = [r.tobytes() for r in scene._appearances]
+        assert len(set(rows)) == len(rows)
 
     @pytest.mark.parametrize("source", ["crossing", "convoy", "deform", "json", "mot"])
     def test_centre_columns_equal_box_centres(self, source, tmp_path):
@@ -410,6 +415,64 @@ class TestConformance:
         for template, start in self._starts(port, scene, 2):
             check_rejects(port, template, start,
                           outside=[range(1, -2, -1), range(n - 2, n + 1)])
+
+
+class TestMockScores:
+    """`propose` scores, bit for bit, against `oracles.mock_score`, which
+    rebuilds each effective appearance from the scene's specs."""
+
+    @staticmethod
+    def _scene(source, tmp_path):
+        if source != "mot":
+            return generate_scene(ScenarioConfig(source), 7)
+        # a visibility of its own at every frame: a distinct row per frame
+        rows = [f"{f + 1},{i},{100.0 + 3 * f!r},{y!r},40.0,40.0,1,1,{vis!r}"
+                for f in range(40)
+                for i, y, vis in ((1, 200.0, 1.0 - f / 64), (2, 250.0, 1.0 - (f % 4) / 8))]
+        (tmp_path / "gt.txt").write_text("\n".join(rows) + "\n")
+        scene = load_mot(tmp_path / "gt.txt", seed=7)
+        assert len(scene._appearances) >= 40
+        return scene
+
+    @pytest.mark.parametrize("source", ["crossing", "convoy", "deform", "mot"])
+    def test_propose_scores_equal_the_oracle(self, source, tmp_path):
+        scene = self._scene(source, tmp_path)
+        port, n = MockTracker(scene), scene.length
+        crops = [(i, c) for i in scene.ids() for c in (0, n // 3, n // 2, n - 1)]
+        for crop in [*crops, None]:
+            if crop is None:
+                template = port.make_template(0, TestConformance.FAR)
+            else:
+                assert scene.dominant_object(scene.true_box(*crop), crop[1]) == crop[0]
+                template = port.make_template(crop[1], scene.true_box(*crop))
+            for f in range(n):
+                # a prior on each object's box keeps every object in range somewhere
+                for prior in (scene.true_box(i, f) for i in scene.ids()):
+                    radius = SEARCH_RADIUS_SCALE * math.hypot(prior.w, prior.h)
+                    near = [i for i in scene.ids() if math.hypot(
+                        prior.cx - scene.true_box(i, f).cx,
+                        prior.cy - scene.true_box(i, f).cy) <= radius]
+                    got = port.propose(template, f, prior)
+                    assert got.boxes == tuple(scene.true_box(i, f) for i in near)
+                    assert [s.hex() for s in got.scores] == \
+                        [mock_score(scene, crop, i, f).hex() for i in near], (crop, f)
+
+
+@pytest.mark.parametrize("kind, seed", [("crossing", 3), ("convoy", 103), ("deform", 3)])
+def test_a_warm_port_decides_as_a_fresh_one(kind, seed):
+    """The cosines a port keeps from one run change nothing in the next."""
+    scene = generate_scene(ScenarioConfig(kind), seed)
+    frames, b0, cfg = range(scene.length), scene.true_box(1, 0), EngineConfig()
+    attributes = set(vars(scene))
+    port = MockTracker(scene)
+    first = run_sequence(port, frames, b0, cfg)
+    assert any(port._templates.values())
+    assert run_sequence(port, frames, b0, cfg) == first
+    assert run_sequence(MockTracker(scene), frames, b0, cfg) == first
+    assert MockTracker(scene)._templates == {}
+    assert set(vars(scene)) == attributes  # the scene holds no cosines
+    check_port(port, TestConformance._starts(port, scene, 30),
+               [range(29, 20, -1), range(31, 40)])
 
 
 class TestDominantObject:
