@@ -5,8 +5,10 @@ interface. Each frame it screens the tracker's raw candidates, backtracks
 the survivors, and matches them against the target's recent history and
 the neighbor pool to decide which box really is the target; a constant
 velocity motion model supplies a fallback candidate for full occlusion.
-The package also ships a synthetic occlusion benchmark (`simworld`), an
-evaluation kit, and a command-line front end.
+The package also ships a synthetic occlusion benchmark (`simworld`), whose
+scenes are generated from a scenario and a seed or read from a MOT file,
+an evaluation kit, and a command-line front end that tracks and
+evaluates them.
 """
 
 from .candidate_select import (CandidateSet, assemble, filter_by_confidence,
@@ -19,8 +21,7 @@ from .matching import build_weights, hungarian_max, resolve_target
 from .motion import (MotionState, motion_init, motion_predict, motion_update)
 from .pools import backtrack_frames, build_candidate_pool, update_neighbor_pool
 from .simworld import (MockTracker, MotFormatError, ObjectSpec, OcclusionEvent,
-                       Path, Scene, ScenarioConfig, generate_scene, load_mot,
-                       load_scene, save_mot, save_scene)
+                       Scene, ScenarioConfig, generate_scene, load_mot, save_mot)
 from .tracker_port import RawCandidates, TrackerPort
 
 __version__ = "0.1.0"
@@ -34,9 +35,9 @@ __all__ = [
     "build_weights", "hungarian_max", "resolve_target",
     "EngineConfig", "EngineState", "engine_init", "step",
     "run_sequence", "run_baseline",
-    "Scene", "ObjectSpec", "OcclusionEvent", "Path", "ScenarioConfig",
+    "Scene", "ObjectSpec", "OcclusionEvent", "ScenarioConfig",
     "MockTracker", "MotFormatError",
-    "generate_scene", "save_scene", "load_scene", "save_mot", "load_mot",
+    "generate_scene", "save_mot", "load_mot",
     "EvalReport",
     "__version__",
 ]

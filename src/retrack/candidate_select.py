@@ -6,6 +6,12 @@ it keeps, soft suppression `(index, decayed score)` pairs in pick order.
 `assemble` builds the frame's one `CandidateSet` from the survivors plus
 the motion-predicted box; the set finds its real candidates and their
 argmax once, when built.
+
+The set comes out in pick order. Soft suppression always picks the
+highest current score and only ever lowers the scores that remain, so
+the scores it picks never rise; `assemble` appends the motion box last.
+Hence `top` is 0, `real` is `range(len(kept))` and `kalman_index`, when
+there is a motion box, is `len(kept)`.
 """
 from __future__ import annotations
 

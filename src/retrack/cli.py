@@ -1,4 +1,8 @@
-"""Command-line front end: simulate scenes, track them, evaluate runs.
+"""Command-line front end: track scenes, evaluate the runs.
+
+A run's scenes come from one source: a scripted `--scenario`, generated
+per seed, or a `--mot` ground-truth file, parsed once before any output
+is written and built per seed, the seed drawing only the appearances.
 
 Every command is reproducible from its flags and seeds alone: no setting
 is read from the environment, outputs embed the resolved configuration and
@@ -26,8 +30,8 @@ import click
 from .engine import EngineConfig, run_baseline, run_sequence
 from .evalkit import EvalReport, check_fail_iou
 from .geometry import BBox
-from .simworld import (SCENARIOS, MockTracker, MotFormatError, Scene,
-                       ScenarioConfig, generate_scene, load_mot, save_scene)
+from .simworld import (SCENARIOS, MockTracker, MotFormatError, MotTracks, Scene,
+                       ScenarioConfig, generate_scene, mot_scene, parse_mot)
 
 TRACK_FORMAT = "retrack-track-v1"
 
@@ -71,17 +75,19 @@ def _parse_seeds(text: str) -> list[int]:
 
 @dataclasses.dataclass(frozen=True)
 class RunSpec:
-    """One seed's scene source, fully determined and picklable."""
+    """One seed's scene source, fully determined and picklable: a scenario
+    config, or the tracks parsed from a MOT file."""
 
     name: str
+    source: str  # the scenario's kind or the MOT file's path
     scenario_cfg: ScenarioConfig | None
-    mot_path: str | None
+    mot_tracks: MotTracks | None
     seed: int
     target_id: int | None
 
     def build_scene(self) -> Scene:
-        if self.mot_path is not None:
-            return load_mot(self.mot_path, seed=self.seed)
+        if self.mot_tracks is not None:
+            return mot_scene(self.mot_tracks, self.seed)
         return generate_scene(self.scenario_cfg, self.seed)
 
 
@@ -128,7 +134,7 @@ def _track_one(args: tuple[RunSpec, EngineConfig, bool, str]) -> str:
         spec, [] if baseline_only else [engine_cfg])
     out = FsPath(out_dir)
     config = {"engine": engine_cfg.as_dict(), "seed": spec.seed, "target": target,
-              "source": spec.mot_path or spec.scenario_cfg.kind}
+              "source": spec.source}
     (out / f"{spec.name}_baseline.csv").write_text(_boxes_csv(baseline, config))
     for boxes, records, _ in engine_runs:
         (out / f"{spec.name}_engine.csv").write_text(_boxes_csv(boxes, config))
@@ -166,21 +172,17 @@ def cli():
     """Synthetic tracking benchmark and correction-engine runner."""
 
 
-scene_options = [  # what `simulate` shares with the other commands' inputs
+input_options = [
+    click.option("--scenario", type=click.Choice(SCENARIOS), default=None,
+                 help="Scripted scenario to generate per seed."),
+    click.option("--mot", "mot_path", type=click.Path(exists=True, dir_okay=False),
+                 default=None, help="MOT ground-truth file to ingest instead."),
     click.option("--config", "config_path",
                  type=click.Path(exists=True, dir_okay=False), default=None,
                  help="JSON scenario config overriding the defaults (--scenario only)."),
     click.option("--seeds", default="0:10", show_default=True,
                  help="Distinct non-negative seeds: 'a:b' half-open range "
                       "or comma-separated."),
-]
-
-input_options = [
-    click.option("--scenario", type=click.Choice(SCENARIOS), default=None,
-                 help="Scripted scenario to generate per seed."),
-    click.option("--mot", "mot_path", type=click.Path(exists=True, dir_okay=False),
-                 default=None, help="MOT ground-truth file to ingest instead."),
-    *scene_options,
     click.option("--target-id", type=int, default=None,
                  help="Object id to track (default: lowest id)."),
 ]
@@ -210,30 +212,18 @@ def _make_specs(scenario, mot_path, config_path, seeds, target_id) -> list[RunSp
     with _config_errors(f"bad scenario config {config_path}: "):
         scenario_cfg = (ScenarioConfig.from_file(config_path, kind=scenario) if config_path
                         else ScenarioConfig(kind=scenario) if scenario else None)
+    tracks = parse_mot(mot_path) if mot_path else None
     stem = FsPath(mot_path).stem if mot_path else scenario
-    specs = [RunSpec(name=f"{stem}_{seed:04d}", scenario_cfg=scenario_cfg,
-                     mot_path=mot_path, seed=seed, target_id=target_id)
+    specs = [RunSpec(name=f"{stem}_{seed:04d}", source=mot_path or scenario,
+                     scenario_cfg=scenario_cfg, mot_tracks=tracks, seed=seed,
+                     target_id=target_id)
              for seed in seed_list]
-    # a scene's ids come from its scenario or MOT file, never from its seed, so the
-    # first seed's scene checks the target for every seed, and a bad MOT row too
-    ids = specs[0].build_scene().ids() if mot_path or target_id is not None else []
-    if target_id is not None and target_id not in ids:
-        raise ConfigError(f"target id {target_id} not present in scene (have {ids})")
+    if target_id is not None:
+        # a generated scene's ids come from its scenario, never from its seed
+        ids = [t[0] for t in tracks] if tracks else specs[0].build_scene().ids()
+        if target_id not in ids:
+            raise ConfigError(f"target id {target_id} not present in scene (have {ids})")
     return specs
-
-
-@cli.command("simulate")
-@click.option("--scenario", type=click.Choice(SCENARIOS), required=True)
-@_add_options(scene_options)
-@click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
-def cmd_simulate(scenario, config_path, seeds, out_dir):
-    """Generate scripted scenes and write them as JSON files."""
-    specs = _make_specs(scenario, None, config_path, seeds, None)
-    out = FsPath(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for spec in specs:
-        save_scene(spec.build_scene(), out / f"scene_{spec.name}.json")
-    click.echo(f"wrote {len(specs)} scene(s) to {out}")
 
 
 @cli.command("track")

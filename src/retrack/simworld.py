@@ -1,13 +1,14 @@
 """Synthetic tracking worlds with scripted occlusions.
 
 A :class:`Scene` is a fully deterministic ground-truth world: every object
-has a parametric box path, a unit appearance vector that may drift as a
-spherical random walk, and scripted occlusion events. A mock tracker
+has one true box per frame, a unit appearance vector that may drift as a
+spherical random walk, and scripted occlusion events. A scene is generated
+from a scenario config and a seed, or built from a MOT ground-truth file,
+which is also the one format a scene is written in. A mock tracker
 implements the engine's port against a scene, proposing each object near
 the prior at its true box, scored as visibility times the cosine between
 the template appearance and the object's effective (occlusion-mixed)
-appearance, which the scene stores once per distinct row. Scenes can also
-be read from and written to MOT files.
+appearance, which the scene stores once per distinct row.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import json
 import logging
 import math
 from array import array
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path as FsPath
 from typing import NamedTuple, Sequence
 
@@ -27,8 +28,6 @@ from .tracker_port import RawCandidates, TrackerPort, newest_first, segment_fram
 log = logging.getLogger(__name__)
 
 STATIC = "static"  # occluder id for scenery that is not a tracked object
-
-SCENE_FORMAT = "retrack-scene-v1"
 
 # The mock tracker searches within this many prior-box diagonals; the
 # crossing scenario sizes its occlusion to carry the pair beyond it.
@@ -65,58 +64,12 @@ class OcclusionEvent:
 
 
 @dataclass(frozen=True)
-class Path:
-    """Box-center path. `linear` interpolates (frame, cx, cy) waypoints,
-    `sine` superimposes a sinusoid on a constant drift, and `frames`
-    stores explicit per-frame boxes (used for file-ingested scenes)."""
-
-    kind: str
-    size: tuple[float, float] = (40.0, 40.0)
-    waypoints: tuple[tuple[float, float, float], ...] = ()
-    start: tuple[float, float] = (0.0, 0.0)
-    velocity: tuple[float, float] = (0.0, 0.0)
-    amplitude: float = 0.0
-    period: float = 32.0
-    axis: str = "y"
-    boxes: tuple[tuple[float, float, float, float], ...] = ()
-
-    def box_at(self, frame: int) -> BBox:
-        if self.kind == "frames":
-            return BBox(*self.boxes[frame])
-        if self.kind == "linear":
-            cx, cy = self._interp(frame)
-        elif self.kind == "sine":
-            cx = self.start[0] + self.velocity[0] * frame
-            cy = self.start[1] + self.velocity[1] * frame
-            sweep = self.amplitude * math.sin(2.0 * math.pi * frame / self.period)
-            if self.axis == "x":
-                cx += sweep
-            else:
-                cy += sweep
-        else:
-            raise ValueError(f"unknown path kind {self.kind!r}")
-        w, h = self.size
-        return BBox(cx - w / 2.0, cy - h / 2.0, w, h)
-
-    def _interp(self, frame: int) -> tuple[float, float]:
-        pts = self.waypoints
-        if not pts:
-            raise ValueError("linear path needs waypoints")
-        if frame <= pts[0][0]:
-            return pts[0][1], pts[0][2]
-        for (f0, x0, y0), (f1, x1, y1) in zip(pts, pts[1:]):
-            if frame <= f1:
-                t = (frame - f0) / (f1 - f0)
-                return x0 + t * (x1 - x0), y0 + t * (y1 - y0)
-        return pts[-1][1], pts[-1][2]
-
-
-@dataclass(frozen=True)
 class ObjectSpec:
-    """One world object: identity, path, appearance, occlusion script."""
+    """One world object: identity, its true box at each frame, appearance,
+    occlusion script."""
 
     id: int
-    path: Path
+    boxes: tuple[BBox, ...]
     appearance: tuple[float, ...]
     drift: float = 0.0
     drift_spikes: tuple[tuple[int, int, float], ...] = ()
@@ -145,7 +98,7 @@ class ObjectSpec:
 class _Table(NamedTuple):
     """One object's per-frame tables."""
 
-    boxes: list[BBox]
+    boxes: tuple[BBox, ...]  # the spec's own tuple, shared, not copied
     visibility: list[float]
     appearance: list[int]  # effective, drifted then mixed with any occluder's:
     # per frame, its row of `Scene._appearances`
@@ -158,7 +111,6 @@ class Scene:
     """Ground-truth world with precomputed per-frame observables."""
 
     length: int
-    bounds: tuple[float, float]
     seed: int
     objects: tuple[ObjectSpec, ...]
     static_appearance: tuple[float, ...] | None = None
@@ -175,9 +127,9 @@ class Scene:
             raise ValueError("object ids must be unique")
         self.objects = tuple(sorted(self.objects, key=lambda o: o.id))
         for obj in self.objects:
-            if obj.path.kind == "frames" and len(obj.path.boxes) != self.length:
-                raise ValueError(f"object {obj.id}: its frames path holds "
-                                 f"{len(obj.path.boxes)} boxes, the scene {self.length} frames")
+            if len(obj.boxes) != self.length:
+                raise ValueError(f"object {obj.id}: its path holds {len(obj.boxes)} boxes, "
+                                 f"the scene {self.length} frames")
             for ev in obj.occlusions:
                 if ev.occluder != STATIC and ev.occluder not in ids:
                     raise ValueError(f"object {obj.id}: occluder {ev.occluder!r} is neither "
@@ -204,10 +156,8 @@ class Scene:
                              f"object {self.objects[0].id}'s appearance {dim}")
         wall = np.asarray(self.static_appearance, dtype=float)
         _length(wall, "static_appearance")
-        boxes, apps = {}, {}  # apps: raw (drifted) appearance
-        for obj in self.objects:
-            boxes[obj.id] = [obj.path.box_at(f) for f in range(self.length)]
-            apps[obj.id] = self._walk_appearance(obj, dim)
+        apps = {obj.id: self._walk_appearance(obj, dim)  # raw (drifted) appearance
+                for obj in self.objects}
         self._tables = {}
         seen: dict[bytes, int] = {}  # each distinct effective row's bytes -> its index
         for obj in self.objects:
@@ -229,7 +179,7 @@ class Scene:
                                          f"mixes its appearance to zero")
                     row = mixed / n
                 index.append(seen.setdefault(row.tobytes(), len(seen)))
-            bs = boxes[obj.id]
+            bs = obj.boxes
             self._tables[obj.id] = _Table(bs, vis, index,
                                           array("d", [b.x + b.w / 2.0 for b in bs]),
                                           array("d", [b.y + b.h / 2.0 for b in bs]))
@@ -280,37 +230,6 @@ class Scene:
                 best_id, best_ov = obj_id, ov
         return best_id
 
-    # -- serialization ------------------------------------------------------
-
-    def to_jsonable(self) -> dict:
-        return {
-            "format": SCENE_FORMAT,
-            "length": self.length,
-            "bounds": list(self.bounds),
-            "seed": self.seed,
-            "static_appearance": list(self.static_appearance),
-            "objects": [asdict(o) for o in self.objects],
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "Scene":
-        if data.get("format") != SCENE_FORMAT:
-            raise ValueError(f"unsupported scene format {data.get('format')!r}")
-        objects = []
-        for od in _tuples(data["objects"]):
-            od = _exact_fields(ObjectSpec, od)
-            path = Path(**_exact_fields(Path, od["path"]))
-            occlusions = tuple(OcclusionEvent(**_exact_fields(OcclusionEvent, ev))
-                               for ev in od["occlusions"])
-            objects.append(ObjectSpec(**{**od, "path": path, "occlusions": occlusions}))
-        return cls(
-            length=data["length"],
-            bounds=tuple(data["bounds"]),
-            seed=data["seed"],
-            objects=tuple(objects),
-            static_appearance=tuple(data["static_appearance"]),
-        )
-
 
 def _tuples(value):
     """`value` with every JSON list in it, at any depth, turned into a tuple."""
@@ -319,25 +238,6 @@ def _tuples(value):
     if isinstance(value, dict):
         return {k: _tuples(v) for k, v in value.items()}
     return value
-
-
-def _exact_fields(cls, data: dict) -> dict:
-    """`data`, checked to hold exactly the fields of dataclass `cls`, so a
-    file never loads with silent defaults or ignored keys."""
-    names = {f.name for f in fields(cls)}
-    missing, unknown = sorted(names - data.keys()), sorted(data.keys() - names)
-    if missing or unknown:
-        raise ValueError(f"{cls.__name__} entry has missing keys {missing} "
-                         f"and unknown keys {unknown}")
-    return data
-
-
-def save_scene(scene: Scene, path: FsPath | str) -> None:
-    FsPath(path).write_text(json.dumps(scene.to_jsonable(), sort_keys=True, indent=1))
-
-
-def load_scene(path: FsPath | str) -> Scene:
-    return Scene.from_jsonable(json.loads(FsPath(path).read_text()))
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +406,7 @@ class ScenarioConfig:
     (1-s)^2/m and m, with m = hypot(1-s, s), with enough slack on the
     upper side to survive one taper step of template mismatch. Severities
     are sampled on a 1/256 grid, which keeps visibility values exact
-    through file round-trips.
+    through MOT round-trips.
     """
 
     kind: str
@@ -576,7 +476,7 @@ def _severity_grid(lo: float, hi: float) -> tuple[int, int]:
 
 
 def _sample_severity(rng: np.random.Generator, lo: float, hi: float) -> float:
-    # 1/256 grid: exact complements, exact file round-trips
+    # 1/256 grid: exact complements, exact MOT round-trips
     lo_t, hi_t = _severity_grid(lo, hi)
     return int(rng.integers(lo_t, hi_t + 1)) / 256.0
 
@@ -604,14 +504,17 @@ def _tapered_occlusion(start: int, end: int, sev: float) -> tuple[OcclusionEvent
     return tuple(events)
 
 
-def _lane(cfg: ScenarioConfig, x0: float, x1: float, cy: float) -> Path:
-    """A straight lane at height `cy`, from `x0` at frame 0 to `x1` at the last."""
-    return Path("linear", size=(cfg.box_size, cfg.box_size),
-                waypoints=((0, x0, cy), (cfg.length - 1, x1, cy)))
+def _lane(cfg: ScenarioConfig, x0: float, x1: float, cy: float) -> tuple[BBox, ...]:
+    """A straight lane at height `cy`, centred on `x0` at frame 0 and on
+    `x1` at the last."""
+    size, n = cfg.box_size, cfg.length - 1
+    return tuple(BBox(x0 + f / n * (x1 - x0) - size / 2.0, cy - size / 2.0, size, size)
+                 for f in range(cfg.length))
 
 
 def _pair_scene(cfg: ScenarioConfig, seed: int, rng: np.random.Generator, similarity: float,
-                target_path: Path, other_path: Path, **script) -> Scene:
+                target_boxes: tuple[BBox, ...], other_boxes: tuple[BBox, ...],
+                **script) -> Scene:
     """The scene of target 1, which takes `script` (its `occlusions` or
     `drift_spikes`), and object 2. Their appearances are drawn last from
     `rng`, at cosine `similarity`, plus a wall vector orthogonal to both so
@@ -621,10 +524,9 @@ def _pair_scene(cfg: ScenarioConfig, seed: int, rng: np.random.Generator, simila
     residual = v - np.dot(v, u) * u
     basis = [u] if np.linalg.norm(residual) < 1e-12 else [u, _unit(residual, "a residual")]
     wall = _orthogonal_unit(rng, basis)
-    target = ObjectSpec(1, target_path, tuple(map(float, u)), drift=cfg.drift, **script)
-    other = ObjectSpec(2, other_path, tuple(map(float, v)), drift=cfg.drift)
-    return Scene(cfg.length, cfg.bounds, seed, (target, other),
-                 static_appearance=tuple(map(float, wall)))
+    target = ObjectSpec(1, target_boxes, tuple(map(float, u)), drift=cfg.drift, **script)
+    other = ObjectSpec(2, other_boxes, tuple(map(float, v)), drift=cfg.drift)
+    return Scene(cfg.length, seed, (target, other), static_appearance=tuple(map(float, wall)))
 
 
 def _gen_crossing(cfg: ScenarioConfig, seed: int) -> Scene:
@@ -680,8 +582,11 @@ def _gen_deform(cfg: ScenarioConfig, seed: int) -> Scene:
     spike_start = int(rng.integers(20, 27))
     spike = (spike_start, spike_start + int(rng.integers(8, 13)), 0.12)
     cy = cfg.bounds[1] / 2.0
-    weave = Path("sine", size=(cfg.box_size, cfg.box_size), start=(40.0, cy),
-                 velocity=(v, 0.0), amplitude=30.0, period=40.0, axis="y")
+    size, half = cfg.box_size, cfg.box_size / 2.0
+    # the weave: at the target's speed from x 40, up to 30 px either side of
+    # mid-height, one period every 40 frames
+    weave = tuple(BBox(40.0 + v * f - half, cy + 30.0 * math.sin(2.0 * math.pi * f / 40.0) - half,
+                       size, size) for f in range(cfg.length))
     return _pair_scene(cfg, seed, rng, 0.5, weave,
                        _lane(cfg, 40.0, 40.0 + v * (cfg.length - 1), cy + 90.0),
                        drift_spikes=(spike,))
@@ -721,14 +626,23 @@ def save_mot(scene: Scene, path: FsPath | str) -> None:
     FsPath(path).write_text("\n".join(lines) + "\n")
 
 
+# per id, in id order: (id, its true box at each frame, its occlusion events)
+MotTracks = tuple[tuple[int, tuple[BBox, ...], tuple[OcclusionEvent, ...]], ...]
+
+
 def load_mot(path: FsPath | str, seed: int = 0) -> Scene:
-    """Build a Scene from a MOT ground-truth file.
+    """Build a Scene from a MOT ground-truth file: `mot_scene` of `parse_mot`."""
+    return mot_scene(parse_mot(path), seed)
+
+
+def parse_mot(path: FsPath | str) -> MotTracks:
+    """The tracks of a MOT ground-truth file, one per id, in id order.
 
     Visibility maps to occlusion severity (1 - visibility) attributed to
     static scenery. Frame gaps within an id's annotations are filled by
     linear interpolation with a warning; ids missing at the sequence edges
     hold their first/last annotated box. Malformed rows fail with the
-    offending line number. Appearance vectors are drawn per id from `seed`.
+    offending line number.
     """
     per_id: dict[int, dict[int, tuple[BBox, float]]] = {}
     max_frame = 0
@@ -763,8 +677,7 @@ def load_mot(path: FsPath | str, seed: int = 0) -> Scene:
     if not per_id:
         raise MotFormatError(f"{path}: no data rows")
 
-    length = max_frame
-    objects = []
+    tracks = []
     for obj_id in sorted(per_id):
         rows = per_id[obj_id]
         frames = sorted(rows)
@@ -772,9 +685,9 @@ def load_mot(path: FsPath | str, seed: int = 0) -> Scene:
         for a, b in gaps:
             log.warning("%s: id %d missing frames %d..%d, interpolating",
                         path, obj_id, a + 2, b)  # report in 1-based file frames
-        boxes: list[tuple[float, float, float, float]] = []
+        boxes: list[BBox] = []
         vis_seq: list[float] = []
-        for f in range(length):
+        for f in range(max_frame):
             if f in rows:
                 box, vis = rows[f]
             elif f < frames[0]:
@@ -789,16 +702,20 @@ def load_mot(path: FsPath | str, seed: int = 0) -> Scene:
                 box = BBox(ba.x + t * (bb.x - ba.x), ba.y + t * (bb.y - ba.y),
                            ba.w + t * (bb.w - ba.w), ba.h + t * (bb.h - ba.h))
                 vis = va + t * (vb - va)
-            boxes.append(box.as_tuple())
+            boxes.append(box)
             vis_seq.append(vis)
-        occlusions = _visibility_to_events(vis_seq)
-        rng = np.random.default_rng([seed, obj_id])
-        app = tuple(float(v) for v in _random_unit(rng, APPEARANCE_DIM))
-        objects.append(ObjectSpec(obj_id, Path("frames", boxes=tuple(boxes)),
-                                  app, occlusions=occlusions))
-    xmax = max(b[0] + b[2] for o in objects for b in o.path.boxes)
-    ymax = max(b[1] + b[3] for o in objects for b in o.path.boxes)
-    return Scene(length, (xmax, ymax), seed, tuple(objects))
+        tracks.append((obj_id, tuple(boxes), _visibility_to_events(vis_seq)))
+    return tuple(tracks)
+
+
+def mot_scene(tracks: MotTracks, seed: int) -> Scene:
+    """The scene of parsed MOT `tracks`; appearance vectors are drawn per id
+    from `seed`, which nothing else depends on."""
+    objects = tuple(
+        ObjectSpec(obj_id, boxes, tuple(float(v) for v in _random_unit(
+            np.random.default_rng([seed, obj_id]), APPEARANCE_DIM)), occlusions=occlusions)
+        for obj_id, boxes, occlusions in tracks)
+    return Scene(len(tracks[0][1]), seed, objects)
 
 
 def _visibility_to_events(vis_seq: list[float]) -> tuple[OcclusionEvent, ...]:

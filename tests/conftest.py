@@ -10,7 +10,7 @@ import pytest
 from retrack.candidate_select import CandidateSet
 from retrack.geometry import BBox, Tracklet
 from retrack.pools import build_candidate_pool
-from retrack.simworld import STATIC, ObjectSpec, OcclusionEvent, Path, Scene
+from retrack.simworld import STATIC, ObjectSpec, OcclusionEvent, Scene
 from retrack.tracker_port import RawCandidates, TrackerPort
 
 
@@ -68,9 +68,15 @@ def backtrack_all(cands: CandidateSet, port: TrackerPort,
 
 def box_scene(boxes: Sequence[BBox]) -> Scene:
     """One object, id 1, whose true box at each frame is the given box."""
-    path = Path("frames", boxes=tuple(b.as_tuple() for b in boxes))
-    return Scene(len(boxes), (512.0, 512.0), 0, (ObjectSpec(1, path, (1.0, 0.0, 0.0)),),
+    return Scene(len(boxes), 0, (ObjectSpec(1, tuple(boxes), (1.0, 0.0, 0.0)),),
                  static_appearance=(0.0, 0.0, 1.0))
+
+
+def lane(length: int, x0: float, x1: float, cy: float) -> tuple[BBox, ...]:
+    """40 px boxes on a straight lane at height `cy`, centred on `x0` at
+    frame 0 and on `x1` at the last, as the scenario generators lay them."""
+    return tuple(BBox(x0 + f / (length - 1) * (x1 - x0) - 20.0, cy - 20.0, 40.0, 40.0)
+                 for f in range(length))
 
 
 def unit_vector(seed: int, dim: int = 16) -> tuple:
@@ -84,15 +90,14 @@ def solo_scene(seed: int, length: int = 48) -> Scene:
     rng = np.random.default_rng([seed, 17])
     v = float(rng.uniform(2.0, 5.0))
     cy = float(rng.uniform(200.0, 320.0))
-    size = (40.0, 40.0)
-    if seed % 2:
-        path = Path("sine", size=size, start=(40.0, cy), velocity=(v, 0.0),
-                    amplitude=25.0, period=30.0, axis="y")
+    if seed % 2:  # a weave about `cy`
+        boxes = tuple(BBox(40.0 + v * f - 20.0,
+                           cy + 25.0 * math.sin(2.0 * math.pi * f / 30.0) - 20.0, 40.0, 40.0)
+                      for f in range(length))
     else:
-        path = Path("linear", size=size,
-                    waypoints=((0, 40.0, cy), (length - 1, 40.0 + v * (length - 1), cy)))
-    obj = ObjectSpec(1, path, unit_vector(seed))
-    return Scene(length, (512.0, 512.0), seed, (obj,))
+        boxes = lane(length, 40.0, 40.0 + v * (length - 1), cy)
+    obj = ObjectSpec(1, boxes, unit_vector(seed))
+    return Scene(length, seed, (obj,))
 
 
 def zero_iou_scene(seed: int = 0, length: int = 64) -> Scene:
@@ -118,12 +123,9 @@ def zero_iou_scene(seed: int = 0, length: int = 64) -> Scene:
     wall[2] = 1.0
 
     speed, y_t, y_d = 4.0, 216.0, 296.0
-    size = (40.0, 40.0)
     cover = (OcclusionEvent(20, 38, STATIC, 1.0),)
-    target = ObjectSpec(
-        2, Path("linear", size=size,
-                waypoints=((0, 40.0, y_t), (length - 1, 40.0 + speed * (length - 1), y_t))),
-        tuple(map(float, u)), occlusions=cover)
+    target = ObjectSpec(2, lane(length, 40.0, 40.0 + speed * (length - 1), y_t),
+                        tuple(map(float, u)), occlusions=cover)
     centers = []
     for f in range(length):
         if f <= 19:
@@ -134,11 +136,9 @@ def zero_iou_scene(seed: int = 0, length: int = 64) -> Scene:
             centers.append((-95.0, 316.0))   # reachable from frame 20, not from the lane
         else:
             centers.append((-95.0, 396.0))   # parked off the field
-    boxes = tuple((cx - 20.0, cy - 20.0, 40.0, 40.0) for cx, cy in centers)
-    distractor = ObjectSpec(1, Path("frames", boxes=boxes),
-                            tuple(map(float, v)), occlusions=cover)
-    return Scene(length, (512.0, 512.0), seed, (distractor, target),
-                 static_appearance=tuple(map(float, wall)))
+    boxes = tuple(BBox(cx - 20.0, cy - 20.0, 40.0, 40.0) for cx, cy in centers)
+    distractor = ObjectSpec(1, boxes, tuple(map(float, v)), occlusions=cover)
+    return Scene(length, seed, (distractor, target), static_appearance=tuple(map(float, wall)))
 
 
 @pytest.fixture

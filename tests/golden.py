@@ -10,16 +10,21 @@ log holds, so the table shows which decision paths it covers. A change
 that moves a row must say why in CHANGES.md; `test_golden.py`
 regenerates every row and compares.
 
+The `mot` rows run the scenes `load_mot` builds, at seeds 0-2, from the
+file `save_mot` writes for crossing seed 3.
+
 The evaluation table pins what `retrack evaluate` computes from those
 runs: each digest is that of the `comparison.csv` the command writes for
 one seed (it holds no wall-clock field), under the default failure
-threshold and under `--fail-iou 0.3`.
+threshold and under `--fail-iou 0.3`. Its `hard_*` rows score the scenes
+that `--config tests/hard_scenario.json` generates.
 """
 from __future__ import annotations
 
 import dataclasses
 import hashlib
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -28,12 +33,28 @@ from props import WindowPort
 from retrack import cli
 from retrack.engine import EngineConfig, run_baseline, run_sequence
 from retrack.evalkit import EvalReport
-from retrack.simworld import MockTracker, ScenarioConfig, generate_scene
+from retrack.simworld import (MockTracker, ScenarioConfig, generate_scene, load_mot,
+                              save_mot)
 
 TABLE = Path(__file__).with_name("golden_decisions.tsv")
 HEADER = "scenario\tseed\tconfig\tsha256\tgates\tsources"
 EVAL_TABLE = Path(__file__).with_name("golden_evaluations.tsv")
 EVAL_HEADER = "scenario\tseed\tfail_iou\tsha256"
+
+HARD = Path(__file__).with_name("hard_scenario.json")
+
+
+def crossing_mot_scene(seed: int):
+    """The scene `load_mot` builds at `seed` from crossing 3's MOT file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "crossing_0003.txt"
+        save_mot(generate_scene(ScenarioConfig("crossing"), 3), path)
+        return load_mot(path, seed)
+
+
+def _hard(kind: str):
+    return lambda s: generate_scene(ScenarioConfig.from_file(HARD, kind), s)
+
 
 # scenario name -> (seeds, scene builder)
 SCENES = {
@@ -41,6 +62,7 @@ SCENES = {
     "convoy": (range(100, 110), lambda s: generate_scene(ScenarioConfig("convoy"), s)),
     "deform": (range(10), lambda s: generate_scene(ScenarioConfig("deform"), s)),
     "zero_iou": (range(1), zero_iou_scene),
+    "mot": (range(3), crossing_mot_scene),
 }
 # the target `retrack track` picks, the lowest id, except where the scene
 # was built around another one
@@ -54,8 +76,13 @@ CONFIGS = {
     "tau1": dataclasses.replace(DEFAULT, tau=1),
     "tau27": dataclasses.replace(DEFAULT, tau=27),
 }
-# the scenarios `retrack evaluate` can generate, and its `--fail-iou` values
-EVAL_SCENES = ("crossing", "convoy", "deform")
+# table name -> (seeds, scene builder, the scenario `retrack evaluate` names
+# its runs after), and the command's `--fail-iou` values
+EVAL_SCENES = {
+    **{name: (*SCENES[name], name) for name in ("crossing", "convoy", "deform")},
+    "hard_convoy": (range(5), _hard("convoy"), "convoy"),
+    "hard_crossing": (range(5), _hard("crossing"), "crossing"),
+}
 FAIL_IOUS = (0.0, 0.3)
 
 
@@ -118,10 +145,9 @@ def comparison_csvs(scene, source: str) -> dict[float, str]:
 
 def eval_rows() -> list[str]:
     out = []
-    for name in EVAL_SCENES:
-        seeds, build = SCENES[name]
+    for name, (seeds, build, source) in EVAL_SCENES.items():
         for seed in seeds:
-            for fail_iou, text in comparison_csvs(build(seed), name).items():
+            for fail_iou, text in comparison_csvs(build(seed), source).items():
                 digest = hashlib.sha256(text.encode()).hexdigest()
                 out.append("\t".join((name, str(seed), repr(fail_iou), digest)))
     return out

@@ -29,7 +29,7 @@ from retrack.geometry import BBox, Tracklet, batch_iou, box_array, iou, tracklet
 from retrack.motion import MIN_SIZE, motion_init, motion_predict, motion_update
 from retrack.matching import build_weights
 from retrack.pools import backtrack_frames, build_candidate_pool, update_neighbor_pool
-from retrack.simworld import ObjectSpec, Path, Scene
+from retrack.simworld import ObjectSpec, Scene
 from retrack.tracker_port import RawCandidates, TrackerPort
 
 
@@ -322,6 +322,33 @@ def _(value):
     assert cs.top == raw.argmax()
 
 
+@st.composite
+def tied_overlapping_cands(draw, n_max=8):
+    """Proposals whose scores come from a pool of at most three, so exact
+    ties are common, and whose boxes often overlap an earlier one."""
+    n = draw(st.integers(1, n_max))
+    pool = draw(st.lists(unit_floats, min_size=1, max_size=3))
+    bs = [draw(boxes)]
+    for _ in range(n - 1):
+        bs.append(draw(st.one_of(boxes, st.sampled_from(bs).flatmap(partner_box))))
+    ss = [draw(st.sampled_from(pool)) for _ in range(n)]
+    return RawCandidates(tuple(bs), tuple(ss))
+
+
+@prop("candidate_select", "the_flow_builds_its_set_in_pick_order",
+      st.tuples(tied_overlapping_cands(), unit_floats, unit_floats,
+                st.floats(1e-3, 10.0), st.one_of(st.none(), boxes)))
+def _(value):
+    # the picked scores never rise and the motion box comes last, so the
+    # argmax is the first pick and the real candidates are the picks
+    raw, alpha, thresh, sigma, kbox = value
+    kept = soft_nms(raw, filter_by_confidence(raw, alpha), thresh, sigma)
+    cs = assemble(raw, kept, kbox)
+    assert cs.top == 0
+    assert cs.real == tuple(range(len(kept)))
+    assert cs.kalman_index == (None if kbox is None else len(kept))
+
+
 # ---------------------------------------------------------------------------
 # motion
 # ---------------------------------------------------------------------------
@@ -594,12 +621,10 @@ def tied_scenes(draw):
     pool = draw(box_lists(1, 3))
     ids = draw(st.lists(st.integers(1, 9), min_size=1, max_size=4, unique=True))
     objects = tuple(
-        ObjectSpec(i, Path("frames", boxes=tuple(
-            draw(st.sampled_from(pool)).as_tuple() for _ in range(length))),
-            (1.0, 0.0, 0.0, 0.0))
+        ObjectSpec(i, tuple(draw(st.sampled_from(pool)) for _ in range(length)),
+                   (1.0, 0.0, 0.0, 0.0))
         for i in ids)
-    scene = Scene(length, (1000.0, 1000.0), 0, objects,
-                  static_appearance=(0.0, 0.0, 1.0, 0.0))
+    scene = Scene(length, 0, objects, static_appearance=(0.0, 0.0, 1.0, 0.0))
     far = BBox(5000.0, 5000.0, 1.0, 1.0)
     pred = [draw(st.one_of(st.just(far), st.sampled_from(pool),
                            st.sampled_from(pool).flatmap(partner_box)))

@@ -13,6 +13,7 @@ import multiprocessing
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from retrack.simworld import (
 from retrack.tracker_port import RawCandidates
 
 TARGET_ID = 1
+HARD_SCENARIO = Path(__file__).with_name("hard_scenario.json")
 
 
 def criterion(num, label):
@@ -229,6 +231,19 @@ def test_history_depth_tradeoff(corpus):
     deep = _mean([r["engine"].robustness for r in rows])
     shallow = _mean([r["tau1"].robustness for r in rows])
     assert deep >= shallow
+
+    # the corpus is saturated, every tau scores alike there; on the hard
+    # convoy set the default depth must be strictly more robust than tau 1
+    hard = ScenarioConfig.from_file(HARD_SCENARIO, "convoy")
+    robustness = {1: [], 9: []}
+    for seed in range(40):
+        scene = generate_scene(hard, seed)
+        b0 = scene.true_box(TARGET_ID, 0)
+        for tau, scores in robustness.items():
+            boxes, _ = run_sequence(MockTracker(scene), range(scene.length), b0,
+                                    EngineConfig(tau=tau))
+            scores.append(EvalReport.compute(boxes, scene, TARGET_ID).robustness)
+    assert _mean(robustness[9]) > _mean(robustness[1]), robustness
 
 
 @criterion(6, "forward-backward tracking closes the loop")

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import zero_iou_scene
 from retrack.cli import ConfigError, _aggregate, _parse_seeds, main
-from retrack.simworld import ScenarioConfig, generate_scene, load_scene, save_mot
+from retrack.simworld import ScenarioConfig, generate_scene, save_mot
 
 
 def _read_dir(path):
@@ -53,51 +53,38 @@ class TestAggregate:
         assert _aggregate(rows)["delta"]["robustness"] == 0.0
 
 
-class TestSimulate:
-    def test_writes_one_scene_per_seed(self, tmp_path, capsys):
-        out = tmp_path / "scenes"
-        assert main(["simulate", "--scenario", "crossing", "--seeds", "0:2",
-                     "--out", str(out)]) == 0
-        assert "wrote 2 scene(s)" in capsys.readouterr().out
-        names = sorted(p.name for p in out.iterdir())
-        assert names == ["scene_crossing_0000.json", "scene_crossing_0001.json"]
-        got = load_scene(out / "scene_crossing_0001.json")
-        want = generate_scene(ScenarioConfig("crossing"), 1)
-        assert got.to_jsonable() == want.to_jsonable()
+class TestConfigFile:
+    @staticmethod
+    def _track(tmp_path, config, name="runs"):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        out = tmp_path / name
+        code = main(["track", "--scenario", "convoy", "--seeds", "0", "--config", str(cfg),
+                     "--out", str(out)])
+        return code, out
 
     def test_config_file_overrides_defaults(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"kind": "convoy", "length": 32}')
-        out = tmp_path / "scenes"
-        assert main(["simulate", "--scenario", "convoy", "--seeds", "0",
-                     "--config", str(cfg), "--out", str(out)]) == 0
-        assert load_scene(out / "scene_convoy_0000.json").length == 32
+        code, out = self._track(tmp_path, '{"kind": "convoy", "length": 32}')
+        assert code == 0
+        assert len((out / "convoy_0000_engine.csv").read_text().splitlines()) == 2 + 32
 
     def test_config_file_may_leave_kind_out(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"length": 32}')
-        out = tmp_path / "scenes"
-        assert main(["simulate", "--scenario", "convoy", "--seeds", "0",
-                     "--config", str(cfg), "--out", str(out)]) == 0
-        got = load_scene(out / "scene_convoy_0000.json")
-        want = generate_scene(ScenarioConfig("convoy", length=32), 0)
-        assert got.to_jsonable() == want.to_jsonable()
+        assert self._track(tmp_path, '{"length": 32}', "without")[0] == 0
+        assert self._track(tmp_path, '{"kind": "convoy", "length": 32}', "with")[0] == 0
+        assert _read_dir(tmp_path / "without") == _read_dir(tmp_path / "with")
 
     def test_config_file_kind_must_match_the_scenario(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"kind": "crossing", "length": 32}')
-        assert main(["simulate", "--scenario", "convoy", "--seeds", "0",
-                     "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+        code, out = self._track(tmp_path, '{"kind": "crossing", "length": 32}')
+        assert code == 1
         err = capsys.readouterr().err
         assert "'crossing'" in err and "'convoy'" in err
-        assert not (tmp_path / "x").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", ['{"bogus": 1}', '[32]'])
     def test_bad_config_file(self, tmp_path, text):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(text)
-        assert main(["simulate", "--scenario", "convoy", "--config", str(cfg),
-                     "--out", str(tmp_path / "x")]) == 1
+        code, out = self._track(tmp_path, text)
+        assert code == 1
+        assert not out.exists()
 
 
 class TestTrack:
@@ -195,6 +182,22 @@ class TestTrack:
         assert main(["track", "--mot", str(gt), "--seeds", "0",
                      "--out", str(out)]) == 0
         assert (out / "gt_0000_engine.csv").exists()
+
+    def test_mot_file_is_read_once(self, tmp_path, monkeypatch):
+        """One parse serves the target check and every seed's scene."""
+        gt = tmp_path / "gt.txt"
+        save_mot(generate_scene(ScenarioConfig("convoy"), 0), gt)
+        opened = []
+        real_open = Path.open
+
+        def counting_open(path, *args, **kwargs):
+            opened.extend([path] if path == gt else [])
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", counting_open)
+        assert main(["track", "--mot", str(gt), "--seeds", "0:3", "--jobs", "1",
+                     "--out", str(tmp_path / "runs")]) == 0
+        assert len(opened) == 1
 
     def test_motion_box_rows_are_plain_floats(self, tmp_path):
         # the blackout scene selects the motion-predicted box on some frames
@@ -296,12 +299,13 @@ class TestEvaluate:
 
 class TestExitCodes:
     def test_success_is_zero(self, tmp_path):
-        assert main(["simulate", "--scenario", "deform", "--seeds", "0",
+        assert main(["track", "--scenario", "deform", "--seeds", "0",
                      "--out", str(tmp_path / "s")]) == 0
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
-        assert "simulate" in capsys.readouterr().out
+        listing = capsys.readouterr().out.split("Commands:")[1].strip().splitlines()
+        assert [line.split()[0] for line in listing] == ["evaluate", "track"]
 
     def test_no_command_exits_one(self, capsys):
         assert main([]) == 1
@@ -313,7 +317,7 @@ class TestExitCodes:
             raise click.ClickException("no seeds today")
 
         monkeypatch.setattr("retrack.cli._parse_seeds", fail)
-        assert main(["simulate", "--scenario", "convoy", "--out", str(tmp_path / "x")]) == 1
+        assert main(["track", "--scenario", "convoy", "--out", str(tmp_path / "x")]) == 1
         assert "error: no seeds today" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
@@ -331,7 +335,7 @@ class TestExitCodes:
         ["track", "--seeds", "0"],
         ["evaluate", "--scenario", "convoy", "--seeds", "0", "--ablate", "beta=2"],
         ["evaluate", "--scenario", "convoy", "--seeds", "0", "--target-id", "99"],
-        ["simulate", "--scenario", "convoy", "--seeds", "-3:2"],
+        ["track", "--scenario", "convoy", "--seeds", "-3:2"],
         ["evaluate", "--scenario", "convoy", "--seeds", "1,1"],
         ["evaluate", "--scenario", "convoy", "--seeds", "0", "--ablate", "tau=0"],
         ["track", "--scenario", "convoy", "--seeds", "0", "--jobs", "0"],
@@ -395,7 +399,7 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["simulate", "evaluate"])
+    @pytest.mark.parametrize("command", ["track", "evaluate"])
     @pytest.mark.parametrize("scenario, length", [("convoy", 18), ("deform", 27)])
     def test_scene_too_short_for_its_event_fails_before_any_output(
             self, tmp_path, capsys, command, scenario, length):

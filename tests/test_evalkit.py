@@ -4,7 +4,7 @@ import pytest
 from conftest import box_scene, shifted
 from retrack.evalkit import REANCHOR_SKIP, EvalReport
 from retrack.geometry import BBox
-from retrack.simworld import ObjectSpec, Path, Scene
+from retrack.simworld import ObjectSpec, Scene
 
 BOX = BBox(20.0, 20.0, 10.0, 10.0)
 FAR = BBox(300.0, 300.0, 10.0, 10.0)
@@ -21,15 +21,15 @@ def _true_path(scene, obj_id):
     return [scene.true_box(obj_id, f) for f in range(scene.length)]
 
 
-def _static(cx, cy, size=10.0):
-    return Path("linear", size=(size, size), waypoints=((0, cx, cy),))
+def _static(cx, cy, length, size=10.0):
+    """The boxes of an object that stands centred on (cx, cy) for `length` frames."""
+    return (BBox(cx - size / 2.0, cy - size / 2.0, size, size),) * length
 
 
 def _two_object_scene(length=8):
-    a = ObjectSpec(1, _static(5.0, 5.0), (1.0, 0.0, 0.0, 0.0))
-    b = ObjectSpec(2, _static(105.0, 105.0), (0.0, 1.0, 0.0, 0.0))
-    return Scene(length, (512.0, 512.0), 0, (a, b),
-                 static_appearance=(0.0, 0.0, 1.0, 0.0))
+    a = ObjectSpec(1, _static(5.0, 5.0, length), (1.0, 0.0, 0.0, 0.0))
+    b = ObjectSpec(2, _static(105.0, 105.0, length), (0.0, 1.0, 0.0, 0.0))
+    return Scene(length, 0, (a, b), static_appearance=(0.0, 0.0, 1.0, 0.0))
 
 
 class TestVotMetrics:

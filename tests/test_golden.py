@@ -56,3 +56,11 @@ def test_evaluation_digest_is_that_of_the_evaluate_command(tmp_path):
     row = _eval_table()[("deform", "3", "0.3")]
     text = (tmp_path / "comparison.csv").read_bytes()
     assert row.split("\t")[3] == hashlib.sha256(text).hexdigest()
+
+
+def test_hard_evaluation_digest_is_that_of_the_evaluate_command(tmp_path):
+    assert main(["evaluate", "--scenario", "convoy", "--config", str(golden.HARD),
+                 "--seeds", "2", "--out", str(tmp_path)]) == 0
+    row = _eval_table()[("hard_convoy", "2", "0.0")]
+    text = (tmp_path / "comparison.csv").read_bytes()
+    assert row.split("\t")[3] == hashlib.sha256(text).hexdigest()

@@ -1,7 +1,8 @@
 """Scene scripting, the scene-backed mock tracker, and MOT file I/O."""
-import json
 import logging
 import math
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,10 +14,10 @@ from retrack.engine import EngineConfig, run_baseline, run_sequence
 from retrack.evalkit import EvalReport
 from retrack.geometry import BBox, iou
 from retrack.simworld import (SEARCH_RADIUS_SCALE, STATIC, MockTracker, MotFormatError,
-                              ObjectSpec, OcclusionEvent, Path, ScenarioConfig, Scene,
+                              ObjectSpec, OcclusionEvent, ScenarioConfig, Scene,
                               _tapered_occlusion, _unit_with_cosine,
-                              _visibility_to_events, generate_scene, load_mot,
-                              load_scene, save_mot, save_scene)
+                              _visibility_to_events, generate_scene, load_mot, mot_scene,
+                              parse_mot, save_mot)
 
 DIM = 4
 E0 = (1.0, 0.0, 0.0, 0.0)
@@ -24,13 +25,14 @@ E1 = (0.0, 1.0, 0.0, 0.0)
 WALL = (0.0, 0.0, 1.0, 0.0)
 
 
-def _static(cx, cy, size=10.0):
-    return Path("linear", size=(size, size), waypoints=((0, cx, cy),))
+def _static(cx, cy, size=10.0, length=6):
+    """The boxes of an object that stands centred on (cx, cy) for `length` frames."""
+    return (BBox(cx - size / 2.0, cy - size / 2.0, size, size),) * length
 
 
 def _scene(objects, length=6, **kw):
     kw.setdefault("static_appearance", WALL)
-    return Scene(length, (512.0, 512.0), 0, tuple(objects), **kw)
+    return Scene(length, 0, tuple(objects), **kw)
 
 
 class TestOcclusionEvent:
@@ -49,37 +51,6 @@ class TestOcclusionEvent:
         with pytest.raises(ValueError):
             OcclusionEvent(0, 1, STATIC, 1.5)
         assert OcclusionEvent(0, 0, STATIC, 1.0).severity == 1.0
-
-
-class TestPath:
-    def test_linear_interpolates_and_clamps(self):
-        p = Path("linear", size=(10.0, 20.0),
-                 waypoints=((2, 100.0, 50.0), (6, 140.0, 50.0)))
-        assert p.box_at(4).as_tuple() == (115.0, 40.0, 10.0, 20.0)
-        # clamped flat outside the waypoint span
-        assert p.box_at(0).as_tuple() == p.box_at(2).as_tuple()
-        assert p.box_at(9).as_tuple() == p.box_at(6).as_tuple()
-
-    def test_sine_sweeps_the_named_axis(self):
-        p = Path("sine", size=(4.0, 4.0), start=(10.0, 20.0),
-                 velocity=(2.0, 0.0), amplitude=5.0, period=8.0, axis="y")
-        b = p.box_at(2)  # sin(pi/2) = 1
-        assert b.cx == pytest.approx(14.0)
-        assert b.cy == pytest.approx(25.0)
-        px = Path("sine", size=(4.0, 4.0), start=(10.0, 20.0),
-                  velocity=(0.0, 0.0), amplitude=5.0, period=8.0, axis="x")
-        assert px.box_at(2).cx == pytest.approx(15.0)
-        assert px.box_at(2).cy == pytest.approx(20.0)
-
-    def test_frames_kind_indexes_stored_boxes(self):
-        p = Path("frames", boxes=((0.0, 0.0, 5.0, 5.0), (1.0, 2.0, 5.0, 5.0)))
-        assert p.box_at(1).as_tuple() == (1.0, 2.0, 5.0, 5.0)
-
-    def test_bad_paths(self):
-        with pytest.raises(ValueError):
-            Path("spline").box_at(0)
-        with pytest.raises(ValueError):
-            Path("linear").box_at(0)
 
 
 class TestObjectSpec:
@@ -134,14 +105,14 @@ class TestScene:
         assert eff[0] == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
 
     def test_wall_appearance_derived_deterministically(self):
-        obj = ObjectSpec(1, _static(0, 0), E0)
-        one = Scene(4, (64.0, 64.0), 9, (obj,))
-        two = Scene(4, (64.0, 64.0), 9, (obj,))
+        obj = ObjectSpec(1, _static(0, 0, length=4), E0)
+        one = Scene(4, 9, (obj,))
+        two = Scene(4, 9, (obj,))
         assert one.static_appearance == two.static_appearance
         assert np.linalg.norm(one.static_appearance) == pytest.approx(1.0)
 
     def test_drift_walk_is_deterministic_and_unit_norm(self):
-        obj = ObjectSpec(1, _static(0, 0), E0, drift=0.1)
+        obj = ObjectSpec(1, _static(0, 0, length=10), E0, drift=0.1)
         one, two = _scene([obj], length=10), _scene([obj], length=10)
         for f in range(10):
             a = one.effective_appearance(1, f)
@@ -158,70 +129,20 @@ class TestScene:
 
 
 class TestSceneSerialization:
-    def _sample(self):
-        target = ObjectSpec(1, Path("sine", size=(8.0, 8.0), start=(10.0, 20.0),
-                                    velocity=(1.5, 0.0), amplitude=3.0,
-                                    period=16.0, axis="y"),
-                            E0, drift=0.05, drift_spikes=((2, 4, 0.3),),
+    """A scene is built from specs, which a generator or a MOT file hands
+    over; a spec no scene can use fails when it is built."""
+
+    @staticmethod
+    def _objects():
+        target = ObjectSpec(1, _static(10.0, 20.0, size=8.0, length=8), E0, drift=0.05,
+                            drift_spikes=((2, 4, 0.3),),
                             occlusions=(OcclusionEvent(1, 3, STATIC, 0.25),
                                         OcclusionEvent(5, 5, 2, 0.5)))
-        other = ObjectSpec(2, _static(100, 100), E1)
-        return _scene([target, other], length=8)
-
-    def _mot_loaded(self, tmp_path):
-        p = tmp_path / "gt.txt"
-        save_mot(generate_scene(ScenarioConfig("convoy"), 103), p)
-        return load_mot(p, seed=103)
-
-    @pytest.mark.parametrize("source, kinds", [("sample", {"linear", "sine"}),
-                                               ("mot", {"frames"})],
-                             ids=["linear_sine", "mot_frames"])
-    def test_json_round_trip_preserves_world(self, source, kinds, tmp_path):
-        scene = self._sample() if source == "sample" else self._mot_loaded(tmp_path)
-        assert {o.path.kind for o in scene.objects} == kinds
-        back = Scene.from_jsonable(json.loads(json.dumps(scene.to_jsonable())))
-        assert back.objects == scene.objects
-        assert back.to_jsonable() == scene.to_jsonable()
-        for obj_id in scene.ids():
-            for f in range(scene.length):
-                assert back.true_box(obj_id, f) == scene.true_box(obj_id, f)
-                assert back.visibility(obj_id, f) == scene.visibility(obj_id, f)
-                np.testing.assert_array_equal(back.effective_appearance(obj_id, f),
-                                              scene.effective_appearance(obj_id, f))
-
-    def test_file_round_trip(self, tmp_path):
-        scene = self._sample()
-        target = tmp_path / "scene.json"
-        save_scene(scene, target)
-        assert load_scene(target).to_jsonable() == scene.to_jsonable()
-
-    def test_rejects_unknown_format(self):
-        data = self._sample().to_jsonable()
-        data["format"] = "retrack-scene-v0"
-        with pytest.raises(ValueError):
-            Scene.from_jsonable(data)
-
-    @pytest.mark.parametrize("entry", ["object", "path", "occlusion"])
-    @pytest.mark.parametrize("change", ["missing", "unknown"])
-    def test_entry_keys_must_match_the_dataclass_fields(self, entry, change):
-        data = json.loads(json.dumps(self._sample().to_jsonable()))
-        target = data["objects"][0]
-        if entry == "path":
-            target = target["path"]
-        elif entry == "occlusion":
-            target = target["occlusions"][0]
-        if change == "missing":
-            name = next(k for k in target if k not in ("path", "occlusions"))
-            del target[name]
-        else:
-            name = "colour"
-            target[name] = 1
-        with pytest.raises(ValueError, match=f"{change} keys \\[{name!r}\\]"):
-            Scene.from_jsonable(data)
+        return target, ObjectSpec(2, _static(100, 100, length=8), E1)
 
     @pytest.mark.parametrize("change, message", [
-        ("short_frames", "object 2: its frames path holds 7 boxes"),
-        ("long_frames", "object 2: its frames path holds 9 boxes"),
+        ("short_frames", "object 2: its path holds 7 boxes, the scene 8 frames"),
+        ("long_frames", "object 2: its path holds 9 boxes, the scene 8 frames"),
         ("unknown_occluder", "object 1: occluder 3 is neither"),
         ("static_dimension", "static_appearance has dimension 3, object 1"),
         ("object_dimension", "object 2: appearance of shape \\(3,\\), not \\(4,\\)"),
@@ -243,39 +164,41 @@ class TestSceneSerialization:
         """Unchecked, each would fail later with an error that names no
         object, mid-run with a NaN score, or run silently on a truncated
         path."""
-        data = json.loads(json.dumps(self._sample().to_jsonable()))
-        target, other = data["objects"]
-        if change.endswith("_frames"):
-            n = 7 if change == "short_frames" else 9
-            other["path"].update(kind="frames", boxes=[[95.0, 95.0, 10.0, 10.0]] * n)
-        elif change == "unknown_occluder":
-            target["occlusions"][1]["occluder"] = 3
-        elif change == "static_dimension":
-            data["static_appearance"] = data["static_appearance"][:3]
-        elif change == "object_dimension":
-            other["appearance"] = other["appearance"][:3]
-        elif change == "object_zero":
-            other["appearance"] = [0.0] * DIM
-        elif change == "object_nan":
-            target["appearance"][1] = math.nan
-        elif change == "static_zero":
-            data["static_appearance"] = [0.0] * DIM
-        elif change == "static_nan":
-            data["static_appearance"][3] = math.nan
-        elif change == "drift_nan":
-            target["drift"] = math.nan
-        elif change == "drift_negative":
-            other["drift"] = -0.01
-        elif change.startswith("spike_"):
-            start, end, rate = target["drift_spikes"][0]
-            target["drift_spikes"][0] = {"spike_nan": [start, end, math.nan],
-                                         "spike_negative": [start, end, -rate],
-                                         "spike_reversed": [end, start, rate]}[change]
-        else:  # object 2 occludes object 1 at half strength over frame 5
-            target.update(drift=0.0, drift_spikes=[])
-            other["appearance"] = [-v for v in target["appearance"]]
+        target, other = self._objects()
+        wall = WALL
         with pytest.raises(ValueError, match=message):
-            Scene.from_jsonable(json.loads(json.dumps(data)))
+            if change.endswith("_frames"):
+                n = 7 if change == "short_frames" else 9
+                other = replace(other, boxes=(BBox(95.0, 95.0, 10.0, 10.0),) * n)
+            elif change == "unknown_occluder":
+                first, second = target.occlusions
+                target = replace(target, occlusions=(first, replace(second, occluder=3)))
+            elif change == "static_dimension":
+                wall = WALL[:3]
+            elif change == "object_dimension":
+                other = replace(other, appearance=other.appearance[:3])
+            elif change == "object_zero":
+                other = replace(other, appearance=(0.0,) * DIM)
+            elif change == "object_nan":
+                target = replace(target, appearance=(1.0, math.nan, 0.0, 0.0))
+            elif change == "static_zero":
+                wall = (0.0,) * DIM
+            elif change == "static_nan":
+                wall = WALL[:3] + (math.nan,)
+            elif change == "drift_nan":
+                target = replace(target, drift=math.nan)
+            elif change == "drift_negative":
+                other = replace(other, drift=-0.01)
+            elif change.startswith("spike_"):
+                start, end, rate = target.drift_spikes[0]
+                spike = {"spike_nan": (start, end, math.nan),
+                         "spike_negative": (start, end, -rate),
+                         "spike_reversed": (end, start, rate)}[change]
+                target = replace(target, drift_spikes=(spike,))
+            else:  # object 2 occludes object 1 at half strength over frame 5
+                target = replace(target, drift=0.0, drift_spikes=())
+                other = replace(other, appearance=tuple(-v for v in target.appearance))
+            _scene([target, other], length=8, static_appearance=wall)
 
 
 class TestSceneTables:
@@ -288,17 +211,16 @@ class TestSceneTables:
     def _scene(source, tmp_path):
         if source in ("crossing", "convoy", "deform"):
             return generate_scene(ScenarioConfig(source), 7)
-        scene = generate_scene(ScenarioConfig("convoy"), 103)
-        if source == "json":
-            return Scene.from_jsonable(json.loads(json.dumps(scene.to_jsonable())))
-        save_mot(scene, tmp_path / "gt.txt")
+        save_mot(generate_scene(ScenarioConfig("convoy"), 103), tmp_path / "gt.txt")
         return load_mot(tmp_path / "gt.txt", seed=103)
 
-    @pytest.mark.parametrize("source", ["crossing", "convoy", "deform", "json", "mot"])
+    @pytest.mark.parametrize("source", ["crossing", "convoy", "deform", "mot"])
     def test_one_table_per_id_serves_every_query(self, source, tmp_path):
         scene = self._scene(source, tmp_path)
         assert list(scene._tables) == scene.ids()
         for row, (obj_id, table) in enumerate(scene._tables.items()):
+            # the table holds the spec's own boxes, not a copy
+            assert table.boxes is scene.objects[row].boxes
             assert len(table.boxes) == len(table.visibility) == len(table.appearance) \
                 == scene.length
             for f, box in enumerate(table.boxes):
@@ -312,7 +234,7 @@ class TestSceneTables:
         rows = [r.tobytes() for r in scene._appearances]
         assert len(set(rows)) == len(rows)
 
-    @pytest.mark.parametrize("source", ["crossing", "convoy", "deform", "json", "mot"])
+    @pytest.mark.parametrize("source", ["crossing", "convoy", "deform", "mot"])
     def test_centre_columns_equal_box_centres(self, source, tmp_path):
         scene = self._scene(source, tmp_path)
         for boxes, _vis, _eff, cxs, cys in scene._tables.values():
@@ -324,8 +246,8 @@ class TestSceneTables:
 
 class TestMockTracker:
     def _world(self):
-        near = ObjectSpec(1, _static(135.0, 20.0), E0)     # 120 px from prior
-        far = ObjectSpec(2, _static(145.0, 20.0), E1)      # 130 px, out of range
+        near = ObjectSpec(1, _static(135.0, 20.0, length=4), E0)  # 120 px from prior
+        far = ObjectSpec(2, _static(145.0, 20.0, length=4), E1)   # 130 px, out of range
         return _scene([near, far], length=4)
 
     def test_search_radius_gates_proposals(self):
@@ -537,9 +459,11 @@ class TestScenarioGeneration:
     def test_generation_is_deterministic(self):
         for kind in ("crossing", "convoy", "deform"):
             cfg = ScenarioConfig(kind)
-            a = generate_scene(cfg, 5).to_jsonable()
-            b = generate_scene(cfg, 5).to_jsonable()
-            assert a == b
+            a, b = generate_scene(cfg, 5), generate_scene(cfg, 5)
+            assert a.objects == b.objects
+            assert a.static_appearance == b.static_appearance
+            assert a._tables == b._tables
+            np.testing.assert_array_equal(a._appearances, b._appearances)
 
     def test_crossing_structure(self):
         cfg = ScenarioConfig("crossing")
@@ -665,6 +589,22 @@ class TestMotRoundTrip:
             for f in range(scene.length):
                 assert back.true_box(obj_id, f) == scene.true_box(obj_id, f)
                 assert back.visibility(obj_id, f) == scene.visibility(obj_id, f)
+
+    def test_parsed_tracks_build_each_seeds_scene(self, tmp_path):
+        """The file is parsed once; only the appearances depend on the seed."""
+        p = tmp_path / "gt.txt"
+        save_mot(generate_scene(ScenarioConfig("convoy"), 103), p)
+        tracks = parse_mot(p)
+        assert pickle.loads(pickle.dumps(tracks)) == tracks
+        assert [t[0] for t in tracks] == [1, 2]
+        scenes = [mot_scene(tracks, seed) for seed in (0, 5)]
+        for scene, seed in zip(scenes, (0, 5)):
+            loaded = load_mot(p, seed)
+            assert scene.objects == loaded.objects
+        one, five = (s.objects for s in scenes)
+        for a, b in zip(one, five):
+            assert (a.id, a.boxes, a.occlusions) == (b.id, b.boxes, b.occlusions)
+            assert a.appearance != b.appearance
 
     def test_visibility_runs_become_events(self):
         events = _visibility_to_events([1.0, 0.75, 0.75, 0.5, 1.0])
