@@ -6,10 +6,10 @@ is written and built per seed, the seed drawing only the appearances.
 
 Every command is reproducible from its flags and seeds alone: no setting
 is read from the environment, outputs embed the resolved configuration and
-contain no timestamps. Re-running a command produces byte-identical files,
-except for the seconds per frame `evaluate` writes (`*_spf` in
-`report.json`, `ablation_*.csv`'s last column). `--config` applies to
-`--scenario` only; given with `--mot`, it is an error.
+contain no timestamps or wall times. Re-running a command, at any `--jobs`,
+produces byte-identical files. `evaluate` states the engine's cost as
+backbone passes, which the mock port counts (`MockTracker.port_frames`).
+`--config` applies to `--scenario` only; given with `--mot`, it is an error.
 
 One job per seed builds its scene and runs the baseline once, then the
 engine once per distinct config: `track`'s one config (none under
@@ -21,7 +21,6 @@ import contextlib
 import dataclasses
 import json
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path as FsPath
 
@@ -30,7 +29,7 @@ import click
 from .engine import EngineConfig, run_baseline, run_sequence
 from .evalkit import EvalReport, check_fail_iou
 from .geometry import BBox
-from .simworld import (SCENARIOS, MockTracker, MotFormatError, MotTracks, Scene,
+from .simworld import (SCENARIO_IDS, SCENARIOS, MockTracker, MotFormatError, MotTracks, Scene,
                        ScenarioConfig, generate_scene, mot_scene, parse_mot)
 
 TRACK_FORMAT = "retrack-track-v1"
@@ -91,26 +90,20 @@ class RunSpec:
         return generate_scene(self.scenario_cfg, self.seed)
 
 
-def _timed(fn, *args) -> tuple:
-    start = time.perf_counter()
-    return fn(*args), time.perf_counter() - start
-
-
 def _execute_run(spec: RunSpec, cfgs: list[EngineConfig]) -> tuple:
     """Build the scene once, run the baseline, then the engine under each of
-    `cfgs`. Returns the scene, the target, the baseline as `(boxes,
-    seconds)` and one `(boxes, records, seconds)` per config."""
+    `cfgs`, each run on its own port. Returns the scene, the target, the
+    baseline's boxes and one `(boxes, records, port_frames)` per config."""
     scene = spec.build_scene()
     target = min(scene.ids()) if spec.target_id is None else spec.target_id
     frames = range(scene.length)
     b0 = scene.true_box(target, 0)
-    baseline_run = _timed(run_baseline, MockTracker(scene), frames, b0)
+    baseline = run_baseline(MockTracker(scene), frames, b0)
     engine_runs = []
     for cfg in cfgs:
-        (boxes, records), seconds = _timed(run_sequence, MockTracker(scene),
-                                           frames, b0, cfg)
-        engine_runs.append((boxes, records, seconds))
-    return scene, target, baseline_run, engine_runs
+        port = MockTracker(scene)
+        engine_runs.append((*run_sequence(port, frames, b0, cfg), port.port_frames))
+    return scene, target, baseline, engine_runs
 
 
 def _boxes_csv(boxes: list[BBox], config: dict) -> str:
@@ -130,7 +123,7 @@ def _records_jsonl(records: list[dict], config: dict) -> str:
 
 def _track_one(args: tuple[RunSpec, EngineConfig, bool, str]) -> str:
     spec, engine_cfg, baseline_only, out_dir = args
-    _, target, (baseline, _), engine_runs = _execute_run(
+    _, target, baseline, engine_runs = _execute_run(
         spec, [] if baseline_only else [engine_cfg])
     out = FsPath(out_dir)
     config = {"engine": engine_cfg.as_dict(), "seed": spec.seed, "target": target,
@@ -143,17 +136,17 @@ def _track_one(args: tuple[RunSpec, EngineConfig, bool, str]) -> str:
     return spec.name
 
 
-def _eval_one(args: tuple[RunSpec, list[EngineConfig], float]) -> list[dict]:
-    """One comparison row per config in `cfgs`, each scored against the
-    seed's one baseline report."""
+def _eval_one(args: tuple[RunSpec, list[EngineConfig], float]) -> tuple[int, list[dict]]:
+    """The seed's stepped frames, and one comparison row per config in
+    `cfgs`, each scored against the seed's one baseline report."""
     spec, cfgs, fail_iou = args
-    scene, target, (baseline, baseline_s), engine_runs = _execute_run(spec, cfgs)
+    scene, target, baseline, engine_runs = _execute_run(spec, cfgs)
     base = EvalReport.compute(baseline, scene, target, fail_iou).as_dict()
-    return [{"name": spec.name, "seed": spec.seed,
-             "baseline": base, "baseline_spf": baseline_s / scene.length,
-             "engine": EvalReport.compute(boxes, scene, target, fail_iou).as_dict(),
-             "engine_spf": seconds / scene.length}
-            for boxes, _, seconds in engine_runs]
+    return scene.length - 1, [
+        {"name": spec.name, "seed": spec.seed, "baseline": base,
+         "engine": EvalReport.compute(boxes, scene, target, fail_iou).as_dict(),
+         "port_frames": port_frames}
+        for boxes, _, port_frames in engine_runs]
 
 
 def _map_jobs(fn, items: list, jobs: int) -> list:
@@ -219,8 +212,7 @@ def _make_specs(scenario, mot_path, config_path, seeds, target_id) -> list[RunSp
                      target_id=target_id)
              for seed in seed_list]
     if target_id is not None:
-        # a generated scene's ids come from its scenario, never from its seed
-        ids = [t[0] for t in tracks] if tracks else specs[0].build_scene().ids()
+        ids = [t[0] for t in tracks] if tracks else list(SCENARIO_IDS)
         if target_id not in ids:
             raise ConfigError(f"target id {target_id} not present in scene (have {ids})")
     return specs
@@ -272,9 +264,9 @@ def cmd_evaluate(scenario, mot_path, config_path, seeds, target_id, tau, no_kalm
     out = FsPath(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    # per seed, one row per config in `cfgs`; the main config's is first
+    # per seed, its stepped frames and one row per config in `cfgs`, main first
     per_seed = _map_jobs(_eval_one, [(s, cfgs, fail_iou) for s in specs], jobs)
-    rows = [seed_rows[0] for seed_rows in per_seed]
+    rows = [seed_rows[0] for _, seed_rows in per_seed]
     aggregate = _aggregate(rows)
     report = {
         "config": {"engine": engine_cfg.as_dict(), "fail_iou": fail_iou,
@@ -289,25 +281,23 @@ def cmd_evaluate(scenario, mot_path, config_path, seeds, target_id, tau, no_kalm
                f"delta {aggregate['delta']['robustness']:+.3f}")
 
     if ablate:
-        lines = [f"{axis},auc,robustness,seconds_per_frame"]
+        steps = sum(seed_steps for seed_steps, _ in per_seed)
+        lines = [f"{axis},auc,robustness,port_frames_per_frame"]
         for value, cfg in zip(values, swept):
-            col = [seed_rows[cfgs.index(cfg)] for seed_rows in per_seed]
+            col = [seed_rows[cfgs.index(cfg)] for _, seed_rows in per_seed]
             engine = _aggregate(col)["engine"]
-            spf = sum(r["engine_spf"] for r in col) / len(col)
-            lines.append(f"{int(value)},{engine['auc']!r},{engine['robustness']!r},{spf!r}")
+            cost = sum(r["port_frames"] for r in col) / steps
+            lines.append(f"{int(value)},{engine['auc']!r},{engine['robustness']!r},{cost!r}")
         (out / f"ablation_{axis}.csv").write_text("\n".join(lines) + "\n")
     click.echo(f"report written to {out}")
 
 
 def _aggregate(rows: list[dict]) -> dict:
-    keys = rows[0]["baseline"].keys()
-    agg: dict = {"baseline": {}, "engine": {}, "delta": {}}
-    for key in keys:
-        base = sum(r["baseline"][key] for r in rows) / len(rows)
-        eng = sum(r["engine"][key] for r in rows) / len(rows)
-        agg["baseline"][key] = base
-        agg["engine"][key] = eng
-        agg["delta"][key] = eng - base
+    """Each metric's mean over `rows`, for the baseline and the engine, and
+    the engine's minus the baseline's."""
+    agg = {side: {key: sum(r[side][key] for r in rows) / len(rows) for key in rows[0][side]}
+           for side in ("baseline", "engine")}
+    agg["delta"] = {key: eng - agg["baseline"][key] for key, eng in agg["engine"].items()}
     return agg
 
 

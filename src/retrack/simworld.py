@@ -35,6 +35,8 @@ SEARCH_RADIUS_SCALE = 2.5
 
 APPEARANCE_DIM = 16  # appearance length of generated and MOT-loaded scenes
 
+SCENARIO_IDS = (1, 2)  # every generated scene's ids: the scripted target's, the other's
+
 
 class MotFormatError(ValueError):
     """A MOT ground-truth file violated the expected row format."""
@@ -314,6 +316,8 @@ class MockTracker(TrackerPort):
     conformance check in `tests/conformance.py` holds the two equal.
     A port frame reads each object's centre for the range test; only an
     object in range has its score looked up and its true box read.
+    `port_frames` counts the backbone passes asked of this port, the
+    engine's cost: one per `propose` call, one per `track_segment` frame.
     """
 
     def __init__(self, scene: Scene):
@@ -322,6 +326,7 @@ class MockTracker(TrackerPort):
         # exact tuple, and walks a tuple, faster than a NamedTuple in a dict
         self._tables = tuple(map(tuple, scene._tables.values()))
         self._templates: dict[int | None, _Cosines] = {}  # row index, None for zeros
+        self.port_frames = 0
 
     def _check_frame(self, frame: int) -> None:
         if not (0 <= frame < self.scene.length):
@@ -343,6 +348,7 @@ class MockTracker(TrackerPort):
 
     def propose(self, template: _Cosines, frame: int, prior: BBox) -> RawCandidates:
         self._check_frame(frame)
+        self.port_frames += 1
         # the prior's centre exactly as `BBox.cx` and `.cy`
         pw, ph = prior.w, prior.h
         pcx, pcy = prior.x + pw / 2.0, prior.y + ph / 2.0
@@ -368,6 +374,7 @@ class MockTracker(TrackerPort):
         frames = segment_frames(frames)
         self._check_frame(frames[0])
         self._check_frame(frames[-1])
+        self.port_frames += len(frames)
         tables = self._tables
         hypot = math.hypot
         prior = start
@@ -515,17 +522,18 @@ def _lane(cfg: ScenarioConfig, x0: float, x1: float, cy: float) -> tuple[BBox, .
 def _pair_scene(cfg: ScenarioConfig, seed: int, rng: np.random.Generator, similarity: float,
                 target_boxes: tuple[BBox, ...], other_boxes: tuple[BBox, ...],
                 **script) -> Scene:
-    """The scene of target 1, which takes `script` (its `occlusions` or
-    `drift_spikes`), and object 2. Their appearances are drawn last from
-    `rng`, at cosine `similarity`, plus a wall vector orthogonal to both so
-    static occlusion adds no bias."""
+    """The scene of the target, which takes `script` (its `occlusions` or
+    `drift_spikes`), and one other object, ids `SCENARIO_IDS`. Their
+    appearances are drawn last from `rng`, at cosine `similarity`, plus a
+    wall vector orthogonal to both so static occlusion adds no bias."""
     u = _random_unit(rng, cfg.appearance_dim)
     v = _unit_with_cosine(rng, u, similarity)
     residual = v - np.dot(v, u) * u
     basis = [u] if np.linalg.norm(residual) < 1e-12 else [u, _unit(residual, "a residual")]
     wall = _orthogonal_unit(rng, basis)
-    target = ObjectSpec(1, target_boxes, tuple(map(float, u)), drift=cfg.drift, **script)
-    other = ObjectSpec(2, other_boxes, tuple(map(float, v)), drift=cfg.drift)
+    target = ObjectSpec(SCENARIO_IDS[0], target_boxes, tuple(map(float, u)), drift=cfg.drift,
+                        **script)
+    other = ObjectSpec(SCENARIO_IDS[1], other_boxes, tuple(map(float, v)), drift=cfg.drift)
     return Scene(cfg.length, seed, (target, other), static_appearance=tuple(map(float, wall)))
 
 

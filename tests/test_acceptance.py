@@ -191,25 +191,11 @@ def test_history_depth_tradeoff(corpus):
             steps += scene.length - 1
         return (time.perf_counter() - t0) / steps
 
-    class CountingTracker(MockTracker):
-        """Counts backbone passes: one per `propose`, one per chain frame."""
-
-        port_frames = 0
-
-        def propose(self, template, frame, prior):
-            self.port_frames += 1
-            return super().propose(template, frame, prior)
-
-        def track_segment(self, template, start, frames):
-            chain = super().track_segment(template, start, frames)
-            self.port_frames += len(chain.boxes)
-            return chain
-
     def port_frames_per_frame(tau):
         cfg = EngineConfig(tau=tau)
         port_frames = steps = 0
         for scene, b0 in starts:
-            port = CountingTracker(scene)
+            port = MockTracker(scene)
             run_sequence(port, range(scene.length), b0, cfg)
             port_frames += port.port_frames
             steps += scene.length - 1
@@ -295,27 +281,24 @@ def test_property_volume():
     assert soft_nms(pair, [0, 1], 0.25, 0.01) == [(0, 0.9)]
 
 
-@criterion(8, "reruns of the tracking command are byte-identical")
+@criterion(8, "reruns of track and evaluate are byte-identical")
 def test_track_determinism(tmp_path):
-    def run(out_dir):
-        code = cli_main(
-            [
-                "track",
-                "--scenario",
-                "crossing",
-                "--seeds",
-                "0:3",
-                "--out",
-                str(out_dir),
-            ]
-        )
+    def run(out_dir, *args):
+        code = cli_main([*args, "--scenario", "crossing", "--seeds", "0:3",
+                         "--out", str(out_dir)])
         assert code == 0
         return {p.name: p.read_bytes() for p in out_dir.iterdir()}
 
-    first = run(tmp_path / "a")
-    second = run(tmp_path / "b")
+    first = run(tmp_path / "a", "track")
+    second = run(tmp_path / "b", "track")
     assert len(first) == 9
     assert first == second
+
+    sweep = ("evaluate", "--ablate", "tau=1,3,9")
+    first = run(tmp_path / "c", *sweep)
+    assert sorted(first) == ["ablation_tau.csv", "comparison.csv", "report.json"]
+    assert run(tmp_path / "d", *sweep) == first
+    assert run(tmp_path / "e", *sweep, "--jobs", "2") == first
 
 
 @criterion(9, "annotation files round-trip exactly and reject bad rows")

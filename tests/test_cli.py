@@ -199,6 +199,20 @@ class TestTrack:
                      "--out", str(tmp_path / "runs")]) == 0
         assert len(opened) == 1
 
+    def test_each_seed_generates_its_scene_once(self, tmp_path, monkeypatch):
+        """`--target-id` is checked against the scenario ids, with no scene
+        built for it."""
+        seeds = []
+
+        def counting_generate(cfg, seed):
+            seeds.append(seed)
+            return generate_scene(cfg, seed)
+
+        monkeypatch.setattr("retrack.cli.generate_scene", counting_generate)
+        assert main(["track", "--scenario", "convoy", "--seeds", "0:3", "--target-id", "2",
+                     "--jobs", "1", "--out", str(tmp_path / "runs")]) == 0
+        assert seeds == [0, 1, 2]
+
     def test_motion_box_rows_are_plain_floats(self, tmp_path):
         # the blackout scene selects the motion-predicted box on some frames
         mot = tmp_path / "z.txt"
@@ -256,43 +270,58 @@ class TestEvaluate:
         assert main(["evaluate", "--scenario", "convoy", "--seeds", "0:2",
                      "--ablate", "tau=1,3", "--out", str(out)]) == 0
         lines = (out / "ablation_tau.csv").read_text().splitlines()
-        assert lines[0] == "tau,auc,robustness,seconds_per_frame"
+        assert lines[0] == "tau,auc,robustness,port_frames_per_frame"
         assert [l.split(",")[0] for l in lines[1:]] == ["1", "3"]
+
+    def test_tau_sweep_cost_is_exact(self, tmp_path):
+        """Backbone passes per stepped frame on convoy 100-109, counted
+        before the column existed by a port subclass counting one pass per
+        `propose` call and one per chain frame."""
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--scenario", "convoy", "--seeds", "100:110",
+                     "--ablate", "tau=1,3,9,27", "--out", str(out)]) == 0
+        lines = (out / "ablation_tau.csv").read_text().splitlines()
+        assert [line.split(",")[3] for line in lines[1:]] == [
+            "2.4984126984126984", "5.447619047619048", "14.714285714285714",
+            "46.16825396825397"]
 
     def test_kalman_ablation_csv(self, tmp_path):
         out = tmp_path / "eval"
         assert main(["evaluate", "--scenario", "convoy", "--seeds", "0",
                      "--ablate", "kalman", "--out", str(out)]) == 0
         lines = (out / "ablation_kalman.csv").read_text().splitlines()
-        assert lines[0] == "kalman,auc,robustness,seconds_per_frame"
+        assert lines[0] == "kalman,auc,robustness,port_frames_per_frame"
         assert [l.split(",")[0] for l in lines[1:]] == ["1", "0"]
 
     # look-alike neighbors and heavy occlusion: backtrack depth changes the
     # engine's result on these two convoy seeds
-    HARD_CONVOY = ["evaluate", "--scenario", "convoy", "--config",
-                   str(Path(__file__).parent / "hard_scenario.json"), "--seeds", "0:2"]
+    HARD = Path(__file__).parent / "hard_scenario.json"
+    HARD_CONVOY = ["evaluate", "--scenario", "convoy", "--config", str(HARD), "--seeds", "0:2"]
 
     def test_sweep_values_are_those_of_standalone_runs(self, tmp_path):
         # tau=9 is the main config: its sweep row reuses the main run
         base = self.HARD_CONVOY
         assert main(base + ["--ablate", "tau=1,9", "--out", str(tmp_path / "sweep")]) == 0
         lines = (tmp_path / "sweep" / "ablation_tau.csv").read_text().splitlines()
-        swept = [line.split(",")[:3] for line in lines[1:]]
+        swept = [line.split(",") for line in lines[1:]]
         assert [row[0] for row in swept] == ["1", "9"]
         assert swept[0][1:] != swept[1][1:]
-        for tau, auc, rob in swept:
+        steps_per_seed = ScenarioConfig.from_file(self.HARD, "convoy").length - 1
+        for tau, auc, rob, cost in swept:
             out = tmp_path / f"tau{tau}"
             assert main(base + ["--tau", tau, "--out", str(out)]) == 0
-            engine = json.loads((out / "report.json").read_text())["aggregate"]["engine"]
+            report = json.loads((out / "report.json").read_text())
+            engine = report["aggregate"]["engine"]
             assert (float(auc), float(rob)) == (engine["auc"], engine["robustness"])
+            port_frames = [row["port_frames"] for row in report["per_seed"]]
+            assert float(cost) == sum(port_frames) / (len(port_frames) * steps_per_seed)
 
     def test_sweep_is_the_same_under_parallel_jobs(self, tmp_path):
         def sweep(jobs):
             out = tmp_path / f"jobs{jobs}"
             assert main(self.HARD_CONVOY + [
                 "--ablate", "tau=1,3,9", "--jobs", str(jobs), "--out", str(out)]) == 0
-            lines = (out / "ablation_tau.csv").read_text().splitlines()
-            return [line.rsplit(",", 1)[0] for line in lines]
+            return _read_dir(out)
 
         assert sweep(1) == sweep(2)
 

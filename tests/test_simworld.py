@@ -13,9 +13,9 @@ from oracles import mock_score
 from retrack.engine import EngineConfig, run_baseline, run_sequence
 from retrack.evalkit import EvalReport
 from retrack.geometry import BBox, iou
-from retrack.simworld import (SEARCH_RADIUS_SCALE, STATIC, MockTracker, MotFormatError,
-                              ObjectSpec, OcclusionEvent, ScenarioConfig, Scene,
-                              _tapered_occlusion, _unit_with_cosine,
+from retrack.simworld import (SCENARIO_IDS, SCENARIOS, SEARCH_RADIUS_SCALE, STATIC,
+                              MockTracker, MotFormatError, ObjectSpec, OcclusionEvent,
+                              ScenarioConfig, Scene, _tapered_occlusion, _unit_with_cosine,
                               _visibility_to_events, generate_scene, load_mot, mot_scene,
                               parse_mot, save_mot)
 
@@ -295,6 +295,17 @@ class TestMockTracker:
         with pytest.raises(ValueError):
             tracker.propose(tpl, 4, scene.true_box(1, 0))
 
+    def test_port_frames_count_backbone_passes(self):
+        scene = self._world()
+        tracker = MockTracker(scene)
+        tpl = tracker.make_template(0, scene.true_box(1, 0))
+        assert tracker.port_frames == 0
+        tracker.propose(tpl, 1, scene.true_box(1, 0))
+        assert tracker.port_frames == 1
+        tracker.track_segment(tpl, scene.true_box(1, 3), [3, 2, 1])
+        assert tracker.port_frames == 4
+        assert MockTracker(scene).port_frames == 0
+
 
 class TestConformance:
     """`MockTracker`'s lean `track_segment` against the port contract: the
@@ -456,6 +467,11 @@ class TestTaperedOcclusion:
 
 
 class TestScenarioGeneration:
+    @pytest.mark.parametrize("kind", SCENARIOS)
+    def test_every_scene_has_the_scenario_ids(self, kind):
+        for seed in range(5):
+            assert generate_scene(ScenarioConfig(kind), seed).ids() == list(SCENARIO_IDS)
+
     def test_generation_is_deterministic(self):
         for kind in ("crossing", "convoy", "deform"):
             cfg = ScenarioConfig(kind)
