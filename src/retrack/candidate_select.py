@@ -1,25 +1,30 @@
-"""One frame's candidates, built once.
+"""One frame's candidates, built once, in pick order.
 
 The tracker's proposals arrive as `RawCandidates`, checked where they
 enter, and are never copied: the confidence filter returns the indices
 it keeps, soft suppression `(index, decayed score)` pairs in pick order.
 `assemble` builds the frame's one `CandidateSet` from the survivors plus
-the motion-predicted box; the set finds its real candidates and their
-argmax once, when built.
+the motion-predicted box.
 
-The set comes out in pick order. Soft suppression always picks the
+The set's order is its contract. Soft suppression always picks the
 highest current score and only ever lowers the scores that remain, so
 the scores it picks never rise; `assemble` appends the motion box last.
-Hence `top` is 0, `real` is `range(len(kept))` and `kalman_index`, when
-there is a motion box, is `len(kept)`.
+Hence index 0 is the argmax, the real candidates are `range(len(kept))`
+and the motion box, when there is one, sits at `len(kept)`. The set
+checks none of this again; each guarantee has one owner:
+- `RawCandidates` checks at the port boundary that the proposals are
+  non-empty, that boxes and scores have equal length, and that every
+  score lies in [0, 1];
+- `filter_by_confidence` always keeps the max, so `kept` is never empty;
+- `assemble` puts the motion box at `len(kept)`.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .geometry import BBox, iou
-from .tracker_port import RawCandidates, first_max
+from .tracker_port import RawCandidates
 
 ALPHA = 0.7       # confidence-ratio filter
 NMS_IOU = 0.25    # overlap above which scores decay
@@ -29,31 +34,16 @@ NMS_FLOOR = 1e-3  # decayed scores below this are dropped
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Final per-frame candidates handed to the engine.
+    """Final per-frame candidates handed to the engine, in pick order.
 
-    `kalman_index` marks the motion-predicted box, if one was injected;
-    that box is appearance-free, carries score 0.0, and never competes in
-    confidence argmax. `real` lists the other indices in order and `top`
-    is the highest-scoring of them, ties to the lowest index.
+    `kalman_index` marks the motion-predicted box, if one was injected:
+    the last index. That box is appearance-free, carries score 0.0, and
+    never competes in confidence argmax; the argmax is index 0.
     """
 
     boxes: tuple[BBox, ...]
     scores: tuple[float, ...]
     kalman_index: int | None = None
-    real: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    top: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        n, k = len(self.boxes), self.kalman_index
-        if n != len(self.scores):
-            raise ValueError("boxes and scores length mismatch")
-        if k is not None and not (0 <= k < n):
-            raise ValueError("kalman_index out of range")
-        real = tuple(i for i in range(n) if i != k)
-        if not real:
-            raise ValueError("candidate set needs a candidate besides the injected box")
-        object.__setattr__(self, "real", real)
-        object.__setattr__(self, "top", real[first_max([self.scores[i] for i in real])])
 
     def __len__(self) -> int:
         return len(self.boxes)

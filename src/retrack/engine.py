@@ -2,16 +2,18 @@
 
 Each step carries one frame's candidates through a single flow: the
 proposals are filtered and softly suppressed by index, and the survivors
-plus a motion-predicted box become the frame's one `CandidateSet`. A
-cheap stability gate decides whether its argmax is trustworthy; when it
-is not, every candidate is backtracked into tracklets aligned with the
-set, and a maximum-weight matching against the neighbor pool and the
-target history picks the winner, the gate's overlap serving as the
-argmax row's target weight. `matching.resolve_target` ends that cascade:
-with no candidate tied to the target it coasts on the motion box, and
-without one it keeps the argmax, logging a warning. The losers roll
-into the neighbor pool by the fired or the stable rule of `pools`. The
-template is fixed at the init frame and never refreshed.
+plus a motion-predicted box become the frame's one `CandidateSet`, in
+pick order, so its argmax is index 0. With one real candidate there is
+nothing to validate; otherwise a cheap stability gate decides whether
+the argmax is trustworthy. When it is not, every candidate is
+backtracked into tracklets aligned with the set, and a maximum-weight
+matching against the neighbor pool and the target history picks the
+winner, the gate's overlap serving as row 0's target weight.
+`matching.resolve_target` ends that cascade: with no candidate tied to
+the target it coasts on the motion box, and without one it keeps the
+argmax, logging a warning. The losers roll into the neighbor pool by
+the fired or the stable rule of `pools`. The template is fixed at the
+init frame and never refreshed.
 """
 from __future__ import annotations
 
@@ -93,25 +95,23 @@ def step(state: EngineState, frame: int, port: TrackerPort,
         kalman_box, motion = motion_predict(motion)
     cands = assemble(raw, kept, kalman_box)
 
-    top = cands.top
     top_tracklet = gate_overlap = None
-    if len(cands.real) == 1:
+    if len(kept) == 1:
         gate = "single_candidate"
     else:
         back_frames = backtrack_frames(t, cfg.tau, state.anchor)
-        template = port.make_template(t, cands.boxes[top])
-        top_tracklet = port.track_segment(template, cands.boxes[top], back_frames)
+        template = port.make_template(t, cands.boxes[0])
+        top_tracklet = port.track_segment(template, cands.boxes[0], back_frames)
         gate_overlap = tracklet_avg_iou(state.target, top_tracklet)
         gate = "history_overlap" if gate_overlap > STABILITY_IOU else "fired"
 
     weights_list = pairs_list = None
     if gate != "fired":
-        selected, source = top, "argmax"
+        selected, source = 0, "argmax"
         neighbors = advance_neighbor_pool(state.neighbors, cands, selected, t, cfg.tau)
     else:
         tracklets = build_candidate_pool(cands, port, back_frames, top_tracklet)
-        weights = build_weights(tracklets, state.neighbors, state.target,
-                                target_weights={top: gate_overlap})
+        weights = build_weights(tracklets, state.neighbors, state.target, gate_overlap)
         pairs = hungarian_max(weights)
         selected, source = resolve_target(pairs, weights, cands)
         if source == "degraded_argmax":
@@ -132,7 +132,7 @@ def step(state: EngineState, frame: int, port: TrackerPort,
         "scores": [float(s) for s in cands.scores],
         "gate": gate,
         "gate_overlap": gate_overlap,
-        "top": top,
+        "top": 0,
         "weights": weights_list,
         "pairs": pairs_list,
         "selected": selected,

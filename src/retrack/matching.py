@@ -14,7 +14,7 @@ it returns SciPy's matching; its total is summed in row order.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,20 +28,19 @@ _OPT_TOL = 1e-9
 
 
 def build_weights(tracklets: Sequence[Tracklet], neighbors: Sequence[Tracklet],
-                  target: Tracklet, target_weights: Mapping[int, float] | None = None
-                  ) -> np.ndarray:
+                  target: Tracklet, top_weight: float | None = None) -> np.ndarray:
     """Tracklet-overlap weights of each candidate tracklet (a row) against
     each neighbor and, in the last column, the target: an array of shape
     (len(tracklets), len(neighbors) + 1). `tracklet_avg_iou` rejects a
-    neighbor that does not end on the candidates' frame. `target_weights`
-    holds target weights the caller already has (the gate's overlap of the
-    argmax tracklet with the target: `tracklet_avg_iou` is symmetric bit
-    for bit)."""
+    neighbor that does not end on the candidates' frame. `top_weight`, if
+    given, is row 0's target weight, which the caller already has (the
+    gate's overlap of the argmax tracklet with the target:
+    `tracklet_avg_iou` is symmetric bit for bit)."""
     if not tracklets:
         raise ValueError("candidate pool is empty")
-    known = target_weights or {}
     rows = [[tracklet_avg_iou(tr, nb) for nb in neighbors]
-            + [known[r] if r in known else tracklet_avg_iou(tr, target)]
+            + [top_weight if r == 0 and top_weight is not None
+               else tracklet_avg_iou(tr, target)]
             for r, tr in enumerate(tracklets)]
     return np.array(rows, dtype=float)
 
@@ -179,7 +178,8 @@ def resolve_target(pairs: Sequence[tuple[int, int]], w: np.ndarray,
     ``best_unmatched``, the effectively-unmatched row with the highest
     target-column weight, provided that weight is positive;
     ``kalman_fallback``, the injected motion box; ``degraded_argmax``, the
-    argmax, when nothing ties to the target and there is no motion box.
+    argmax, index 0 of the set in pick order, when nothing ties to the
+    target and there is no motion box.
     Zero-weight pairings count as unmatched.
 
     Given `hungarian_max`'s matching, ``best_unmatched`` needs a target
@@ -210,4 +210,4 @@ def resolve_target(pairs: Sequence[tuple[int, int]], w: np.ndarray,
         return best_row, "best_unmatched"
     if cands.kalman_index is not None:
         return cands.kalman_index, "kalman_fallback"
-    return cands.top, "degraded_argmax"
+    return 0, "degraded_argmax"

@@ -5,7 +5,8 @@ backtracked through the previous min(tau, t - anchor) frames, never
 reaching before the frame the run was anchored on, template cropped at
 the candidate box itself and the box doubling as the first search prior.
 Each chain is one `track_segment` call, and the chains come back as a
-tuple of tracklets aligned with the candidate set.
+tuple of tracklets aligned with the candidate set; the gate's chain of
+the argmax, index 0 of the set, is reused rather than run again.
 
 The neighbor pool is a plain tuple of tracklets, each ending on the frame
 just decided; `build_weights` rejects one that does not. Its members come
@@ -51,14 +52,13 @@ def build_candidate_pool(cands: CandidateSet, port: TrackerPort, frames: range,
     the descending range from `backtrack_frames`, one `track_segment` call
     per candidate; returns one tracklet per candidate, in candidate order.
 
-    The stability gate has already backtracked the argmax candidate
-    `cands.top`; its `top_tracklet` is reused verbatim, since backtracking
-    is deterministic.
+    The stability gate has already backtracked the argmax, candidate 0;
+    its `top_tracklet` is reused verbatim, since backtracking is
+    deterministic.
     """
     t = frames[0] + 1
-    return tuple(top_tracklet if i == cands.top else
-                 port.track_segment(port.make_template(t, box), box, frames)
-                 for i, box in enumerate(cands.boxes))
+    return (top_tracklet, *(port.track_segment(port.make_template(t, box), box, frames)
+                            for box in cands.boxes[1:]))
 
 
 def _losers(cands: CandidateSet, selected: int, tau: int) -> list[int]:
@@ -67,7 +67,7 @@ def _losers(cands: CandidateSet, selected: int, tau: int) -> list[int]:
         raise ValueError(f"tau must be at least 1, got {tau}")
     if not 0 <= selected < len(cands):
         raise ValueError(f"selected index {selected} not present in the pool")
-    return [i for i in cands.real if i != selected]
+    return [i for i in range(len(cands)) if i not in (selected, cands.kalman_index)]
 
 
 def update_neighbor_pool(cands: CandidateSet, tracklets: Sequence[Tracklet],

@@ -650,11 +650,15 @@ def parse_mot(path: FsPath | str) -> MotTracks:
     static scenery. Frame gaps within an id's annotations are filled by
     linear interpolation with a warning; ids missing at the sequence edges
     hold their first/last annotated box. Malformed rows fail with the
-    offending line number.
+    offending line number; a file that is not UTF-8 text, or that spans
+    fewer than the two frames a run steps from, fails naming the file.
     """
     per_id: dict[int, dict[int, tuple[BBox, float]]] = {}
     max_frame = 0
-    text = FsPath(path).read_text()
+    try:
+        text = FsPath(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MotFormatError(f"{path}: not UTF-8 text: {exc}") from None
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.strip()
         if not line:
@@ -684,6 +688,8 @@ def parse_mot(path: FsPath | str) -> MotTracks:
         max_frame = max(max_frame, frame)
     if not per_id:
         raise MotFormatError(f"{path}: no data rows")
+    if max_frame < 2:
+        raise MotFormatError(f"{path}: spans frame 1 only; a run needs at least two frames")
 
     tracks = []
     for obj_id in sorted(per_id):

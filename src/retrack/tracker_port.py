@@ -45,16 +45,12 @@ class RawCandidates:
 
     def argmax(self) -> int:
         """Index of the highest-scoring box; ties break to the lowest index."""
-        return first_max(self.scores)
-
-
-def first_max(scores: Sequence[float]) -> int:
-    """Index of the highest score; ties break to the lowest index."""
-    best = 0
-    for i in range(1, len(scores)):
-        if scores[i] > scores[best]:
-            best = i
-    return best
+        scores = self.scores
+        best = 0
+        for i in range(1, len(scores)):
+            if scores[i] > scores[best]:
+                best = i
+        return best
 
 
 def segment_frames(frames: Sequence[int]) -> list[int]:

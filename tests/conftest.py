@@ -60,8 +60,8 @@ class DriftPort(TrackerPort):
 def backtrack_all(cands: CandidateSet, port: TrackerPort,
                   frames: range) -> tuple[Tracklet, ...]:
     """`build_candidate_pool` as the engine's gate leads into it: the
-    argmax candidate is backtracked first and handed over."""
-    box = cands.boxes[cands.top]
+    argmax, candidate 0, is backtracked first and handed over."""
+    box = cands.boxes[0]
     top = port.track_segment(port.make_template(frames[0] + 1, box), box, frames)
     return build_candidate_pool(cands, port, frames, top)
 

@@ -310,7 +310,12 @@ def _(value):
       st.tuples(raw_cands(), st.one_of(st.none(), boxes)))
 def _(value):
     raw, kbox = value
-    cs = assemble(raw, list(enumerate(raw.scores)), kbox)
+    # every proposal kept, in pick order: by falling score, ties to the earliest
+    kept = sorted(enumerate(raw.scores), key=lambda pick: -pick[1])
+    cs = assemble(raw, kept, kbox)
+    assert cs.boxes[:len(kept)] == tuple(raw.boxes[i] for i, _ in kept)
+    assert cs.scores[:len(kept)] == tuple(s for _, s in kept)
+    assert cs.boxes[0] == raw.boxes[raw.argmax()]
     if kbox is None:
         assert cs.kalman_index is None
         assert len(cs) == len(raw.boxes)
@@ -318,8 +323,6 @@ def _(value):
         assert cs.kalman_index == len(raw.boxes)
         assert cs.boxes[-1] == kbox
         assert cs.scores[-1] == 0.0
-    assert cs.real == tuple(range(len(raw.boxes)))
-    assert cs.top == raw.argmax()
 
 
 @st.composite
@@ -339,14 +342,19 @@ def tied_overlapping_cands(draw, n_max=8):
       st.tuples(tied_overlapping_cands(), unit_floats, unit_floats,
                 st.floats(1e-3, 10.0), st.one_of(st.none(), boxes)))
 def _(value):
-    # the picked scores never rise and the motion box comes last, so the
-    # argmax is the first pick and the real candidates are the picks
+    # the port's own argmax is the first pick, the picked scores never
+    # rise, and the motion box comes right after the picks
     raw, alpha, thresh, sigma, kbox = value
     kept = soft_nms(raw, filter_by_confidence(raw, alpha), thresh, sigma)
     cs = assemble(raw, kept, kbox)
-    assert cs.top == 0
-    assert cs.real == tuple(range(len(kept)))
-    assert cs.kalman_index == (None if kbox is None else len(kept))
+    assert cs.boxes[0] == raw.boxes[raw.argmax()]
+    real = cs.scores[:len(kept)]
+    assert all(a >= b for a, b in zip(real, real[1:]))
+    if kbox is None:
+        assert (cs.kalman_index, len(cs)) == (None, len(kept))
+    else:
+        assert (cs.kalman_index, len(cs)) == (len(kept), len(kept) + 1)
+        assert cs.boxes[len(kept)] == kbox
 
 
 # ---------------------------------------------------------------------------
@@ -454,26 +462,34 @@ def _(value):
         assert tracklet.boxes == want
 
 
+def _with_motion_box(cands: CandidateSet) -> CandidateSet:
+    """`cands` with its last box turned into the motion box, where there is
+    a real candidate before it."""
+    n = len(cands)
+    if n < 2:
+        return cands
+    return CandidateSet(cands.boxes, cands.scores[:-1] + (0.0,), n - 1)
+
+
 @prop("pools", "top_tracklet_skips_port_calls",
-      st.tuples(scripted_world(), st.integers(0, 3)))
+      st.tuples(scripted_world(), st.booleans()))
 def _(value):
-    (script, cands, t, tau), top = value
-    top = min(top, len(cands) - 1)
-    cands = CandidateSet(cands.boxes, tuple(float(i == top) for i in range(len(cands))))
-    sentinel = Tracklet(t - 1, (cands.boxes[top],))
+    (script, cands, t, tau), motion = value
+    cands = _with_motion_box(cands) if motion else cands
+    sentinel = Tracklet(t - 1, (cands.boxes[0],))
     port = ScriptPort(script)
     tracklets = build_candidate_pool(cands, port, backtrack_frames(t, tau, 0), sentinel)
-    assert [i for i, tracklet in enumerate(tracklets) if tracklet is sentinel] == [top]
+    assert len(tracklets) == len(cands)
+    assert [i for i, tracklet in enumerate(tracklets) if tracklet is sentinel] == [0]
     assert port.propose_calls == min(tau, t) * (len(cands) - 1)
 
 
 @prop("pools", "rollover_shift_correctness",
-      st.tuples(scripted_world(), st.integers(0, 3), st.integers(0, 4)))
+      st.tuples(scripted_world(), st.integers(0, 3), st.booleans()))
 def _(value):
-    (script, cands, t, tau), sel, kal = value
-    # a motion box at index `kal`, where there is one besides a real candidate
-    kal = kal if kal < len(cands) > 1 else None
-    cands = CandidateSet(cands.boxes, cands.scores, kal)
+    (script, cands, t, tau), sel, motion = value
+    cands = _with_motion_box(cands) if motion else cands
+    kal = cands.kalman_index
     tracklets = backtrack_all(cands, ScriptPort(script), backtrack_frames(t, tau, 0))
     sel = min(sel, len(cands) - 1)
     rolled = update_neighbor_pool(cands, tracklets, sel, tau)

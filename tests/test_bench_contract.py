@@ -77,3 +77,7 @@ def test_traced_run_gives_the_untraced_records_and_counts():
     keys = {(0, r["frame"]) for r in fired}
     totals = spans.layer_totals(tracer, keys, np.ones(len(names)))
     assert totals["step"]["calls"] == len(records)
+    # `raw`, `kept` and the candidate_select span time are read off these
+    # three calls; a step that skipped one would under-report silently
+    for name in ("filter_by_confidence", "soft_nms", "assemble"):
+        assert totals.get(name, {}).get("calls") == len(records), name

@@ -3,8 +3,7 @@ import math
 
 import pytest
 
-from retrack.candidate_select import (CandidateSet, assemble,
-                                      filter_by_confidence, soft_nms)
+from retrack.candidate_select import assemble, filter_by_confidence, soft_nms
 from retrack.geometry import BBox
 from retrack.tracker_port import RawCandidates
 
@@ -79,45 +78,55 @@ class TestSoftNms:
             soft_nms(_raw([0.5]), [0], 0.25, 0.0)
 
 
+def _flow(raw, kalman_box=None, alpha=0.7):
+    """The engine's flow: filter, suppress, assemble."""
+    return assemble(raw, soft_nms(raw, filter_by_confidence(raw, alpha), 0.25, 0.01),
+                    kalman_box)
+
+
 class TestAssemble:
     def test_without_motion_box(self):
-        cs = assemble(_raw([0.9, 0.2]), [(0, 0.9), (1, 0.2)], None)
+        raw = _raw([0.9, 0.2])
+        cs = assemble(raw, [(0, 0.9), (1, 0.2)], None)
         assert cs.kalman_index is None
-        assert cs.real == (0, 1)
+        assert (cs.boxes, cs.scores) == (raw.boxes, (0.9, 0.2))
 
     def test_motion_box_appended_at_zero_score(self):
         kal = BBox(99, 99, 2, 2)
-        raw = _raw([0.9, 0.2])
-        cs = assemble(raw, [(1, 0.125), (0, 0.9)], kal)
+        raw = _raw([0.2, 0.9])
+        cs = assemble(raw, [(1, 0.9), (0, 0.125)], kal)
         assert cs.boxes == (raw.boxes[1], raw.boxes[0], kal)
-        assert cs.scores == (0.125, 0.9, 0.0)
+        assert cs.scores == (0.9, 0.125, 0.0)
         assert cs.kalman_index == 2
-        assert cs.real == (0, 1)
-        assert cs.top == 1
 
     def test_argmax_confidence_ignores_motion_box(self):
-        cs = assemble(_raw([0.0, 0.0]), [(0, 0.0), (1, 0.0)], BBox(99, 99, 2, 2))
-        assert cs.top == 0
+        # the motion box ties the real scores at 0.0 and still comes last
+        raw = _raw([0.0, 0.0])
+        cs = _flow(raw, BBox(99, 99, 2, 2))
+        assert cs.boxes[:2] == raw.boxes
+        assert cs.kalman_index == 2
 
     def test_argmax_confidence_tie_breaks_low(self):
-        cs = CandidateSet(tuple(BBox(10.0 * i, 0, 2, 2) for i in range(3)),
-                          (0.4, 0.7, 0.7))
-        assert cs.top == 1
+        raw = _raw([0.4, 0.7, 0.7])
+        cs = _flow(raw, alpha=0.0)
+        assert cs.boxes == (raw.boxes[1], raw.boxes[2], raw.boxes[0])
+        assert cs.boxes[0] == raw.boxes[raw.argmax()]
 
-    def test_real_indices_skip_a_motion_box_anywhere(self):
-        cs = CandidateSet(tuple(BBox(10.0 * i, 0, 2, 2) for i in range(3)),
-                          (0.4, 0.0, 0.3), 1)
-        assert cs.real == (0, 2)
-        assert cs.top == 0
+    def test_real_candidates_precede_the_motion_box(self):
+        # one proposal is filtered out and one suppressed; the motion box
+        # follows the two survivors
+        raw = RawCandidates((BBox(0, 0, 2, 3), BBox(0, 1, 2, 3), BBox(50, 0, 2, 3),
+                             BBox(90, 0, 2, 3)), (0.9, 0.8, 0.7, 0.1))
+        kal = BBox(99, 99, 2, 2)
+        cs = _flow(raw, kal)
+        assert cs.boxes == (raw.boxes[0], raw.boxes[2], kal)
+        assert cs.kalman_index == 2
 
     def test_only_motion_box_has_no_argmax(self):
-        with pytest.raises(ValueError, match="besides the injected box"):
-            CandidateSet((BBox(0, 0, 1, 1),), (0.0,), 0)
-
-    def test_candidate_set_validation(self):
-        with pytest.raises(ValueError):
-            CandidateSet((), ())
-        with pytest.raises(ValueError):
-            CandidateSet((BBox(0, 0, 1, 1),), (0.5, 0.6))
-        with pytest.raises(ValueError):
-            CandidateSet((BBox(0, 0, 1, 1),), (0.5,), 1)
+        # a set of the motion box alone never arises: the port proposes at
+        # least one box and the filter keeps the max, even at alpha = 1
+        with pytest.raises(ValueError, match="at least one box"):
+            RawCandidates((), ())
+        raw = _raw([0.0])
+        cs = _flow(raw, BBox(99, 99, 2, 2), alpha=1.0)
+        assert (cs.boxes[0], cs.kalman_index) == (raw.boxes[0], 1)

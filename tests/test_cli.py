@@ -394,6 +394,26 @@ class TestExitCodes:
         assert "--config" in err and "--mot" in err
         assert not out.exists()
 
+    def test_one_frame_mot_fails_before_any_output(self, tmp_path, capsys):
+        """A run steps from its first frame on; a file that annotates frame
+        1 only leaves it nothing to step, nor the tau sweep a frame to cost."""
+        gt = tmp_path / "one.txt"
+        gt.write_text("1,1,0,0,10,10,1,1,1\n1,2,50,50,10,10,1,1,1\n")
+        out = tmp_path / "x"
+        assert main(["evaluate", "--mot", str(gt), "--seeds", "0:2", "--ablate", "tau=1,3",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{gt}: spans frame 1 only" in err
+        assert not out.exists()
+
+    def test_non_utf8_mot_names_the_file(self, tmp_path, capsys):
+        gt = tmp_path / "gt.txt"
+        gt.write_bytes(b"\xff\xfe" + "1,1,0,0,10,10,1,1,1\n".encode("utf-16-le"))
+        out = tmp_path / "x"
+        assert main(["track", "--mot", str(gt), "--seeds", "0", "--out", str(out)]) == 2
+        assert f"{gt}: not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "-1", "1", "1.5"])
     def test_fail_iou_outside_the_unit_interval_fails_before_any_output(
             self, tmp_path, capsys, value):

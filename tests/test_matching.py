@@ -169,10 +169,10 @@ class TestBuildWeights:
         overlap = retrack.matching.tracklet_avg_iou
         monkeypatch.setattr(retrack.matching, "tracklet_avg_iou",
                             lambda p, q: calls.append((p, q)) or overlap(p, q))
-        w = build_weights(tracklets, (), target, target_weights={1: 0.125})
+        w = build_weights(tracklets, (), target, 0.125)
         assert w.shape == (2, 1)
-        assert w.tolist() == [[tracklet_avg_iou(tracklets[0], target)], [0.125]]
-        assert calls == [(tracklets[0], target)]
+        assert w.tolist() == [[0.125], [tracklet_avg_iou(tracklets[1], target)]]
+        assert calls == [(tracklets[1], target)]
 
     def test_rejects_misaligned_tracklets(self):
         t = 6
@@ -200,8 +200,7 @@ class TestResolveTarget:
         # row 1 holds the target column at zero weight: no evidence, so the
         # motion box is the only viable continuation, and without it the argmax
         assert resolve_target(pairs, w, _cands(3, kalman_index=2)) == (2, "kalman_fallback")
-        cands = _cands(3)
-        assert resolve_target(pairs, w, cands) == (cands.top, "degraded_argmax")
+        assert resolve_target(pairs, w, _cands(3)) == (0, "degraded_argmax")
 
     def test_best_unmatched_row_by_target_weight(self):
         w = _w([[0.5, 0.4], [0.0, 0.25], [0.0, 0.3]])
@@ -256,8 +255,7 @@ class TestResolveTarget:
     def test_argmax_when_nothing_viable(self):
         w = _w([[0.0, 0.0]])
         pairs = hungarian_max(w)
-        cands = _cands(1)
-        assert resolve_target(pairs, w, cands) == (cands.top, "degraded_argmax")
+        assert resolve_target(pairs, w, _cands(1)) == (0, "degraded_argmax")
 
     def test_row_count_must_match_candidates(self):
         w = _w([[0.5, 0.5]])

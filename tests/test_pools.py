@@ -41,14 +41,13 @@ class TestBuildCandidatePool:
         port = ScriptPort(script)
         ready = Tracklet(7, tuple(BBox(9, 9, 4, 4) for _ in range(3)))
         boxes = tuple(BBox(x, 0.0, 4.0, 4.0) for x in (0.0, 1.0, 2.0))
-        cands = CandidateSet(boxes, (0.2, 0.9, 0.5))
+        cands = CandidateSet(boxes, (0.9, 0.5, 0.2))
         tracklets = build_candidate_pool(cands, port,
                                          backtrack_frames(t=8, tau=3, anchor=0), ready)
-        assert cands.top == 1
-        assert tracklets[1] is ready
+        assert tracklets[0] is ready
         # only the two other candidates were backtracked, 3 frames each
         assert port.propose_calls == 6
-        assert tracklets[0] == tracklets[2] == Tracklet(7, (BBox(50, 0, 4, 4),) * 3)
+        assert tracklets[1] == tracklets[2] == Tracklet(7, (BBox(50, 0, 4, 4),) * 3)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
