@@ -20,8 +20,8 @@ from .geometry import BBox, Tracklet, iou, tracklet_avg_iou
 from .matching import build_weights, hungarian_max, resolve_target
 from .motion import (MotionState, motion_init, motion_predict, motion_update)
 from .pools import backtrack_frames, build_candidate_pool, update_neighbor_pool
-from .simworld import (MockTracker, MotFormatError, ObjectSpec, OcclusionEvent,
-                       Scene, ScenarioConfig, generate_scene, load_mot, save_mot)
+from .simworld import (MockTracker, MotFormatError, ObjectSpec, Scene, ScenarioConfig,
+                       generate_scene, load_mot, save_mot)
 from .tracker_port import RawCandidates, TrackerPort
 
 __version__ = "0.1.0"
@@ -35,7 +35,7 @@ __all__ = [
     "build_weights", "hungarian_max", "resolve_target",
     "EngineConfig", "EngineState", "engine_init", "step",
     "run_sequence", "run_baseline",
-    "Scene", "ObjectSpec", "OcclusionEvent", "ScenarioConfig",
+    "Scene", "ObjectSpec", "ScenarioConfig",
     "MockTracker", "MotFormatError",
     "generate_scene", "save_mot", "load_mot",
     "EvalReport",

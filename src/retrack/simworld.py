@@ -1,14 +1,15 @@
 """Synthetic tracking worlds with scripted occlusions.
 
-A :class:`Scene` is a fully deterministic ground-truth world: every object
-has one true box per frame, a unit appearance vector that may drift as a
-spherical random walk, and scripted occlusion events. A scene is generated
-from a scenario config and a seed, or built from a MOT ground-truth file,
-which is also the one format a scene is written in. A mock tracker
-implements the engine's port against a scene, proposing each object near
-the prior at its true box, scored as visibility times the cosine between
-the template appearance and the object's effective (occlusion-mixed)
-appearance, which the scene stores once per distinct row.
+A :class:`Scene` is a fully deterministic ground-truth world: each object
+has, per frame, a true box, an occlusion severity and a drift rate, and a
+unit appearance vector that drifts as a spherical random walk at those
+rates and is mixed toward the scene's wall vector by that severity. A
+scene is generated from a scenario config and a seed, or built from a MOT
+ground-truth file, which is also the one format a scene is written in. A
+mock tracker implements the engine's port against a scene, proposing each
+object near the prior at its true box, scored as visibility times the
+cosine between the template appearance and the object's effective
+(occlusion-mixed) appearance, which the scene stores once per distinct row.
 """
 from __future__ import annotations
 
@@ -26,8 +27,6 @@ from .geometry import BBox, Tracklet, box_array, iou
 from .tracker_port import RawCandidates, TrackerPort, newest_first, segment_frames
 
 log = logging.getLogger(__name__)
-
-STATIC = "static"  # occluder id for scenery that is not a tracked object
 
 # The mock tracker searches within this many prior-box diagonals; the
 # crossing scenario sizes its occlusion to carry the pair beyond it.
@@ -47,54 +46,27 @@ class MotFormatError(ValueError):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class OcclusionEvent:
-    """Target obscured over [start, end] (inclusive) by `occluder`."""
-
-    start: int
-    end: int
-    occluder: int | str
-    severity: float
-
-    def __post_init__(self):
-        if self.end < self.start:
-            raise ValueError("occlusion event ends before it starts")
-        if not (0.0 < self.severity <= 1.0):
-            raise ValueError(f"severity must lie in (0, 1], got {self.severity}")
-
-    def active(self, frame: int) -> bool:
-        return self.start <= frame <= self.end
-
-
-@dataclass(frozen=True)
 class ObjectSpec:
-    """One world object: identity, its true box at each frame, appearance,
-    occlusion script."""
+    """One world object: identity, appearance, and per frame its true box,
+    its occlusion severity and its drift rate. An empty `severity` or
+    `drift` means 0.0 at every frame. Occlusion mixes the appearance toward
+    the scene's wall vector; the rate at frame f drives the drift step from
+    f to f + 1."""
 
     id: int
     boxes: tuple[BBox, ...]
     appearance: tuple[float, ...]
-    drift: float = 0.0
-    drift_spikes: tuple[tuple[int, int, float], ...] = ()
-    occlusions: tuple[OcclusionEvent, ...] = ()
+    severity: tuple[float, ...] = ()
+    drift: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if not 0.0 <= self.drift < math.inf:  # false for NaN too
-            raise ValueError(f"object {self.id}: drift must be finite and >= 0, "
-                             f"got {self.drift!r}")
-        for start, end, rate in self.drift_spikes:
-            if end < start:
-                raise ValueError(f"object {self.id}: drift_spikes window "
-                                 f"{start}..{end} ends before it starts")
+        for s in self.severity:
+            if not 0.0 <= s <= 1.0:  # false for NaN too
+                raise ValueError(f"object {self.id}: severity must lie in [0, 1], got {s!r}")
+        for rate in self.drift:
             if not 0.0 <= rate < math.inf:
-                raise ValueError(f"object {self.id}: drift_spikes rate must be finite "
-                                 f"and >= 0, got {rate!r}")
-
-    def drift_at(self, frame: int) -> float:
-        rate = self.drift
-        for start, end, spike in self.drift_spikes:
-            if start <= frame <= end:
-                rate = max(rate, spike)
-        return rate
+                raise ValueError(f"object {self.id}: drift must be finite and >= 0, "
+                                 f"got {rate!r}")
 
 
 class _Table(NamedTuple):
@@ -102,7 +74,7 @@ class _Table(NamedTuple):
 
     boxes: tuple[BBox, ...]  # the spec's own tuple, shared, not copied
     visibility: list[float]
-    appearance: list[int]  # effective, drifted then mixed with any occluder's:
+    appearance: list[int]  # effective, drifted then mixed toward the wall:
     # per frame, its row of `Scene._appearances`
     cx: array  # centres, `BBox.cx` and `.cy` bit for bit; an `array('d')`
     cy: array  # takes a quarter of a float list's memory
@@ -129,13 +101,11 @@ class Scene:
             raise ValueError("object ids must be unique")
         self.objects = tuple(sorted(self.objects, key=lambda o: o.id))
         for obj in self.objects:
-            if len(obj.boxes) != self.length:
-                raise ValueError(f"object {obj.id}: its path holds {len(obj.boxes)} boxes, "
-                                 f"the scene {self.length} frames")
-            for ev in obj.occlusions:
-                if ev.occluder != STATIC and ev.occluder not in ids:
-                    raise ValueError(f"object {obj.id}: occluder {ev.occluder!r} is neither "
-                                     f"{STATIC!r} nor an object of the scene")
+            for name in ("boxes", "severity", "drift"):  # only boxes may not be empty
+                n = len(getattr(obj, name))
+                if n != self.length and (n or name == "boxes"):
+                    raise ValueError(f"object {obj.id}: {name!r} holds {n} entries, "
+                                     f"the scene {self.length} frames")
         self._derive()
 
     # -- derived world state ------------------------------------------------
@@ -158,23 +128,17 @@ class Scene:
                              f"object {self.objects[0].id}'s appearance {dim}")
         wall = np.asarray(self.static_appearance, dtype=float)
         _length(wall, "static_appearance")
-        apps = {obj.id: self._walk_appearance(obj, dim)  # raw (drifted) appearance
-                for obj in self.objects}
         self._tables = {}
         seen: dict[bytes, int] = {}  # each distinct effective row's bytes -> its index
         for obj in self.objects:
-            vis = [1.0] * self.length
+            vis = [1.0] * self.length  # one shared 1.0 wherever the object is in view
             index = []
-            for f in range(self.length):
-                row = apps[obj.id][f]
-                severity, occluder = 0.0, None
-                for ev in obj.occlusions:
-                    if ev.active(f) and ev.severity > severity:
-                        severity, occluder = ev.severity, ev.occluder
+            walk = self._walk_appearance(obj, dim)  # raw (drifted) appearance
+            for f, severity in enumerate(obj.severity or (0.0,) * self.length):
+                row = walk[f]
                 if severity > 0.0:
                     vis[f] = 1.0 - severity
-                    mixed = (1.0 - severity) * row + severity * (
-                        wall if occluder == STATIC else apps[occluder][f])
+                    mixed = (1.0 - severity) * row + severity * wall
                     n = np.linalg.norm(mixed)
                     if n == 0:
                         raise ValueError(f"object {obj.id}: the occlusion at frame {f} "
@@ -197,15 +161,14 @@ class Scene:
         base = base / _length(base, f"object {obj.id}: appearance")
         out = np.empty((self.length, dim))
         out[0] = base
-        if obj.drift == 0.0 and not obj.drift_spikes:
+        if not any(obj.drift):
             out[1:] = base
             return out
         rng = np.random.default_rng([self.seed, obj.id, 1])
         steps = rng.standard_normal((self.length - 1, dim))
         what = f"object {obj.id}: drifted appearance"
         for f in range(1, self.length):
-            rate = obj.drift_at(f - 1)
-            out[f] = _unit(out[f - 1] + rate * steps[f - 1], what)
+            out[f] = _unit(out[f - 1] + obj.drift[f - 1] * steps[f - 1], what)
         return out
 
     # -- queries ------------------------------------------------------------
@@ -490,9 +453,10 @@ def _sample_severity(rng: np.random.Generator, lo: float, hi: float) -> float:
 TAPER_STEP = 8.0 / 256
 
 
-def _tapered_occlusion(start: int, end: int, sev: float) -> tuple[OcclusionEvent, ...]:
-    """Full-strength occlusion over [start, end] that then fades out one
-    severity step of `TAPER_STEP` per frame.
+def _tapered_occlusion(length: int, start: int, end: int, sev: float) -> tuple[float, ...]:
+    """The severity at each of `length` frames of an occlusion at full
+    strength `sev` over [start, end] that then fades out one severity step
+    of `TAPER_STEP` per frame; frames past the last are cut off.
 
     A hard trailing edge would leave a freshly-visible target whose recent
     past is still fully obscured; nothing cropped at the clear frame can
@@ -501,14 +465,15 @@ def _tapered_occlusion(start: int, end: int, sev: float) -> tuple[OcclusionEvent
     Fading one step per frame keeps each frame's immediate past matchable
     from that frame's own appearance. Steps stay on the dyadic grid, so
     visibility values round-trip exactly."""
-    events = [OcclusionEvent(start, end, STATIC, sev)]
-    level = sev - TAPER_STEP
-    frame = end + 1
-    while level > 1e-12:
-        events.append(OcclusionEvent(frame, frame, STATIC, level))
-        level -= TAPER_STEP
-        frame += 1
-    return tuple(events)
+    severity = [0.0] * length
+    level = sev
+    for f in range(start, length):
+        if level <= 1e-12:
+            break
+        severity[f] = level
+        if f >= end:
+            level -= TAPER_STEP
+    return tuple(severity)
 
 
 def _lane(cfg: ScenarioConfig, x0: float, x1: float, cy: float) -> tuple[BBox, ...]:
@@ -522,18 +487,20 @@ def _lane(cfg: ScenarioConfig, x0: float, x1: float, cy: float) -> tuple[BBox, .
 def _pair_scene(cfg: ScenarioConfig, seed: int, rng: np.random.Generator, similarity: float,
                 target_boxes: tuple[BBox, ...], other_boxes: tuple[BBox, ...],
                 **script) -> Scene:
-    """The scene of the target, which takes `script` (its `occlusions` or
-    `drift_spikes`), and one other object, ids `SCENARIO_IDS`. Their
-    appearances are drawn last from `rng`, at cosine `similarity`, plus a
-    wall vector orthogonal to both so static occlusion adds no bias."""
+    """The scene of the target, which takes `script` (its `severity` or its
+    `drift`), and one other object, ids `SCENARIO_IDS`; each drifts at
+    `cfg.drift` unless its script says otherwise. Their appearances are
+    drawn last from `rng`, at cosine `similarity`, plus a wall vector
+    orthogonal to both so occlusion adds no bias."""
     u = _random_unit(rng, cfg.appearance_dim)
     v = _unit_with_cosine(rng, u, similarity)
     residual = v - np.dot(v, u) * u
     basis = [u] if np.linalg.norm(residual) < 1e-12 else [u, _unit(residual, "a residual")]
     wall = _orthogonal_unit(rng, basis)
-    target = ObjectSpec(SCENARIO_IDS[0], target_boxes, tuple(map(float, u)), drift=cfg.drift,
-                        **script)
-    other = ObjectSpec(SCENARIO_IDS[1], other_boxes, tuple(map(float, v)), drift=cfg.drift)
+    steady = (cfg.drift,) * cfg.length if cfg.drift else ()
+    target = ObjectSpec(SCENARIO_IDS[0], target_boxes, tuple(map(float, u)),
+                        **{"drift": steady, **script})
+    other = ObjectSpec(SCENARIO_IDS[1], other_boxes, tuple(map(float, v)), drift=steady)
     return Scene(cfg.length, seed, (target, other), static_appearance=tuple(map(float, wall)))
 
 
@@ -561,7 +528,7 @@ def _gen_crossing(cfg: ScenarioConfig, seed: int) -> Scene:
     target = _lane(cfg, mid - before, mid + after, cy - dy / 2.0)
     distractor = _lane(cfg, mid + before, mid - after, cy + dy / 2.0)
     return _pair_scene(cfg, seed, rng, sim, target, distractor,
-                       occlusions=_tapered_occlusion(start, end, sev))
+                       severity=_tapered_occlusion(cfg.length, start, end, sev))
 
 
 def _gen_convoy(cfg: ScenarioConfig, seed: int) -> Scene:
@@ -578,7 +545,7 @@ def _gen_convoy(cfg: ScenarioConfig, seed: int) -> Scene:
     x1 = 40.0 + v * (cfg.length - 1)
     return _pair_scene(cfg, seed, rng, sim, _lane(cfg, 40.0, x1, cy - gap / 2.0),
                        _lane(cfg, 40.0, x1, cy + gap / 2.0),
-                       occlusions=_tapered_occlusion(start, end, sev))
+                       severity=_tapered_occlusion(cfg.length, start, end, sev))
 
 
 def _gen_deform(cfg: ScenarioConfig, seed: int) -> Scene:
@@ -588,7 +555,9 @@ def _gen_deform(cfg: ScenarioConfig, seed: int) -> Scene:
     rng = np.random.default_rng([seed, 303])
     v = float(rng.uniform(*cfg.speed))
     spike_start = int(rng.integers(20, 27))
-    spike = (spike_start, spike_start + int(rng.integers(8, 13)), 0.12)
+    spike_end = spike_start + int(rng.integers(8, 13))
+    drift = tuple(max(cfg.drift, 0.12) if spike_start <= f <= spike_end else cfg.drift
+                  for f in range(cfg.length))
     cy = cfg.bounds[1] / 2.0
     size, half = cfg.box_size, cfg.box_size / 2.0
     # the weave: at the target's speed from x 40, up to 30 px either side of
@@ -597,7 +566,7 @@ def _gen_deform(cfg: ScenarioConfig, seed: int) -> Scene:
                        size, size) for f in range(cfg.length))
     return _pair_scene(cfg, seed, rng, 0.5, weave,
                        _lane(cfg, 40.0, 40.0 + v * (cfg.length - 1), cy + 90.0),
-                       drift_spikes=(spike,))
+                       drift=drift)
 
 
 # kind -> (generator, shortest length): the first length at which every
@@ -634,8 +603,8 @@ def save_mot(scene: Scene, path: FsPath | str) -> None:
     FsPath(path).write_text("\n".join(lines) + "\n")
 
 
-# per id, in id order: (id, its true box at each frame, its occlusion events)
-MotTracks = tuple[tuple[int, tuple[BBox, ...], tuple[OcclusionEvent, ...]], ...]
+# per id, in id order: (id, its true box and its occlusion severity at each frame)
+MotTracks = tuple[tuple[int, tuple[BBox, ...], tuple[float, ...]], ...]
 
 
 def load_mot(path: FsPath | str, seed: int = 0) -> Scene:
@@ -646,17 +615,18 @@ def load_mot(path: FsPath | str, seed: int = 0) -> Scene:
 def parse_mot(path: FsPath | str) -> MotTracks:
     """The tracks of a MOT ground-truth file, one per id, in id order.
 
-    Visibility maps to occlusion severity (1 - visibility) attributed to
-    static scenery. Frame gaps within an id's annotations are filled by
-    linear interpolation with a warning; ids missing at the sequence edges
-    hold their first/last annotated box. Malformed rows fail with the
-    offending line number; a file that is not UTF-8 text, or that spans
-    fewer than the two frames a run steps from, fails naming the file.
+    Each frame's occlusion severity is 1 - visibility, at least 0. Frame
+    gaps within an id's annotations are filled by linear interpolation with
+    a warning; ids missing at the sequence edges hold their first/last
+    annotated box. Malformed rows fail with the offending line number; a
+    file that is not UTF-8 text (a leading byte order mark is skipped), or
+    that spans fewer than the two frames a run steps from, fails naming
+    the file.
     """
     per_id: dict[int, dict[int, tuple[BBox, float]]] = {}
     max_frame = 0
     try:
-        text = FsPath(path).read_text(encoding="utf-8")
+        text = FsPath(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise MotFormatError(f"{path}: not UTF-8 text: {exc}") from None
     for lineno, rawline in enumerate(text.splitlines(), start=1):
@@ -700,7 +670,7 @@ def parse_mot(path: FsPath | str) -> MotTracks:
             log.warning("%s: id %d missing frames %d..%d, interpolating",
                         path, obj_id, a + 2, b)  # report in 1-based file frames
         boxes: list[BBox] = []
-        vis_seq: list[float] = []
+        severity: list[float] = []
         for f in range(max_frame):
             if f in rows:
                 box, vis = rows[f]
@@ -717,8 +687,8 @@ def parse_mot(path: FsPath | str) -> MotTracks:
                            ba.w + t * (bb.w - ba.w), ba.h + t * (bb.h - ba.h))
                 vis = va + t * (vb - va)
             boxes.append(box)
-            vis_seq.append(vis)
-        tracks.append((obj_id, tuple(boxes), _visibility_to_events(vis_seq)))
+            severity.append(max(0.0, 1.0 - vis))
+        tracks.append((obj_id, tuple(boxes), tuple(severity)))
     return tuple(tracks)
 
 
@@ -727,20 +697,6 @@ def mot_scene(tracks: MotTracks, seed: int) -> Scene:
     from `seed`, which nothing else depends on."""
     objects = tuple(
         ObjectSpec(obj_id, boxes, tuple(float(v) for v in _random_unit(
-            np.random.default_rng([seed, obj_id]), APPEARANCE_DIM)), occlusions=occlusions)
-        for obj_id, boxes, occlusions in tracks)
+            np.random.default_rng([seed, obj_id]), APPEARANCE_DIM)), severity=severity)
+        for obj_id, boxes, severity in tracks)
     return Scene(len(tracks[0][1]), seed, objects)
-
-
-def _visibility_to_events(vis_seq: list[float]) -> tuple[OcclusionEvent, ...]:
-    """Runs of constant reduced visibility become static occlusion events."""
-    events = []
-    run_start, run_sev = None, 0.0
-    for f, vis in enumerate(vis_seq + [1.0]):  # sentinel terminates the last run
-        sev = 1.0 - vis
-        if run_start is not None and sev != run_sev:
-            events.append(OcclusionEvent(run_start, f - 1, STATIC, run_sev))
-            run_start = None
-        if run_start is None and sev > 0.0:
-            run_start, run_sev = f, sev
-    return tuple(events)

@@ -10,7 +10,7 @@ import pytest
 from retrack.candidate_select import CandidateSet
 from retrack.geometry import BBox, Tracklet
 from retrack.pools import build_candidate_pool
-from retrack.simworld import STATIC, ObjectSpec, OcclusionEvent, Scene
+from retrack.simworld import ObjectSpec, Scene
 from retrack.tracker_port import RawCandidates, TrackerPort
 
 
@@ -123,9 +123,9 @@ def zero_iou_scene(seed: int = 0, length: int = 64) -> Scene:
     wall[2] = 1.0
 
     speed, y_t, y_d = 4.0, 216.0, 296.0
-    cover = (OcclusionEvent(20, 38, STATIC, 1.0),)
+    cover = tuple(1.0 if 20 <= f <= 38 else 0.0 for f in range(length))
     target = ObjectSpec(2, lane(length, 40.0, 40.0 + speed * (length - 1), y_t),
-                        tuple(map(float, u)), occlusions=cover)
+                        tuple(map(float, u)), severity=cover)
     centers = []
     for f in range(length):
         if f <= 19:
@@ -137,7 +137,7 @@ def zero_iou_scene(seed: int = 0, length: int = 64) -> Scene:
         else:
             centers.append((-95.0, 396.0))   # parked off the field
     boxes = tuple(BBox(cx - 20.0, cy - 20.0, 40.0, 40.0) for cx, cy in centers)
-    distractor = ObjectSpec(1, boxes, tuple(map(float, v)), occlusions=cover)
+    distractor = ObjectSpec(1, boxes, tuple(map(float, v)), severity=cover)
     return Scene(length, seed, (distractor, target), static_appearance=tuple(map(float, wall)))
 
 

@@ -63,37 +63,30 @@ def mock_score(scene, crop, obj_id: int, frame: int) -> float:
 
 
 def _effective(scene, obj_id: int, frame: int) -> tuple[np.ndarray, float]:
-    """An object's effective appearance at `frame` and its visibility:
-    its drifted walk, mixed (1 - s) to s with the walk of the strongest
-    active occluder (the first listed of equals; the scene's wall vector
-    for static scenery) and normalised, at visibility 1 - s."""
+    """An object's effective appearance at `frame` and its visibility: its
+    drifted walk, mixed (1 - s) to s with the scene's wall vector for the
+    object's severity s at `frame` and normalised, at visibility 1 - s."""
     obj = next(o for o in scene.objects if o.id == obj_id)
     own = _walk(scene, obj, frame)
-    active = [ev for ev in obj.occlusions if ev.start <= frame <= ev.end]
-    if not active:
+    s = obj.severity[frame] if obj.severity else 0.0
+    if s == 0.0:
         return own, 1.0
-    event = max(active, key=lambda ev: ev.severity)
-    other = (np.asarray(scene.static_appearance, dtype=float) if event.occluder == "static"
-             else _walk(scene, next(o for o in scene.objects if o.id == event.occluder),
-                        frame))
-    mixed = (1.0 - event.severity) * own + event.severity * other
-    return mixed / np.linalg.norm(mixed), 1.0 - event.severity
+    mixed = (1.0 - s) * own + s * np.asarray(scene.static_appearance, dtype=float)
+    return mixed / np.linalg.norm(mixed), 1.0 - s
 
 
 def _walk(scene, obj, frame: int) -> np.ndarray:
     """An object's unit appearance after `frame` steps of its spherical
-    random walk: each step adds the rate at the step's start frame (the
-    largest of `drift` and any spike window holding it) times a standard
-    normal draw from the object's stream, then normalises. An object that
-    never drifts keeps its unit appearance exactly."""
+    random walk: step f adds the object's drift rate at frame f times a
+    standard normal draw from the object's stream, then normalises. An
+    object that never drifts keeps its unit appearance exactly."""
     v = np.asarray(obj.appearance, dtype=float)
     v = v / float(np.linalg.norm(v))
-    if obj.drift == 0.0 and not obj.drift_spikes:
+    if not any(obj.drift):
         return v
     steps = np.random.default_rng([scene.seed, obj.id, 1]).standard_normal(
         (scene.length - 1, len(v)))
     for f in range(frame):
-        rate = max([obj.drift] + [r for a, b, r in obj.drift_spikes if a <= f <= b])
-        v = v + rate * steps[f]
+        v = v + obj.drift[f] * steps[f]
         v = v / float(np.linalg.norm(v))
     return v

@@ -414,6 +414,16 @@ class TestExitCodes:
         assert f"{gt}: not UTF-8 text" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_mot_with_a_byte_order_mark_reads_as_without(self, tmp_path):
+        gt = tmp_path / "gt.txt"
+        save_mot(generate_scene(ScenarioConfig("convoy"), 0), gt)
+        plain = gt.read_bytes()
+        for name, text in (("plain", plain), ("marked", b"\xef\xbb\xbf" + plain)):
+            gt.write_bytes(text)
+            assert main(["track", "--mot", str(gt), "--seeds", "0",
+                         "--out", str(tmp_path / name)]) == 0
+        assert _read_dir(tmp_path / "marked") == _read_dir(tmp_path / "plain")
+
     @pytest.mark.parametrize("value", ["nan", "-1", "1", "1.5"])
     def test_fail_iou_outside_the_unit_interval_fails_before_any_output(
             self, tmp_path, capsys, value):

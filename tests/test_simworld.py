@@ -13,11 +13,10 @@ from oracles import mock_score
 from retrack.engine import EngineConfig, run_baseline, run_sequence
 from retrack.evalkit import EvalReport
 from retrack.geometry import BBox, iou
-from retrack.simworld import (SCENARIO_IDS, SCENARIOS, SEARCH_RADIUS_SCALE, STATIC,
-                              MockTracker, MotFormatError, ObjectSpec, OcclusionEvent,
-                              ScenarioConfig, Scene, _tapered_occlusion, _unit_with_cosine,
-                              _visibility_to_events, generate_scene, load_mot, mot_scene,
-                              parse_mot, save_mot)
+from retrack.simworld import (SCENARIO_IDS, SCENARIOS, SEARCH_RADIUS_SCALE, MockTracker,
+                              MotFormatError, ObjectSpec, ScenarioConfig, Scene,
+                              _tapered_occlusion, _unit_with_cosine, generate_scene, load_mot,
+                              mot_scene, parse_mot, save_mot)
 
 DIM = 4
 E0 = (1.0, 0.0, 0.0, 0.0)
@@ -35,32 +34,17 @@ def _scene(objects, length=6, **kw):
     return Scene(length, 0, tuple(objects), **kw)
 
 
-class TestOcclusionEvent:
-    def test_active_is_inclusive(self):
-        ev = OcclusionEvent(3, 5, STATIC, 0.5)
-        assert not ev.active(2)
-        assert ev.active(3)
-        assert ev.active(5)
-        assert not ev.active(6)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            OcclusionEvent(5, 3, STATIC, 0.5)
-        with pytest.raises(ValueError):
-            OcclusionEvent(0, 1, STATIC, 0.0)
-        with pytest.raises(ValueError):
-            OcclusionEvent(0, 1, STATIC, 1.5)
-        assert OcclusionEvent(0, 0, STATIC, 1.0).severity == 1.0
-
-
 class TestObjectSpec:
-    def test_drift_spikes_override_base_rate(self):
-        obj = ObjectSpec(1, _static(0, 0), E0, drift=0.01,
-                         drift_spikes=((4, 6, 0.2),))
-        assert obj.drift_at(3) == 0.01
-        assert obj.drift_at(4) == 0.2
-        assert obj.drift_at(6) == 0.2
-        assert obj.drift_at(7) == 0.01
+    def test_per_frame_bounds_are_inclusive(self):
+        """A severity of exactly 0 or 1 and a rate of 0 are accepted; what
+        lies outside fails in `test_bad_spec_fails_when_built`."""
+        obj = ObjectSpec(1, _static(0, 0), E0, severity=(0.0, 1.0, 0.0, 0.0, 0.0, 0.0),
+                         drift=(0.0,) * 6)
+        scene = _scene([obj])
+        assert scene.visibility(1, 0) == 1.0
+        assert scene.visibility(1, 1) == 0.0
+        np.testing.assert_array_equal(scene.effective_appearance(1, 1), np.asarray(WALL))
+        np.testing.assert_array_equal(scene.effective_appearance(1, 5), np.asarray(E0))
 
 
 class TestScene:
@@ -74,18 +58,16 @@ class TestScene:
         with pytest.raises(ValueError):
             _scene([a], length=0)
 
-    def test_visibility_tracks_strongest_active_event(self):
-        obj = ObjectSpec(1, _static(0, 0), E0,
-                         occlusions=(OcclusionEvent(0, 4, STATIC, 0.25),
-                                     OcclusionEvent(2, 3, STATIC, 0.5)))
+    def test_visibility_is_one_minus_severity(self):
+        obj = ObjectSpec(1, _static(0, 0), E0, severity=(0.25, 0.25, 0.5, 0.5, 0.25, 0.0))
         scene = _scene([obj])
-        assert scene.visibility(1, 0) == 0.75
-        assert scene.visibility(1, 2) == 0.5
-        assert scene.visibility(1, 5) == 1.0
+        assert [scene.visibility(1, f) for f in range(6)] == [0.75, 0.75, 0.5, 0.5, 0.75, 1.0]
+        # an object in plain view stores no severity at all
+        plain = _scene([ObjectSpec(1, _static(0, 0), E0)])
+        assert [plain.visibility(1, f) for f in range(6)] == [1.0] * 6
 
     def test_static_occlusion_mixes_toward_wall(self):
-        obj = ObjectSpec(1, _static(0, 0), E0,
-                         occlusions=(OcclusionEvent(2, 3, STATIC, 0.25),))
+        obj = ObjectSpec(1, _static(0, 0), E0, severity=(0.0, 0.0, 0.25, 0.25, 0.0, 0.0))
         scene = _scene([obj])
         np.testing.assert_array_equal(scene.effective_appearance(1, 0),
                                       np.asarray(E0))
@@ -95,15 +77,6 @@ class TestScene:
         assert eff[2] == pytest.approx(0.25 / norm, rel=1e-12)
         assert np.linalg.norm(eff) == pytest.approx(1.0, rel=1e-12)
 
-    def test_object_occluder_mixes_toward_that_object(self):
-        target = ObjectSpec(1, _static(0, 0), E0,
-                            occlusions=(OcclusionEvent(1, 1, 2, 0.5),))
-        other = ObjectSpec(2, _static(50, 0), E1)
-        scene = _scene([target, other])
-        eff = scene.effective_appearance(1, 1)
-        assert eff[0] == pytest.approx(eff[1], rel=1e-12)
-        assert eff[0] == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
-
     def test_wall_appearance_derived_deterministically(self):
         obj = ObjectSpec(1, _static(0, 0, length=4), E0)
         one = Scene(4, 9, (obj,))
@@ -112,7 +85,7 @@ class TestScene:
         assert np.linalg.norm(one.static_appearance) == pytest.approx(1.0)
 
     def test_drift_walk_is_deterministic_and_unit_norm(self):
-        obj = ObjectSpec(1, _static(0, 0, length=10), E0, drift=0.1)
+        obj = ObjectSpec(1, _static(0, 0, length=10), E0, drift=(0.1,) * 10)
         one, two = _scene([obj], length=10), _scene([obj], length=10)
         for f in range(10):
             a = one.effective_appearance(1, f)
@@ -120,6 +93,16 @@ class TestScene:
             assert np.linalg.norm(a) == pytest.approx(1.0, rel=1e-12)
         assert not np.array_equal(one.effective_appearance(1, 0),
                                   one.effective_appearance(1, 9))
+
+    def test_rate_at_a_frame_drives_the_next_step(self):
+        """Only frame 3's rate is nonzero: the appearance holds through
+        frame 3, moves at frame 4, and stays there."""
+        obj = ObjectSpec(1, _static(0, 0), E0, drift=(0.0, 0.0, 0.0, 0.2, 0.0, 0.0))
+        rows = [_scene([obj]).effective_appearance(1, f) for f in range(6)]
+        for f in range(4):
+            np.testing.assert_array_equal(rows[f], np.asarray(E0))
+        assert float(np.abs(rows[4] - rows[3]).max()) > 1e-3
+        np.testing.assert_allclose(rows[5], rows[4], rtol=0.0, atol=1e-15)
 
     def test_zero_drift_appearance_is_constant(self):
         scene = _scene([ObjectSpec(1, _static(0, 0), E0)])
@@ -134,16 +117,18 @@ class TestSceneSerialization:
 
     @staticmethod
     def _objects():
-        target = ObjectSpec(1, _static(10.0, 20.0, size=8.0, length=8), E0, drift=0.05,
-                            drift_spikes=((2, 4, 0.3),),
-                            occlusions=(OcclusionEvent(1, 3, STATIC, 0.25),
-                                        OcclusionEvent(5, 5, 2, 0.5)))
+        # drifts at 0.05, spiking to 0.3 over frames 2-4; obscured at a
+        # quarter strength over frames 1-3 and at half strength at frame 5
+        target = ObjectSpec(1, _static(10.0, 20.0, size=8.0, length=8), E0,
+                            severity=(0.0, 0.25, 0.25, 0.25, 0.0, 0.5, 0.0, 0.0),
+                            drift=(0.05, 0.05, 0.3, 0.3, 0.3, 0.05, 0.05, 0.05))
         return target, ObjectSpec(2, _static(100, 100, length=8), E1)
 
     @pytest.mark.parametrize("change, message", [
-        ("short_frames", "object 2: its path holds 7 boxes, the scene 8 frames"),
-        ("long_frames", "object 2: its path holds 9 boxes, the scene 8 frames"),
-        ("unknown_occluder", "object 1: occluder 3 is neither"),
+        ("short_frames", "object 2: 'boxes' holds 7 entries, the scene 8 frames"),
+        ("long_frames", "object 2: 'boxes' holds 9 entries, the scene 8 frames"),
+        ("severity_short", "object 1: 'severity' holds 7 entries, the scene 8 frames"),
+        ("drift_long", "object 2: 'drift' holds 9 entries, the scene 8 frames"),
         ("static_dimension", "static_appearance has dimension 3, object 1"),
         ("object_dimension", "object 2: appearance of shape \\(3,\\), not \\(4,\\)"),
         ("object_zero", "object 2: appearance must be finite and not all zero"),
@@ -151,28 +136,33 @@ class TestSceneSerialization:
         ("static_zero", "static_appearance must be finite and not all zero"),
         ("static_nan", "static_appearance must be finite and not all zero"),
         ("mix_cancels", "object 1: the occlusion at frame 5 mixes its appearance to zero"),
+        ("severity_nan", "object 1: severity must lie in \\[0, 1\\], got nan"),
+        ("severity_negative", "object 1: severity must lie in \\[0, 1\\], got -0.25"),
+        ("severity_above_1", "object 1: severity must lie in \\[0, 1\\], got 1.5"),
         ("drift_nan", "object 1: drift must be finite and >= 0, got nan"),
         ("drift_negative", "object 2: drift must be finite and >= 0, got -0.01"),
-        ("spike_nan", "object 1: drift_spikes rate must be finite and >= 0, got nan"),
-        ("spike_negative", "object 1: drift_spikes rate must be finite and >= 0, got -0.3"),
-        ("spike_reversed", "object 1: drift_spikes window 4..2 ends before it starts"),
-    ], ids=["short_frames", "long_frames", "unknown_occluder", "static_dimension",
+        ("spike_nan", "object 1: drift must be finite and >= 0, got nan"),
+        ("spike_negative", "object 1: drift must be finite and >= 0, got -0.3"),
+    ], ids=["short_frames", "long_frames", "severity_short", "drift_long", "static_dimension",
             "object_dimension", "object_zero", "object_nan", "static_zero",
-            "static_nan", "mix_cancels", "drift_nan", "drift_negative", "spike_nan",
-            "spike_negative", "spike_reversed"])
+            "static_nan", "mix_cancels", "severity_nan", "severity_negative",
+            "severity_above_1", "drift_nan", "drift_negative", "spike_nan",
+            "spike_negative"])
     def test_bad_spec_fails_when_built(self, change, message):
         """Unchecked, each would fail later with an error that names no
         object, mid-run with a NaN score, or run silently on a truncated
-        path."""
+        table. The spike rows spoil only the rates of frames 2-4, so every
+        frame's rate is checked, not the first alone."""
         target, other = self._objects()
         wall = WALL
         with pytest.raises(ValueError, match=message):
             if change.endswith("_frames"):
                 n = 7 if change == "short_frames" else 9
                 other = replace(other, boxes=(BBox(95.0, 95.0, 10.0, 10.0),) * n)
-            elif change == "unknown_occluder":
-                first, second = target.occlusions
-                target = replace(target, occlusions=(first, replace(second, occluder=3)))
+            elif change == "severity_short":
+                target = replace(target, severity=target.severity[:7])
+            elif change == "drift_long":
+                other = replace(other, drift=(0.0,) * 9)
             elif change == "static_dimension":
                 wall = WALL[:3]
             elif change == "object_dimension":
@@ -185,19 +175,21 @@ class TestSceneSerialization:
                 wall = (0.0,) * DIM
             elif change == "static_nan":
                 wall = WALL[:3] + (math.nan,)
+            elif change.startswith("severity_"):
+                bad = {"severity_nan": math.nan, "severity_negative": -0.25,
+                       "severity_above_1": 1.5}[change]
+                target = replace(target, severity=target.severity[:5] + (bad,) * 3)
             elif change == "drift_nan":
-                target = replace(target, drift=math.nan)
+                target = replace(target, drift=(math.nan,) * 8)
             elif change == "drift_negative":
-                other = replace(other, drift=-0.01)
+                other = replace(other, drift=(-0.01,) * 8)
             elif change.startswith("spike_"):
-                start, end, rate = target.drift_spikes[0]
-                spike = {"spike_nan": (start, end, math.nan),
-                         "spike_negative": (start, end, -rate),
-                         "spike_reversed": (end, start, rate)}[change]
-                target = replace(target, drift_spikes=(spike,))
-            else:  # object 2 occludes object 1 at half strength over frame 5
-                target = replace(target, drift=0.0, drift_spikes=())
-                other = replace(other, appearance=tuple(-v for v in target.appearance))
+                rates = target.drift
+                spike = math.nan if change == "spike_nan" else -rates[2]
+                target = replace(target, drift=rates[:2] + (spike,) * 3 + rates[5:])
+            else:  # a wall opposite the undrifted target, at half strength over frame 5
+                target = replace(target, drift=())
+                wall = tuple(-v for v in target.appearance)
             _scene([target, other], length=8, static_appearance=wall)
 
 
@@ -269,8 +261,7 @@ class TestMockTracker:
         assert got.scores == (0.0,)
 
     def test_score_is_visibility_times_cosine(self):
-        obj = ObjectSpec(1, _static(20.0, 20.0), E0,
-                         occlusions=(OcclusionEvent(2, 2, STATIC, 0.25),))
+        obj = ObjectSpec(1, _static(20.0, 20.0), E0, severity=(0.0, 0.0, 0.25, 0.0, 0.0, 0.0))
         scene = _scene([obj])
         tracker = MockTracker(scene)
         tpl = tracker.make_template(0, scene.true_box(1, 0))
@@ -455,15 +446,23 @@ class TestAppearanceHelpers:
 
 
 class TestTaperedOcclusion:
+    SEV = 72.0 / 256
+
     def test_ladder_steps_down_one_frame_at_a_time(self):
-        sev = 72.0 / 256
-        events = _tapered_occlusion(10, 20, sev)
-        assert events[0] == OcclusionEvent(10, 20, STATIC, sev)
-        assert len(events) == 9
-        for i, ev in enumerate(events[1:]):
-            assert ev.start == ev.end == 21 + i
-            assert ev.severity == (64.0 - 8.0 * i) / 256
-        assert events[-1].severity == 8.0 / 256
+        severity = _tapered_occlusion(40, 10, 20, self.SEV)
+        assert len(severity) == 40
+        assert severity[:10] == (0.0,) * 10
+        assert severity[10:21] == (self.SEV,) * 11
+        assert severity[21:29] == tuple((64.0 - 8.0 * i) / 256 for i in range(8))
+        assert severity[28] == 8.0 / 256
+        assert severity[29:] == (0.0,) * 11
+
+    @pytest.mark.parametrize("length", [30, 24, 21, 16, 11])
+    def test_ladder_is_cut_at_the_last_frame(self, length):
+        """A fade, or the full-strength stretch itself, that runs past the
+        scene's last frame is cut there."""
+        assert _tapered_occlusion(length, 10, 20, self.SEV) == \
+            _tapered_occlusion(40, 10, 20, self.SEV)[:length]
 
 
 class TestScenarioGeneration:
@@ -486,8 +485,8 @@ class TestScenarioGeneration:
         scene = generate_scene(cfg, 3)
         assert scene.ids() == [1, 2]
         target, distractor = scene.objects
-        assert target.occlusions and not distractor.occlusions
-        sev = target.occlusions[0].severity
+        assert any(target.severity) and not distractor.severity
+        sev = max(target.severity)
         assert sev * 256 == int(sev * 256)  # dyadic grid
         assert cfg.severity[0] <= sev <= cfg.severity[1]
         # lanes meet mid-sequence at three quarters of a box apart, close
@@ -499,16 +498,24 @@ class TestScenarioGeneration:
 
     def test_convoy_lanes_never_overlap(self):
         scene = generate_scene(ScenarioConfig("convoy"), 4)
-        assert scene.objects[0].occlusions
+        assert any(scene.objects[0].severity)
         for f in range(scene.length):
             assert iou(scene.true_box(1, f), scene.true_box(2, f)) == 0.0
 
     def test_deform_uses_drift_spike_not_occlusion(self):
-        scene = generate_scene(ScenarioConfig("deform"), 4)
-        target = scene.objects[0]
-        assert target.drift_spikes and not target.occlusions
-        start, end, rate = target.drift_spikes[0]
-        assert 20 <= start < 27 and rate == 0.12
+        """The target drifts at 0.12 over one stretch of 9 to 13 frames
+        starting at frame 20 to 26, and at the config's `drift` elsewhere;
+        the bystander at `drift` throughout. Nothing is obscured, and an
+        object that never drifts stores no rates."""
+        for drift in (0.0, 0.02):
+            cfg = ScenarioConfig("deform", drift=drift)
+            target, other = generate_scene(cfg, 4).objects
+            assert not target.severity and not other.severity
+            assert len(target.drift) == cfg.length and set(target.drift) == {drift, 0.12}
+            spiked = [f for f, rate in enumerate(target.drift) if rate == 0.12]
+            assert 20 <= spiked[0] < 27 and 9 <= len(spiked) <= 13
+            assert spiked == list(range(spiked[0], spiked[-1] + 1))
+            assert other.drift == ((drift,) * cfg.length if drift else ())
 
     @pytest.mark.parametrize("kind, change, message", [
         ("drift", {}, "kind must be one of .*crossing.*convoy.*deform.*, got 'drift'"),
@@ -556,19 +563,18 @@ class TestScenarioGeneration:
                                               ("deform", 28)])
     def test_shortest_scene_carries_its_event(self, kind, length):
         """At its kind's minimum length, every scene holds its scripted
-        event: an occlusion frame with visibility below 1, or a frame whose
-        appearance the drift spike changed."""
+        event: a frame with visibility below 1, or a frame whose appearance
+        the drift spike changed."""
         cfg = ScenarioConfig(kind, length=length)
         for seed in range(50):
             scene = generate_scene(cfg, seed)
             target = scene.objects[0]
             if kind == "deform":
-                start = target.drift_spikes[0][0]
+                start = target.drift.index(0.12)
                 before, after = (scene.effective_appearance(1, f) for f in (start, start + 1))
                 assert float(np.abs(after - before).max()) > 1e-9, seed
             else:
-                start = target.occlusions[0].start
-                assert start >= 0 and scene.visibility(1, start) < 1.0, seed
+                assert min(scene.visibility(1, f) for f in range(length)) < 1.0, seed
 
     @pytest.mark.parametrize("kind", ["crossing", "convoy", "deform"])
     def test_wall_is_orthogonal_at_three_dimensions(self, kind):
@@ -619,16 +625,23 @@ class TestMotRoundTrip:
             assert scene.objects == loaded.objects
         one, five = (s.objects for s in scenes)
         for a, b in zip(one, five):
-            assert (a.id, a.boxes, a.occlusions) == (b.id, b.boxes, b.occlusions)
+            assert (a.id, a.boxes, a.severity) == (b.id, b.boxes, b.severity)
             assert a.appearance != b.appearance
 
-    def test_visibility_runs_become_events(self):
-        events = _visibility_to_events([1.0, 0.75, 0.75, 0.5, 1.0])
-        assert events == (OcclusionEvent(1, 2, STATIC, 0.25),
-                          OcclusionEvent(3, 3, STATIC, 0.5))
-        assert _visibility_to_events([0.75, 0.75]) == (
-            OcclusionEvent(0, 1, STATIC, 0.25),)
-        assert _visibility_to_events([1.0, 1.0]) == ()
+    def test_visibility_becomes_severity(self, tmp_path):
+        """Each frame's severity is 1 - visibility, at that frame or, in a
+        gap, interpolated; the scene's visibility is 1 - severity again."""
+        p = tmp_path / "gt.txt"
+        p.write_text("1,1,0,0,10,10,1,1,1.0\n2,1,0,0,10,10,1,1,0.75\n"
+                     "3,1,0,0,10,10,1,1,0.5\n5,1,0,0,10,10,1,1,1.0\n"
+                     "1,2,50,50,10,10,1,1,0.3\n")
+        (_, _, first), (_, _, second) = parse_mot(p)
+        assert first == (0.0, 0.25, 0.5, 0.25, 0.0)
+        assert second == (1.0 - 0.3,) * 5
+        scene = mot_scene(parse_mot(p), 0)
+        assert [scene.visibility(1, f) for f in range(5)] == [1.0, 0.75, 0.5, 0.75, 1.0]
+        # a non-dyadic visibility comes back as its double complement
+        assert scene.visibility(2, 0) == 1.0 - (1.0 - 0.3) != 0.3
 
 
 class TestMotParsing:
