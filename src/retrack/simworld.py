@@ -465,6 +465,9 @@ def _tapered_occlusion(length: int, start: int, end: int, sev: float) -> tuple[f
     Fading one step per frame keeps each frame's immediate past matchable
     from that frame's own appearance. Steps stay on the dyadic grid, so
     visibility values round-trip exactly."""
+    if not 0 <= start < length or end < start:
+        raise ValueError(f"occlusion [{start}, {end}] must start inside frames 0..{length - 1}"
+                         " and end no earlier than it starts")
     severity = [0.0] * length
     level = sev
     for f in range(start, length):

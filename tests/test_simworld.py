@@ -464,6 +464,14 @@ class TestTaperedOcclusion:
         assert _tapered_occlusion(length, 10, 20, self.SEV) == \
             _tapered_occlusion(40, 10, 20, self.SEV)[:length]
 
+    @pytest.mark.parametrize("start, end", [(-1, 20), (40, 45), (20, 19)],
+                             ids=["before_frame_0", "past_last_frame", "ends_before_start"])
+    def test_window_outside_the_scene_fails(self, start, end):
+        """A start before frame 0 would wrap onto the scene's last frames,
+        and one past the last frame would script no occlusion at all."""
+        with pytest.raises(ValueError, match="occlusion"):
+            _tapered_occlusion(40, start, end, self.SEV)
+
 
 class TestScenarioGeneration:
     @pytest.mark.parametrize("kind", SCENARIOS)
@@ -563,8 +571,9 @@ class TestScenarioGeneration:
                                               ("deform", 28)])
     def test_shortest_scene_carries_its_event(self, kind, length):
         """At its kind's minimum length, every scene holds its scripted
-        event: a frame with visibility below 1, or a frame whose appearance
-        the drift spike changed."""
+        event: one occlusion that sets in at full strength and then only
+        fades (a head wrapped past frame 0 would rise again at the scene's
+        end), or a frame whose appearance the drift spike changed."""
         cfg = ScenarioConfig(kind, length=length)
         for seed in range(50):
             scene = generate_scene(cfg, seed)
@@ -574,7 +583,10 @@ class TestScenarioGeneration:
                 before, after = (scene.effective_appearance(1, f) for f in (start, start + 1))
                 assert float(np.abs(after - before).max()) > 1e-9, seed
             else:
-                assert min(scene.visibility(1, f) for f in range(length)) < 1.0, seed
+                start = next(f for f, s in enumerate(target.severity) if s > 0)
+                run = target.severity[start:]
+                assert all(a >= b for a, b in zip(run, run[1:])), seed
+                assert scene.visibility(1, start) < 1.0, seed
 
     @pytest.mark.parametrize("kind", ["crossing", "convoy", "deform"])
     def test_wall_is_orthogonal_at_three_dimensions(self, kind):
