@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import BBox, Tracklet, box_array, iou
+from .geometry import BBox, Tracklet, box_array
 from .tracker_port import RawCandidates, TrackerPort, newest_first, segment_frames
 
 log = logging.getLogger(__name__)
@@ -188,9 +188,24 @@ class Scene:
     def dominant_object(self, box: BBox, frame: int) -> int | None:
         """Id of the object whose true box at `frame` overlaps `box` the
         most; a tie goes to the lower id, and None if nothing overlaps."""
+        # `iou(box, b)` spelled out over each true box b, with its operations
+        # in the same order, as `tracklet_avg_iou` does
+        ax, ay, aw, ah = box.x, box.y, box.w, box.h
+        ax2, ay2 = ax + aw, ay + ah
         best_id, best_ov = None, 0.0
         for obj_id, table in self._tables.items():
-            ov = iou(box, table.boxes[frame])
+            b = table.boxes[frame]
+            bx, by, bw, bh = b.x, b.y, b.w, b.h
+            bx2 = bx + bw
+            ix = (bx2 if bx2 < ax2 else ax2) - (bx if bx > ax else ax)
+            if ix <= 0:
+                continue
+            by2 = by + bh
+            iy = (by2 if by2 < ay2 else ay2) - (by if by > ay else ay)
+            if iy <= 0:
+                continue
+            inter = ix * iy
+            ov = inter / (aw * ah + bw * bh - inter)
             if ov > best_ov:
                 best_id, best_ov = obj_id, ov
         return best_id
@@ -243,13 +258,16 @@ def _unit_with_cosine(rng: np.random.Generator, u: np.ndarray, c: float) -> np.n
 # ---------------------------------------------------------------------------
 
 class _Cosines(dict):
-    """A template: appearance vector `vec`, and under key j its cosine
-    against `rows[j]`, computed on first use and kept."""
+    """A template: appearance vector `vec`, under key j its cosine against
+    `rows[j]`, computed on first use and kept, and `chains`, the boxes of
+    each chain walked under it, keyed (first frame, direction, start box's
+    x, y, w, h)."""
 
-    __slots__ = ("vec", "rows")
+    __slots__ = ("vec", "rows", "chains")
 
     def __init__(self, vec: np.ndarray, rows: np.ndarray):
         self.vec, self.rows = vec, rows
+        self.chains: dict[tuple, list[BBox]] = {}
 
     def __missing__(self, j: int) -> float:
         cos = self[j] = float(self.vec.dot(self.rows[j]))
@@ -279,8 +297,15 @@ class MockTracker(TrackerPort):
     conformance check in `tests/conformance.py` holds the two equal.
     A port frame reads each object's centre for the range test; only an
     object in range has its score looked up and its true box read.
+    A template handle also keeps each chain of two or more frames walked
+    under it, keyed by its first frame, start box (by value) and
+    direction; a chain that joins a kept one, as consecutive frames'
+    backtracks of one object do, takes its boxes (see `track_segment`).
+    Like the cosines, the chains live on this port's handles, never on
+    the scene.
     `port_frames` counts the backbone passes asked of this port, the
-    engine's cost: one per `propose` call, one per `track_segment` frame.
+    engine's cost: one per `propose` call, one per `track_segment` frame,
+    whether the chain walks that frame or reuses a known box for it.
     """
 
     def __init__(self, scene: Scene):
@@ -331,16 +356,38 @@ class MockTracker(TrackerPort):
     def track_segment(self, template: _Cosines, start: BBox,
                       frames: Sequence[int]) -> Tracklet:
         """The base class's chain, lean: the frames are checked once, and
-        each step keeps a running argmax over the proposals as `propose`
-        orders and scores them, ties going to the first, so no proposal
-        list is built."""
+        boxes already walked under `template` are taken, not walked again.
+        The first step is walked; the chain kept under (second frame, that
+        step's box, direction) gives what it holds of the rest, and what
+        it lacks is walked on from the last box. The chain is then kept
+        under its own (first frame, start box, direction). By the port's
+        determinism a chain is a function of that key, the direction
+        fixing every frame after the first, so a kept chain holds exactly
+        the boxes a walk would find. A one-frame chain has nothing to take
+        and has no direction, so it is walked and not kept."""
         frames = segment_frames(frames)
-        self._check_frame(frames[0])
+        first, n = frames[0], len(frames)
+        self._check_frame(first)
         self._check_frame(frames[-1])
-        self.port_frames += len(frames)
+        self.port_frames += n
+        chain = self._walk(template, start, frames[:1])
+        if n > 1:
+            step = frames[1] - first
+            # a box enters a key as its four floats: a tuple of floats
+            # hashes and compares in C, a `BBox` through Python calls
+            b = chain[0]
+            chain += template.chains.get((frames[1], step, b.x, b.y, b.w, b.h), ())[:n - 1]
+            if len(chain) < n:
+                chain += self._walk(template, chain[-1], frames[len(chain):])
+            template.chains[first, step, start.x, start.y, start.w, start.h] = chain
+        return newest_first(frames, chain)
+
+    def _walk(self, template: _Cosines, prior: BBox, frames: list[int]) -> list[BBox]:
+        """The chain's box at each of `frames`, the first step searching
+        around `prior`: a running argmax over the proposals as `propose`
+        orders and scores them, ties going to the first."""
         tables = self._tables
         hypot = math.hypot
-        prior = start
         chain = []
         for f in frames:
             pw, ph = prior.w, prior.h
@@ -356,7 +403,7 @@ class MockTracker(TrackerPort):
                     best, top = obj_boxes[f], score
             prior = best
             chain.append(best)
-        return newest_first(frames, chain)
+        return chain
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conformance import check_port, check_rejects
-from conftest import zero_iou_scene
+from conftest import lane, unit_vector, zero_iou_scene
 from oracles import mock_score
 from retrack.engine import EngineConfig, run_baseline, run_sequence
 from retrack.evalkit import EvalReport
@@ -17,6 +17,7 @@ from retrack.simworld import (SCENARIO_IDS, SCENARIOS, SEARCH_RADIUS_SCALE, Mock
                               MotFormatError, ObjectSpec, ScenarioConfig, Scene,
                               _tapered_occlusion, _unit_with_cosine, generate_scene, load_mot,
                               mot_scene, parse_mot, save_mot)
+from retrack.tracker_port import TrackerPort
 
 DIM = 4
 E0 = (1.0, 0.0, 0.0, 0.0)
@@ -295,6 +296,11 @@ class TestMockTracker:
         assert tracker.port_frames == 1
         tracker.track_segment(tpl, scene.true_box(1, 3), [3, 2, 1])
         assert tracker.port_frames == 4
+        tracker.track_segment(tpl, scene.true_box(1, 2), [2, 1, 0])
+        # the objects stand still, so this chain joins the last one at its
+        # second step and takes its boxes: a frame asked still counts
+        tracker.track_segment(tpl, scene.true_box(1, 3), [3, 2, 1, 0])
+        assert tracker.port_frames == 11
         assert MockTracker(scene).port_frames == 0
 
 
@@ -384,7 +390,8 @@ class TestMockScores:
 
 @pytest.mark.parametrize("kind, seed", [("crossing", 3), ("convoy", 103), ("deform", 3)])
 def test_a_warm_port_decides_as_a_fresh_one(kind, seed):
-    """The cosines a port keeps from one run change nothing in the next."""
+    """The cosines and chains a port keeps from one run change nothing in
+    the next."""
     scene = generate_scene(ScenarioConfig(kind), seed)
     frames, b0, cfg = range(scene.length), scene.true_box(1, 0), EngineConfig()
     attributes = set(vars(scene))
@@ -393,10 +400,72 @@ def test_a_warm_port_decides_as_a_fresh_one(kind, seed):
     assert any(port._templates.values())
     assert run_sequence(port, frames, b0, cfg) == first
     assert run_sequence(MockTracker(scene), frames, b0, cfg) == first
-    assert MockTracker(scene)._templates == {}
-    assert set(vars(scene)) == attributes  # the scene holds no cosines
+    assert any(template.chains for template in port._templates.values())
+    fresh = MockTracker(scene)
+    assert fresh._templates == {}
+    assert fresh.make_template(0, b0).chains == {}
+    assert set(vars(scene)) == attributes  # the scene holds no cosines and no chains
     check_port(port, TestConformance._starts(port, scene, 30),
                [range(29, 20, -1), range(31, 40)])
+
+
+class TestChainMemo:
+    """The chains a template keeps: a chain that joins a known one reuses
+    its boxes, and a warm port answers as a fresh one does."""
+
+    G = 41  # the frame of the starts, with 27 frames before it
+
+    @staticmethod
+    def _fast():
+        """Two look-alikes on parallel lanes, 20 px a frame: a search from a
+        box more than 7 frames off finds neither."""
+        return Scene(64, 0, tuple(ObjectSpec(i, lane(64, 40.0, 40.0 + 20.0 * 63, y),
+                                             unit_vector(i))
+                                  for i, y in ((1, 200.0), (2, 260.0))))
+
+    @pytest.mark.parametrize("kind, seed", [("crossing", 3), ("convoy", 103), ("deform", 3),
+                                            ("fast", 0)])
+    def test_a_warm_port_chains_as_a_fresh_one(self, kind, seed):
+        scene = self._fast() if kind == "fast" else generate_scene(ScenarioConfig(kind), seed)
+        g = self.G
+        segments = [
+            # forward from frame g - 1, then backward from g: the backward
+            # chains' second steps land on the forward chains' first keys
+            range(g - 1, g + 8), range(g, g - 9, -1),
+            # a 27-frame chain after 9-frame ones: the known tail is short
+            range(g - 1, g - 10, -1), range(g, g - 27, -1),
+            [g], [g - 1],
+        ]
+        warm = MockTracker(scene)
+        run_sequence(warm, range(scene.length), scene.true_box(1, 0), EngineConfig())
+        before = warm.port_frames
+        # the starts take in `FAR`, whose chains repeat their prior
+        got = check_port(warm, TestConformance._starts(warm, scene, g), segments)
+        fresh = MockTracker(scene)
+        assert check_port(fresh, TestConformance._starts(fresh, scene, g), segments) == got
+        assert warm.port_frames - before == fresh.port_frames
+        assert got[3][2].boxes == (TestConformance.FAR,) * 27
+
+    def test_a_chain_that_joins_a_known_one_walks_only_its_first_step(self):
+        scene = generate_scene(ScenarioConfig("crossing"), 3)
+        port = MockTracker(scene)
+        template = port.make_template(10, scene.true_box(1, 10))
+        port.track_segment(template, scene.true_box(1, 10), range(9, 0, -1))
+        walk, walked = port._walk, []
+
+        def spy(template, prior, frames):
+            walked.append(list(frames))
+            return walk(template, prior, frames)
+
+        port._walk = spy
+        start = scene.true_box(1, 11)
+        # its first step, at frame 10, lands on the known chain's start
+        got = port.track_segment(template, start, range(10, 1, -1))
+        assert walked == [[10]]
+        assert got == TrackerPort.track_segment(port, template, start, range(10, 1, -1))
+        # a chain that joins none walks every frame
+        port.track_segment(template, start, range(11, 15))
+        assert walked == [[10], [11], [12, 13, 14]]
 
 
 class TestDominantObject:
@@ -406,17 +475,45 @@ class TestDominantObject:
         # sharing only an edge is no overlap either
         assert scene.dominant_object(BBox(25.0, 15.0, 10.0, 10.0), 0) is None
 
+    # straddles the boxes centred at x 20 (ids 2, 3) and x 40 (id 1) of
+    # `_three`'s scene with an equal overlap, 0.2, on each
+    WIDE = BBox(20.0, 15.0, 20.0, 10.0)
+
+    @staticmethod
+    def _three():
+        return _scene([ObjectSpec(3, _static(20.0, 20.0), E0),
+                       ObjectSpec(1, _static(40.0, 20.0), E1),
+                       ObjectSpec(2, _static(20.0, 20.0), E1)])
+
+    @staticmethod
+    def _by_iou(scene, box, frame):
+        """`dominant_object` as a loop of `iou` calls."""
+        best_id, best_ov = None, 0.0
+        for i in scene.ids():
+            ov = iou(box, scene.true_box(i, frame))
+            if ov > best_ov:
+                best_id, best_ov = i, ov
+        return best_id
+
     def test_largest_overlap_wins_and_a_tie_goes_to_the_lower_id(self):
-        scene = _scene([ObjectSpec(3, _static(20.0, 20.0), E0),
-                        ObjectSpec(1, _static(40.0, 20.0), E1),
-                        ObjectSpec(2, _static(20.0, 20.0), E1)])
+        scene = self._three()
         assert scene.dominant_object(BBox(15.0, 15.0, 10.0, 10.0), 0) == 2
         assert scene.dominant_object(BBox(34.0, 15.0, 10.0, 10.0), 0) == 1
-        # straddles the boxes centred at x 20 (ids 2, 3) and x 40 (id 1)
-        # with an equal overlap, 0.2, on each
-        wide = BBox(20.0, 15.0, 20.0, 10.0)
+        wide = self.WIDE
         assert iou(wide, scene.true_box(1, 0)) == iou(wide, scene.true_box(3, 0)) == 0.2
         assert scene.dominant_object(wide, 0) == 1
+
+    def test_equals_a_loop_of_iou_calls(self):
+        nothing = BBox(-3000.0, -3000.0, 40.0, 40.0)
+        for kind, seed in [("crossing", 3), ("convoy", 103), ("deform", 3)]:
+            scene = generate_scene(ScenarioConfig(kind), seed)
+            boxes = {scene.true_box(i, f) for i in scene.ids() for f in range(scene.length)}
+            for f in range(scene.length):
+                for box in [*boxes, nothing]:
+                    assert scene.dominant_object(box, f) == self._by_iou(scene, box, f)
+            assert scene.dominant_object(nothing, 0) is None
+        three = self._three()
+        assert three.dominant_object(self.WIDE, 0) == self._by_iou(three, self.WIDE, 0) == 1
 
     def test_agrees_with_a_direct_overlap_scan_and_id_switches(self):
         scene = generate_scene(ScenarioConfig("crossing"), 3)
