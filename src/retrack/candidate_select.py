@@ -73,6 +73,8 @@ def soft_nms(raw: RawCandidates, keep: list[int], iou_thresh: float, sigma: floa
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
+    if len(keep) == 1:  # nothing to pick between and nothing to decay
+        return [(keep[0], raw.scores[keep[0]])]
     remaining = list(keep)
     scores = list(raw.scores)
     kept: list[tuple[int, float]] = []

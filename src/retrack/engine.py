@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .candidate_select import (ALPHA, NMS_FLOOR, NMS_IOU, NMS_SIGMA, assemble,
                                filter_by_confidence, soft_nms)
@@ -61,9 +61,9 @@ class EngineConfig:
                 "assoc_iou": ASSOC_IOU}
 
 
-@dataclass(frozen=True)
-class EngineState:
-    """Everything carried between frames. Value-semantic."""
+class EngineState(NamedTuple):
+    """Everything carried between frames. Value-semantic: a named tuple, as
+    `MotionState` is, since `step` builds one on every frame."""
 
     anchor: int                 # the first frame; nothing before it is tracked
     template: object            # the port's handle, cropped at the anchor
@@ -139,15 +139,13 @@ def step(state: EngineState, frame: int, port: TrackerPort,
         "source": source,
         "box": list(box.as_tuple()),
     }
-    new_state = EngineState(anchor=state.anchor, template=state.template,
-                            target=target, neighbors=neighbors, motion=motion)
-    return box, new_state, record
+    return box, EngineState(state.anchor, state.template, target, neighbors, motion), record
 
 
-def _consecutive(frames: Sequence[int]) -> list[int]:
+def _consecutive(frames: Sequence[int]) -> list[int] | range:
     frames = segment_frames(frames)
     if frames[-1] < frames[0]:
-        raise ValueError(f"frames must ascend, got {frames}")
+        raise ValueError(f"frames must ascend, got {list(frames)}")
     return frames
 
 

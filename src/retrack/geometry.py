@@ -18,6 +18,12 @@ class BBox:
     h: float
 
     def __post_init__(self):
+        try:  # the common case in one chained test; a failing box is told why below
+            if (-math.inf < self.x < math.inf and -math.inf < self.y < math.inf
+                    and 0 < self.w < math.inf and 0 < self.h < math.inf):
+                return
+        except TypeError:  # not a number: `math.isfinite` names its type
+            pass
         for name in ("x", "y", "w", "h"):
             v = getattr(self, name)
             if not math.isfinite(v):
@@ -131,6 +137,16 @@ def tracklet_avg_iou(p: Tracklet, q: Tracklet) -> float:
     total = 0.0
     for a, b in zip(p.boxes, q.boxes):
         ax, ay, aw, ah = a.x, a.y, a.w, a.h
+        if a is b:
+            # one box object on both sides (a port handing back its stored
+            # boxes): each min and max below picks that box's own corner, so
+            # these are `iou`'s operations, in order, on the same floats
+            ix = (ax + aw) - ax
+            iy = (ay + ah) - ay
+            if ix > 0 and iy > 0:
+                inter = ix * iy
+                total += inter / (aw * ah + aw * ah - inter)
+            continue
         bx, by, bw, bh = b.x, b.y, b.w, b.h
         ax2, bx2 = ax + aw, bx + bw
         ix = (bx2 if bx2 < ax2 else ax2) - (bx if bx > ax else ax)

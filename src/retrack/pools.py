@@ -84,6 +84,8 @@ def advance_neighbor_pool(prev: Sequence[Tracklet], cands: CandidateSet, selecte
     """The stable-frame rule at frame t, associating with the previous
     pool `prev`."""
     losers = _losers(cands, selected, tau)
+    if not losers:  # no loser, no neighbor: whatever `prev` held ends here
+        return ()
     scored = []
     for ci, i in enumerate(losers):
         for nj, tr in enumerate(prev):

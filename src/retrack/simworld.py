@@ -382,7 +382,7 @@ class MockTracker(TrackerPort):
             template.chains[first, step, start.x, start.y, start.w, start.h] = chain
         return newest_first(frames, chain)
 
-    def _walk(self, template: _Cosines, prior: BBox, frames: list[int]) -> list[BBox]:
+    def _walk(self, template: _Cosines, prior: BBox, frames: Sequence[int]) -> list[BBox]:
         """The chain's box at each of `frames`, the first step searching
         around `prior`: a running argmax over the proposals as `propose`
         orders and scores them, ties going to the first."""

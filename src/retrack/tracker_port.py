@@ -53,9 +53,12 @@ class RawCandidates:
         return best
 
 
-def segment_frames(frames: Sequence[int]) -> list[int]:
+def segment_frames(frames: Sequence[int]) -> list[int] | range:
     """`frames` as a list, checked to be non-empty and consecutive in one
-    direction: ascending (forward) or descending (backtracking)."""
+    direction: ascending (forward) or descending (backtracking). A non-empty
+    range of step 1 or -1 is consecutive as it is, and comes back unchanged."""
+    if type(frames) is range and frames and frames.step in (1, -1):
+        return frames
     frames = list(frames)
     if not frames:
         raise ValueError("a segment needs at least one frame")
@@ -65,7 +68,7 @@ def segment_frames(frames: Sequence[int]) -> list[int]:
     return frames
 
 
-def newest_first(frames: list[int], chain: list[BBox]) -> Tracklet:
+def newest_first(frames: Sequence[int], chain: list[BBox]) -> Tracklet:
     """The boxes `chain` visited through `frames`, in visiting order, as a
     tracklet ordered newest-first."""
     if frames[-1] > frames[0]:

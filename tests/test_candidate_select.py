@@ -77,6 +77,15 @@ class TestSoftNms:
         with pytest.raises(ValueError):
             soft_nms(_raw([0.5]), [0], 0.25, 0.0)
 
+    def test_one_kept_index_comes_back_with_its_score(self):
+        # heavy overlaps all round, but a lone index has nothing to decay it
+        raw = _raw([0.3, 0.9, 0.6], xs=[0.0, 0.1, 0.2])
+        for i in range(3):
+            assert soft_nms(raw, [i], 0.25, 0.01) == [(i, raw.scores[i])]
+            for sigma in (0.0, -1.0):
+                with pytest.raises(ValueError, match=f"sigma must be positive, got {sigma}"):
+                    soft_nms(raw, [i], 0.25, sigma)
+
 
 def _flow(raw, kalman_box=None, alpha=0.7):
     """The engine's flow: filter, suppress, assemble."""

@@ -266,6 +266,16 @@ class TestRunners:
             with pytest.raises(ValueError):
                 run_baseline(port, frames, b0)
 
+    @pytest.mark.parametrize("frames", [[2, 1, 0], range(2, -1, -1)])
+    def test_a_descending_run_names_its_frames(self, frames):
+        # a range passes the segment check as it is; the message lists it
+        port = ScriptPort(_two_lane_script())
+        for run in (lambda: run_sequence(port, frames, _target_box(0), EngineConfig()),
+                    lambda: run_baseline(port, frames, _target_box(0))):
+            with pytest.raises(ValueError) as caught:
+                run()
+            assert str(caught.value) == "frames must ascend, got [2, 1, 0]"
+
     def test_single_frame_run_returns_the_anchor(self):
         port = ScriptPort(_two_lane_script())
         b0 = _target_box(0)

@@ -1,22 +1,42 @@
 """Box and tracklet geometry against hand-computed overlap values."""
+import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from retrack.geometry import BBox, Tracklet, iou, tracklet_avg_iou
 
 
+def _message(call, error=ValueError) -> str:
+    with pytest.raises(error) as caught:
+        call()
+    return str(caught.value)
+
+
 class TestBBox:
     def test_rejects_nonpositive_size(self):
-        with pytest.raises(ValueError):
-            BBox(0, 0, 0, 5)
-        with pytest.raises(ValueError):
-            BBox(0, 0, 5, -1)
+        assert _message(lambda: BBox(0, 0, 0, 5)) == "BBox must have positive size, got w=0, h=5"
+        assert _message(lambda: BBox(0, 0, 5, -1)) == "BBox must have positive size, got w=5, h=-1"
+        assert (_message(lambda: BBox(0.0, 0.0, -0.0, 2.5))
+                == "BBox must have positive size, got w=-0.0, h=2.5")
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            BBox(float("nan"), 0, 1, 1)
-        with pytest.raises(ValueError):
-            BBox(0, float("inf"), 1, 1)
+        for field, name in enumerate("xywh"):
+            for bad, shown in ((math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")):
+                values = [1.0, 2.0, 3.0, 4.0]
+                values[field] = bad
+                assert (_message(lambda: BBox(*values))
+                        == f"BBox.{name} must be finite, got {shown}")
+
+    def test_first_bad_field_is_named(self):
+        # the fields are checked in order, and finiteness before size
+        assert _message(lambda: BBox(0.0, math.nan, -1.0, math.inf)) == \
+            "BBox.y must be finite, got nan"
+
+    def test_a_non_number_is_a_type_error(self):
+        assert _message(lambda: BBox(0.0, "1", 2.0, 2.0), TypeError) == \
+            "must be real number, not str"
 
     def test_derived_coordinates(self):
         b = BBox(2.0, 3.0, 4.0, 6.0)
@@ -103,3 +123,67 @@ class TestTrackletAvgIou:
         box = BBox(0.1, 0.2, 0.3, 0.7)
         t = Tracklet(8, (box,) * 9)
         assert tracklet_avg_iou(t, t) == 1.0
+
+
+# Far boxes sit near 1e16, where floats are 2 apart, so `(x + w) - x` is
+# not `w`: 0 for w < 1 (the box overlaps nothing, itself included), 2 or 4
+# for larger widths.
+_far = st.floats(1e16, 1e16 + 64.0)
+_box = st.one_of(
+    st.builds(BBox, st.floats(-500.0, 500.0), st.floats(-500.0, 500.0),
+              st.floats(0.5, 200.0), st.floats(0.5, 200.0)),
+    st.builds(BBox, _far, _far, st.floats(0.25, 4.0), st.floats(0.25, 4.0)),
+    st.builds(BBox, _far, st.floats(-5.0, 5.0), st.floats(0.25, 4.0), st.floats(0.5, 9.0)))
+_NARROW = BBox(1e16, 1e16, 0.5, 2.0)  # its x extent rounds to 0
+_WIDE = BBox(1e16, 0.0, 3.0, 1.5)     # its x extent rounds to 4
+_FLAT = BBox(1e16, 0.0, 0.5, 5e-324)  # extent 0 and area 0: `iou` never divides
+
+
+@st.composite
+def _sharing_tracklets(draw):
+    """Box lists for two co-terminal tracklets, drawn from a small pool so
+    that aligned positions often hold one `BBox` object, an equal-valued
+    copy of it, or an overlapping neighbour."""
+    pool = draw(st.lists(_box, min_size=1, max_size=4))
+    first = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=9))
+    second = []
+    for a in first:
+        kind = draw(st.sampled_from(("shared", "copy", "other")))
+        second.append(a if kind == "shared" else BBox(*a.as_tuple()) if kind == "copy"
+                      else draw(st.sampled_from(pool)))
+    second = second[:draw(st.integers(1, len(second)))]
+    return first, second + draw(st.lists(st.sampled_from(pool), max_size=3))
+
+
+class TestSharedBoxOverlap:
+    """`tracklet_avg_iou` takes a shortcut when both tracklets hold one box
+    object at a frame; it must give the bits a pair of equal copies gives."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(_sharing_tracklets())
+    # a shared box whose extent rounds: ix of 0 (w < 1), and of 4 for w = 3
+    @example(([_NARROW, _WIDE], [_NARROW, BBox(*_WIDE.as_tuple())]))
+    @example(([_WIDE, _NARROW, _WIDE], [_WIDE, BBox(*_NARROW.as_tuple()), _WIDE]))
+    @example(([_FLAT, _WIDE], [_FLAT, _WIDE]))
+    def test_shared_and_copied_boxes_agree_bit_for_bit(self, value):
+        first, second = value
+        p, q = Tracklet(7, tuple(first)), Tracklet(7, tuple(second))
+        total = 0.0
+        for a, b in zip(first, second):
+            total += iou(a, b)
+        expected = min(total / min(len(first), len(second)), 1.0)
+        got = tracklet_avg_iou(p, q)
+        assert got.hex() == expected.hex()
+        copies = Tracklet(7, tuple(BBox(*b.as_tuple()) for b in second))
+        assert tracklet_avg_iou(p, copies).hex() == got.hex()
+        assert tracklet_avg_iou(copies, p).hex() == got.hex()
+
+    def test_the_far_examples_round(self):
+        assert (_NARROW.x + _NARROW.w) - _NARROW.x == 0.0
+        assert (_WIDE.x + _WIDE.w) - _WIDE.x == 4.0
+        narrow = Tracklet(0, (_NARROW,))
+        assert tracklet_avg_iou(narrow, narrow) == iou(_NARROW, _NARROW) == 0.0
+        # ix 4 over a width of 3: inter 6 over a union of 4.5 + 4.5 - 6 is 2
+        wide = Tracklet(0, (_WIDE,))
+        assert iou(_WIDE, _WIDE) == 2.0
+        assert tracklet_avg_iou(wide, wide) == 1.0

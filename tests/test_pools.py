@@ -203,3 +203,15 @@ class TestAdvanceNeighborPool:
             advance_neighbor_pool((), cands, 2, self.T, 9)
         with pytest.raises(ValueError):
             advance_neighbor_pool((), cands, 0, self.T, 0)
+
+    @pytest.mark.parametrize("xs, kalman_index", [((), None), ((3.0,), 1)])
+    def test_no_losers_end_the_pool(self, xs, kalman_index):
+        # the selected candidate alone, or with the motion box: the previous
+        # neighbors are dropped, and the arguments are still checked
+        cands = self._cands(xs, kalman_index)
+        prev = (self._neighbor(0.0, n=3), self._neighbor(3.0))
+        assert self._advance(prev, cands) == ()
+        with pytest.raises(ValueError, match="selected index 2 not present in the pool"):
+            advance_neighbor_pool(prev, cands, 2, self.T, 9)
+        with pytest.raises(ValueError, match="tau must be at least 1, got 0"):
+            advance_neighbor_pool(prev, cands, 0, self.T, 0)

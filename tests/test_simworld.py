@@ -446,6 +446,21 @@ class TestChainMemo:
         assert warm.port_frames - before == fresh.port_frames
         assert got[3][2].boxes == (TestConformance.FAR,) * 27
 
+    @pytest.mark.parametrize("kind, seed", [("crossing", 3), ("deform", 3)])
+    def test_a_range_chains_as_its_list_does(self, kind, seed):
+        scene = generate_scene(ScenarioConfig(kind), seed)
+        g = self.G
+        segments = [range(g - 1, g + 8), range(g, g - 9, -1), range(g - 1, g - 10, -1),
+                    range(g, g - 27, -1), range(g + 1, g - 8, -1), range(g, g + 1)]
+        by_range, by_list = MockTracker(scene), MockTracker(scene)
+        for frames in segments:
+            for obj in scene.ids():
+                start = scene.true_box(obj, frames[0])
+                got = [port.track_segment(port.make_template(frames[0], start), start, seq)
+                       for port, seq in ((by_range, frames), (by_list, list(frames)))]
+                assert got[0] == got[1]
+        assert by_range.port_frames == by_list.port_frames > 0
+
     def test_a_chain_that_joins_a_known_one_walks_only_its_first_step(self):
         scene = generate_scene(ScenarioConfig("crossing"), 3)
         port = MockTracker(scene)

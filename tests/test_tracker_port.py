@@ -4,7 +4,7 @@ import pytest
 from conformance import check_port, check_rejects
 from conftest import DriftPort, ScriptPort
 from retrack.geometry import BBox
-from retrack.tracker_port import RawCandidates
+from retrack.tracker_port import RawCandidates, segment_frames
 
 
 class TestRawCandidates:
@@ -82,6 +82,27 @@ class TestTrackSegment:
         start = BBox(0, 0, 1, 1)
         port = DriftPort()
         check_rejects(port, port.make_template(0, start), start)
+
+
+class TestSegmentFrames:
+    @pytest.mark.parametrize("frames", [range(5, 0, -1), range(0, 5), range(7, 8)])
+    def test_a_unit_step_range_comes_back_as_given(self, frames):
+        assert segment_frames(frames) is frames
+
+    @pytest.mark.parametrize("frames", [[3, 4, 5], (5, 4, 3), [2]])
+    def test_other_segments_come_back_as_lists(self, frames):
+        assert segment_frames(frames) == list(frames)
+
+    @pytest.mark.parametrize("frames, message", [
+        (range(0, 10, 2), "frames must be consecutive in one direction, got [0, 2, 4, 6, 8]"),
+        (range(9, 0, -3), "frames must be consecutive in one direction, got [9, 6, 3]"),
+        (range(3, 3), "a segment needs at least one frame"),
+        (range(3, 5, -1), "a segment needs at least one frame"),
+    ])
+    def test_rejects_a_range_that_is_not_a_segment(self, frames, message):
+        with pytest.raises(ValueError) as caught:
+            segment_frames(frames)
+        assert str(caught.value) == message
 
 
 class TestConformance:
