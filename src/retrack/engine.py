@@ -113,10 +113,10 @@ def step(state: EngineState, frame: int, port: TrackerPort,
         tracklets = build_candidate_pool(cands, port, back_frames, top_tracklet)
         weights = build_weights(tracklets, state.neighbors, state.target, gate_overlap)
         pairs = hungarian_max(weights)
-        selected, source = resolve_target(pairs, weights, cands)
+        weights_list = weights.tolist()
+        selected, source = resolve_target(pairs, weights_list, cands)
         if source == "degraded_argmax":
             log.warning("frame %d: no viable candidate, degrading to argmax", t)
-        weights_list = weights.tolist()
         pairs_list = [list(pair) for pair in pairs]
         neighbors = update_neighbor_pool(cands, tracklets, selected, cfg.tau)
 

@@ -20,7 +20,8 @@ class BBox:
     def __post_init__(self):
         try:  # the common case in one chained test; a failing box is told why below
             if (-math.inf < self.x < math.inf and -math.inf < self.y < math.inf
-                    and 0 < self.w < math.inf and 0 < self.h < math.inf):
+                    and 0 < self.w < math.inf and 0 < self.h < math.inf
+                    and 0.0 < self.w * self.h < math.inf):
                 return
         except TypeError:  # not a number: `math.isfinite` names its type
             pass
@@ -30,6 +31,8 @@ class BBox:
                 raise ValueError(f"BBox.{name} must be finite, got {v!r}")
         if self.w <= 0 or self.h <= 0:
             raise ValueError(f"BBox must have positive size, got w={self.w}, h={self.h}")
+        if not 0.0 < self.w * self.h < math.inf:  # `iou` divides by areas
+            raise ValueError(f"BBox must have a positive finite area, got w={self.w}, h={self.h}")
 
     @property
     def x2(self) -> float:

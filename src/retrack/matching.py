@@ -167,14 +167,15 @@ def hungarian_max(w: np.ndarray) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def resolve_target(pairs: Sequence[tuple[int, int]], w: np.ndarray,
+def resolve_target(pairs: Sequence[tuple[int, int]], w: Sequence[Sequence[float]],
                    cands: CandidateSet) -> tuple[int, str]:
     """Pick the candidate index that continues the target, and say why.
 
-    `pairs` is the matching `hungarian_max` returned for the weight array
-    `w`, the target in its last column. The four sources, in order of
-    precedence and returned alongside the index: ``target_matched``, the
-    row matched to the target column with positive weight;
+    `pairs` is the matching `hungarian_max` returned for the weights `w`,
+    any 2-D sequence read as `w[r][c]`, the target in its last column.
+    The four sources, in order of precedence and returned alongside the
+    index: ``target_matched``, the row matched to the target column with
+    positive weight;
     ``best_unmatched``, the effectively-unmatched row with the highest
     target-column weight, provided that weight is positive;
     ``kalman_fallback``, the injected motion box; ``degraded_argmax``, the
@@ -189,21 +190,21 @@ def resolve_target(pairs: Sequence[tuple[int, int]], w: np.ndarray,
     raise the total by x, so an assignment optimal to within the tolerance
     leaves it there only if x is that small.
     """
-    if w.shape[0] != len(cands):
+    if len(w) != len(cands):
         raise ValueError("weight matrix rows must correspond to the candidate set")
-    target_col = w.shape[1] - 1
+    target_col = len(w[0]) - 1
     matched_rows = set()
     for r, c in pairs:
-        if w[r, c] <= 0.0:
+        if w[r][c] <= 0.0:
             continue  # no-evidence pairing
         if c == target_col:
             return r, "target_matched"
         matched_rows.add(r)
     best_row, best_weight = None, 0.0
-    for r in range(w.shape[0]):
+    for r in range(len(w)):
         if r in matched_rows:
             continue
-        weight = float(w[r, target_col])
+        weight = w[r][target_col]
         if weight > best_weight:
             best_row, best_weight = r, weight
     if best_row is not None:

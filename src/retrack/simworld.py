@@ -1,9 +1,9 @@
 """Synthetic tracking worlds with scripted occlusions.
 
 A :class:`Scene` is a fully deterministic ground-truth world: each object
-has, per frame, a true box, an occlusion severity and a drift rate, and a
-unit appearance vector that drifts as a spherical random walk at those
-rates and is mixed toward the scene's wall vector by that severity. A
+has, per frame, a true box, a visibility and a drift rate, and a unit
+appearance vector that drifts as a spherical random walk at those rates
+and is mixed toward the scene's wall vector as far as it is occluded. A
 scene is generated from a scenario config and a seed, or built from a MOT
 ground-truth file, which is also the one format a scene is written in. A
 mock tracker implements the engine's port against a scene, proposing each
@@ -48,21 +48,21 @@ class MotFormatError(ValueError):
 @dataclass(frozen=True)
 class ObjectSpec:
     """One world object: identity, appearance, and per frame its true box,
-    its occlusion severity and its drift rate. An empty `severity` or
-    `drift` means 0.0 at every frame. Occlusion mixes the appearance toward
-    the scene's wall vector; the rate at frame f drives the drift step from
-    f to f + 1."""
+    its visibility and its drift rate. An empty `visibility` means 1.0 at
+    every frame, fully in view, and an empty `drift` 0.0. A visibility v
+    below 1 mixes the appearance v to 1 - v toward the scene's wall
+    vector; the rate at frame f drives the drift step from f to f + 1."""
 
     id: int
     boxes: tuple[BBox, ...]
     appearance: tuple[float, ...]
-    severity: tuple[float, ...] = ()
+    visibility: tuple[float, ...] = ()
     drift: tuple[float, ...] = ()
 
     def __post_init__(self):
-        for s in self.severity:
-            if not 0.0 <= s <= 1.0:  # false for NaN too
-                raise ValueError(f"object {self.id}: severity must lie in [0, 1], got {s!r}")
+        for v in self.visibility:
+            if not 0.0 <= v <= 1.0:  # false for NaN too
+                raise ValueError(f"object {self.id}: visibility must lie in [0, 1], got {v!r}")
         for rate in self.drift:
             if not 0.0 <= rate < math.inf:
                 raise ValueError(f"object {self.id}: drift must be finite and >= 0, "
@@ -101,7 +101,7 @@ class Scene:
             raise ValueError("object ids must be unique")
         self.objects = tuple(sorted(self.objects, key=lambda o: o.id))
         for obj in self.objects:
-            for name in ("boxes", "severity", "drift"):  # only boxes may not be empty
+            for name in ("boxes", "visibility", "drift"):  # only boxes may not be empty
                 n = len(getattr(obj, name))
                 if n != self.length and (n or name == "boxes"):
                     raise ValueError(f"object {obj.id}: {name!r} holds {n} entries, "
@@ -112,8 +112,11 @@ class Scene:
 
     def _derive(self):
         """`_tables` maps each object's id, in id order, to its `_Table`:
-        true boxes, visibility as plain floats, effective appearance row
-        indices and box centres. `_appearances` holds each distinct
+        true boxes, the spec's visibility as a list (1.0 at every frame for
+        an empty table), effective appearance row indices and box centres.
+        A frame's raw appearance `row` at visibility v below 1 is mixed as
+        `v * row + (1.0 - v) * wall` and normalised: the one place a scene
+        takes the complement. `_appearances` holds each distinct
         effective row once, bit for bit, in first-seen order: a default
         scenario's scene has 11 to 21, for 128 object frames. `_box_array`
         holds the same true boxes as one float array of shape (objects,
@@ -131,14 +134,13 @@ class Scene:
         self._tables = {}
         seen: dict[bytes, int] = {}  # each distinct effective row's bytes -> its index
         for obj in self.objects:
-            vis = [1.0] * self.length  # one shared 1.0 wherever the object is in view
+            vis = list(obj.visibility) or [1.0] * self.length
             index = []
             walk = self._walk_appearance(obj, dim)  # raw (drifted) appearance
-            for f, severity in enumerate(obj.severity or (0.0,) * self.length):
+            for f, v in enumerate(vis):
                 row = walk[f]
-                if severity > 0.0:
-                    vis[f] = 1.0 - severity
-                    mixed = (1.0 - severity) * row + severity * wall
+                if v < 1.0:
+                    mixed = v * row + (1.0 - v) * wall
                     n = np.linalg.norm(mixed)
                     if n == 0:
                         raise ValueError(f"object {obj.id}: the occlusion at frame {f} "
@@ -422,8 +424,8 @@ class ScenarioConfig:
     the bait): for severity s the distractor cosine must stay between
     (1-s)^2/m and m, with m = hypot(1-s, s), with enough slack on the
     upper side to survive one taper step of template mismatch. Severities
-    are sampled on a 1/256 grid, which keeps visibility values exact
-    through MOT round-trips.
+    are sampled on a 1/256 grid, which keeps `1 - v` exact, so the
+    appearance mix keeps its bits.
     """
 
     kind: str
@@ -493,7 +495,7 @@ def _severity_grid(lo: float, hi: float) -> tuple[int, int]:
 
 
 def _sample_severity(rng: np.random.Generator, lo: float, hi: float) -> float:
-    # 1/256 grid: exact complements, exact MOT round-trips
+    # 1/256 grid: the visibility 1 - s, and its own complement, are exact
     lo_t, hi_t = _severity_grid(lo, hi)
     return int(rng.integers(lo_t, hi_t + 1)) / 256.0
 
@@ -501,9 +503,10 @@ TAPER_STEP = 8.0 / 256
 
 
 def _tapered_occlusion(length: int, start: int, end: int, sev: float) -> tuple[float, ...]:
-    """The severity at each of `length` frames of an occlusion at full
-    strength `sev` over [start, end] that then fades out one severity step
-    of `TAPER_STEP` per frame; frames past the last are cut off.
+    """The visibility, 1 - severity, at each of `length` frames of an
+    occlusion at full severity `sev` over [start, end] that then fades out
+    one severity step of `TAPER_STEP` per frame; frames past the last are
+    cut off.
 
     A hard trailing edge would leave a freshly-visible target whose recent
     past is still fully obscured; nothing cropped at the clear frame can
@@ -511,19 +514,19 @@ def _tapered_occlusion(length: int, start: int, end: int, sev: float) -> tuple[f
     scores higher there by the very margin that makes the scene a trap.
     Fading one step per frame keeps each frame's immediate past matchable
     from that frame's own appearance. Steps stay on the dyadic grid, so
-    visibility values round-trip exactly."""
+    each visibility's complement is exact."""
     if not 0 <= start < length or end < start:
         raise ValueError(f"occlusion [{start}, {end}] must start inside frames 0..{length - 1}"
                          " and end no earlier than it starts")
-    severity = [0.0] * length
+    visibility = [1.0] * length
     level = sev
     for f in range(start, length):
         if level <= 1e-12:
             break
-        severity[f] = level
+        visibility[f] = 1.0 - level
         if f >= end:
             level -= TAPER_STEP
-    return tuple(severity)
+    return tuple(visibility)
 
 
 def _lane(cfg: ScenarioConfig, x0: float, x1: float, cy: float) -> tuple[BBox, ...]:
@@ -537,8 +540,8 @@ def _lane(cfg: ScenarioConfig, x0: float, x1: float, cy: float) -> tuple[BBox, .
 def _pair_scene(cfg: ScenarioConfig, seed: int, rng: np.random.Generator, similarity: float,
                 target_boxes: tuple[BBox, ...], other_boxes: tuple[BBox, ...],
                 **script) -> Scene:
-    """The scene of the target, which takes `script` (its `severity` or its
-    `drift`), and one other object, ids `SCENARIO_IDS`; each drifts at
+    """The scene of the target, which takes `script` (its `visibility` or
+    its `drift`), and one other object, ids `SCENARIO_IDS`; each drifts at
     `cfg.drift` unless its script says otherwise. Their appearances are
     drawn last from `rng`, at cosine `similarity`, plus a wall vector
     orthogonal to both so occlusion adds no bias."""
@@ -578,7 +581,7 @@ def _gen_crossing(cfg: ScenarioConfig, seed: int) -> Scene:
     target = _lane(cfg, mid - before, mid + after, cy - dy / 2.0)
     distractor = _lane(cfg, mid + before, mid - after, cy + dy / 2.0)
     return _pair_scene(cfg, seed, rng, sim, target, distractor,
-                       severity=_tapered_occlusion(cfg.length, start, end, sev))
+                       visibility=_tapered_occlusion(cfg.length, start, end, sev))
 
 
 def _gen_convoy(cfg: ScenarioConfig, seed: int) -> Scene:
@@ -595,7 +598,7 @@ def _gen_convoy(cfg: ScenarioConfig, seed: int) -> Scene:
     x1 = 40.0 + v * (cfg.length - 1)
     return _pair_scene(cfg, seed, rng, sim, _lane(cfg, 40.0, x1, cy - gap / 2.0),
                        _lane(cfg, 40.0, x1, cy + gap / 2.0),
-                       severity=_tapered_occlusion(cfg.length, start, end, sev))
+                       visibility=_tapered_occlusion(cfg.length, start, end, sev))
 
 
 def _gen_deform(cfg: ScenarioConfig, seed: int) -> Scene:
@@ -653,7 +656,7 @@ def save_mot(scene: Scene, path: FsPath | str) -> None:
     FsPath(path).write_text("\n".join(lines) + "\n")
 
 
-# per id, in id order: (id, its true box and its occlusion severity at each frame)
+# per id, in id order: (id, its true box and its visibility at each frame)
 MotTracks = tuple[tuple[int, tuple[BBox, ...], tuple[float, ...]], ...]
 
 
@@ -665,13 +668,13 @@ def load_mot(path: FsPath | str, seed: int = 0) -> Scene:
 def parse_mot(path: FsPath | str) -> MotTracks:
     """The tracks of a MOT ground-truth file, one per id, in id order.
 
-    Each frame's occlusion severity is 1 - visibility, at least 0. Frame
-    gaps within an id's annotations are filled by linear interpolation with
-    a warning; ids missing at the sequence edges hold their first/last
-    annotated box. Malformed rows fail with the offending line number; a
-    file that is not UTF-8 text (a leading byte order mark is skipped), or
-    that spans fewer than the two frames a run steps from, fails naming
-    the file.
+    Each frame keeps the visibility its row gives. An id's track is filled
+    in one pass over its annotated frames: before the first it holds the
+    first row, between two it interpolates box and visibility linearly,
+    with one warning per gap, and after the last it holds the last row.
+    Malformed rows fail with the offending line number; a file that is not
+    UTF-8 text (a leading byte order mark is skipped), or that spans fewer
+    than the two frames a run steps from, fails naming the file.
     """
     per_id: dict[int, dict[int, tuple[BBox, float]]] = {}
     max_frame = 0
@@ -715,30 +718,21 @@ def parse_mot(path: FsPath | str) -> MotTracks:
     for obj_id in sorted(per_id):
         rows = per_id[obj_id]
         frames = sorted(rows)
-        gaps = [(a, b) for a, b in zip(frames, frames[1:]) if b - a > 1]
-        for a, b in gaps:
-            log.warning("%s: id %d missing frames %d..%d, interpolating",
-                        path, obj_id, a + 2, b)  # report in 1-based file frames
-        boxes: list[BBox] = []
-        severity: list[float] = []
-        for f in range(max_frame):
-            if f in rows:
-                box, vis = rows[f]
-            elif f < frames[0]:
-                box, vis = rows[frames[0]]
-            elif f > frames[-1]:
-                box, vis = rows[frames[-1]]
-            else:
-                a = max(x for x in frames if x < f)
-                b = min(x for x in frames if x > f)
+        filled = [rows[frames[0]]] * frames[0]  # (box, visibility) per frame
+        for a, b in zip(frames, frames[1:]):
+            filled.append(rows[a])
+            if b - a > 1:
+                log.warning("%s: id %d missing frames %d..%d, interpolating",
+                            path, obj_id, a + 2, b)  # report in 1-based file frames
+            (ba, va), (bb, vb) = rows[a], rows[b]
+            for f in range(a + 1, b):
                 t = (f - a) / (b - a)
-                (ba, va), (bb, vb) = rows[a], rows[b]
-                box = BBox(ba.x + t * (bb.x - ba.x), ba.y + t * (bb.y - ba.y),
-                           ba.w + t * (bb.w - ba.w), ba.h + t * (bb.h - ba.h))
-                vis = va + t * (vb - va)
-            boxes.append(box)
-            severity.append(max(0.0, 1.0 - vis))
-        tracks.append((obj_id, tuple(boxes), tuple(severity)))
+                filled.append((BBox(ba.x + t * (bb.x - ba.x), ba.y + t * (bb.y - ba.y),
+                                    ba.w + t * (bb.w - ba.w), ba.h + t * (bb.h - ba.h)),
+                               va + t * (vb - va)))
+        filled += [rows[frames[-1]]] * (max_frame - frames[-1])
+        boxes, visibility = zip(*filled)
+        tracks.append((obj_id, boxes, visibility))
     return tuple(tracks)
 
 
@@ -747,6 +741,6 @@ def mot_scene(tracks: MotTracks, seed: int) -> Scene:
     from `seed`, which nothing else depends on."""
     objects = tuple(
         ObjectSpec(obj_id, boxes, tuple(float(v) for v in _random_unit(
-            np.random.default_rng([seed, obj_id]), APPEARANCE_DIM)), severity=severity)
-        for obj_id, boxes, severity in tracks)
+            np.random.default_rng([seed, obj_id]), APPEARANCE_DIM)), visibility=visibility)
+        for obj_id, boxes, visibility in tracks)
     return Scene(len(tracks[0][1]), seed, objects)

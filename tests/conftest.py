@@ -123,9 +123,9 @@ def zero_iou_scene(seed: int = 0, length: int = 64) -> Scene:
     wall[2] = 1.0
 
     speed, y_t, y_d = 4.0, 216.0, 296.0
-    cover = tuple(1.0 if 20 <= f <= 38 else 0.0 for f in range(length))
+    cover = tuple(0.0 if 20 <= f <= 38 else 1.0 for f in range(length))
     target = ObjectSpec(2, lane(length, 40.0, 40.0 + speed * (length - 1), y_t),
-                        tuple(map(float, u)), severity=cover)
+                        tuple(map(float, u)), visibility=cover)
     centers = []
     for f in range(length):
         if f <= 19:
@@ -137,7 +137,7 @@ def zero_iou_scene(seed: int = 0, length: int = 64) -> Scene:
         else:
             centers.append((-95.0, 396.0))   # parked off the field
     boxes = tuple(BBox(cx - 20.0, cy - 20.0, 40.0, 40.0) for cx, cy in centers)
-    distractor = ObjectSpec(1, boxes, tuple(map(float, v)), severity=cover)
+    distractor = ObjectSpec(1, boxes, tuple(map(float, v)), visibility=cover)
     return Scene(length, seed, (distractor, target), static_appearance=tuple(map(float, wall)))
 
 

@@ -6,6 +6,8 @@ import itertools
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from retrack.geometry import BBox
+
 
 def brute_force_assignment(values) -> tuple[tuple[tuple[int, int], ...], float]:
     """Exhaustive maximum-weight matching of full cardinality.
@@ -63,16 +65,16 @@ def mock_score(scene, crop, obj_id: int, frame: int) -> float:
 
 
 def _effective(scene, obj_id: int, frame: int) -> tuple[np.ndarray, float]:
-    """An object's effective appearance at `frame` and its visibility: its
-    drifted walk, mixed (1 - s) to s with the scene's wall vector for the
-    object's severity s at `frame` and normalised, at visibility 1 - s."""
+    """An object's effective appearance at `frame` and its visibility v
+    there (1.0 for an empty table): its drifted walk, mixed v to 1 - v
+    with the scene's wall vector and normalised."""
     obj = next(o for o in scene.objects if o.id == obj_id)
     own = _walk(scene, obj, frame)
-    s = obj.severity[frame] if obj.severity else 0.0
-    if s == 0.0:
+    v = obj.visibility[frame] if obj.visibility else 1.0
+    if v == 1.0:
         return own, 1.0
-    mixed = (1.0 - s) * own + s * np.asarray(scene.static_appearance, dtype=float)
-    return mixed / np.linalg.norm(mixed), 1.0 - s
+    mixed = v * own + (1.0 - v) * np.asarray(scene.static_appearance, dtype=float)
+    return mixed / np.linalg.norm(mixed), v
 
 
 def _walk(scene, obj, frame: int) -> np.ndarray:
@@ -90,3 +92,38 @@ def _walk(scene, obj, frame: int) -> np.ndarray:
         v = v + obj.drift[f] * steps[f]
         v = v / float(np.linalg.norm(v))
     return v
+
+
+def mot_fill(per_id: dict, max_frame: int) -> tuple[tuple, list[tuple[int, int, int]]]:
+    """`parse_mot`'s tracks, filled frame by frame from each id's annotated
+    rows `per_id[id][frame] = (box, visibility)` over 0-based frames
+    0..max_frame - 1, each missing frame searching the annotated ones:
+    before the first it holds the first row, after the last the last,
+    and between two it interpolates both linearly. Also each gap, in the
+    order `parse_mot` warns of them, as (id, first and last missing frame,
+    1-based)."""
+    tracks, gaps = [], []
+    for obj_id in sorted(per_id):
+        rows = per_id[obj_id]
+        frames = sorted(rows)
+        gaps += [(obj_id, a + 2, b) for a, b in zip(frames, frames[1:]) if b - a > 1]
+        boxes, visibility = [], []
+        for f in range(max_frame):
+            if f in rows:
+                box, vis = rows[f]
+            elif f < frames[0]:
+                box, vis = rows[frames[0]]
+            elif f > frames[-1]:
+                box, vis = rows[frames[-1]]
+            else:
+                a = max(x for x in frames if x < f)
+                b = min(x for x in frames if x > f)
+                t = (f - a) / (b - a)
+                (ba, va), (bb, vb) = rows[a], rows[b]
+                box = BBox(ba.x + t * (bb.x - ba.x), ba.y + t * (bb.y - ba.y),
+                           ba.w + t * (bb.w - ba.w), ba.h + t * (bb.h - ba.h))
+                vis = va + t * (vb - va)
+            boxes.append(box)
+            visibility.append(vis)
+        tracks.append((obj_id, tuple(boxes), tuple(visibility)))
+    return tuple(tracks), gaps

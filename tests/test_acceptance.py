@@ -314,11 +314,24 @@ def test_mot_round_trip(tmp_path):
             assert loaded.true_box(obj_id, f) == scene.true_box(obj_id, f)
             assert loaded.visibility(obj_id, f) == scene.visibility(obj_id, f)
 
+    # visibilities that are not dyadic, and one gap, come back as written
+    written = tmp_path / "written.txt"
+    annotated = ["1,1,10.5,20.0,30.0,40.0,1,1,0.3", "1,2,200.0,20.0,30.0,40.0,1,1,1.0",
+                 "2,1,12.5,21.0,30.0,40.0,1,1,0.61", "2,2,203.0,20.0,30.0,40.0,1,1,0.5",
+                 "3,2,206.0,20.0,30.0,40.0,1,1,0.999", "4,1,16.5,23.0,31.0,40.0,1,1,0.999",
+                 "4,2,209.0,20.0,30.0,40.0,1,1,0.61"]
+    written.write_text("\n".join(annotated) + "\n")
+    save_mot(load_mot(written, seed=0), tmp_path / "back.txt")
+    back = (tmp_path / "back.txt").read_text().splitlines()
+    assert len(back) == 8 and set(annotated) <= set(back)
+
     bad_rows = [
         ("1,1,0,0,10,10,1,1", 1),  # 8 fields
         ("1,1,0,0,10,10,1,1,oops", 1),  # unparseable
         ("0,1,0,0,10,10,1,1,1.0", 1),  # frame below 1
         ("1,1,0,0,0,10,1,1,1.0", 1),  # zero width
+        ("1,1,0,0,1e-200,1e-200,1,1,1.0", 1),  # area underflows to 0
+        ("1,1,0,0,1e200,1e200,1,1,1.0", 1),  # area overflows to inf
         ("1,1,0,0,10,10,1,1,1.5", 1),  # visibility out of range
         ("1,1,0,0,10,10,1,1,1.0\n1,1,5,5,10,10,1,1,1.0", 2),  # duplicate
     ]

@@ -524,13 +524,17 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["track", "evaluate"])
     def test_malformed_mot_fails_before_any_output(self, tmp_path, capsys, command):
         """The file is parsed before `--out` is made, with or without
-        `--target-id`, so a bad row leaves no empty directory behind."""
+        `--target-id`, so a bad row leaves no empty directory behind. A box
+        whose area underflows to 0 or overflows to inf is such a row."""
         gt = tmp_path / "gt.txt"
-        gt.write_text("1,1,0,0,10,10,1,abc,1\n")
         out = tmp_path / "x"
-        assert main([command, "--mot", str(gt), "--seeds", "0", "--out", str(out)]) == 2
-        assert "line 1" in capsys.readouterr().err
-        assert not out.exists()
+        for text in ["1,1,0,0,10,10,1,abc,1\n"] + [
+                "".join(f"{f},1,0,0,{side},{side},1,1,1\n" for f in (1, 2, 3))
+                for side in ("1e-200", "1e200")]:
+            gt.write_text(text)
+            assert main([command, "--mot", str(gt), "--seeds", "0", "--out", str(out)]) == 2
+            assert "line 1" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_malformed_mot_content_is_a_data_error(self, tmp_path, capsys):
         gt = tmp_path / "gt.txt"

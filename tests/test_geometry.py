@@ -29,6 +29,19 @@ class TestBBox:
                 assert (_message(lambda: BBox(*values))
                         == f"BBox.{name} must be finite, got {shown}")
 
+    def test_rejects_an_area_that_rounds_to_zero_or_inf(self):
+        """`iou` divides by the sum of two areas: one that underflows to 0
+        or overflows to inf fails here, after the field and size checks."""
+        assert (_message(lambda: BBox(0.0, 0.0, 1e-200, 1e-200))
+                == "BBox must have a positive finite area, got w=1e-200, h=1e-200")
+        assert (_message(lambda: BBox(0.0, 0.0, 1e200, 1e200))
+                == "BBox must have a positive finite area, got w=1e+200, h=1e+200")
+        assert _message(lambda: BBox(math.nan, 0.0, 1e-200, 1e-200)) == \
+            "BBox.x must be finite, got nan"
+        assert _message(lambda: BBox(0.0, 0.0, -1.0, 1e200)) == \
+            "BBox must have positive size, got w=-1.0, h=1e+200"
+        assert BBox(0.0, 0.0, 1e-150, 1e-150).area == 1e-300
+
     def test_first_bad_field_is_named(self):
         # the fields are checked in order, and finiteness before size
         assert _message(lambda: BBox(0.0, math.nan, -1.0, math.inf)) == \
@@ -136,7 +149,7 @@ _box = st.one_of(
     st.builds(BBox, _far, st.floats(-5.0, 5.0), st.floats(0.25, 4.0), st.floats(0.5, 9.0)))
 _NARROW = BBox(1e16, 1e16, 0.5, 2.0)  # its x extent rounds to 0
 _WIDE = BBox(1e16, 0.0, 3.0, 1.5)     # its x extent rounds to 4
-_FLAT = BBox(1e16, 0.0, 0.5, 5e-324)  # extent 0 and area 0: `iou` never divides
+_FLAT = BBox(1e16, 0.0, 0.5, 1e-300)  # extent 0, area 5e-301: `iou` never divides
 
 
 @st.composite

@@ -6,10 +6,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conformance import check_port, check_rejects
 from conftest import lane, unit_vector, zero_iou_scene
-from oracles import mock_score
+from oracles import mock_score, mot_fill
 from retrack.engine import EngineConfig, run_baseline, run_sequence
 from retrack.evalkit import EvalReport
 from retrack.geometry import BBox, iou
@@ -37,9 +39,9 @@ def _scene(objects, length=6, **kw):
 
 class TestObjectSpec:
     def test_per_frame_bounds_are_inclusive(self):
-        """A severity of exactly 0 or 1 and a rate of 0 are accepted; what
+        """A visibility of exactly 1 or 0 and a rate of 0 are accepted; what
         lies outside fails in `test_bad_spec_fails_when_built`."""
-        obj = ObjectSpec(1, _static(0, 0), E0, severity=(0.0, 1.0, 0.0, 0.0, 0.0, 0.0),
+        obj = ObjectSpec(1, _static(0, 0), E0, visibility=(1.0, 0.0, 1.0, 1.0, 1.0, 1.0),
                          drift=(0.0,) * 6)
         scene = _scene([obj])
         assert scene.visibility(1, 0) == 1.0
@@ -59,16 +61,19 @@ class TestScene:
         with pytest.raises(ValueError):
             _scene([a], length=0)
 
-    def test_visibility_is_one_minus_severity(self):
-        obj = ObjectSpec(1, _static(0, 0), E0, severity=(0.25, 0.25, 0.5, 0.5, 0.25, 0.0))
+    def test_visibility_is_read_from_the_table(self):
+        obj = ObjectSpec(1, _static(0, 0), E0, visibility=(0.75, 0.75, 0.5, 0.5, 0.75, 1.0))
         scene = _scene([obj])
         assert [scene.visibility(1, f) for f in range(6)] == [0.75, 0.75, 0.5, 0.5, 0.75, 1.0]
-        # an object in plain view stores no severity at all
+        # an object in plain view stores no visibility at all
         plain = _scene([ObjectSpec(1, _static(0, 0), E0)])
         assert [plain.visibility(1, f) for f in range(6)] == [1.0] * 6
+        # the port's table is a list of floats either way
+        for table in (scene._tables[1], plain._tables[1]):
+            assert type(table.visibility) is list
 
     def test_static_occlusion_mixes_toward_wall(self):
-        obj = ObjectSpec(1, _static(0, 0), E0, severity=(0.0, 0.0, 0.25, 0.25, 0.0, 0.0))
+        obj = ObjectSpec(1, _static(0, 0), E0, visibility=(1.0, 1.0, 0.75, 0.75, 1.0, 1.0))
         scene = _scene([obj])
         np.testing.assert_array_equal(scene.effective_appearance(1, 0),
                                       np.asarray(E0))
@@ -118,17 +123,17 @@ class TestSceneSerialization:
 
     @staticmethod
     def _objects():
-        # drifts at 0.05, spiking to 0.3 over frames 2-4; obscured at a
-        # quarter strength over frames 1-3 and at half strength at frame 5
+        # drifts at 0.05, spiking to 0.3 over frames 2-4; three quarters
+        # visible over frames 1-3 and half visible at frame 5
         target = ObjectSpec(1, _static(10.0, 20.0, size=8.0, length=8), E0,
-                            severity=(0.0, 0.25, 0.25, 0.25, 0.0, 0.5, 0.0, 0.0),
+                            visibility=(1.0, 0.75, 0.75, 0.75, 1.0, 0.5, 1.0, 1.0),
                             drift=(0.05, 0.05, 0.3, 0.3, 0.3, 0.05, 0.05, 0.05))
         return target, ObjectSpec(2, _static(100, 100, length=8), E1)
 
     @pytest.mark.parametrize("change, message", [
         ("short_frames", "object 2: 'boxes' holds 7 entries, the scene 8 frames"),
         ("long_frames", "object 2: 'boxes' holds 9 entries, the scene 8 frames"),
-        ("severity_short", "object 1: 'severity' holds 7 entries, the scene 8 frames"),
+        ("visibility_short", "object 1: 'visibility' holds 7 entries, the scene 8 frames"),
         ("drift_long", "object 2: 'drift' holds 9 entries, the scene 8 frames"),
         ("static_dimension", "static_appearance has dimension 3, object 1"),
         ("object_dimension", "object 2: appearance of shape \\(3,\\), not \\(4,\\)"),
@@ -137,17 +142,17 @@ class TestSceneSerialization:
         ("static_zero", "static_appearance must be finite and not all zero"),
         ("static_nan", "static_appearance must be finite and not all zero"),
         ("mix_cancels", "object 1: the occlusion at frame 5 mixes its appearance to zero"),
-        ("severity_nan", "object 1: severity must lie in \\[0, 1\\], got nan"),
-        ("severity_negative", "object 1: severity must lie in \\[0, 1\\], got -0.25"),
-        ("severity_above_1", "object 1: severity must lie in \\[0, 1\\], got 1.5"),
+        ("visibility_nan", "object 1: visibility must lie in \\[0, 1\\], got nan"),
+        ("visibility_negative", "object 1: visibility must lie in \\[0, 1\\], got -0.25"),
+        ("visibility_above_1", "object 1: visibility must lie in \\[0, 1\\], got 1.5"),
         ("drift_nan", "object 1: drift must be finite and >= 0, got nan"),
         ("drift_negative", "object 2: drift must be finite and >= 0, got -0.01"),
         ("spike_nan", "object 1: drift must be finite and >= 0, got nan"),
         ("spike_negative", "object 1: drift must be finite and >= 0, got -0.3"),
-    ], ids=["short_frames", "long_frames", "severity_short", "drift_long", "static_dimension",
+    ], ids=["short_frames", "long_frames", "visibility_short", "drift_long", "static_dimension",
             "object_dimension", "object_zero", "object_nan", "static_zero",
-            "static_nan", "mix_cancels", "severity_nan", "severity_negative",
-            "severity_above_1", "drift_nan", "drift_negative", "spike_nan",
+            "static_nan", "mix_cancels", "visibility_nan", "visibility_negative",
+            "visibility_above_1", "drift_nan", "drift_negative", "spike_nan",
             "spike_negative"])
     def test_bad_spec_fails_when_built(self, change, message):
         """Unchecked, each would fail later with an error that names no
@@ -160,8 +165,8 @@ class TestSceneSerialization:
             if change.endswith("_frames"):
                 n = 7 if change == "short_frames" else 9
                 other = replace(other, boxes=(BBox(95.0, 95.0, 10.0, 10.0),) * n)
-            elif change == "severity_short":
-                target = replace(target, severity=target.severity[:7])
+            elif change == "visibility_short":
+                target = replace(target, visibility=target.visibility[:7])
             elif change == "drift_long":
                 other = replace(other, drift=(0.0,) * 9)
             elif change == "static_dimension":
@@ -176,10 +181,10 @@ class TestSceneSerialization:
                 wall = (0.0,) * DIM
             elif change == "static_nan":
                 wall = WALL[:3] + (math.nan,)
-            elif change.startswith("severity_"):
-                bad = {"severity_nan": math.nan, "severity_negative": -0.25,
-                       "severity_above_1": 1.5}[change]
-                target = replace(target, severity=target.severity[:5] + (bad,) * 3)
+            elif change.startswith("visibility_"):
+                bad = {"visibility_nan": math.nan, "visibility_negative": -0.25,
+                       "visibility_above_1": 1.5}[change]
+                target = replace(target, visibility=target.visibility[:5] + (bad,) * 3)
             elif change == "drift_nan":
                 target = replace(target, drift=(math.nan,) * 8)
             elif change == "drift_negative":
@@ -188,7 +193,7 @@ class TestSceneSerialization:
                 rates = target.drift
                 spike = math.nan if change == "spike_nan" else -rates[2]
                 target = replace(target, drift=rates[:2] + (spike,) * 3 + rates[5:])
-            else:  # a wall opposite the undrifted target, at half strength over frame 5
+            else:  # a wall opposite the undrifted target, half visible at frame 5
                 target = replace(target, drift=())
                 wall = tuple(-v for v in target.appearance)
             _scene([target, other], length=8, static_appearance=wall)
@@ -262,7 +267,7 @@ class TestMockTracker:
         assert got.scores == (0.0,)
 
     def test_score_is_visibility_times_cosine(self):
-        obj = ObjectSpec(1, _static(20.0, 20.0), E0, severity=(0.0, 0.0, 0.25, 0.0, 0.0, 0.0))
+        obj = ObjectSpec(1, _static(20.0, 20.0), E0, visibility=(1.0, 1.0, 0.75, 1.0, 1.0, 1.0))
         scene = _scene([obj])
         tracker = MockTracker(scene)
         tpl = tracker.make_template(0, scene.true_box(1, 0))
@@ -561,13 +566,13 @@ class TestTaperedOcclusion:
     SEV = 72.0 / 256
 
     def test_ladder_steps_down_one_frame_at_a_time(self):
-        severity = _tapered_occlusion(40, 10, 20, self.SEV)
-        assert len(severity) == 40
-        assert severity[:10] == (0.0,) * 10
-        assert severity[10:21] == (self.SEV,) * 11
-        assert severity[21:29] == tuple((64.0 - 8.0 * i) / 256 for i in range(8))
-        assert severity[28] == 8.0 / 256
-        assert severity[29:] == (0.0,) * 11
+        visibility = _tapered_occlusion(40, 10, 20, self.SEV)
+        assert len(visibility) == 40
+        assert visibility[:10] == (1.0,) * 10
+        assert visibility[10:21] == (1.0 - self.SEV,) * 11
+        assert visibility[21:29] == tuple((192.0 + 8.0 * i) / 256 for i in range(8))
+        assert visibility[28] == 248.0 / 256
+        assert visibility[29:] == (1.0,) * 11
 
     @pytest.mark.parametrize("length", [30, 24, 21, 16, 11])
     def test_ladder_is_cut_at_the_last_frame(self, length):
@@ -605,8 +610,8 @@ class TestScenarioGeneration:
         scene = generate_scene(cfg, 3)
         assert scene.ids() == [1, 2]
         target, distractor = scene.objects
-        assert any(target.severity) and not distractor.severity
-        sev = max(target.severity)
+        assert min(target.visibility) < 1.0 and not distractor.visibility
+        sev = 1.0 - min(target.visibility)
         assert sev * 256 == int(sev * 256)  # dyadic grid
         assert cfg.severity[0] <= sev <= cfg.severity[1]
         # lanes meet mid-sequence at three quarters of a box apart, close
@@ -618,7 +623,7 @@ class TestScenarioGeneration:
 
     def test_convoy_lanes_never_overlap(self):
         scene = generate_scene(ScenarioConfig("convoy"), 4)
-        assert any(scene.objects[0].severity)
+        assert min(scene.objects[0].visibility) < 1.0
         for f in range(scene.length):
             assert iou(scene.true_box(1, f), scene.true_box(2, f)) == 0.0
 
@@ -630,7 +635,7 @@ class TestScenarioGeneration:
         for drift in (0.0, 0.02):
             cfg = ScenarioConfig("deform", drift=drift)
             target, other = generate_scene(cfg, 4).objects
-            assert not target.severity and not other.severity
+            assert not target.visibility and not other.visibility
             assert len(target.drift) == cfg.length and set(target.drift) == {drift, 0.12}
             spiked = [f for f, rate in enumerate(target.drift) if rate == 0.12]
             assert 20 <= spiked[0] < 27 and 9 <= len(spiked) <= 13
@@ -695,9 +700,9 @@ class TestScenarioGeneration:
                 before, after = (scene.effective_appearance(1, f) for f in (start, start + 1))
                 assert float(np.abs(after - before).max()) > 1e-9, seed
             else:
-                start = next(f for f, s in enumerate(target.severity) if s > 0)
-                run = target.severity[start:]
-                assert all(a >= b for a, b in zip(run, run[1:])), seed
+                start = next(f for f, v in enumerate(target.visibility) if v < 1.0)
+                run = target.visibility[start:]
+                assert all(a <= b for a, b in zip(run, run[1:])), seed
                 assert scene.visibility(1, start) < 1.0, seed
 
     @pytest.mark.parametrize("kind", ["crossing", "convoy", "deform"])
@@ -749,23 +754,58 @@ class TestMotRoundTrip:
             assert scene.objects == loaded.objects
         one, five = (s.objects for s in scenes)
         for a, b in zip(one, five):
-            assert (a.id, a.boxes, a.severity) == (b.id, b.boxes, b.severity)
+            assert (a.id, a.boxes, a.visibility) == (b.id, b.boxes, b.visibility)
             assert a.appearance != b.appearance
 
-    def test_visibility_becomes_severity(self, tmp_path):
-        """Each frame's severity is 1 - visibility, at that frame or, in a
-        gap, interpolated; the scene's visibility is 1 - severity again."""
+    def test_visibility_is_kept_as_written(self, tmp_path):
+        """Each frame keeps its row's visibility, or in a gap the linear
+        interpolation `va + t * (vb - va)`; the scene and the file
+        `save_mot` writes hold the same value."""
         p = tmp_path / "gt.txt"
         p.write_text("1,1,0,0,10,10,1,1,1.0\n2,1,0,0,10,10,1,1,0.75\n"
                      "3,1,0,0,10,10,1,1,0.5\n5,1,0,0,10,10,1,1,1.0\n"
-                     "1,2,50,50,10,10,1,1,0.3\n")
-        (_, _, first), (_, _, second) = parse_mot(p)
-        assert first == (0.0, 0.25, 0.5, 0.25, 0.0)
-        assert second == (1.0 - 0.3,) * 5
+                     "1,2,50,50,10,10,1,1,0.3\n"
+                     "1,3,90,90,10,10,1,1,0.3\n4,3,90,90,10,10,1,1,0.61\n")
+        (_, _, first), (_, _, second), (_, _, third) = parse_mot(p)
+        assert first == (1.0, 0.75, 0.5, 0.75, 1.0)
+        assert second == (0.3,) * 5
+        assert third == (0.3, 0.3 + (1 / 3) * (0.61 - 0.3), 0.3 + (2 / 3) * (0.61 - 0.3),
+                         0.61, 0.61)
         scene = mot_scene(parse_mot(p), 0)
-        assert [scene.visibility(1, f) for f in range(5)] == [1.0, 0.75, 0.5, 0.75, 1.0]
-        # a non-dyadic visibility comes back as its double complement
-        assert scene.visibility(2, 0) == 1.0 - (1.0 - 0.3) != 0.3
+        assert [scene.visibility(1, f) for f in range(5)] == list(first)
+        assert [scene.visibility(2, f) for f in range(5)] == [0.3] * 5
+        assert [scene.visibility(3, f) for f in range(5)] == list(third)
+        save_mot(scene, tmp_path / "back.txt")
+        written = [line.split(",") for line in (tmp_path / "back.txt").read_text().splitlines()]
+        assert [row[8] for row in written if row[1] == "2"] == ["0.3"] * 5
+        assert [row[8] for row in written if row[1] == "3"] == [repr(v) for v in third]
+
+
+_MOT_BOX = st.builds(BBox, st.floats(-500.0, 500.0), st.floats(-500.0, 500.0),
+                    st.floats(0.5, 100.0), st.floats(0.5, 100.0))
+# dyadic visibilities, and three-decimal ones as a file holds them
+_MOT_VIS = st.one_of(st.integers(0, 256).map(lambda k: k / 256),
+                     st.integers(0, 1000).map(lambda k: k / 1000))
+
+
+@st.composite
+def _mot_rows(draw):
+    """Annotated rows per id, {id: {0-based frame: (box, visibility)}}, for
+    1-4 ids over 2-40 frames: each id on any nonempty set of frames, so
+    ids start late, end early, skip one frame or many, or hold one row."""
+    length = draw(st.integers(2, 40))
+    ids = draw(st.sets(st.integers(1, 9), min_size=1, max_size=4))
+    per_id = {obj_id: {f: (draw(_MOT_BOX), draw(_MOT_VIS))
+                       for f in draw(st.sets(st.integers(0, length - 1), min_size=1))}
+              for obj_id in ids}
+    if max(f for rows in per_id.values() for f in rows) == 0:  # a run needs two frames
+        per_id[min(ids)][length - 1] = (draw(_MOT_BOX), draw(_MOT_VIS))
+    return per_id
+
+
+def _hex(tracks):
+    return [(obj_id, [tuple(map(float.hex, b.as_tuple())) for b in boxes],
+             [v.hex() for v in visibility]) for obj_id, boxes, visibility in tracks]
 
 
 class TestMotParsing:
@@ -773,6 +813,38 @@ class TestMotParsing:
         p = tmp_path / "gt.txt"
         p.write_text(text)
         return load_mot(p)
+
+    @settings(max_examples=120, deadline=None, database=None)
+    @given(_mot_rows())
+    # one annotation, held to frame 0 and to the file's last frame
+    @example({5: {3: (BBox(1.0, 2.0, 3.0, 4.0), 0.61)}, 2: {4: (BBox(9.0, 9.0, 5.0, 5.0), 1.0)}})
+    # adjacent frames; gaps at the start, in the middle and at the end
+    @example({1: {0: (BBox(0.0, 0.0, 10.0, 10.0), 1.0), 1: (BBox(1.0, 0.0, 10.0, 10.0), 0.3),
+                  2: (BBox(2.0, 0.0, 10.0, 10.0), 0.999)},
+              2: {1: (BBox(50.0, 5.0, 8.0, 9.0), 0.5), 4: (BBox(56.0, 8.0, 9.0, 8.0), 0.61),
+                  5: (BBox(57.0, 8.5, 9.5, 8.0), 0.0)},
+              3: {0: (BBox(-5.0, 3.0, 4.0, 4.0), 0.25), 7: (BBox(30.0, 3.0, 6.0, 4.0), 0.875)}})
+    def test_one_pass_fill_matches_the_reference(self, tmp_path_factory, per_id):
+        """`parse_mot` fills each id's track in one pass; the reference fills
+        each frame by searching the annotated ones. Boxes and visibilities
+        agree bit for bit, and the gap warnings come in the same order."""
+        rows = [f"{f + 1},{obj_id},{b.x!r},{b.y!r},{b.w!r},{b.h!r},1,1,{v!r}"
+                for obj_id, frames in per_id.items()
+                for f, (b, v) in sorted(frames.items(), reverse=True)]
+        p = tmp_path_factory.getbasetemp() / "fill.txt"
+        p.write_text("\n".join(rows) + "\n")
+        warned = []
+        handler = logging.Handler(logging.WARNING)
+        handler.emit = lambda record: warned.append(record.args[1:])
+        logger = logging.getLogger("retrack.simworld")
+        logger.addHandler(handler)
+        try:
+            tracks = parse_mot(p)
+        finally:
+            logger.removeHandler(handler)
+        expected, gaps = mot_fill(per_id, 1 + max(f for fs in per_id.values() for f in fs))
+        assert _hex(tracks) == _hex(expected)
+        assert warned == gaps
 
     def test_gap_interpolates_with_warning(self, tmp_path, caplog):
         text = ("1,1,0.0,0.0,10.0,10.0,1,1,1.0\n"
