@@ -101,8 +101,8 @@ def assemble(raw: RawCandidates, kept: list[tuple[int, float]],
              kalman_box: BBox | None) -> CandidateSet:
     """The candidate set: the boxes soft suppression kept, with their
     decayed scores, then the motion-predicted box (if any)."""
-    boxes = tuple(raw.boxes[i] for i, _ in kept)
-    scores = tuple(s for _, s in kept)
+    boxes = tuple([raw.boxes[i] for i, _ in kept])
+    scores = tuple([s for _, s in kept])
     if kalman_box is None:
         return CandidateSet(boxes, scores)
     return CandidateSet(boxes + (kalman_box,), scores + (0.0,), len(kept))

@@ -59,15 +59,21 @@ class BBox:
 
 
 def iou(a: BBox, b: BBox) -> float:
-    """Intersection-over-union of two boxes, in [0, 1]."""
-    ix = min(a.x2, b.x2) - max(a.x, b.x)
+    """Intersection-over-union of two boxes, in [0, 1]: the overlap
+    `(min(a.x2, b.x2) - max(a.x, b.x)) * ...` over `a.area + b.area - inter`,
+    with each box's fields read once and the operations in that order."""
+    ax, ay, aw, ah = a.x, a.y, a.w, a.h
+    bx, by, bw, bh = b.x, b.y, b.w, b.h
+    ax2, bx2 = ax + aw, bx + bw
+    ix = (bx2 if bx2 < ax2 else ax2) - (bx if bx > ax else ax)
     if ix <= 0:
         return 0.0
-    iy = min(a.y2, b.y2) - max(a.y, b.y)
+    ay2, by2 = ay + ah, by + bh
+    iy = (by2 if by2 < ay2 else ay2) - (by if by > ay else ay)
     if iy <= 0:
         return 0.0
     inter = ix * iy
-    return inter / (a.area + b.area - inter)
+    return inter / (aw * ah + bw * bh - inter)
 
 
 def box_array(boxes: Sequence[BBox]) -> np.ndarray:

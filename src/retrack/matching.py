@@ -35,13 +35,25 @@ def build_weights(tracklets: Sequence[Tracklet], neighbors: Sequence[Tracklet],
     neighbor that does not end on the candidates' frame. `top_weight`, if
     given, is row 0's target weight, which the caller already has (the
     gate's overlap of the argmax tracklet with the target:
-    `tracklet_avg_iou` is symmetric bit for bit)."""
+    `tracklet_avg_iou` is symmetric bit for bit).
+
+    A row whose tracklet holds the same box objects, ending on the same
+    frame, as an earlier row's (a port's chains can join and share their
+    boxes) takes that row's weights, which it would compute again bit for
+    bit; a twin of row 0 thereby takes `top_weight` too."""
     if not tracklets:
         raise ValueError("candidate pool is empty")
-    rows = [[tracklet_avg_iou(tr, nb) for nb in neighbors]
-            + [top_weight if r == 0 and top_weight is not None
-               else tracklet_avg_iou(tr, target)]
-            for r, tr in enumerate(tracklets)]
+    rows, seen = [], {}
+    for r, tr in enumerate(tracklets):
+        # the boxes are alive in `tracklets` throughout, so their ids are unique
+        key = (tr.end_frame, *map(id, tr.boxes))
+        row = seen.get(key)
+        if row is None:
+            row = seen[key] = (
+                [tracklet_avg_iou(tr, nb) for nb in neighbors]
+                + [top_weight if r == 0 and top_weight is not None
+                   else tracklet_avg_iou(tr, target)])
+        rows.append(row)
     return np.array(rows, dtype=float)
 
 

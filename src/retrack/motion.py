@@ -40,12 +40,6 @@ class MotionState(NamedTuple):
     mean: tuple[float, ...]
     block: tuple[float, float, float]
 
-    def predicted_box(self) -> BBox:
-        cx, cy, w, h = self.mean[:4]
-        w = max(w, MIN_SIZE)
-        h = max(h, MIN_SIZE)
-        return BBox(cx - w / 2.0, cy - h / 2.0, w, h)
-
 
 def motion_init(b0: BBox) -> MotionState:
     """Start a filter at `b0` with zero velocity and scale-matched spread."""
@@ -65,8 +59,10 @@ def motion_predict(s: MotionState) -> tuple[BBox, MotionState]:
     std_v = STD_WEIGHT_VELOCITY * h
     pp, pv, vv = s.block
     block = ((pp + pv) + (pv + vv) + std_p * std_p, pv + vv, vv + std_v * std_v)
-    state = MotionState((cx + vcx, cy + vcy, w, h, vcx, vcy, vw, vh), block)
-    return state.predicted_box(), state
+    cx, cy = cx + vcx, cy + vcy
+    # w and h are already at least MIN_SIZE, so the box is the state's own
+    return (BBox(cx - w / 2.0, cy - h / 2.0, w, h),
+            MotionState((cx, cy, w, h, vcx, vcy, vw, vh), block))
 
 
 def motion_update(s: MotionState, observed: BBox) -> MotionState:
@@ -76,8 +72,9 @@ def motion_update(s: MotionState, observed: BBox) -> MotionState:
     pp, pv, vv = s.block
     inv = 1.0 / (pp + r)
     kp, kv = pp * inv, pv * inv
-    dx, dy = float(observed.cx) - cx, float(observed.cy) - cy
-    dw, dh = float(observed.w) - w, float(observed.h) - h
+    ox, oy, ow, oh = observed.x, observed.y, observed.w, observed.h
+    dx, dy = float(ox + ow / 2.0) - cx, float(oy + oh / 2.0) - cy
+    dw, dh = float(ow) - w, float(oh) - h
     # keep the filter inside the valid box domain
     mean = (cx + kp * dx, cy + kp * dy,
             max(w + kp * dw, MIN_SIZE), max(h + kp * dh, MIN_SIZE),

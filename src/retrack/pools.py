@@ -76,7 +76,7 @@ def update_neighbor_pool(cands: CandidateSet, tracklets: Sequence[Tracklet],
     losers = _losers(cands, selected, tau)
     if len(tracklets) != len(cands):
         raise ValueError(f"{len(tracklets)} tracklets for {len(cands)} candidates")
-    return tuple(tracklets[i].pushed(cands.boxes[i], tau) for i in losers)
+    return tuple([tracklets[i].pushed(cands.boxes[i], tau) for i in losers])
 
 
 def advance_neighbor_pool(prev: Sequence[Tracklet], cands: CandidateSet, selected: int,
@@ -99,6 +99,6 @@ def advance_neighbor_pool(prev: Sequence[Tracklet], cands: CandidateSet, selecte
         if ci not in taken_c and nj not in taken_n:
             taken_c[ci] = nj
             taken_n.add(nj)
-    return tuple(prev[taken_c[ci]].pushed(cands.boxes[i], tau) if ci in taken_c
-                 else Tracklet(t, (cands.boxes[i],))
-                 for ci, i in enumerate(losers))
+    return tuple([prev[taken_c[ci]].pushed(cands.boxes[i], tau) if ci in taken_c
+                  else Tracklet(t, (cands.boxes[i],))
+                  for ci, i in enumerate(losers)])

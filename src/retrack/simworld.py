@@ -672,11 +672,15 @@ def parse_mot(path: FsPath | str) -> MotTracks:
     in one pass over its annotated frames: before the first it holds the
     first row, between two it interpolates box and visibility linearly,
     with one warning per gap, and after the last it holds the last row.
-    Malformed rows fail with the offending line number; a file that is not
-    UTF-8 text (a leading byte order mark is skipped), or that spans fewer
-    than the two frames a run steps from, fails naming the file.
+    Malformed rows fail with the offending line number, and so does a
+    height whose square overflows (the motion filter squares it); a gap
+    whose interpolated box is not a valid `BBox` fails naming the id and
+    the lines on either side. A file that is not UTF-8 text (a leading
+    byte order mark is skipped), or that spans fewer than the two frames
+    a run steps from, fails naming the file.
     """
     per_id: dict[int, dict[int, tuple[BBox, float]]] = {}
+    linenos: dict[tuple[int, int], int] = {}  # (id, 0-based frame) -> its line
     max_frame = 0
     try:
         text = FsPath(path).read_text(encoding="utf-8-sig")
@@ -703,11 +707,15 @@ def parse_mot(path: FsPath | str) -> MotTracks:
         if not (0.0 <= vis <= 1.0):
             raise MotFormatError(f"{path}: line {lineno}: visibility {vis} "
                                  f"outside [0, 1]")
+        if not box.h * box.h < math.inf:
+            raise MotFormatError(f"{path}: line {lineno}: height {box.h} too large: "
+                                 f"the motion filter squares it")
         entry = per_id.setdefault(obj_id, {})
         if frame - 1 in entry:
             raise MotFormatError(f"{path}: line {lineno}: duplicate row for "
                                  f"id {obj_id} at frame {frame}")
         entry[frame - 1] = (box, vis)
+        linenos[obj_id, frame - 1] = lineno
         max_frame = max(max_frame, frame)
     if not per_id:
         raise MotFormatError(f"{path}: no data rows")
@@ -725,11 +733,16 @@ def parse_mot(path: FsPath | str) -> MotTracks:
                 log.warning("%s: id %d missing frames %d..%d, interpolating",
                             path, obj_id, a + 2, b)  # report in 1-based file frames
             (ba, va), (bb, vb) = rows[a], rows[b]
-            for f in range(a + 1, b):
-                t = (f - a) / (b - a)
-                filled.append((BBox(ba.x + t * (bb.x - ba.x), ba.y + t * (bb.y - ba.y),
-                                    ba.w + t * (bb.w - ba.w), ba.h + t * (bb.h - ba.h)),
-                               va + t * (vb - va)))
+            try:
+                for f in range(a + 1, b):
+                    t = (f - a) / (b - a)
+                    filled.append((BBox(ba.x + t * (bb.x - ba.x), ba.y + t * (bb.y - ba.y),
+                                        ba.w + t * (bb.w - ba.w), ba.h + t * (bb.h - ba.h)),
+                                   va + t * (vb - va)))
+            except ValueError as exc:
+                raise MotFormatError(
+                    f"{path}: id {obj_id}: interpolating between lines "
+                    f"{linenos[obj_id, a]} and {linenos[obj_id, b]}: {exc}") from None
         filled += [rows[frames[-1]]] * (max_frame - frames[-1])
         boxes, visibility = zip(*filled)
         tracks.append((obj_id, boxes, visibility))

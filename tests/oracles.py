@@ -7,6 +7,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from retrack.geometry import BBox
+from retrack.motion import MIN_SIZE
 
 
 def brute_force_assignment(values) -> tuple[tuple[tuple[int, int], ...], float]:
@@ -36,6 +37,28 @@ def brute_force_assignment(values) -> tuple[tuple[tuple[int, int], ...], float]:
         elif total == best_total and pairs < best_pairs:
             best_pairs = pairs
     return best_pairs, best_total
+
+
+def reference_iou(a: BBox, b: BBox) -> float:
+    """Intersection-over-union read through `BBox`'s derived properties:
+    the reading every written-out overlap in the package must equal bit
+    for bit."""
+    ix = min(a.x2, b.x2) - max(a.x, b.x)
+    if ix <= 0:
+        return 0.0
+    iy = min(a.y2, b.y2) - max(a.y, b.y)
+    if iy <= 0:
+        return 0.0
+    inter = ix * iy
+    return inter / (a.area + b.area - inter)
+
+
+def predicted_box(state) -> BBox:
+    """The box of a motion state's mean, each side floored at `MIN_SIZE`."""
+    cx, cy, w, h = state.mean[:4]
+    w = max(w, MIN_SIZE)
+    h = max(h, MIN_SIZE)
+    return BBox(cx - w / 2.0, cy - h / 2.0, w, h)
 
 
 def motion_covariance(state) -> np.ndarray:

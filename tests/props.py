@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import ScriptPort, backtrack_all, box_scene, shifted
-from oracles import motion_covariance
+from oracles import motion_covariance, predicted_box, reference_iou
 from retrack.candidate_select import (CandidateSet, assemble,
                                       filter_by_confidence, soft_nms)
 from retrack.evalkit import EAO_INTERVALS, REANCHOR_SKIP, EvalReport
@@ -151,12 +151,17 @@ def box_lists(n_min=1, n_max=6):
 @st.composite
 def partner_box(draw, a: BBox):
     """A box against `a`: unrelated, identical, touching one of its edges
-    (overlap width or height exactly 0) or nested inside it."""
-    kind = draw(st.sampled_from(("free", "same", "touch_x", "touch_y", "nested")))
+    (overlap width or height exactly 0), sharing one of its corners or
+    nested inside it."""
+    kind = draw(st.sampled_from(("free", "same", "touch_x", "touch_y", "corner",
+                                 "nested")))
     if kind == "free":
         return draw(boxes)
     if kind == "same":
         return a
+    if kind == "corner":
+        return shifted(a, draw(st.sampled_from((a.w, -a.w))),
+                       draw(st.sampled_from((a.h, -a.h))))
     if kind == "touch_x":
         return shifted(a, a.w, draw(st.floats(-a.h, a.h)))
     if kind == "touch_y":
@@ -206,6 +211,20 @@ def _(value):
     assert iou(box, shifted(box, 0.0, box.h + gap + 1.0)) == 0.0
 
 
+int_boxes = st.builds(BBox, st.integers(-20, 20), st.integers(-20, 20),
+                      st.integers(1, 20), st.integers(1, 20))
+
+
+@prop("geometry", "iou_equals_the_reference_bit_for_bit",
+      st.one_of(boxes, int_boxes).flatmap(
+          lambda a: st.tuples(st.just(a), st.one_of(partner_box(a), int_boxes))))
+def _(value):
+    # `iou` reads each field once; the reference reads the derived properties
+    a, b = value
+    assert iou(a, b).hex() == reference_iou(a, b).hex()
+    assert iou(b, a).hex() == reference_iou(b, a).hex()
+
+
 @prop("geometry", "avg_iou_matches_direct_mean", coterminal_tracklets())
 def _(value):
     # bit for bit: the overlap kernel spells `iou` out inline
@@ -213,7 +232,7 @@ def _(value):
     m = min(len(a), len(b))
     total = 0.0
     for k in range(m):
-        total += iou(a.boxes[k], b.boxes[k])
+        total += reference_iou(a.boxes[k], b.boxes[k])
     assert tracklet_avg_iou(a, b) == min(total / m, 1.0)
 
 
@@ -388,7 +407,7 @@ def _(value):
         np.testing.assert_array_equal(cov, cov.T)
         assert np.linalg.eigvalsh(cov).min() > 0
         assert state.mean[2] >= MIN_SIZE and state.mean[3] >= MIN_SIZE
-        assert pred == state.predicted_box()
+        assert pred == predicted_box(state)
 
 
 @prop("motion", "update_conditions_toward_the_measurement",
@@ -619,7 +638,7 @@ def partnered_boxes(draw):
 @prop("evalkit", "batch_iou_matches_iou_bit_for_bit", partnered_boxes())
 def _(value):
     first, second = value
-    want = [iou(a, b).hex() for a, b in zip(first, second)]
+    want = [reference_iou(a, b).hex() for a, b in zip(first, second)]
     a, b = box_array(first), box_array(second)
     assert [v.hex() for v in batch_iou(a, b).tolist()] == want
     # broadcast against a stack of rows, as evaluation overlaps every object

@@ -332,6 +332,7 @@ def test_mot_round_trip(tmp_path):
         ("1,1,0,0,0,10,1,1,1.0", 1),  # zero width
         ("1,1,0,0,1e-200,1e-200,1,1,1.0", 1),  # area underflows to 0
         ("1,1,0,0,1e200,1e200,1,1,1.0", 1),  # area overflows to inf
+        ("1,1,0,0,1e-100,1e160,1,1,1.0", 1),  # height squared overflows
         ("1,1,0,0,10,10,1,1,1.5", 1),  # visibility out of range
         ("1,1,0,0,10,10,1,1,1.0\n1,1,5,5,10,10,1,1,1.0", 2),  # duplicate
     ]

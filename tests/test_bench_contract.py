@@ -50,9 +50,20 @@ def test_counting_port_overrides_every_public_port_method():
     assert sorted(public - set(vars(spans.CountingPort))) == []
 
 
-def test_traced_run_gives_the_untraced_records_and_counts():
+def test_traced_run_gives_the_untraced_records_and_counts(monkeypatch):
     scene = workloads.build_scene("crossing", 3)
     plain = bench.run_engine(MockTracker(scene), scene, [])
+    # per fired frame, the pool's distinct rows: tracklets that differ in
+    # end frame or in some box object (`build_weights` copies a twin row)
+    distinct = []
+    pool = retrack.engine.build_candidate_pool
+
+    def spy(*args):
+        tracklets = pool(*args)
+        distinct.append(len({(tr.end_frame, *map(id, tr.boxes)) for tr in tracklets}))
+        return tracklets
+
+    monkeypatch.setattr(retrack.engine, "build_candidate_pool", spy)
     tracer = spans.Tracer()
     with spans.instrumented(tracer):
         port = spans.CountingPort(MockTracker(scene), tracer)
@@ -67,10 +78,12 @@ def test_traced_run_gives_the_untraced_records_and_counts():
     assert counts["kept"] == real <= counts["raw"]
     assert counts["chains"] == counts["rows"] == sum(len(r["weights"]) for r in fired)
     assert counts["cols"] == sum(len(r["weights"][0]) for r in fired)
-    # one overlap per gate check, and one per weight but the argmax row's
-    # target weight, which the gate's overlap supplies
+    # one overlap per gate check, and one per weight of a distinct row but
+    # the argmax row's target weight, which the gate's overlap supplies
     gated = sum(r["gate"] != "single_candidate" for r in records)
-    want = gated + sum(len(r["weights"]) * len(r["weights"][0]) - 1 for r in fired)
+    assert len(distinct) == len(fired)
+    assert any(n < len(r["weights"]) for n, r in zip(distinct, fired))
+    want = gated + sum(n * len(r["weights"][0]) - 1 for n, r in zip(distinct, fired))
     names = tracer.arrays()["name"]
     assert int((names == tracer.names.index("tracklet_avg_iou")).sum()) == want
     # spans nest inside their parents and self times add up

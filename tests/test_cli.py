@@ -1,5 +1,7 @@
 """Command-line behavior: exit codes, file outputs, determinism."""
 import json
+import math
+import sys
 from pathlib import Path
 
 import click
@@ -525,16 +527,36 @@ class TestExitCodes:
     def test_malformed_mot_fails_before_any_output(self, tmp_path, capsys, command):
         """The file is parsed before `--out` is made, with or without
         `--target-id`, so a bad row leaves no empty directory behind. A box
-        whose area underflows to 0 or overflows to inf is such a row."""
+        whose area underflows to 0 or overflows to inf is such a row, and so
+        is one whose height the motion filter cannot square."""
         gt = tmp_path / "gt.txt"
         out = tmp_path / "x"
         for text in ["1,1,0,0,10,10,1,abc,1\n"] + [
-                "".join(f"{f},1,0,0,{side},{side},1,1,1\n" for f in (1, 2, 3))
-                for side in ("1e-200", "1e200")]:
+                "".join(f"{f},1,0,0,{w},{h},1,1,1\n" for f in (1, 2, 3))
+                for w, h in (("1e-200", "1e-200"), ("1e200", "1e200"), ("1e-100", "1e160"))]:
             gt.write_text(text)
             assert main([command, "--mot", str(gt), "--seeds", "0", "--out", str(out)]) == 2
             assert "line 1" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_the_tallest_accepted_height_runs(self, tmp_path):
+        """200 frames at the largest height whose square is finite pass the
+        motion filter; the next float up is refused on its line."""
+        h = math.sqrt(sys.float_info.max)
+        taller = math.nextafter(h, math.inf)
+        assert h * h < math.inf and taller * taller == math.inf
+        gt = tmp_path / "gt.txt"
+        gt.write_text("".join(f"{f},1,{10.0 * f},0,10,{h!r},1,1,1\n"
+                              f"{f},2,{2000.0 - 10.0 * f},0,10,{h!r},1,1,1\n"
+                              for f in range(1, 201)))
+        assert main(["track", "--mot", str(gt), "--seeds", "0",
+                     "--out", str(tmp_path / "x")]) == 0
+        rows = (tmp_path / "x" / "gt_0000_engine.csv").read_text().splitlines()[2:]
+        assert len(rows) == 200
+        gt.write_text(f"1,1,0,0,10,{h!r},1,1,1\n2,1,0,0,10,{taller!r},1,1,1\n")
+        assert main(["track", "--mot", str(gt), "--seeds", "0",
+                     "--out", str(tmp_path / "y")]) == 2
+        assert not (tmp_path / "y").exists()
 
     def test_malformed_mot_content_is_a_data_error(self, tmp_path, capsys):
         gt = tmp_path / "gt.txt"

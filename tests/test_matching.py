@@ -174,6 +174,56 @@ class TestBuildWeights:
         assert w.tolist() == [[0.125], [tracklet_avg_iou(tracklets[1], target)]]
         assert calls == [(tracklets[1], target)]
 
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = []
+        overlap = retrack.matching.tracklet_avg_iou
+        monkeypatch.setattr(retrack.matching, "tracklet_avg_iou",
+                            lambda p, q: calls.append((p, q)) or overlap(p, q))
+        return calls
+
+    @staticmethod
+    def _pool():
+        """Two candidate tracklets, one neighbor and the target."""
+        mk = lambda xs: Tracklet(5, tuple(BBox(x, 0.1 * x, 4, 4.5) for x in xs))
+        return (mk([0.0, 1.0, 1.5]), mk([8.0, 9.0, 9.25]), (mk([8.5, 9.5, 0.5]),),
+                mk([0.5, 1.5, 2.75]))
+
+    def test_a_twin_row_takes_the_earlier_rows_weights(self, monkeypatch):
+        first, second, neighbors, target = self._pool()
+        twin = Tracklet(second.end_frame, second.boxes)  # the same box objects
+        fresh = np.array([[tracklet_avg_iou(tr, neighbors[0]), tracklet_avg_iou(tr, target)]
+                          for tr in (first, second, twin)])
+        calls = self._counted(monkeypatch)
+        w = build_weights((first, second, twin), neighbors, target)
+        assert w.tobytes() == fresh.tobytes()
+        assert len(calls) == 4  # 6 without the twin's copy
+        assert all(p is not twin for p, _ in calls)
+
+    def test_a_twin_of_row_0_takes_top_weight(self, monkeypatch):
+        first, second, neighbors, target = self._pool()
+        twin = Tracklet(first.end_frame, first.boxes)
+        calls = self._counted(monkeypatch)
+        w = build_weights((first, second, twin), neighbors, target, 0.125)
+        assert w[2].tolist() == w[0].tolist() == [w[0, 0], 0.125]
+        assert len(calls) == 3
+
+    def test_equal_valued_copies_are_computed(self, monkeypatch):
+        first, second, neighbors, target = self._pool()
+        copy = Tracklet(second.end_frame, tuple(BBox(*b.as_tuple()) for b in second.boxes))
+        assert copy == second
+        calls = self._counted(monkeypatch)
+        w = build_weights((first, second, copy), neighbors, target)
+        assert len(calls) == 6
+        assert w[2].tobytes() == w[1].tobytes()
+
+    def test_same_boxes_ending_elsewhere_are_no_twin(self):
+        first, _, neighbors, target = self._pool()
+        later = Tracklet(first.end_frame + 1, first.boxes)
+        # computed, not copied, so the overlap rejects its end frame
+        with pytest.raises(ValueError, match="end on different frames"):
+            build_weights((first, later), neighbors, target, 0.125)
+
     def test_rejects_misaligned_tracklets(self):
         t = 6
         tracklet = Tracklet(t - 1, (BBox(0, 0, 4, 4),))

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from oracles import motion_covariance
+from oracles import motion_covariance, predicted_box
 from retrack.geometry import BBox
 from retrack.motion import (MIN_SIZE, STD_WEIGHT_POSITION, STD_WEIGHT_VELOCITY,
                             MotionState, motion_init, motion_predict,
@@ -49,7 +49,7 @@ def test_init_state_matches_measurement():
     s = motion_init(b)
     np.testing.assert_allclose(s.mean[:4], [25, 40, 30, 40])
     np.testing.assert_array_equal(s.mean[4:], np.zeros(4))
-    assert s.predicted_box().as_tuple() == b.as_tuple()
+    assert predicted_box(s).as_tuple() == b.as_tuple()
     # spread scales with box height
     expected = np.array([2 * STD_WEIGHT_POSITION * 40] * 4 +
                         [10 * STD_WEIGHT_VELOCITY * 40] * 4) ** 2
@@ -106,7 +106,8 @@ def test_constant_velocity_convergence():
 
 def test_predicted_box_floors_size():
     s = MotionState((5.0, 5.0, 0.2, 0.4, 0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 1.0))
-    box = s.predicted_box()
+    box, s = motion_predict(s)
+    assert box == predicted_box(s)
     assert box.w == MIN_SIZE and box.h == MIN_SIZE
     assert (box.cx, box.cy) == (5.0, 5.0)
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conformance import check_port, check_rejects
 from conftest import lane, unit_vector, zero_iou_scene
-from oracles import mock_score, mot_fill
+from oracles import mock_score, mot_fill, reference_iou
 from retrack.engine import EngineConfig, run_baseline, run_sequence
 from retrack.evalkit import EvalReport
 from retrack.geometry import BBox, iou
@@ -507,10 +507,10 @@ class TestDominantObject:
 
     @staticmethod
     def _by_iou(scene, box, frame):
-        """`dominant_object` as a loop of `iou` calls."""
+        """`dominant_object` as a loop of reference overlaps."""
         best_id, best_ov = None, 0.0
         for i in scene.ids():
-            ov = iou(box, scene.true_box(i, frame))
+            ov = reference_iou(box, scene.true_box(i, frame))
             if ov > best_ov:
                 best_id, best_ov = i, ov
         return best_id
@@ -880,12 +880,28 @@ class TestMotParsing:
         ("1,1,0.0,0.0,10.0,10.0,1,1,1.5", "outside"),
         ("2,7,0.0,0.0,10.0,10.0,1,1,1.0", "duplicate"),
         ("1,1,0,0,10,10,1,abc,1.0", "line 2"),
+        ("1,1,0,0,1e-100,1e160,1,1,1.0", "height 1e\\+160 too large"),
     ])
     def test_malformed_rows_report_line_numbers(self, tmp_path, row, hint):
         text = "2,7,5.0,5.0,10.0,10.0,1,1,1.0\n" + row + "\n"
         with pytest.raises(MotFormatError, match=hint) as err:
             self._load(tmp_path, text)
         assert "line 2" in str(err.value) or "line 1" in str(err.value)
+
+    def test_a_bad_interpolated_box_names_the_id_and_its_lines(self, tmp_path):
+        # each row's box is valid, but halfway between them the area overflows
+        text = ("1,4,0,0,10,10,1,1,1\n"
+                "1,1,0,0,1e300,1e-300,1,1,1\n"
+                "2,4,1,0,10,10,1,1,1\n"
+                "3,1,0,0,1e-300,1e150,1,1,1\n")
+        with pytest.raises(MotFormatError) as err:
+            self._load(tmp_path, text)
+        assert str(err.value).endswith(
+            "gt.txt: id 1: interpolating between lines 2 and 4: BBox must have a "
+            "positive finite area, got w=5e+299, h=5e+149")
+        # a height of 1e300 is refused on its own line before any gap is filled
+        with pytest.raises(MotFormatError, match="line 4: height 1e\\+300 too large"):
+            self._load(tmp_path, text.replace("1e150", "1e300"))
 
     def test_empty_file_rejected(self, tmp_path):
         with pytest.raises(MotFormatError, match="no data rows"):
