@@ -19,7 +19,7 @@ from .evalkit import EvalReport
 from .geometry import BBox, Tracklet, iou, tracklet_avg_iou
 from .matching import build_weights, hungarian_max, resolve_target
 from .motion import (MotionState, motion_init, motion_predict, motion_update)
-from .pools import backtrack_frames, build_candidate_pool, update_neighbor_pool
+from .pools import build_candidate_pool, update_neighbor_pool
 from .simworld import (MockTracker, MotFormatError, ObjectSpec, Scene, ScenarioConfig,
                        generate_scene, load_mot, save_mot)
 from .tracker_port import RawCandidates, TrackerPort
@@ -31,7 +31,7 @@ __all__ = [
     "RawCandidates", "TrackerPort",
     "CandidateSet", "filter_by_confidence", "soft_nms", "assemble",
     "MotionState", "motion_init", "motion_predict", "motion_update",
-    "backtrack_frames", "build_candidate_pool", "update_neighbor_pool",
+    "build_candidate_pool", "update_neighbor_pool",
     "build_weights", "hungarian_max", "resolve_target",
     "EngineConfig", "EngineState", "engine_init", "step",
     "run_sequence", "run_baseline",

@@ -6,14 +6,14 @@ plus a motion-predicted box become the frame's one `CandidateSet`, in
 pick order, so its argmax is index 0. With one real candidate there is
 nothing to validate; otherwise a cheap stability gate decides whether
 the argmax is trustworthy. When it is not, every candidate is
-backtracked into tracklets aligned with the set, and a maximum-weight
-matching against the neighbor pool and the target history picks the
-winner, the gate's overlap serving as row 0's target weight.
-`matching.resolve_target` ends that cascade: with no candidate tied to
-the target it coasts on the motion box, and without one it keeps the
-argmax, logging a warning. The losers roll into the neighbor pool by
-the fired or the stable rule of `pools`. The template is fixed at the
-init frame and never refreshed.
+backtracked, as far as the target history reaches, into tracklets
+aligned with the set, and a maximum-weight matching against the
+neighbor pool and the target history picks the winner, the gate's
+overlap serving as row 0's target weight. `matching.resolve_target`
+ends that cascade: with no candidate tied to the target it coasts on
+the motion box, and without one it keeps the argmax, logging a warning.
+The losers roll into the neighbor pool by the fired or the stable rule
+of `pools`. The template is fixed at the init frame and never refreshed.
 """
 from __future__ import annotations
 
@@ -26,8 +26,7 @@ from .candidate_select import (ALPHA, NMS_FLOOR, NMS_IOU, NMS_SIGMA, assemble,
 from .geometry import BBox, Tracklet, tracklet_avg_iou
 from .matching import build_weights, hungarian_max, resolve_target
 from .motion import MotionState, motion_init, motion_predict, motion_update
-from .pools import (ASSOC_IOU, advance_neighbor_pool, backtrack_frames, build_candidate_pool,
-                    update_neighbor_pool)
+from .pools import ASSOC_IOU, advance_neighbor_pool, build_candidate_pool, update_neighbor_pool
 from .tracker_port import TrackerPort, segment_frames
 
 log = logging.getLogger(__name__)
@@ -65,8 +64,7 @@ class EngineState(NamedTuple):
     """Everything carried between frames. Value-semantic: a named tuple, as
     `MotionState` is, since `step` builds one on every frame."""
 
-    anchor: int                 # the first frame; nothing before it is tracked
-    template: object            # the port's handle, cropped at the anchor
+    template: object            # the port's handle, cropped at the first frame
     target: Tracklet            # selected history, ends on the frame last stepped
     neighbors: tuple[Tracklet, ...]  # loser histories, end where the target does
     motion: MotionState | None  # set by engine_init iff cfg.use_kalman
@@ -77,13 +75,15 @@ def engine_init(port: TrackerPort, frame0: int, b0: BBox,
     """Anchor the engine on the ground-truth box of the first frame."""
     template = port.make_template(frame0, b0)
     motion = motion_init(b0) if cfg.use_kalman else None
-    return EngineState(anchor=frame0, template=template, target=Tracklet(frame0, (b0,)),
-                       neighbors=(), motion=motion)
+    return EngineState(template=template, target=Tracklet(frame0, (b0,)), neighbors=(),
+                       motion=motion)
 
 
 def step(state: EngineState, frame: int, port: TrackerPort,
          cfg: EngineConfig) -> tuple[BBox, EngineState, dict]:
-    """Advance one frame; returns (selected box, new state, decision record)."""
+    """Advance one frame; returns (selected box, new state, decision record).
+    The backtrack window is the target history, at most `cfg.tau` frames
+    and none before the first, so a run keeps one `cfg` throughout."""
     if frame != state.target.end_frame + 1:
         raise ValueError(f"expected frame {state.target.end_frame + 1}, got {frame}")
     t = frame
@@ -99,7 +99,7 @@ def step(state: EngineState, frame: int, port: TrackerPort,
     if len(kept) == 1:
         gate = "single_candidate"
     else:
-        back_frames = backtrack_frames(t, cfg.tau, state.anchor)
+        back_frames = range(t - 1, t - 1 - len(state.target.boxes), -1)
         template = port.make_template(t, cands.boxes[0])
         top_tracklet = port.track_segment(template, cands.boxes[0], back_frames)
         gate_overlap = tracklet_avg_iou(state.target, top_tracklet)
@@ -139,7 +139,7 @@ def step(state: EngineState, frame: int, port: TrackerPort,
         "source": source,
         "box": list(box.as_tuple()),
     }
-    return box, EngineState(state.anchor, state.template, target, neighbors, motion), record
+    return box, EngineState(state.template, target, neighbors, motion), record
 
 
 def _consecutive(frames: Sequence[int]) -> list[int] | range:

@@ -19,9 +19,10 @@ class BBox:
 
     def __post_init__(self):
         try:  # the common case in one chained test; a failing box is told why below
-            if (-math.inf < self.x < math.inf and -math.inf < self.y < math.inf
-                    and 0 < self.w < math.inf and 0 < self.h < math.inf
-                    and 0.0 < self.w * self.h < math.inf):
+            # a finite far corner bounds the field and the size that make it
+            if (-math.inf < self.x and 0 < self.w and self.x + self.w < math.inf
+                    and -math.inf < self.y and 0 < self.h and self.y + self.h < math.inf
+                    and 0.0 < self.w * self.h * 2.0 < math.inf):
                 return
         except TypeError:  # not a number: `math.isfinite` names its type
             pass
@@ -31,7 +32,10 @@ class BBox:
                 raise ValueError(f"BBox.{name} must be finite, got {v!r}")
         if self.w <= 0 or self.h <= 0:
             raise ValueError(f"BBox must have positive size, got w={self.w}, h={self.h}")
-        if not 0.0 < self.w * self.h < math.inf:  # `iou` divides by areas
+        if not (self.x + self.w < math.inf and self.y + self.h < math.inf):
+            raise ValueError(f"BBox must have a finite far corner, got x + w = {self.x + self.w}, "
+                             f"y + h = {self.y + self.h}")
+        if not 0.0 < self.w * self.h * 2.0 < math.inf:  # `iou` divides by a sum of two areas
             raise ValueError(f"BBox must have a positive finite area, got w={self.w}, h={self.h}")
 
     @property

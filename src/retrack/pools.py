@@ -1,12 +1,13 @@
 """Backtracked candidate tracklets and the neighbor pool.
 
 On a fired frame t every candidate of the frame's `CandidateSet` is
-backtracked through the previous min(tau, t - anchor) frames, never
-reaching before the frame the run was anchored on, template cropped at
-the candidate box itself and the box doubling as the first search prior.
-Each chain is one `track_segment` call, and the chains come back as a
-tuple of tracklets aligned with the candidate set; the gate's chain of
-the argmax, index 0 of the set, is reused rather than run again.
+backtracked through the frames the target history covers, newest first,
+so never before the frame the run was anchored on; the template is
+cropped at the candidate box itself and the box doubles as the first
+search prior. Each chain is one `track_segment` call, and the chains
+come back as a tuple of tracklets aligned with the candidate set; the
+gate's chain of the argmax, index 0 of the set, is reused rather than
+run again.
 
 The neighbor pool is a plain tuple of tracklets, each ending on the frame
 just decided; `build_weights` rejects one that does not. Its members come
@@ -35,22 +36,11 @@ from .tracker_port import TrackerPort
 ASSOC_IOU = 0.3  # stable-frame neighbor association
 
 
-def backtrack_frames(t: int, tau: int, anchor: int) -> range:
-    """The frames a candidate at frame t is backtracked through, newest
-    first: t - 1 down to the older of t - tau and the anchor frame."""
-    if t <= anchor:
-        raise ValueError(f"cannot backtrack from frame {t}: the run is anchored "
-                         f"at frame {anchor}")
-    if tau < 1:
-        raise ValueError(f"tau must be at least 1, got {tau}")
-    return range(t - 1, t - 1 - min(tau, t - anchor), -1)
-
-
 def build_candidate_pool(cands: CandidateSet, port: TrackerPort, frames: range,
                          top_tracklet: Tracklet) -> tuple[Tracklet, ...]:
     """Backtrack every candidate at frame t = frames[0] + 1 through `frames`,
-    the descending range from `backtrack_frames`, one `track_segment` call
-    per candidate; returns one tracklet per candidate, in candidate order.
+    a descending range, one `track_segment` call per candidate; returns one
+    tracklet per candidate, in candidate order.
 
     The stability gate has already backtracked the argmax, candidate 0;
     its `top_tracklet` is reused verbatim, since backtracking is

@@ -213,15 +213,6 @@ class Scene:
         return best_id
 
 
-def _tuples(value):
-    """`value` with every JSON list in it, at any depth, turned into a tuple."""
-    if isinstance(value, list):
-        return tuple(_tuples(v) for v in value)
-    if isinstance(value, dict):
-        return {k: _tuples(v) for k, v in value.items()}
-    return value
-
-
 # ---------------------------------------------------------------------------
 # appearance helpers
 # ---------------------------------------------------------------------------
@@ -451,6 +442,11 @@ class ScenarioConfig:
                  "an integer >= 3")
         _require("box_size", self.box_size, _finite(self.box_size) and self.box_size > 0,
                  "finite and > 0")
+        try:
+            BBox(0.0, 0.0, self.box_size, self.box_size)
+        except ValueError as exc:
+            raise ValueError(f"box_size must be the side of a box, got {self.box_size!r}: "
+                             f"{exc}") from None
         _require("drift", self.drift, _finite(self.drift) and self.drift >= 0,
                  "finite and >= 0")
         for name in ("bounds", "similarity", "severity", "speed", "lane_gap"):
@@ -475,7 +471,8 @@ class ScenarioConfig:
         fields = {"kind": kind, **json.loads(FsPath(path).read_text())}
         if fields["kind"] != kind:
             raise ValueError(f"the file's kind {fields['kind']!r} differs from {kind!r}")
-        return cls(**_tuples(fields))
+        # every field is a scalar or a flat pair, which JSON writes as a list
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in fields.items()})
 
 
 def _finite(value) -> bool:

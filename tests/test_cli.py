@@ -82,7 +82,9 @@ class TestConfigFile:
         assert "'crossing'" in err and "'convoy'" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("text", ['{"bogus": 1}', '[32]'])
+    # a box side whose square underflows or overflows: no `BBox` can hold it
+    @pytest.mark.parametrize("text", ['{"bogus": 1}', '[32]', '{"box_size": 1e-200}',
+                                      '{"box_size": 1e200}'])
     def test_bad_config_file(self, tmp_path, text):
         code, out = self._track(tmp_path, text)
         assert code == 1
@@ -528,12 +530,15 @@ class TestExitCodes:
         """The file is parsed before `--out` is made, with or without
         `--target-id`, so a bad row leaves no empty directory behind. A box
         whose area underflows to 0 or overflows to inf is such a row, and so
-        is one whose height the motion filter cannot square."""
+        is one whose far corner overflows, one whose area `iou` cannot add
+        to itself, and one whose height the motion filter cannot square."""
         gt = tmp_path / "gt.txt"
         out = tmp_path / "x"
         for text in ["1,1,0,0,10,10,1,abc,1\n"] + [
-                "".join(f"{f},1,0,0,{w},{h},1,1,1\n" for f in (1, 2, 3))
-                for w, h in (("1e-200", "1e-200"), ("1e200", "1e200"), ("1e-100", "1e160"))]:
+                "".join(f"{f},1,{x},0,{w},{h},1,1,1\n" for f in (1, 2, 3))
+                for x, w, h in (("0", "1e-200", "1e-200"), ("0", "1e200", "1e200"),
+                                ("1e308", "1e308", "1"), ("0", "1e154", "1e154"),
+                                ("0", "1e-100", "1e160"))]:
             gt.write_text(text)
             assert main([command, "--mot", str(gt), "--seeds", "0", "--out", str(out)]) == 2
             assert "line 1" in capsys.readouterr().err

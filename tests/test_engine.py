@@ -30,6 +30,25 @@ class ForwardingPort(TrackerPort):
         return self.inner.propose(template, frame, prior)
 
 
+class RecordingPort(TrackerPort):
+    """Forwards every call to `inner`; records the frames of each
+    `track_segment` call, in the order asked."""
+
+    def __init__(self, inner: TrackerPort):
+        self.inner = inner
+        self.segments: list[list[int]] = []
+
+    def make_template(self, frame, box):
+        return self.inner.make_template(frame, box)
+
+    def propose(self, template, frame, prior):
+        return self.inner.propose(template, frame, prior)
+
+    def track_segment(self, template, start, frames):
+        self.segments.append(list(frames))
+        return self.inner.track_segment(template, start, frames)
+
+
 def _target_box(f):
     return BBox(2.0 * f, 0.0, 10.0, 10.0)
 
@@ -303,6 +322,26 @@ class TestRunners:
         assert min(port.proposed) == 30
         assert run_sequence(MockTracker(scene), frames, b0, EngineConfig()) == \
             (boxes, records)
+
+    @pytest.mark.parametrize("anchor", [0, 30])
+    @pytest.mark.parametrize("tau", [1, 9, 27])
+    def test_each_backtrack_covers_the_window(self, anchor, tau):
+        """Every `track_segment` call of `step(t)` runs from t - 1 down to
+        the older of t - tau and the anchor frame, and no further."""
+        scene = generate_scene(ScenarioConfig("crossing"), 3)
+        port = RecordingPort(MockTracker(scene))
+        cfg = EngineConfig(tau=tau)
+        state = engine_init(port, anchor, scene.true_box(1, anchor), cfg)
+        depths = set()
+        for t in range(anchor + 1, scene.length):
+            port.segments.clear()
+            _, state, _ = step(state, t, port, cfg)
+            want = list(range(t - 1, max(t - tau, anchor) - 1, -1))
+            assert all(frames == want for frames in port.segments), t
+            depths.update(len(frames) for frames in port.segments)
+        # the run backtracks, and the anchor cuts its first windows short
+        assert depths
+        assert tau == 1 or min(depths) < tau
 
     def test_window_port_fails_each_call_outside_the_window(self):
         scene = generate_scene(ScenarioConfig("crossing"), 3)

@@ -1,12 +1,13 @@
 """Box and tracklet geometry against hand-computed overlap values."""
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import reference_iou
-from retrack.geometry import BBox, Tracklet, iou, tracklet_avg_iou
+from retrack.geometry import BBox, Tracklet, batch_iou, box_array, iou, tracklet_avg_iou
 
 
 def _message(call, error=ValueError) -> str:
@@ -42,6 +43,21 @@ class TestBBox:
         assert _message(lambda: BBox(0.0, 0.0, -1.0, 1e200)) == \
             "BBox must have positive size, got w=-1.0, h=1e+200"
         assert BBox(0.0, 0.0, 1e-150, 1e-150).area == 1e-300
+
+    def test_rejects_what_iou_cannot_add(self):
+        """`iou` adds each box's far corner and two areas: a corner that
+        overflows, or an area whose double does, fails after the size check."""
+        assert _message(lambda: BBox(1e308, 0.0, 1e308, 1.0)) == \
+            "BBox must have a finite far corner, got x + w = inf, y + h = 1.0"
+        assert _message(lambda: BBox(0.0, 1e308, 1.0, 1e308)) == \
+            "BBox must have a finite far corner, got x + w = 1.0, y + h = inf"
+        assert _message(lambda: BBox(0.0, 0.0, 1e154, 1e154)) == \
+            "BBox must have a positive finite area, got w=1e+154, h=1e+154"
+        half = sys.float_info.max / 2.0
+        assert BBox(0.0, 0.0, half, 1.0).area == half
+        assert _message(lambda: BBox(0.0, 0.0, math.nextafter(half, math.inf), 1.0)) \
+            .startswith("BBox must have a positive finite area")
+        assert BBox(-1e308, 0.0, 1e308, 0.5).x2 == 0.0
 
     def test_first_bad_field_is_named(self):
         # the fields are checked in order, and finiteness before size
@@ -83,6 +99,37 @@ class TestIou:
     def test_touching_edges_is_zero(self):
         assert iou(BBox(0, 0, 2, 2), BBox(2, 0, 2, 2)) == 0.0
         assert iou(BBox(0, 0, 2, 2), BBox(0, 2, 2, 2)) == 0.0
+
+
+_SIDES = (5e-324, 1e-300, 1e-154, 1.0, 3.0, 1e154, 1.3e154, 1e300, 1e308, sys.float_info.max)
+
+
+def _extreme_boxes() -> list[BBox]:
+    """Every box `BBox` accepts among sides from the smallest float to the
+    largest, each corner a small multiple of its own side, so that the
+    extents `(x + w) - x` and `(y + h) - y` are exact."""
+    boxes = []
+    for w in _SIDES:
+        for h in _SIDES:
+            for i in (-2, -1, 0, 1):
+                for j in (-2, -1, 0, 1):
+                    try:
+                        boxes.append(BBox(i * w, j * h, w, h))
+                    except ValueError:
+                        pass
+    return boxes
+
+
+class TestExtremeMagnitudes:
+    def test_every_accepted_box_measures_itself_and_others(self):
+        boxes = _extreme_boxes()
+        assert BBox(-sys.float_info.max, 0.0, sys.float_info.max, 1e-300) in boxes
+        assert BBox(0.0, 0.0, 5e-324, 1.0) in boxes
+        assert all(iou(a, a) == 1.0 for a in boxes)
+        assert all(0.0 <= iou(a, b) <= 1.0 for a in boxes for b in boxes)
+        # numpy warns on an overflow, and the tests run warnings as errors
+        array = box_array(boxes)
+        assert batch_iou(array, array).tolist() == [1.0] * len(boxes)
 
 
 class TestTracklet:

@@ -4,8 +4,8 @@ import pytest
 from conftest import DriftPort, ScriptPort, backtrack_all
 from retrack.candidate_select import CandidateSet
 from retrack.geometry import BBox, Tracklet, iou
-from retrack.pools import (ASSOC_IOU, advance_neighbor_pool, backtrack_frames,
-                           build_candidate_pool, update_neighbor_pool)
+from retrack.pools import (ASSOC_IOU, advance_neighbor_pool, build_candidate_pool,
+                           update_neighbor_pool)
 
 
 def _cands(xs, kalman_index=None):
@@ -17,7 +17,7 @@ class TestBuildCandidatePool:
     def test_backtracks_each_candidate_through_tau_frames(self):
         port = DriftPort(dx=1.0)
         cands = _cands([0.0, 100.0])
-        tracklets = backtrack_all(cands, port, backtrack_frames(t=5, tau=3, anchor=0))
+        tracklets = backtrack_all(cands, port, range(4, 1, -1))
         assert len(tracklets) == 2
         for tracklet, x0 in zip(tracklets, (0.0, 100.0)):
             assert tracklet.end_frame == 4
@@ -27,14 +27,8 @@ class TestBuildCandidatePool:
 
     def test_depth_clamped_by_available_frames(self):
         port = DriftPort()
-        (tracklet,) = backtrack_all(_cands([0.0]), port,
-                                    backtrack_frames(t=2, tau=9, anchor=0))
+        (tracklet,) = backtrack_all(_cands([0.0]), port, range(1, -1, -1))
         assert (tracklet.end_frame, len(tracklet)) == (1, 2)  # frames 1 and 0
-
-    def test_depth_clamped_at_the_anchor(self):
-        assert list(backtrack_frames(t=33, tau=9, anchor=30)) == [32, 31, 30]
-        assert list(backtrack_frames(t=31, tau=9, anchor=30)) == [30]
-        assert list(backtrack_frames(t=50, tau=9, anchor=30)) == list(range(49, 40, -1))
 
     def test_top_tracklet_reused_verbatim(self):
         script = {f: ([BBox(50, 0, 4, 4)], [0.5]) for f in range(8)}
@@ -42,20 +36,11 @@ class TestBuildCandidatePool:
         ready = Tracklet(7, tuple(BBox(9, 9, 4, 4) for _ in range(3)))
         boxes = tuple(BBox(x, 0.0, 4.0, 4.0) for x in (0.0, 1.0, 2.0))
         cands = CandidateSet(boxes, (0.9, 0.5, 0.2))
-        tracklets = build_candidate_pool(cands, port,
-                                         backtrack_frames(t=8, tau=3, anchor=0), ready)
+        tracklets = build_candidate_pool(cands, port, range(7, 4, -1), ready)
         assert tracklets[0] is ready
         # only the two other candidates were backtracked, 3 frames each
         assert port.propose_calls == 6
         assert tracklets[1] == tracklets[2] == Tracklet(7, (BBox(50, 0, 4, 4),) * 3)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            backtrack_frames(t=0, tau=3, anchor=0)
-        with pytest.raises(ValueError):
-            backtrack_frames(t=30, tau=3, anchor=30)
-        with pytest.raises(ValueError):
-            backtrack_frames(t=5, tau=0, anchor=0)
 
 
 class TestUpdateNeighborPool:

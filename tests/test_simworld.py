@@ -653,6 +653,10 @@ class TestScenarioGeneration:
         ("deform", {"appearance_dim": 2}, "appearance_dim must be an integer >= 3, got 2"),
         ("convoy", {"box_size": 0.0}, "box_size must be finite and > 0"),
         ("convoy", {"box_size": False}, "box_size must be finite and > 0"),
+        ("convoy", {"box_size": 1e-200}, "box_size must be the side of a box, got 1e-200: "
+         "BBox must have a positive finite area"),
+        ("convoy", {"box_size": 1e200}, "box_size must be the side of a box, got 1e\\+200: "
+         "BBox must have a positive finite area"),
         ("convoy", {"drift": -0.1}, "drift must be finite and >= 0"),
         ("convoy", {"drift": math.inf}, "drift must be finite and >= 0"),
         ("convoy", {"similarity": [0.5, 0.6]}, "similarity must be a pair"),
@@ -665,7 +669,8 @@ class TestScenarioGeneration:
         ("convoy", {"speed": (-1.0, 2.0)}, "speed must be > 0"),
     ], ids=["kind_unknown", "crossing_length_28", "convoy_length_18", "deform_length_27",
             "length_0", "length_bool", "appearance_dim_1",
-            "appearance_dim_2", "box_size_0", "box_size_bool", "drift_negative", "drift_inf",
+            "appearance_dim_2", "box_size_0", "box_size_bool", "box_size_tiny", "box_size_huge",
+            "drift_negative", "drift_inf",
             "similarity_list",
             "bounds_inf", "bounds_0", "lane_gap_reversed", "similarity_below_-1",
             "severity_from_0", "severity_above_1", "speed_negative"])
