@@ -29,8 +29,8 @@ import click
 from .engine import EngineConfig, run_baseline, run_sequence
 from .evalkit import EvalReport, check_fail_iou
 from .geometry import BBox
-from .simworld import (SCENARIO_IDS, SCENARIOS, MockTracker, MotFormatError, MotTracks, Scene,
-                       ScenarioConfig, generate_scene, mot_scene, parse_mot)
+from .simworld import (SCENARIO_IDS, SCENARIOS, MockTracker, MotTracks, Scene, ScenarioConfig,
+                       generate_scene, mot_scene, parse_mot)
 
 TRACK_FORMAT = "retrack-track-v1"
 
@@ -346,7 +346,7 @@ def main(argv=None) -> int:
         return 1
     except click.Abort:
         return 1
-    except (MotFormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
 

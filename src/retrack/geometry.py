@@ -8,6 +8,16 @@ from typing import Sequence
 import numpy as np
 
 
+# How far a box's extent, `(x + w) - x` or `(y + h) - y`, may round away
+# from its side, relative to the side: a box must measure itself, so that
+# `iou(a, a)` lies within about 4e-6 of 1 and every `iou` within as much of
+# [0, 1]. Generated boxes round by 2e-15 at most and two-decimal MOT boxes
+# by 1.9e-13; the bound rejects only a box whose side is below about 1e-10
+# of its corner's distance from the origin, where floats are too coarse to
+# hold its far edge apart from its near one.
+EXTENT_TOLERANCE = 1e-6
+
+
 @dataclass(frozen=True)
 class BBox:
     """Axis-aligned box in pixel coordinates, (x, y) top-left corner."""
@@ -19,9 +29,11 @@ class BBox:
 
     def __post_init__(self):
         try:  # the common case in one chained test; a failing box is told why below
-            # a finite far corner bounds the field and the size that make it
-            if (-math.inf < self.x and 0 < self.w and self.x + self.w < math.inf
-                    and -math.inf < self.y and 0 < self.h and self.y + self.h < math.inf
+            # an extent within tolerance of its side is finite, and so are the
+            # corner and the side that make it (NaN fails every comparison); a
+            # negative side fails it too, unless so small that the area is 0
+            if (abs((self.x + self.w) - self.x - self.w) <= EXTENT_TOLERANCE * self.w
+                    and abs((self.y + self.h) - self.y - self.h) <= EXTENT_TOLERANCE * self.h
                     and 0.0 < self.w * self.h * 2.0 < math.inf):
                 return
         except TypeError:  # not a number: `math.isfinite` names its type
@@ -37,6 +49,9 @@ class BBox:
                              f"y + h = {self.y + self.h}")
         if not 0.0 < self.w * self.h * 2.0 < math.inf:  # `iou` divides by a sum of two areas
             raise ValueError(f"BBox must have a positive finite area, got w={self.w}, h={self.h}")
+        raise ValueError(f"BBox must measure its own size to within {EXTENT_TOLERANCE}, got "
+                         f"(x + w) - x = {(self.x + self.w) - self.x} for w={self.w}, "
+                         f"(y + h) - y = {(self.y + self.h) - self.y} for h={self.h}")
 
     @property
     def x2(self) -> float:
@@ -94,12 +109,15 @@ def batch_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     ax, ay, aw, ah = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
     bx, by, bw, bh = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    ix = np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx)
-    iy = np.minimum(ay + ah, by + bh) - np.maximum(ay, by)
-    inter = ix * iy
+    hi_x, lo_x = np.minimum(ax + aw, bx + bw), np.maximum(ax, bx)
+    hi_y, lo_y = np.minimum(ay + ah, by + bh), np.maximum(ay, by)
+    # `hi - lo > 0` exactly when `hi > lo`; a far-apart pair's difference
+    # can overflow, so only an overlapping pair's is taken
+    hit = (hi_x > lo_x) & (hi_y > lo_y)
+    inter = (np.subtract(hi_x, lo_x, out=np.zeros(hit.shape), where=hit)
+             * np.subtract(hi_y, lo_y, out=np.zeros(hit.shape), where=hit))
     union = aw * ah + bw * bh - inter
-    return np.divide(inter, union, out=np.zeros(inter.shape),
-                     where=(ix > 0) & (iy > 0))
+    return np.divide(inter, union, out=np.zeros(hit.shape), where=hit)
 
 
 @dataclass(frozen=True)
@@ -153,12 +171,10 @@ def tracklet_avg_iou(p: Tracklet, q: Tracklet) -> float:
         if a is b:
             # one box object on both sides (a port handing back its stored
             # boxes): each min and max below picks that box's own corner, so
-            # these are `iou`'s operations, in order, on the same floats
-            ix = (ax + aw) - ax
-            iy = (ay + ah) - ay
-            if ix > 0 and iy > 0:
-                inter = ix * iy
-                total += inter / (aw * ah + aw * ah - inter)
+            # these are `iou`'s operations, in order, on the same floats; a
+            # box measures itself, so both extents are positive
+            inter = ((ax + aw) - ax) * ((ay + ah) - ay)
+            total += inter / (aw * ah + aw * ah - inter)
             continue
         bx, by, bw, bh = b.x, b.y, b.w, b.h
         ax2, bx2 = ax + aw, bx + bw
@@ -171,5 +187,5 @@ def tracklet_avg_iou(p: Tracklet, q: Tracklet) -> float:
             continue
         inter = ix * iy
         total += inter / (aw * ah + bw * bh - inter)
-    # the float sum of m values each <= 1.0 can round a hair past m
+    # each overlap, and so their mean, can round a hair past 1.0
     return min(total / min(len(p.boxes), len(q.boxes)), 1.0)

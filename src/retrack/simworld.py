@@ -442,11 +442,6 @@ class ScenarioConfig:
                  "an integer >= 3")
         _require("box_size", self.box_size, _finite(self.box_size) and self.box_size > 0,
                  "finite and > 0")
-        try:
-            BBox(0.0, 0.0, self.box_size, self.box_size)
-        except ValueError as exc:
-            raise ValueError(f"box_size must be the side of a box, got {self.box_size!r}: "
-                             f"{exc}") from None
         _require("drift", self.drift, _finite(self.drift) and self.drift >= 0,
                  "finite and >= 0")
         for name in ("bounds", "similarity", "severity", "speed", "lane_gap"):
@@ -463,6 +458,16 @@ class ScenarioConfig:
         _require("severity", self.severity, 0.0 < self.severity[0] and self.severity[1] <= 1.0
                  and lo_t <= hi_t, "within (0, 1] and hold a multiple of 1/256")
         _require("speed", self.speed, self.speed[0] > 0, "> 0")
+        # every scenario's boxes lie within `far` of the origin: the bounds,
+        # the largest speed over the length, the widest lane gap, a box
+        # side, the 40 px start and the lanes up to 90 px below mid-height
+        far = (max(self.bounds) + self.speed[1] * self.length
+               + max(map(abs, self.lane_gap)) + self.box_size + 130.0)
+        try:
+            BBox(far, far, self.box_size, self.box_size)
+        except ValueError as exc:
+            raise ValueError(f"box_size, bounds, speed and lane_gap must make valid boxes, got "
+                             f"a side of {self.box_size!r} at {far!r}: {exc}") from None
 
     @classmethod
     def from_file(cls, path: FsPath | str, kind: str) -> "ScenarioConfig":
@@ -655,11 +660,6 @@ def save_mot(scene: Scene, path: FsPath | str) -> None:
 
 # per id, in id order: (id, its true box and its visibility at each frame)
 MotTracks = tuple[tuple[int, tuple[BBox, ...], tuple[float, ...]], ...]
-
-
-def load_mot(path: FsPath | str, seed: int = 0) -> Scene:
-    """Build a Scene from a MOT ground-truth file: `mot_scene` of `parse_mot`."""
-    return mot_scene(parse_mot(path), seed)
 
 
 def parse_mot(path: FsPath | str) -> MotTracks:

@@ -10,8 +10,8 @@ log holds, so the table shows which decision paths it covers. A change
 that moves a row must say why in CHANGES.md; `test_golden.py`
 regenerates every row and compares.
 
-The `mot` rows run the scenes `load_mot` builds, at seeds 0-2, from the
-file `save_mot` writes for crossing seed 3.
+The `mot` rows run the scenes `mot_scene` builds from `parse_mot`'s tracks,
+at seeds 0-2, of the file `save_mot` writes for crossing seed 3.
 
 The evaluation table pins what `retrack evaluate` computes from those
 runs: each digest is that of the `comparison.csv` the command writes for
@@ -33,8 +33,8 @@ from props import WindowPort
 from retrack import cli
 from retrack.engine import EngineConfig, run_baseline, run_sequence
 from retrack.evalkit import EvalReport
-from retrack.simworld import (MockTracker, ScenarioConfig, generate_scene, load_mot,
-                              save_mot)
+from retrack.simworld import (MockTracker, ScenarioConfig, generate_scene, mot_scene,
+                              parse_mot, save_mot)
 
 TABLE = Path(__file__).with_name("golden_decisions.tsv")
 HEADER = "scenario\tseed\tconfig\tsha256\tgates\tsources"
@@ -45,11 +45,11 @@ HARD = Path(__file__).with_name("hard_scenario.json")
 
 
 def crossing_mot_scene(seed: int):
-    """The scene `load_mot` builds at `seed` from crossing 3's MOT file."""
+    """The scene of crossing 3's MOT file at `seed`."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "crossing_0003.txt"
         save_mot(generate_scene(ScenarioConfig("crossing"), 3), path)
-        return load_mot(path, seed)
+        return mot_scene(parse_mot(path), seed)
 
 
 def _hard(kind: str):

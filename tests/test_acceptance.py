@@ -34,7 +34,8 @@ from retrack.simworld import (
     MotFormatError,
     ScenarioConfig,
     generate_scene,
-    load_mot,
+    mot_scene,
+    parse_mot,
     save_mot,
 )
 from retrack.tracker_port import RawCandidates
@@ -306,7 +307,7 @@ def test_mot_round_trip(tmp_path):
     scene = generate_scene(ScenarioConfig("crossing"), 11)
     path = tmp_path / "gt.txt"
     save_mot(scene, path)
-    loaded = load_mot(path, seed=scene.seed)
+    loaded = mot_scene(parse_mot(path), scene.seed)
     assert loaded.length == scene.length
     assert loaded.ids() == scene.ids()
     for obj_id in scene.ids():
@@ -321,7 +322,7 @@ def test_mot_round_trip(tmp_path):
                  "3,2,206.0,20.0,30.0,40.0,1,1,0.999", "4,1,16.5,23.0,31.0,40.0,1,1,0.999",
                  "4,2,209.0,20.0,30.0,40.0,1,1,0.61"]
     written.write_text("\n".join(annotated) + "\n")
-    save_mot(load_mot(written, seed=0), tmp_path / "back.txt")
+    save_mot(mot_scene(parse_mot(written), 0), tmp_path / "back.txt")
     back = (tmp_path / "back.txt").read_text().splitlines()
     assert len(back) == 8 and set(annotated) <= set(back)
 
@@ -333,6 +334,7 @@ def test_mot_round_trip(tmp_path):
         ("1,1,0,0,1e-200,1e-200,1,1,1.0", 1),  # area underflows to 0
         ("1,1,0,0,1e200,1e200,1,1,1.0", 1),  # area overflows to inf
         ("1,1,0,0,1e-100,1e160,1,1,1.0", 1),  # height squared overflows
+        ("1,1,-1e308,0,10,10,1,1,1.0", 1),  # far corner rounds onto the near one
         ("1,1,0,0,10,10,1,1,1.5", 1),  # visibility out of range
         ("1,1,0,0,10,10,1,1,1.0\n1,1,5,5,10,10,1,1,1.0", 2),  # duplicate
     ]
@@ -340,4 +342,4 @@ def test_mot_round_trip(tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text(text + "\n")
         with pytest.raises(MotFormatError, match=f"line {line}"):
-            load_mot(bad, seed=0)
+            parse_mot(bad)

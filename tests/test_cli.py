@@ -82,9 +82,10 @@ class TestConfigFile:
         assert "'crossing'" in err and "'convoy'" in err
         assert not out.exists()
 
-    # a box side whose square underflows or overflows: no `BBox` can hold it
+    # a box side whose square underflows or overflows, or a speed that carries
+    # the boxes past the largest float: no `BBox` can hold it
     @pytest.mark.parametrize("text", ['{"bogus": 1}', '[32]', '{"box_size": 1e-200}',
-                                      '{"box_size": 1e200}'])
+                                      '{"box_size": 1e200}', '{"speed": [1e307, 1e307]}'])
     def test_bad_config_file(self, tmp_path, text):
         code, out = self._track(tmp_path, text)
         assert code == 1
@@ -531,14 +532,15 @@ class TestExitCodes:
         `--target-id`, so a bad row leaves no empty directory behind. A box
         whose area underflows to 0 or overflows to inf is such a row, and so
         is one whose far corner overflows, one whose area `iou` cannot add
-        to itself, and one whose height the motion filter cannot square."""
+        to itself, one whose height the motion filter cannot square, and
+        one whose far corner rounds onto its near one."""
         gt = tmp_path / "gt.txt"
         out = tmp_path / "x"
         for text in ["1,1,0,0,10,10,1,abc,1\n"] + [
                 "".join(f"{f},1,{x},0,{w},{h},1,1,1\n" for f in (1, 2, 3))
                 for x, w, h in (("0", "1e-200", "1e-200"), ("0", "1e200", "1e200"),
                                 ("1e308", "1e308", "1"), ("0", "1e154", "1e154"),
-                                ("0", "1e-100", "1e160"))]:
+                                ("0", "1e-100", "1e160"), ("-1e308", "10", "10"))]:
             gt.write_text(text)
             assert main([command, "--mot", str(gt), "--seeds", "0", "--out", str(out)]) == 2
             assert "line 1" in capsys.readouterr().err

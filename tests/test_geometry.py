@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import reference_iou
-from retrack.geometry import BBox, Tracklet, batch_iou, box_array, iou, tracklet_avg_iou
+from retrack.geometry import (EXTENT_TOLERANCE, BBox, Tracklet, batch_iou, box_array, iou,
+                              tracklet_avg_iou)
 
 
 def _message(call, error=ValueError) -> str:
@@ -101,20 +102,28 @@ class TestIou:
         assert iou(BBox(0, 0, 2, 2), BBox(0, 2, 2, 2)) == 0.0
 
 
-_SIDES = (5e-324, 1e-300, 1e-154, 1.0, 3.0, 1e154, 1.3e154, 1e300, 1e308, sys.float_info.max)
+# Each extent lies within t = EXTENT_TOLERANCE of its side, so an overlap's
+# extents lie at most t above the smaller sides, and its area within
+# (1 + t)^2 of the smaller area: an IoU then lies within about 4t of [0, 1],
+# and of 1 for a box against itself. 5t covers the roundings on top.
+_BOUND = 5 * EXTENT_TOLERANCE
+_MAX = sys.float_info.max
+_SIDES = (5e-324, 1e-300, 1e-154, 0.3, 3.0, 1.3e154, 1e307, _MAX)
+_CORNERS = (-_MAX, -1.5e308, -1e16, -1.0, 0.1, 1e9, 1.5e308)
 
 
 def _extreme_boxes() -> list[BBox]:
     """Every box `BBox` accepts among sides from the smallest float to the
-    largest, each corner a small multiple of its own side, so that the
-    extents `(x + w) - x` and `(y + h) - y` are exact."""
+    largest, each corner a small multiple of its own side, which makes the
+    extents `(x + w) - x` and `(y + h) - y` exact, or one of `_CORNERS`,
+    where they round or are refused."""
     boxes = []
     for w in _SIDES:
         for h in _SIDES:
-            for i in (-2, -1, 0, 1):
-                for j in (-2, -1, 0, 1):
+            for x in [i * w for i in (-2, -1, 0, 1)] + list(_CORNERS):
+                for y in [j * h for j in (-2, -1, 0, 1)] + list(_CORNERS):
                     try:
-                        boxes.append(BBox(i * w, j * h, w, h))
+                        boxes.append(BBox(x, y, w, h))
                     except ValueError:
                         pass
     return boxes
@@ -123,13 +132,20 @@ def _extreme_boxes() -> list[BBox]:
 class TestExtremeMagnitudes:
     def test_every_accepted_box_measures_itself_and_others(self):
         boxes = _extreme_boxes()
-        assert BBox(-sys.float_info.max, 0.0, sys.float_info.max, 1e-300) in boxes
-        assert BBox(0.0, 0.0, 5e-324, 1.0) in boxes
-        assert all(iou(a, a) == 1.0 for a in boxes)
-        assert all(0.0 <= iou(a, b) <= 1.0 for a in boxes for b in boxes)
+        assert BBox(-_MAX, 0.0, _MAX, 1e-300) in boxes
+        assert BBox(0.0, 0.0, 5e-324, 3.0) in boxes
+        assert BBox(1e9, 1e9, 0.3, 0.3) in boxes  # extents round
+        # far apart: the distance between them overflows
+        far = [BBox(-1.5e308, 0.0, 1e307, 3.0), BBox(1.5e308, 0.0, 1e307, 3.0)]
+        assert all(b in boxes for b in far) and iou(*far) == 0.0
+        selves = [iou(a, a) for a in boxes]
+        assert 0 < sum(v != 1.0 for v in selves)
+        assert all(abs(v - 1.0) <= _BOUND for v in selves)
+        ious = [iou(a, b) for a in boxes for b in boxes]
+        assert all(0.0 <= v <= 1.0 + _BOUND for v in ious)
         # numpy warns on an overflow, and the tests run warnings as errors
         array = box_array(boxes)
-        assert batch_iou(array, array).tolist() == [1.0] * len(boxes)
+        assert batch_iou(array[:, None], array[None, :]).ravel().tolist() == ious
 
 
 class TestTracklet:
@@ -186,18 +202,17 @@ class TestTrackletAvgIou:
         assert tracklet_avg_iou(t, t) == 1.0
 
 
-# Far boxes sit near 1e16, where floats are 2 apart, so `(x + w) - x` is
-# not `w`: 0 for w < 1 (the box overlaps nothing, itself included), 2 or 4
-# for larger widths.
-_far = st.floats(1e16, 1e16 + 64.0)
+# Far boxes sit near 1e9, where floats are 2^-23 apart, so `(x + w) - x`
+# rounds away from `w`, by up to 2.4e-7 of it for the narrowest.
+_far = st.floats(1e9, 1e9 + 64.0)
 _box = st.one_of(
     st.builds(BBox, st.floats(-500.0, 500.0), st.floats(-500.0, 500.0),
               st.floats(0.5, 200.0), st.floats(0.5, 200.0)),
     st.builds(BBox, _far, _far, st.floats(0.25, 4.0), st.floats(0.25, 4.0)),
     st.builds(BBox, _far, st.floats(-5.0, 5.0), st.floats(0.25, 4.0), st.floats(0.5, 9.0)))
-_NARROW = BBox(1e16, 1e16, 0.5, 2.0)  # its x extent rounds to 0
-_WIDE = BBox(1e16, 0.0, 3.0, 1.5)     # its x extent rounds to 4
-_FLAT = BBox(1e16, 0.0, 0.5, 1e-300)  # extent 0, area 5e-301: `iou` never divides
+_SHORT = BBox(1e9, 1e9, 0.3, 2.0)     # its x extent rounds 1.6e-7 short of w
+_LONG = BBox(1e9, 0.0, 0.7, 1.5)      # its x extent rounds 6.8e-8 past w
+_FLAT = BBox(1e9, 0.0, 0.1, 1e-300)   # its x extent rounds long, area 1e-301
 
 
 @st.composite
@@ -222,10 +237,10 @@ class TestSharedBoxOverlap:
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(_sharing_tracklets())
-    # a shared box whose extent rounds: ix of 0 (w < 1), and of 4 for w = 3
-    @example(([_NARROW, _WIDE], [_NARROW, BBox(*_WIDE.as_tuple())]))
-    @example(([_WIDE, _NARROW, _WIDE], [_WIDE, BBox(*_NARROW.as_tuple()), _WIDE]))
-    @example(([_FLAT, _WIDE], [_FLAT, _WIDE]))
+    # a shared box whose extent rounds short of its side, and past it
+    @example(([_SHORT, _LONG], [_SHORT, BBox(*_LONG.as_tuple())]))
+    @example(([_LONG, _SHORT, _LONG], [_LONG, BBox(*_SHORT.as_tuple()), _LONG]))
+    @example(([_FLAT, _LONG], [_FLAT, _LONG]))
     def test_shared_and_copied_boxes_agree_bit_for_bit(self, value):
         first, second = value
         p, q = Tracklet(7, tuple(first)), Tracklet(7, tuple(second))
@@ -240,11 +255,11 @@ class TestSharedBoxOverlap:
         assert tracklet_avg_iou(copies, p).hex() == got.hex()
 
     def test_the_far_examples_round(self):
-        assert (_NARROW.x + _NARROW.w) - _NARROW.x == 0.0
-        assert (_WIDE.x + _WIDE.w) - _WIDE.x == 4.0
-        narrow = Tracklet(0, (_NARROW,))
-        assert tracklet_avg_iou(narrow, narrow) == iou(_NARROW, _NARROW) == 0.0
-        # ix 4 over a width of 3: inter 6 over a union of 4.5 + 4.5 - 6 is 2
-        wide = Tracklet(0, (_WIDE,))
-        assert iou(_WIDE, _WIDE) == 2.0
-        assert tracklet_avg_iou(wide, wide) == 1.0
+        assert (_SHORT.x + _SHORT.w) - _SHORT.x < _SHORT.w
+        assert (_LONG.x + _LONG.w) - _LONG.x > _LONG.w
+        assert 1.0 - _BOUND <= iou(_SHORT, _SHORT) < 1.0 < iou(_LONG, _LONG) <= 1.0 + _BOUND
+        short = Tracklet(0, (_SHORT,))
+        assert tracklet_avg_iou(short, short) == iou(_SHORT, _SHORT)
+        # the mean is clamped to 1
+        long = Tracklet(0, (_LONG,))
+        assert tracklet_avg_iou(long, long) == 1.0

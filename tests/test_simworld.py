@@ -17,8 +17,8 @@ from retrack.evalkit import EvalReport
 from retrack.geometry import BBox, iou
 from retrack.simworld import (SCENARIO_IDS, SCENARIOS, SEARCH_RADIUS_SCALE, MockTracker,
                               MotFormatError, ObjectSpec, ScenarioConfig, Scene,
-                              _tapered_occlusion, _unit_with_cosine, generate_scene, load_mot,
-                              mot_scene, parse_mot, save_mot)
+                              _tapered_occlusion, _unit_with_cosine, generate_scene, mot_scene,
+                              parse_mot, save_mot)
 from retrack.tracker_port import TrackerPort
 
 DIM = 4
@@ -210,7 +210,7 @@ class TestSceneTables:
         if source in ("crossing", "convoy", "deform"):
             return generate_scene(ScenarioConfig(source), 7)
         save_mot(generate_scene(ScenarioConfig("convoy"), 103), tmp_path / "gt.txt")
-        return load_mot(tmp_path / "gt.txt", seed=103)
+        return mot_scene(parse_mot(tmp_path / "gt.txt"), 103)
 
     @pytest.mark.parametrize("source", ["crossing", "convoy", "deform", "mot"])
     def test_one_table_per_id_serves_every_query(self, source, tmp_path):
@@ -365,7 +365,7 @@ class TestMockScores:
                 for f in range(40)
                 for i, y, vis in ((1, 200.0, 1.0 - f / 64), (2, 250.0, 1.0 - (f % 4) / 8))]
         (tmp_path / "gt.txt").write_text("\n".join(rows) + "\n")
-        scene = load_mot(tmp_path / "gt.txt", seed=7)
+        scene = mot_scene(parse_mot(tmp_path / "gt.txt"), 7)
         assert len(scene._appearances) >= 40
         return scene
 
@@ -653,10 +653,10 @@ class TestScenarioGeneration:
         ("deform", {"appearance_dim": 2}, "appearance_dim must be an integer >= 3, got 2"),
         ("convoy", {"box_size": 0.0}, "box_size must be finite and > 0"),
         ("convoy", {"box_size": False}, "box_size must be finite and > 0"),
-        ("convoy", {"box_size": 1e-200}, "box_size must be the side of a box, got 1e-200: "
-         "BBox must have a positive finite area"),
-        ("convoy", {"box_size": 1e200}, "box_size must be the side of a box, got 1e\\+200: "
-         "BBox must have a positive finite area"),
+        ("convoy", {"box_size": 1e-200}, "box_size, bounds, speed and lane_gap must make valid "
+         "boxes, got a side of 1e-200 at 1005.0: BBox must have a positive finite area"),
+        ("convoy", {"box_size": 1e200}, "box_size, bounds, speed and lane_gap must make valid "
+         "boxes, got a side of 1e\\+200 at 1e\\+200: BBox must have a positive finite area"),
         ("convoy", {"drift": -0.1}, "drift must be finite and >= 0"),
         ("convoy", {"drift": math.inf}, "drift must be finite and >= 0"),
         ("convoy", {"similarity": [0.5, 0.6]}, "similarity must be a pair"),
@@ -667,13 +667,18 @@ class TestScenarioGeneration:
         ("convoy", {"severity": (0.0, 0.1)}, "severity must be within \\(0, 1\\]"),
         ("convoy", {"severity": (0.9, 1.5)}, "severity must be within \\(0, 1\\]"),
         ("convoy", {"speed": (-1.0, 2.0)}, "speed must be > 0"),
+        ("convoy", {"speed": (1e307, 1e307)}, "box_size, bounds, speed and lane_gap must make "
+         "valid boxes, got a side of 40.0 at inf: BBox.x must be finite, got inf"),
+        ("convoy", {"lane_gap": (0.0, 1e300)}, "box_size, bounds, speed and lane_gap must make "
+         "valid boxes, got a side of 40.0 at 1e\\+300: BBox must measure its own size"),
     ], ids=["kind_unknown", "crossing_length_28", "convoy_length_18", "deform_length_27",
             "length_0", "length_bool", "appearance_dim_1",
             "appearance_dim_2", "box_size_0", "box_size_bool", "box_size_tiny", "box_size_huge",
             "drift_negative", "drift_inf",
             "similarity_list",
             "bounds_inf", "bounds_0", "lane_gap_reversed", "similarity_below_-1",
-            "severity_from_0", "severity_above_1", "speed_negative"])
+            "severity_from_0", "severity_above_1", "speed_negative", "speed_overflows",
+            "lane_gap_far"])
     def test_bad_config_fails_when_built(self, kind, change, message):
         with pytest.raises(ValueError, match=message):
             ScenarioConfig(kind, **change)
@@ -738,7 +743,7 @@ class TestMotRoundTrip:
         scene = generate_scene(ScenarioConfig("crossing"), 3)
         p = tmp_path / "gt.txt"
         save_mot(scene, p)
-        back = load_mot(p, seed=3)
+        back = mot_scene(parse_mot(p), 3)
         assert back.length == scene.length
         assert back.ids() == scene.ids()
         for obj_id in scene.ids():
@@ -755,7 +760,7 @@ class TestMotRoundTrip:
         assert [t[0] for t in tracks] == [1, 2]
         scenes = [mot_scene(tracks, seed) for seed in (0, 5)]
         for scene, seed in zip(scenes, (0, 5)):
-            loaded = load_mot(p, seed)
+            loaded = mot_scene(parse_mot(p), seed)
             assert scene.objects == loaded.objects
         one, five = (s.objects for s in scenes)
         for a, b in zip(one, five):
@@ -817,7 +822,7 @@ class TestMotParsing:
     def _load(self, tmp_path, text):
         p = tmp_path / "gt.txt"
         p.write_text(text)
-        return load_mot(p)
+        return mot_scene(parse_mot(p), 0)
 
     @settings(max_examples=120, deadline=None, database=None)
     @given(_mot_rows())
@@ -886,6 +891,7 @@ class TestMotParsing:
         ("2,7,0.0,0.0,10.0,10.0,1,1,1.0", "duplicate"),
         ("1,1,0,0,10,10,1,abc,1.0", "line 2"),
         ("1,1,0,0,1e-100,1e160,1,1,1.0", "height 1e\\+160 too large"),
+        ("1,1,-1e308,0,10,10,1,1,1.0", "measure its own size"),
     ])
     def test_malformed_rows_report_line_numbers(self, tmp_path, row, hint):
         text = "2,7,5.0,5.0,10.0,10.0,1,1,1.0\n" + row + "\n"
