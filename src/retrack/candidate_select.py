@@ -101,8 +101,11 @@ def assemble(raw: RawCandidates, kept: list[tuple[int, float]],
              kalman_box: BBox | None) -> CandidateSet:
     """The candidate set: the boxes soft suppression kept, with their
     decayed scores, then the motion-predicted box (if any)."""
-    boxes = tuple([raw.boxes[i] for i, _ in kept])
-    scores = tuple([s for _, s in kept])
-    if kalman_box is None:
-        return CandidateSet(boxes, scores)
-    return CandidateSet(boxes + (kalman_box,), scores + (0.0,), len(kept))
+    boxes, scores = [], []
+    for i, s in kept:  # one loop: before Python 3.12 a comprehension is a function call
+        boxes.append(raw.boxes[i])
+        scores.append(s)
+    if kalman_box is not None:
+        boxes.append(kalman_box)
+        scores.append(0.0)
+    return CandidateSet(tuple(boxes), tuple(scores), None if kalman_box is None else len(kept))

@@ -4,16 +4,16 @@ Each step carries one frame's candidates through a single flow: the
 proposals are filtered and softly suppressed by index, and the survivors
 plus a motion-predicted box become the frame's one `CandidateSet`, in
 pick order, so its argmax is index 0. With one real candidate there is
-nothing to validate; otherwise a cheap stability gate decides whether
-the argmax is trustworthy. When it is not, every candidate is
-backtracked, as far as the target history reaches, into tracklets
-aligned with the set, and a maximum-weight matching against the
-neighbor pool and the target history picks the winner, the gate's
-overlap serving as row 0's target weight. `matching.resolve_target`
-ends that cascade: with no candidate tied to the target it coasts on
-the motion box, and without one it keeps the argmax, logging a warning.
-The losers roll into the neighbor pool by the fired or the stable rule
-of `pools`. The template is fixed at the init frame and never refreshed.
+nothing to validate and no neighbor to keep; otherwise a cheap stability
+gate decides whether the argmax is trustworthy. When it is not, every
+candidate is backtracked, as far as the target history reaches, into
+tracklets aligned with the set, and a maximum-weight matching against
+the neighbor pool and the target history picks the winner, the gate's
+overlap serving as row 0's target weight. `matching.resolve_target` ends
+that cascade: with no candidate tied to the target it coasts on the
+motion box, and without one it keeps the argmax, logging a warning. The
+losers roll into the neighbor pool by the fired or the stable rule of
+`pools`. The template is fixed at the init frame and never refreshed.
 """
 from __future__ import annotations
 
@@ -87,38 +87,36 @@ def step(state: EngineState, frame: int, port: TrackerPort,
     if frame != state.target.end_frame + 1:
         raise ValueError(f"expected frame {state.target.end_frame + 1}, got {frame}")
     t = frame
-    prior = state.target.head
-    raw = port.propose(state.template, t, prior)
+    raw = port.propose(state.template, t, state.target.head)
     kept = soft_nms(raw, filter_by_confidence(raw, ALPHA), NMS_IOU, NMS_SIGMA)
     kalman_box, motion = None, state.motion
     if motion is not None:
         kalman_box, motion = motion_predict(motion)
     cands = assemble(raw, kept, kalman_box)
 
-    top_tracklet = gate_overlap = None
-    if len(kept) == 1:
-        gate = "single_candidate"
+    gate_overlap = weights_list = pairs_list = None
+    selected, source = 0, "argmax"
+    if len(kept) == 1:  # the one real candidate wins, and no loser is left to keep
+        gate, neighbors = "single_candidate", ()
     else:
         back_frames = range(t - 1, t - 1 - len(state.target.boxes), -1)
         template = port.make_template(t, cands.boxes[0])
         top_tracklet = port.track_segment(template, cands.boxes[0], back_frames)
         gate_overlap = tracklet_avg_iou(state.target, top_tracklet)
-        gate = "history_overlap" if gate_overlap > STABILITY_IOU else "fired"
-
-    weights_list = pairs_list = None
-    if gate != "fired":
-        selected, source = 0, "argmax"
-        neighbors = advance_neighbor_pool(state.neighbors, cands, selected, t, cfg.tau)
-    else:
-        tracklets = build_candidate_pool(cands, port, back_frames, top_tracklet)
-        weights = build_weights(tracklets, state.neighbors, state.target, gate_overlap)
-        pairs = hungarian_max(weights)
-        weights_list = weights.tolist()
-        selected, source = resolve_target(pairs, weights_list, cands)
-        if source == "degraded_argmax":
-            log.warning("frame %d: no viable candidate, degrading to argmax", t)
-        pairs_list = [list(pair) for pair in pairs]
-        neighbors = update_neighbor_pool(cands, tracklets, selected, cfg.tau)
+        if gate_overlap > STABILITY_IOU:
+            gate = "history_overlap"
+            neighbors = advance_neighbor_pool(state.neighbors, cands, selected, t, cfg.tau)
+        else:
+            gate = "fired"
+            tracklets = build_candidate_pool(cands, port, back_frames, top_tracklet)
+            weights = build_weights(tracklets, state.neighbors, state.target, gate_overlap)
+            pairs = hungarian_max(weights)
+            weights_list = weights.tolist()
+            selected, source = resolve_target(pairs, weights_list, cands)
+            if source == "degraded_argmax":
+                log.warning("frame %d: no viable candidate, degrading to argmax", t)
+            pairs_list = [list(pair) for pair in pairs]
+            neighbors = update_neighbor_pool(cands, tracklets, selected, cfg.tau)
 
     box = cands.boxes[selected]
     target = state.target.pushed(box, cfg.tau)
@@ -129,7 +127,7 @@ def step(state: EngineState, frame: int, port: TrackerPort,
         "frame": t,
         "n_candidates": len(cands),
         "kalman_index": cands.kalman_index,
-        "scores": [float(s) for s in cands.scores],
+        "scores": list(cands.scores),
         "gate": gate,
         "gate_overlap": gate_overlap,
         "top": 0,
@@ -137,7 +135,7 @@ def step(state: EngineState, frame: int, port: TrackerPort,
         "pairs": pairs_list,
         "selected": selected,
         "source": source,
-        "box": list(box.as_tuple()),
+        "box": [box.x, box.y, box.w, box.h],
     }
     return box, EngineState(state.template, target, neighbors, motion), record
 

@@ -12,10 +12,14 @@ import numpy as np
 # from its side, relative to the side: a box must measure itself, so that
 # `iou(a, a)` lies within about 4e-6 of 1 and every `iou` within as much of
 # [0, 1]. Generated boxes round by 2e-15 at most and two-decimal MOT boxes
-# by 1.9e-13; the bound rejects only a box whose side is below about 1e-10
-# of its corner's distance from the origin, where floats are too coarse to
-# hold its far edge apart from its near one.
+# by 1.9e-13; `min_side` says how small a side may be for it to hold.
 EXTENT_TOLERANCE = 1e-6
+
+
+def min_side(reach: float) -> float:
+    """The least side a box may have with its far corner within `reach` of the origin:
+    that corner rounds by half of `math.ulp(reach)` at most, half the side's tolerance."""
+    return math.ulp(reach) / EXTENT_TOLERANCE
 
 
 @dataclass(frozen=True)

@@ -52,12 +52,12 @@ def motion_init(b0: BBox) -> MotionState:
 
 def motion_predict(s: MotionState) -> tuple[BBox, MotionState]:
     """Advance one frame; returns the predicted box and the new state."""
-    cx, cy, w, h, vcx, vcy, vw, vh = s.mean
-    w = max(w + vw, MIN_SIZE)
-    h = max(h + vh, MIN_SIZE)
+    (cx, cy, w, h, vcx, vcy, vw, vh), (pp, pv, vv) = s
+    w, h = w + vw, h + vh
+    # `max(x, MIN_SIZE)` in one comparison: both keep x, NaN too, unless MIN_SIZE > x
+    w, h = (MIN_SIZE if MIN_SIZE > w else w), (MIN_SIZE if MIN_SIZE > h else h)
     std_p = STD_WEIGHT_POSITION * h
     std_v = STD_WEIGHT_VELOCITY * h
-    pp, pv, vv = s.block
     block = ((pp + pv) + (pv + vv) + std_p * std_p, pv + vv, vv + std_v * std_v)
     cx, cy = cx + vcx, cy + vcy
     # w and h are already at least MIN_SIZE, so the box is the state's own
@@ -67,17 +67,17 @@ def motion_predict(s: MotionState) -> tuple[BBox, MotionState]:
 
 def motion_update(s: MotionState, observed: BBox) -> MotionState:
     """Condition the state on an observed box at the current frame."""
-    cx, cy, w, h, vcx, vcy, vw, vh = s.mean
+    (cx, cy, w, h, vcx, vcy, vw, vh), (pp, pv, vv) = s
     r = (STD_WEIGHT_POSITION * h) ** 2
-    pp, pv, vv = s.block
     inv = 1.0 / (pp + r)
     kp, kv = pp * inv, pv * inv
     ox, oy, ow, oh = observed.x, observed.y, observed.w, observed.h
     dx, dy = float(ox + ow / 2.0) - cx, float(oy + oh / 2.0) - cy
     dw, dh = float(ow) - w, float(oh) - h
-    # keep the filter inside the valid box domain
+    # keep the filter inside the valid box domain, clamping as `motion_predict` does
+    w, h = w + kp * dw, h + kp * dh
     mean = (cx + kp * dx, cy + kp * dy,
-            max(w + kp * dw, MIN_SIZE), max(h + kp * dh, MIN_SIZE),
+            MIN_SIZE if MIN_SIZE > w else w, MIN_SIZE if MIN_SIZE > h else h,
             vcx + kv * dx, vcy + kv * dy, vw + kv * dw, vh + kv * dh)
     # Joseph form (I - KH) P (I - KH)^T + K R K^T keeps the block PSD
     # under roundoff; the off-diagonal entries are averaged as the 8x8

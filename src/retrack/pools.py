@@ -19,11 +19,11 @@ loser's box as the new head and dropping the oldest box once a tracklet
 has grown to tau:
 - on a fired frame, `update_neighbor_pool` pushes each loser onto its
   own backtracked tracklet;
-- on a stable frame nothing is backtracked, so `advance_neighbor_pool`
-  associates losers with the previous neighbors' heads, greedily by IoU
-  of at least `ASSOC_IOU`, highest first, ties to the lower candidate and
-  then the lower neighbor. An associated loser is pushed onto its
-  neighbor; any other starts a fresh one-box tracklet at t.
+- on a stable frame, which has a loser, nothing is backtracked, so
+  `advance_neighbor_pool` associates losers with the previous neighbors'
+  heads, greedily by IoU of at least `ASSOC_IOU`, highest first, ties to
+  the lower candidate and then the lower neighbor. An associated loser is
+  pushed onto its neighbor; any other starts a fresh one-box tracklet at t.
 """
 from __future__ import annotations
 
@@ -74,8 +74,6 @@ def advance_neighbor_pool(prev: Sequence[Tracklet], cands: CandidateSet, selecte
     """The stable-frame rule at frame t, associating with the previous
     pool `prev`."""
     losers = _losers(cands, selected, tau)
-    if not losers:  # no loser, no neighbor: whatever `prev` held ends here
-        return ()
     scored = []
     for ci, i in enumerate(losers):
         for nj, tr in enumerate(prev):

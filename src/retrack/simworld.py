@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import BBox, Tracklet, box_array
+from .geometry import BBox, Tracklet, box_array, min_side
 from .tracker_port import RawCandidates, TrackerPort, newest_first, segment_frames
 
 log = logging.getLogger(__name__)
@@ -465,6 +465,8 @@ class ScenarioConfig:
                + max(map(abs, self.lane_gap)) + self.box_size + 130.0)
         try:
             BBox(far, far, self.box_size, self.box_size)
+            if self.box_size < min_side(far):  # another corner may round more than `far`
+                raise ValueError(f"a side below {min_side(far)!r} need not measure itself")
         except ValueError as exc:
             raise ValueError(f"box_size, bounds, speed and lane_gap must make valid boxes, got "
                              f"a side of {self.box_size!r} at {far!r}: {exc}") from None

@@ -83,9 +83,11 @@ class TestConfigFile:
         assert not out.exists()
 
     # a box side whose square underflows or overflows, or a speed that carries
-    # the boxes past the largest float: no `BBox` can hold it
+    # the boxes past the largest float: no `BBox` can hold it; a side so small
+    # that some box within the scene's reach need not measure itself
     @pytest.mark.parametrize("text", ['{"bogus": 1}', '[32]', '{"box_size": 1e-200}',
-                                      '{"box_size": 1e200}', '{"speed": [1e307, 1e307]}'])
+                                      '{"box_size": 1e200}', '{"speed": [1e307, 1e307]}',
+                                      '{"box_size": 1.1186440677966102e-08}'])
     def test_bad_config_file(self, tmp_path, text):
         code, out = self._track(tmp_path, text)
         assert code == 1

@@ -153,6 +153,23 @@ class TestStablePath:
         assert state.neighbors[0].end_frame == 5
         assert state.neighbors[0].head == D_JUMPED
 
+    def test_one_proposal_ends_the_neighbor_pool(self):
+        script = _two_lane_script(n=3)
+        script[3] = ((_target_box(3),), (0.9,))
+        port = ScriptPort(script)
+        cfg = EngineConfig(tau=3)  # the motion box joins, and is no loser
+        state = engine_init(port, 0, _target_box(0), cfg)
+        for t in (1, 2):
+            _, state, rec = step(state, t, port, cfg)
+            assert rec["gate"] == "history_overlap"
+        assert len(state.neighbors) == 1
+        calls = port.propose_calls
+        box, state, rec = step(state, 3, port, cfg)
+        assert rec["gate"] == "single_candidate" and rec["n_candidates"] == 2
+        assert state.neighbors == ()
+        assert box == _target_box(3)
+        assert port.propose_calls == calls + 1  # the frame's own proposals only
+
     def test_step_requires_the_next_frame(self):
         port = ScriptPort(_two_lane_script())
         cfg = EngineConfig(use_kalman=False)

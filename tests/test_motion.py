@@ -1,4 +1,6 @@
 """Motion filter against an independently written textbook implementation."""
+import math
+
 import numpy as np
 import pytest
 
@@ -104,12 +106,26 @@ def test_constant_velocity_convergence():
     assert abs(s.mean[5] - vy) < 0.1
 
 
+# sizes to floor: at MIN_SIZE, one ulp below and above it, and far below
+_EDGES = (MIN_SIZE, math.nextafter(MIN_SIZE, 0.0), math.nextafter(MIN_SIZE, 2.0), 1e-3, -3.0)
+
+
+def _floored(x):
+    """`max(x, MIN_SIZE)` as a string that tells any two floats apart, NaN too."""
+    return repr(max(x, MIN_SIZE))
+
+
 def test_predicted_box_floors_size():
     s = MotionState((5.0, 5.0, 0.2, 0.4, 0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 1.0))
     box, s = motion_predict(s)
     assert box == predicted_box(s)
     assert box.w == MIN_SIZE and box.h == MIN_SIZE
     assert (box.cx, box.cy) == (5.0, 5.0)
+    for x in _EDGES:  # with zero size velocity, the size to floor is x itself
+        box, s = motion_predict(MotionState((5.0, 5.0, x, x, 0.0, 0.0, 0.0, 0.0),
+                                            (1.0, 0.0, 1.0)))
+        assert repr(s.mean[2]) == repr(s.mean[3]) == _floored(x), x
+        assert (box.w, box.h) == s.mean[2:4]
 
 
 def test_shrinking_box_stays_valid():
@@ -120,6 +136,13 @@ def test_shrinking_box_stays_valid():
         w = max(8 - i, 1)
         s = motion_update(s, BBox(0, 0, w, w))
     assert s.mean[2] >= MIN_SIZE and s.mean[3] >= MIN_SIZE
+    # with zero position variance the gain is 0, so the size to floor is x
+    # itself; the floor keeps a NaN width as max does (a NaN height would
+    # spread to the gain, and so to every entry)
+    for size in [(x, 4.0) for x in (*_EDGES, math.nan)] + [(4.0, x) for x in _EDGES]:
+        s = motion_update(MotionState((5.0, 5.0, *size, 0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0)),
+                          BBox(0, 0, 8, 8))
+        assert tuple(map(repr, s.mean[2:4])) == tuple(map(_floored, size)), size
 
 
 def test_covariance_stays_symmetric_psd():

@@ -671,6 +671,10 @@ class TestScenarioGeneration:
          "valid boxes, got a side of 40.0 at inf: BBox.x must be finite, got inf"),
         ("convoy", {"lane_gap": (0.0, 1e300)}, "box_size, bounds, speed and lane_gap must make "
          "valid boxes, got a side of 40.0 at 1e\\+300: BBox must measure its own size"),
+        # the corner at the reach rounds within the tolerance, but one nearer may not
+        ("crossing", {"box_size": 1.1186440677966102e-08}, "box_size, bounds, speed and "
+         "lane_gap must make valid boxes, got a side of 1.1186440677966102e-08 at "
+         "1005.0000000111864: a side below 1.1368683772161603e-07 need not measure itself"),
     ], ids=["kind_unknown", "crossing_length_28", "convoy_length_18", "deform_length_27",
             "length_0", "length_bool", "appearance_dim_1",
             "appearance_dim_2", "box_size_0", "box_size_bool", "box_size_tiny", "box_size_huge",
@@ -678,7 +682,7 @@ class TestScenarioGeneration:
             "similarity_list",
             "bounds_inf", "bounds_0", "lane_gap_reversed", "similarity_below_-1",
             "severity_from_0", "severity_above_1", "speed_negative", "speed_overflows",
-            "lane_gap_far"])
+            "lane_gap_far", "box_size_below_reach"])
     def test_bad_config_fails_when_built(self, kind, change, message):
         with pytest.raises(ValueError, match=message):
             ScenarioConfig(kind, **change)
