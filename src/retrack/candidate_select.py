@@ -14,7 +14,7 @@ and the motion box, when there is one, sits at `len(kept)`. The set
 checks none of this again; each guarantee has one owner:
 - `RawCandidates` checks at the port boundary that the proposals are
   non-empty, that boxes and scores have equal length, and that every
-  score lies in [0, 1];
+  score lies in [0, 1]; it stores each score as a Python float;
 - `filter_by_confidence` always keeps the max, so `kept` is never empty;
 - `assemble` puts the motion box at `len(kept)`.
 """
@@ -32,7 +32,7 @@ NMS_SIGMA = 0.01  # Gaussian decay width
 NMS_FLOOR = 1e-3  # decayed scores below this are dropped
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CandidateSet:
     """Final per-frame candidates handed to the engine, in pick order.
 
@@ -45,8 +45,18 @@ class CandidateSet:
     scores: tuple[float, ...]
     kalman_index: int | None = None
 
+    def __init__(self, boxes: tuple[BBox, ...], scores: tuple[float, ...],
+                 kalman_index: int | None = None):
+        _set_boxes(self, boxes)
+        _set_scores(self, scores)
+        _set_kalman_index(self, kalman_index)
+
     def __len__(self) -> int:
         return len(self.boxes)
+
+
+_set_boxes, _set_scores = CandidateSet.boxes.__set__, CandidateSet.scores.__set__
+_set_kalman_index = CandidateSet.kalman_index.__set__
 
 
 def filter_by_confidence(raw: RawCandidates, alpha: float) -> list[int]:

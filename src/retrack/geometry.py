@@ -22,40 +22,45 @@ def min_side(reach: float) -> float:
     return math.ulp(reach) / EXTENT_TOLERANCE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class BBox:
-    """Axis-aligned box in pixel coordinates, (x, y) top-left corner."""
+    """Axis-aligned box in pixel coordinates, (x, y) top-left corner: a
+    frozen, slotted value whose `__init__` checks the four fields as
+    arguments, then stores them."""
 
     x: float
     y: float
     w: float
     h: float
 
-    def __post_init__(self):
+    def __init__(self, x: float, y: float, w: float, h: float):
         try:  # the common case in one chained test; a failing box is told why below
             # an extent within tolerance of its side is finite, and so are the
             # corner and the side that make it (NaN fails every comparison); a
             # negative side fails it too, unless so small that the area is 0
-            if (abs((self.x + self.w) - self.x - self.w) <= EXTENT_TOLERANCE * self.w
-                    and abs((self.y + self.h) - self.y - self.h) <= EXTENT_TOLERANCE * self.h
-                    and 0.0 < self.w * self.h * 2.0 < math.inf):
+            if (abs((x + w) - x - w) <= EXTENT_TOLERANCE * w
+                    and abs((y + h) - y - h) <= EXTENT_TOLERANCE * h
+                    and 0.0 < w * h * 2.0 < math.inf):
+                _set_x(self, x)
+                _set_y(self, y)
+                _set_w(self, w)
+                _set_h(self, h)
                 return
         except TypeError:  # not a number: `math.isfinite` names its type
             pass
-        for name in ("x", "y", "w", "h"):
-            v = getattr(self, name)
+        for name, v in (("x", x), ("y", y), ("w", w), ("h", h)):
             if not math.isfinite(v):
                 raise ValueError(f"BBox.{name} must be finite, got {v!r}")
-        if self.w <= 0 or self.h <= 0:
-            raise ValueError(f"BBox must have positive size, got w={self.w}, h={self.h}")
-        if not (self.x + self.w < math.inf and self.y + self.h < math.inf):
-            raise ValueError(f"BBox must have a finite far corner, got x + w = {self.x + self.w}, "
-                             f"y + h = {self.y + self.h}")
-        if not 0.0 < self.w * self.h * 2.0 < math.inf:  # `iou` divides by a sum of two areas
-            raise ValueError(f"BBox must have a positive finite area, got w={self.w}, h={self.h}")
+        if w <= 0 or h <= 0:
+            raise ValueError(f"BBox must have positive size, got w={w}, h={h}")
+        if not (x + w < math.inf and y + h < math.inf):
+            raise ValueError(f"BBox must have a finite far corner, got x + w = {x + w}, "
+                             f"y + h = {y + h}")
+        if not 0.0 < w * h * 2.0 < math.inf:  # `iou` divides by a sum of two areas
+            raise ValueError(f"BBox must have a positive finite area, got w={w}, h={h}")
         raise ValueError(f"BBox must measure its own size to within {EXTENT_TOLERANCE}, got "
-                         f"(x + w) - x = {(self.x + self.w) - self.x} for w={self.w}, "
-                         f"(y + h) - y = {(self.y + self.h) - self.y} for h={self.h}")
+                         f"(x + w) - x = {(x + w) - x} for w={w}, "
+                         f"(y + h) - y = {(y + h) - y} for h={h}")
 
     @property
     def x2(self) -> float:
@@ -79,6 +84,11 @@ class BBox:
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x, self.y, self.w, self.h)
+
+
+# each slot's own setter, bound once: `__init__` stores through it, past the
+# frozen `__setattr__`
+_set_x, _set_y, _set_w, _set_h = BBox.x.__set__, BBox.y.__set__, BBox.w.__set__, BBox.h.__set__
 
 
 def iou(a: BBox, b: BBox) -> float:
@@ -124,9 +134,9 @@ def batch_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.divide(inter, union, out=np.zeros(hit.shape), where=hit)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Tracklet:
-    """A short box sequence ordered newest-first.
+    """A short box sequence ordered newest-first; a value, as `BBox` is.
 
     ``boxes[k]`` is the box at frame ``end_frame - k``, so the sequence
     runs from ``end_frame`` back to ``end_frame - len(boxes) + 1``.
@@ -135,11 +145,13 @@ class Tracklet:
     end_frame: int
     boxes: tuple[BBox, ...]
 
-    def __post_init__(self):
-        if not isinstance(self.boxes, tuple):
-            object.__setattr__(self, "boxes", tuple(self.boxes))
-        if len(self.boxes) < 1:
+    def __init__(self, end_frame: int, boxes: Sequence[BBox]):
+        if not isinstance(boxes, tuple):
+            boxes = tuple(boxes)
+        if len(boxes) < 1:
             raise ValueError("Tracklet needs at least one box")
+        _set_end_frame(self, end_frame)
+        _set_boxes(self, boxes)
 
     def __len__(self) -> int:
         return len(self.boxes)
@@ -155,6 +167,9 @@ class Tracklet:
         if cap < 1:
             raise ValueError("a tracklet keeps at least one box")
         return Tracklet(self.end_frame + 1, (box,) + self.boxes[:cap - 1])
+
+
+_set_end_frame, _set_boxes = Tracklet.end_frame.__set__, Tracklet.boxes.__set__
 
 
 def tracklet_avg_iou(p: Tracklet, q: Tracklet) -> float:

@@ -20,25 +20,32 @@ from typing import Sequence
 from .geometry import BBox, Tracklet
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RawCandidates:
-    """Scored box proposals for one frame, as emitted by the tracker."""
+    """Scored box proposals for one frame, as emitted by the tracker; each
+    score is stored as a Python float, whatever the port answered."""
 
     boxes: tuple[BBox, ...]
     scores: tuple[float, ...]
 
-    def __post_init__(self):
-        if not isinstance(self.boxes, tuple):
-            object.__setattr__(self, "boxes", tuple(self.boxes))
-        if not isinstance(self.scores, tuple):
-            object.__setattr__(self, "scores", tuple(float(s) for s in self.scores))
-        if len(self.boxes) != len(self.scores):
+    def __init__(self, boxes: Sequence[BBox], scores: Sequence[float]):
+        if not isinstance(boxes, tuple):
+            boxes = tuple(boxes)
+        if not isinstance(scores, tuple):
+            scores = tuple(scores)
+        if len(boxes) != len(scores):
             raise ValueError("boxes and scores length mismatch")
-        if len(self.boxes) < 1:
+        if len(boxes) < 1:
             raise ValueError("a tracker must propose at least one box")
-        for s in self.scores:
+        floats = True
+        for s in scores:
+            if type(s) is not float:  # a numpy scalar, say, which no record could write
+                s = float(s)
+                floats = False
             if not (0.0 <= s <= 1.0):
                 raise ValueError(f"score {s} outside [0, 1]")
+        _set_boxes(self, boxes)
+        _set_scores(self, scores if floats else tuple(map(float, scores)))
 
     def __len__(self) -> int:
         return len(self.boxes)
@@ -51,6 +58,9 @@ class RawCandidates:
             if scores[i] > scores[best]:
                 best = i
         return best
+
+
+_set_boxes, _set_scores = RawCandidates.boxes.__set__, RawCandidates.scores.__set__
 
 
 def segment_frames(frames: Sequence[int]) -> list[int] | range:

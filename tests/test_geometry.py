@@ -152,6 +152,10 @@ class TestTracklet:
     def test_requires_a_box(self):
         with pytest.raises(ValueError):
             Tracklet(3, ())
+        with pytest.raises(ValueError):
+            Tracklet(3, [])
+        with pytest.raises(ValueError):
+            Tracklet(3, (b for b in ()))
 
     def test_newest_first_indexing(self):
         b9, b8, b7 = BBox(9, 0, 1, 1), BBox(8, 0, 1, 1), BBox(7, 0, 1, 1)
@@ -159,6 +163,15 @@ class TestTracklet:
         assert len(t) == 3
         assert t.head == b9
         assert t.boxes == (b9, b8, b7)
+        # any sequence of boxes is stored as a tuple; a tuple, of any kind, as it came
+        assert Tracklet(9, [b9, b8, b7]) == t
+        assert Tracklet(9, (b for b in (b9, b8, b7))) == t
+
+        class Boxes(tuple):
+            pass
+
+        boxes = Boxes((b9, b8))
+        assert Tracklet(9, boxes).boxes is boxes
 
     def test_pushed_grows_then_caps(self):
         t = Tracklet(4, (BBox(4, 0, 1, 1), BBox(3, 0, 1, 1)))

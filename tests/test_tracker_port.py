@@ -1,8 +1,13 @@
 """Port contract: proposal validation and segment tracking semantics."""
+import json
+import math
+
+import numpy as np
 import pytest
 
 from conformance import check_port, check_rejects
 from conftest import DriftPort, ScriptPort
+from retrack.engine import EngineConfig, run_sequence
 from retrack.geometry import BBox
 from retrack.tracker_port import RawCandidates, segment_frames
 
@@ -21,12 +26,36 @@ class TestRawCandidates:
             RawCandidates((BBox(0, 0, 1, 1),), (1.5,))
         with pytest.raises(ValueError):
             RawCandidates((BBox(0, 0, 1, 1),), (-0.1,))
+        with pytest.raises(ValueError, match="score nan outside"):
+            RawCandidates((BBox(0, 0, 1, 1), BBox(2, 0, 1, 1)), (0.5, math.nan))
 
     def test_coerces_sequences_to_tuples(self):
         rc = RawCandidates([BBox(0, 0, 1, 1)], [0.5])
         assert isinstance(rc.boxes, tuple)
         assert isinstance(rc.scores, tuple)
         assert len(rc) == 1
+        # a numpy score is stored as the Python float of its value
+        rc = RawCandidates((BBox(0, 0, 1, 1), BBox(2, 0, 1, 1)),
+                           (np.float32(0.5), np.float64(0.25)))
+        assert [type(s) for s in rc.scores] == [float, float]
+        assert rc.scores == (0.5, 0.25)
+        # a tuple of Python floats is kept as it came
+        scores = (0.5, 0.25)
+        assert RawCandidates(rc.boxes, scores).scores is scores
+
+    def test_numpy_scores_make_records_that_serialise(self):
+        """A port that answers numpy scalars still yields JSON-ready records."""
+        class Float32Port(DriftPort):
+            def propose(self, template, frame, prior):
+                raw = super().propose(template, frame, prior)
+                second = BBox(prior.x + 50.0, prior.y, prior.w, prior.h)
+                return RawCandidates((raw.boxes[0], second), (np.float32(0.9), np.float32(0.8)))
+
+        _, records = run_sequence(Float32Port(), range(4), BBox(0, 0, 4, 4), EngineConfig())
+        assert len(records) == 3
+        for record in records:
+            json.dumps(record)
+            assert all(type(s) is float for s in record["scores"])
 
     def test_argmax_tie_breaks_low(self):
         boxes = tuple(BBox(i, 0, 1, 1) for i in range(3))
