@@ -85,6 +85,17 @@ def soft_nms(raw: RawCandidates, keep: list[int], iou_thresh: float, sigma: floa
         raise ValueError(f"sigma must be positive, got {sigma}")
     if len(keep) == 1:  # nothing to pick between and nothing to decay
         return [(keep[0], raw.scores[keep[0]])]
+    if len(keep) == 2:  # one pick, then one overlap decays the other box
+        best, other = keep
+        s_best, s_other = raw.scores[best], raw.scores[other]
+        if s_other > s_best:
+            best, other, s_best, s_other = other, best, s_other, s_best
+        ov = iou(raw.boxes[best], raw.boxes[other])
+        if ov > iou_thresh:
+            s_other *= math.exp(-(ov * ov) / sigma)
+            if s_other < score_floor:
+                return [(best, s_best)]
+        return [(best, s_best), (other, s_other)]
     remaining = list(keep)
     scores = list(raw.scores)
     kept: list[tuple[int, float]] = []

@@ -74,6 +74,14 @@ def advance_neighbor_pool(prev: Sequence[Tracklet], cands: CandidateSet, selecte
     """The stable-frame rule at frame t, associating with the previous
     pool `prev`."""
     losers = _losers(cands, selected, tau)
+    if len(losers) == 1:  # the greedy pass's one pick: highest overlap, ties to the lower neighbor
+        box = cands.boxes[losers[0]]
+        best, best_ov = None, -1.0
+        for tr in prev:
+            ov = iou(box, tr.head)
+            if ov > best_ov:
+                best, best_ov = tr, ov
+        return (best.pushed(box, tau) if best_ov >= ASSOC_IOU else Tracklet(t, (box,)),)
     scored = []
     for ci, i in enumerate(losers):
         for nj, tr in enumerate(prev):

@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from retrack.geometry import BBox
+from retrack.geometry import BBox, Tracklet, iou
 from retrack.motion import MIN_SIZE
+from retrack.pools import ASSOC_IOU
 
 
 def brute_force_assignment(values) -> tuple[tuple[tuple[int, int], ...], float]:
@@ -51,6 +53,60 @@ def reference_iou(a: BBox, b: BBox) -> float:
         return 0.0
     inter = ix * iy
     return inter / (a.area + b.area - inter)
+
+
+def reference_soft_nms(raw, keep, iou_thresh: float, sigma: float,
+                       score_floor: float) -> list[tuple[int, float]]:
+    """Greedy Gaussian soft suppression over the indices `keep`, as one
+    general loop at every size: pick the highest current score, ties to
+    the earliest remaining index; decay each remaining box that overlaps
+    the pick above `iou_thresh`, dropping it below `score_floor`.
+    Returns `(index, decayed score)` in pick order."""
+    remaining = list(keep)
+    scores = list(raw.scores)
+    kept = []
+    while remaining:
+        best = remaining[0]
+        for i in remaining[1:]:
+            if scores[i] > scores[best]:
+                best = i
+        remaining.remove(best)
+        kept.append((best, scores[best]))
+        survivors = []
+        for i in remaining:
+            ov = iou(raw.boxes[best], raw.boxes[i])
+            if ov > iou_thresh:
+                scores[i] *= math.exp(-(ov * ov) / sigma)
+                if scores[i] < score_floor:
+                    continue
+            survivors.append(i)
+        remaining = survivors
+    return kept
+
+
+def reference_advance_neighbor_pool(prev, cands, selected: int, t: int,
+                                    tau: int) -> tuple[Tracklet, ...]:
+    """The stable-frame rule as one greedy pass at every size: every
+    (loser, neighbor) pair overlapping by at least `ASSOC_IOU`, highest
+    first, ties to the lower loser and then the lower neighbor, each side
+    taken once. An associated loser is pushed onto its neighbor, capped at
+    `tau`; any other starts a fresh one-box tracklet at t."""
+    losers = [i for i in range(len(cands)) if i not in (selected, cands.kalman_index)]
+    scored = []
+    for ci, i in enumerate(losers):
+        for nj, tr in enumerate(prev):
+            ov = iou(cands.boxes[i], tr.head)
+            if ov >= ASSOC_IOU:
+                scored.append((-ov, ci, nj))
+    scored.sort()
+    taken_c, taken_n = {}, set()
+    for _, ci, nj in scored:
+        if ci not in taken_c and nj not in taken_n:
+            taken_c[ci] = nj
+            taken_n.add(nj)
+    return tuple(prev[taken_c[ci]].pushed(cands.boxes[i], tau) if ci in taken_c
+                 else Tracklet(t, (cands.boxes[i],))
+                 for ci, i in enumerate(losers))
 
 
 def predicted_box(state) -> BBox:

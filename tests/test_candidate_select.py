@@ -2,9 +2,13 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from retrack.candidate_select import assemble, filter_by_confidence, soft_nms
-from retrack.geometry import BBox
+from oracles import reference_soft_nms
+from retrack.candidate_select import (NMS_FLOOR, NMS_IOU, NMS_SIGMA, assemble,
+                                      filter_by_confidence, soft_nms)
+from retrack.geometry import BBox, iou
 from retrack.tracker_port import RawCandidates
 
 
@@ -85,6 +89,61 @@ class TestSoftNms:
             for sigma in (0.0, -1.0):
                 with pytest.raises(ValueError, match=f"sigma must be positive, got {sigma}"):
                     soft_nms(raw, [i], 0.25, sigma)
+
+
+# 13 x 4 boxes on one row: two boxes d apart overlap by (13 - d) / (13 + d),
+# just above NMS_IOU for d a little under 7.8, where a decay takes a score
+# of 0.5 to 1 across NMS_FLOOR
+_NEAR_THRESHOLD = (0.0, 7.5, 7.6, 7.65, 7.7, 7.75, 7.79, 7.8, 15.4, 3.0)
+
+
+@st.composite
+def _suppression_inputs(draw):
+    """1 to 5 proposals, often tied in score or overlapping just above
+    NMS_IOU, and the ascending indices that compete."""
+    n = draw(st.integers(1, 5))
+    xs = draw(st.lists(st.sampled_from(_NEAR_THRESHOLD) | st.floats(-20.0, 20.0),
+                       min_size=n, max_size=n))
+    scores = draw(st.lists(st.sampled_from((0.5, 0.65, 0.7, 0.8, 0.9, 1.0))
+                           | st.floats(0.0, 1.0), min_size=n, max_size=n))
+    keep = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    raw = RawCandidates(tuple(BBox(x, 0.0, 13.0, 4.0) for x in xs), tuple(scores))
+    return raw, keep
+
+
+def _pairs_bits(kept):
+    return [(i, s.hex()) for i, s in kept]
+
+
+class TestSoftNmsAgainstReference:
+    """Every size of `soft_nms`, fast paths included, gives the general
+    loop's picks and scores bit for bit."""
+
+    def test_the_near_threshold_pairs_decay_across_the_floor(self):
+        a, b, c = (BBox(x, 0.0, 13.0, 4.0) for x in (0.0, 7.7, 7.8))
+        assert iou(a, c) == NMS_IOU < iou(a, b)
+        decay = math.exp(-(iou(a, b) ** 2) / NMS_SIGMA)
+        assert 0.65 * decay < NMS_FLOOR < 0.8 * decay
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(_suppression_inputs())
+    # an exact tie: the earlier index is picked first
+    @example((RawCandidates((BBox(0.0, 0.0, 13.0, 4.0), BBox(50.0, 0.0, 13.0, 4.0)),
+                            (0.8, 0.8)), [0, 1]))
+    # a tie just above NMS_IOU, decayed and kept, then decayed and dropped
+    @example((RawCandidates((BBox(0.0, 0.0, 13.0, 4.0), BBox(7.7, 0.0, 13.0, 4.0)),
+                            (0.9, 0.9)), [0, 1]))
+    @example((RawCandidates((BBox(7.7, 0.0, 13.0, 4.0), BBox(0.0, 0.0, 13.0, 4.0)),
+                            (0.9, 0.65)), [0, 1]))
+    # an overlap of exactly NMS_IOU is not decayed
+    @example((RawCandidates((BBox(7.8, 0.0, 13.0, 4.0), BBox(0.0, 0.0, 13.0, 4.0)),
+                            (0.5, 0.9)), [0, 1]))
+    def test_matches_the_general_loop(self, value):
+        raw, keep = value
+        for floor in (NMS_FLOOR, 0.0):
+            got = soft_nms(raw, keep, NMS_IOU, NMS_SIGMA, floor)
+            assert _pairs_bits(got) == _pairs_bits(
+                reference_soft_nms(raw, keep, NMS_IOU, NMS_SIGMA, floor))
 
 
 def _flow(raw, kalman_box=None, alpha=0.7):

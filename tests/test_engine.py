@@ -7,8 +7,9 @@ import pytest
 import retrack.engine
 from conftest import ScriptPort, solo_scene, zero_iou_scene
 from props import WindowPort
+from retrack.candidate_select import ALPHA, NMS_FLOOR, NMS_IOU, NMS_SIGMA
 from retrack.engine import EngineConfig, engine_init, run_baseline, run_sequence, step
-from retrack.geometry import BBox, iou
+from retrack.geometry import BBox, Tracklet, iou
 from retrack.simworld import MockTracker, ScenarioConfig, generate_scene
 from retrack.tracker_port import TrackerPort
 
@@ -176,6 +177,43 @@ class TestStablePath:
         state = engine_init(port, 0, _target_box(0), cfg)
         with pytest.raises(ValueError):
             step(state, 2, port, cfg)
+
+
+class TestSoftSuppression:
+    """Two proposals overlapping just above NMS_IOU: 13 x 4 boxes 7.7 apart.
+    The decay takes a score of 0.8 to just above NMS_FLOOR and one of 0.65
+    (still above ALPHA times 0.9) to just below it."""
+
+    B0 = BBox(0.0, 0.0, 13.0, 4.0)
+    NEAR = BBox(7.7, 0.0, 13.0, 4.0)
+
+    def _step(self, score):
+        port = ScriptPort({0: ((self.B0,), (0.9,)), 1: ((self.B0, self.NEAR), (0.9, score))})
+        cfg = EngineConfig()
+        state = engine_init(port, 0, self.B0, cfg)
+        return step(state, 1, port, cfg)
+
+    def test_decayed_box_is_kept_as_a_loser(self):
+        ov = iou(self.B0, self.NEAR)
+        assert ov > NMS_IOU
+        decayed = 0.8 * math.exp(-(ov * ov) / NMS_SIGMA)
+        assert decayed > NMS_FLOOR
+        box, state, rec = self._step(0.8)
+        assert rec["n_candidates"] == 3 and rec["kalman_index"] == 2
+        assert rec["scores"] == [0.9, decayed, 0.0]
+        assert rec["gate"] == "history_overlap" and rec["gate_overlap"] == 1.0
+        assert box == self.B0
+        assert state.neighbors == (Tracklet(1, (self.NEAR,)),)
+
+    def test_box_decayed_below_the_floor_is_dropped(self):
+        ov = iou(self.B0, self.NEAR)
+        assert 0.65 > ALPHA * 0.9 and 0.65 * math.exp(-(ov * ov) / NMS_SIGMA) < NMS_FLOOR
+        box, state, rec = self._step(0.65)
+        assert rec["n_candidates"] == 2 and rec["kalman_index"] == 1
+        assert rec["scores"] == [0.9, 0.0]
+        assert rec["gate"] == "single_candidate" and rec["gate_overlap"] is None
+        assert box == self.B0
+        assert state.neighbors == ()
 
 
 class TestFallbacks:

@@ -1,7 +1,10 @@
 """Backtracked candidate tracklets and neighbor rollover."""
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import DriftPort, ScriptPort, backtrack_all
+from oracles import reference_advance_neighbor_pool
 from retrack.candidate_select import CandidateSet
 from retrack.geometry import BBox, Tracklet, iou
 from retrack.pools import (ASSOC_IOU, advance_neighbor_pool, build_candidate_pool,
@@ -200,3 +203,56 @@ class TestAdvanceNeighborPool:
             advance_neighbor_pool(prev, cands, 2, self.T, 9)
         with pytest.raises(ValueError, match="tau must be at least 1, got 0"):
             advance_neighbor_pool(prev, cands, 0, self.T, 0)
+
+
+# 13 x 4 boxes on one row, as in `TestAdvanceNeighborPool`: x = 7 from a
+# head at 0 overlaps by exactly ASSOC_IOU, and a head at -3 or 3 overlaps a
+# box at 0 equally
+_ASSOC_XS = (0.0, 3.0, -3.0, 7.0, -7.0, 7.001, 1.0, 6.0, 14.0, 200.0)
+
+
+def _row_box(x):
+    return BBox(x, 0.0, 13.0, 4.0)
+
+
+@st.composite
+def _stable_frames(draw):
+    """A candidate set of 1 to 5 boxes at frame 6, with or without the motion
+    box, a selected index, a previous pool of 0 to 5 neighbors ending at
+    frame 5, and tau."""
+    xs = draw(st.lists(st.sampled_from(_ASSOC_XS) | st.floats(-20.0, 20.0),
+                       min_size=1, max_size=5))
+    kalman_index = draw(st.sampled_from((None, len(xs) - 1))) if len(xs) > 1 else None
+    cands = CandidateSet(tuple(_row_box(x) for x in xs), (0.5,) * len(xs), kalman_index)
+    prev = []
+    for k, x in enumerate(draw(st.lists(st.sampled_from(_ASSOC_XS) | st.floats(-20.0, 20.0),
+                                        max_size=5))):
+        older = tuple(BBox(x, 50.0 + 100.0 * k + 10.0 * j, 13.0, 4.0)
+                      for j in range(1, draw(st.integers(1, 4))))
+        prev.append(Tracklet(5, (_row_box(x),) + older))
+    selected = draw(st.integers(0, len(xs) - 1))
+    return tuple(prev), cands, selected, draw(st.integers(1, 4))
+
+
+class TestAdvanceAgainstReference:
+    """Every number of losers, the one-loser path included, gives the
+    general greedy pass's pool."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(_stable_frames())
+    # one loser between two neighbors at equal overlap: the lower one takes it
+    @example(((Tracklet(5, (_row_box(-3.0),)), Tracklet(5, (_row_box(3.0),))),
+              CandidateSet((_row_box(500.0), _row_box(0.0)), (0.9, 0.5)), 0, 9))
+    # one loser at exactly ASSOC_IOU from its only neighbor
+    @example(((Tracklet(5, (_row_box(0.0), _row_box(40.0))),),
+              CandidateSet((_row_box(500.0), _row_box(7.0), _row_box(99.0)),
+                           (0.9, 0.5, 0.0), 2), 0, 9))
+    # one loser and no previous pool
+    @example(((), CandidateSet((_row_box(500.0), _row_box(0.0)), (0.9, 0.5)), 1, 9))
+    def test_matches_the_general_greedy_pass(self, value):
+        prev, cands, selected, tau = value
+        got = advance_neighbor_pool(prev, cands, selected, 6, tau)
+        assert got == reference_advance_neighbor_pool(prev, cands, selected, 6, tau)
+        # each head is the loser's own box object, pushed or fresh
+        losers = [i for i in range(len(cands)) if i not in (selected, cands.kalman_index)]
+        assert all(tr.head is cands.boxes[i] for tr, i in zip(got, losers))
