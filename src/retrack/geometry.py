@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,8 +26,9 @@ def min_side(reach: float) -> float:
 @dataclass(frozen=True, slots=True, init=False)
 class BBox:
     """Axis-aligned box in pixel coordinates, (x, y) top-left corner: a
-    frozen, slotted value whose `__init__` checks the four fields as
-    arguments, then stores them."""
+    frozen, slotted value of four Python floats. `__init__` converts any
+    other real number (an int, a `Fraction`, a numpy scalar) with `float`,
+    refusing anything else, then checks the floats and stores them."""
 
     x: float
     y: float
@@ -34,20 +36,24 @@ class BBox:
     h: float
 
     def __init__(self, x: float, y: float, w: float, h: float):
-        try:  # the common case in one chained test; a failing box is told why below
-            # an extent within tolerance of its side is finite, and so are the
-            # corner and the side that make it (NaN fails every comparison); a
-            # negative side fails it too, unless so small that the area is 0
-            if (abs((x + w) - x - w) <= EXTENT_TOLERANCE * w
-                    and abs((y + h) - y - h) <= EXTENT_TOLERANCE * h
-                    and 0.0 < w * h * 2.0 < math.inf):
-                _set_x(self, x)
-                _set_y(self, y)
-                _set_w(self, w)
-                _set_h(self, h)
-                return
-        except TypeError:  # not a number: `math.isfinite` names its type
-            pass
+        if not (type(x) is float and type(y) is float and type(w) is float
+                and type(h) is float):
+            for v in (x, y, w, h):
+                if not isinstance(v, numbers.Real):  # `float` would parse a string
+                    raise TypeError(f"must be real number, not {type(v).__name__}")
+            x, y, w, h = float(x), float(y), float(w), float(h)
+        # the common case in one chained test; a failing box is told why below:
+        # an extent within tolerance of its side is finite, and so are the
+        # corner and the side that make it (NaN fails every comparison); a
+        # negative side fails it too, unless so small that the area is 0
+        if (abs((x + w) - x - w) <= EXTENT_TOLERANCE * w
+                and abs((y + h) - y - h) <= EXTENT_TOLERANCE * h
+                and 0.0 < w * h * 2.0 < math.inf):
+            _set_x(self, x)
+            _set_y(self, y)
+            _set_w(self, w)
+            _set_h(self, h)
+            return
         for name, v in (("x", x), ("y", y), ("w", w), ("h", h)):
             if not math.isfinite(v):
                 raise ValueError(f"BBox.{name} must be finite, got {v!r}")

@@ -12,9 +12,9 @@ coordinates because they are scaled by the one box height. Starting from
 a diagonal covariance with equal spread per coordinate, predict and update
 therefore keep one shared block, so the filter carries just its 3 entries
 and runs per-coordinate scalar equations with no numpy call. A state is a
-plain `(mean, block)` pair of Python floats, as `motion_init` and
-`motion_update` coerce the boxes they take in. Every operation returns a
-new state; one of the wrong length fails unpacking with a `ValueError`.
+plain `(mean, block)` pair of Python floats, as a `BBox` holds Python
+floats. Every operation returns a new state; one of the wrong length fails
+unpacking with a `ValueError`.
 """
 from __future__ import annotations
 
@@ -43,7 +43,7 @@ class MotionState(NamedTuple):
 
 def motion_init(b0: BBox) -> MotionState:
     """Start a filter at `b0` with zero velocity and scale-matched spread."""
-    cx, cy, w, h = float(b0.cx), float(b0.cy), float(b0.w), float(b0.h)
+    cx, cy, w, h = b0.cx, b0.cy, b0.w, b0.h
     std_p = 2 * STD_WEIGHT_POSITION * h
     std_v = 10 * STD_WEIGHT_VELOCITY * h
     return MotionState((cx, cy, w, h, 0.0, 0.0, 0.0, 0.0),
@@ -72,8 +72,8 @@ def motion_update(s: MotionState, observed: BBox) -> MotionState:
     inv = 1.0 / (pp + r)
     kp, kv = pp * inv, pv * inv
     ox, oy, ow, oh = observed.x, observed.y, observed.w, observed.h
-    dx, dy = float(ox + ow / 2.0) - cx, float(oy + oh / 2.0) - cy
-    dw, dh = float(ow) - w, float(oh) - h
+    dx, dy = (ox + ow / 2.0) - cx, (oy + oh / 2.0) - cy
+    dw, dh = ow - w, oh - h
     # keep the filter inside the valid box domain, clamping as `motion_predict` does
     w, h = w + kp * dw, h + kp * dh
     mean = (cx + kp * dx, cy + kp * dy,

@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import BBox, Tracklet, box_array, min_side
+from .geometry import BBox, Tracklet, box_array, iou, min_side
 from .tracker_port import RawCandidates, TrackerPort, newest_first, segment_frames
 
 log = logging.getLogger(__name__)
@@ -149,8 +149,8 @@ class Scene:
                 index.append(seen.setdefault(row.tobytes(), len(seen)))
             bs = obj.boxes
             self._tables[obj.id] = _Table(bs, vis, index,
-                                          array("d", [b.x + b.w / 2.0 for b in bs]),
-                                          array("d", [b.y + b.h / 2.0 for b in bs]))
+                                          array("d", [b.cx for b in bs]),
+                                          array("d", [b.cy for b in bs]))
         self._appearances = np.frombuffer(b"".join(seen)).reshape(len(seen), dim)
         self._box_array = box_array(
             [b for table in self._tables.values() for b in table.boxes]
@@ -190,24 +190,9 @@ class Scene:
     def dominant_object(self, box: BBox, frame: int) -> int | None:
         """Id of the object whose true box at `frame` overlaps `box` the
         most; a tie goes to the lower id, and None if nothing overlaps."""
-        # `iou(box, b)` spelled out over each true box b, with its operations
-        # in the same order, as `tracklet_avg_iou` does
-        ax, ay, aw, ah = box.x, box.y, box.w, box.h
-        ax2, ay2 = ax + aw, ay + ah
         best_id, best_ov = None, 0.0
         for obj_id, table in self._tables.items():
-            b = table.boxes[frame]
-            bx, by, bw, bh = b.x, b.y, b.w, b.h
-            bx2 = bx + bw
-            ix = (bx2 if bx2 < ax2 else ax2) - (bx if bx > ax else ax)
-            if ix <= 0:
-                continue
-            by2 = by + bh
-            iy = (by2 if by2 < ay2 else ay2) - (by if by > ay else ay)
-            if iy <= 0:
-                continue
-            inter = ix * iy
-            ov = inter / (aw * ah + bw * bh - inter)
+            ov = iou(box, table.boxes[frame])
             if ov > best_ov:
                 best_id, best_ov = obj_id, ov
         return best_id

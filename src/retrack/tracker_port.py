@@ -22,8 +22,9 @@ from .geometry import BBox, Tracklet
 
 @dataclass(frozen=True, slots=True, init=False)
 class RawCandidates:
-    """Scored box proposals for one frame, as emitted by the tracker; each
-    score is stored as a Python float, whatever the port answered."""
+    """Scored box proposals for one frame, as emitted by the tracker: each
+    box a `BBox`, so its fields are Python floats, and each score stored as
+    a Python float, whatever the port answered."""
 
     boxes: tuple[BBox, ...]
     scores: tuple[float, ...]
@@ -38,7 +39,11 @@ class RawCandidates:
         if len(boxes) < 1:
             raise ValueError("a tracker must propose at least one box")
         floats = True
+        i = 0  # a counter: cheaper than `enumerate` or `zip` on a one- or two-box frame
         for s in scores:
+            if not isinstance(boxes[i], BBox):  # a tuple, say, that the engine could not read
+                raise ValueError(f"box {i} is a {type(boxes[i]).__name__}, not a BBox")
+            i += 1
             if type(s) is not float:  # a numpy scalar, say, which no record could write
                 s = float(s)
                 floats = False

@@ -19,8 +19,10 @@ def _message(call, error=ValueError) -> str:
 
 class TestBBox:
     def test_rejects_nonpositive_size(self):
-        assert _message(lambda: BBox(0, 0, 0, 5)) == "BBox must have positive size, got w=0, h=5"
-        assert _message(lambda: BBox(0, 0, 5, -1)) == "BBox must have positive size, got w=5, h=-1"
+        # int fields are judged, and so reported, as the floats they are stored as
+        assert _message(lambda: BBox(0, 0, 0, 5)) == "BBox must have positive size, got w=0.0, h=5.0"
+        assert (_message(lambda: BBox(0, 0, 5, -1))
+                == "BBox must have positive size, got w=5.0, h=-1.0")
         assert (_message(lambda: BBox(0.0, 0.0, -0.0, 2.5))
                 == "BBox must have positive size, got w=-0.0, h=2.5")
 

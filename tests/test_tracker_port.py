@@ -7,6 +7,7 @@ import pytest
 
 from conformance import check_port, check_rejects
 from conftest import DriftPort, ScriptPort
+from retrack import cli
 from retrack.engine import EngineConfig, run_sequence
 from retrack.geometry import BBox
 from retrack.tracker_port import RawCandidates, segment_frames
@@ -56,6 +57,36 @@ class TestRawCandidates:
         for record in records:
             json.dumps(record)
             assert all(type(s) is float for s in record["scores"])
+
+    def test_numpy_boxes_make_records_and_rows_that_serialise(self):
+        """A port that answers numpy box coordinates, started from a float32
+        box, still yields JSON-ready records and CSV rows of plain numbers."""
+        class NumpyBoxPort(DriftPort):
+            def propose(self, template, frame, prior):
+                box = super().propose(template, frame, prior).boxes[0]
+                return RawCandidates(
+                    (BBox(*map(np.float32, box.as_tuple())),
+                     BBox(*map(np.float64, (box.x + 50.0, box.y, box.w, box.h)))),
+                    (0.9, 0.8))
+
+        b0 = BBox(*map(np.float32, (0, 0, 4, 4)))
+        boxes, records = run_sequence(NumpyBoxPort(), range(4), b0, EngineConfig())
+        assert len(records) == 3
+        for record in records:
+            json.dumps(record)
+            assert all(type(v) is float for v in record["box"])
+        rows = cli._boxes_csv(boxes, {}).splitlines()[2:]
+        assert rows[0] == "0,0.0,0.0,4.0,4.0"
+        for row in rows:
+            assert [type(v) for v in json.loads(f"[{row}]")] == [int, float, float, float, float]
+
+    def test_a_box_must_be_a_bbox(self):
+        with pytest.raises(ValueError, match="box 1 is a tuple, not a BBox"):
+            RawCandidates((BBox(0, 0, 4, 4), (0.0, 0.0, 4.0, 4.0)), (0.9, 0.5))
+        # a script of tuple boxes fails where its proposals are built, not
+        # deep inside the engine
+        with pytest.raises(ValueError, match="box 0 is a tuple, not a BBox"):
+            ScriptPort({1: ([(0.0, 0.0, 4.0, 4.0)], [0.9])})
 
     def test_argmax_tie_breaks_low(self):
         boxes = tuple(BBox(i, 0, 1, 1) for i in range(3))

@@ -2,7 +2,10 @@
 and rebuilt by pickling and `dataclasses.replace`."""
 import dataclasses
 import pickle
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from retrack.candidate_select import CandidateSet
@@ -68,3 +71,26 @@ def test_repr_is_the_dataclass_repr():
     assert repr(CandidateSet((A,), (0.5,))) == (
         "CandidateSet(boxes=(BBox(x=1.0, y=2.0, w=3.0, h=4.0),), scores=(0.5,), "
         "kalman_index=None)")
+
+
+@pytest.mark.parametrize("real", [np.float32, np.float64, int, Fraction])
+def test_box_fields_are_stored_as_floats(real):
+    box = BBox(real(1), real(2), real(3), real(4))
+    assert [type(v) for v in box.as_tuple()] == [float] * 4
+    assert box == BBox(1.0, 2.0, 3.0, 4.0)
+
+
+def test_a_float32_box_is_judged_in_float64():
+    # in float32, 1e6 + 0.01 rounds back to 1e6: the box would not measure its width
+    x, w = np.float32(1e6), np.float32(0.01)
+    assert x + w - x == 0.0
+    box = BBox(x, np.float32(0.0), w, np.float32(2.5))
+    assert (box.x, box.w) == (1e6, float(w))
+    assert box.x2 - box.x == pytest.approx(box.w, rel=1e-6)
+
+
+@pytest.mark.parametrize("field", ["3", Decimal(3)])
+def test_a_box_field_that_is_not_real_is_a_type_error(field):
+    # `float` would parse the string and convert the `Decimal`
+    with pytest.raises(TypeError, match=f"must be real number, not {type(field).__name__}$"):
+        BBox(1.0, 2.0, field, 4.0)
