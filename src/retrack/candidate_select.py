@@ -65,9 +65,15 @@ def filter_by_confidence(raw: RawCandidates, alpha: float) -> list[int]:
     is never lost even at alpha = 1."""
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    s_max = max(raw.scores)
+    scores = raw.scores
+    s_max = max(scores)
     cut = alpha * s_max
-    return [i for i, s in enumerate(raw.scores) if s > cut or s == s_max]
+    kept, i = [], 0
+    for s in scores:  # one loop: before Python 3.12 a comprehension is a function call
+        if s > cut or s == s_max:
+            kept.append(i)
+        i += 1
+    return kept
 
 
 def soft_nms(raw: RawCandidates, keep: list[int], iou_thresh: float, sigma: float,

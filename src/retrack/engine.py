@@ -115,7 +115,7 @@ def step(state: EngineState, frame: int, port: TrackerPort,
             selected, source = resolve_target(pairs, weights_list, cands)
             if source == "degraded_argmax":
                 log.warning("frame %d: no viable candidate, degrading to argmax", t)
-            pairs_list = [list(pair) for pair in pairs]
+            pairs_list = list(map(list, pairs))
             neighbors = update_neighbor_pool(cands, tracklets, selected, cfg.tau)
 
     box = cands.boxes[selected]
@@ -137,7 +137,8 @@ def step(state: EngineState, frame: int, port: TrackerPort,
         "source": source,
         "box": [box.x, box.y, box.w, box.h],
     }
-    return box, EngineState(state.template, target, neighbors, motion), record
+    # built as `EngineState._make` does: the constructor runs a generated Python `__new__`
+    return box, tuple.__new__(EngineState, (state.template, target, neighbors, motion)), record
 
 
 def _consecutive(frames: Sequence[int]) -> list[int] | range:

@@ -38,10 +38,17 @@ class BBox:
     def __init__(self, x: float, y: float, w: float, h: float):
         if not (type(x) is float and type(y) is float and type(w) is float
                 and type(h) is float):
-            for v in (x, y, w, h):
+            fields = []
+            for name, v in (("x", x), ("y", y), ("w", w), ("h", h)):
                 if not isinstance(v, numbers.Real):  # `float` would parse a string
                     raise TypeError(f"must be real number, not {type(v).__name__}")
-            x, y, w, h = float(x), float(y), float(w), float(h)
+                try:
+                    fields.append(float(v))
+                except OverflowError as err:  # an int or a `Fraction` past the float range
+                    # the value is not formatted: an int of over 4,300 digits cannot be
+                    raise ValueError(f"BBox.{name} is too large for a float: "
+                                     f"{type(v).__name__}") from err
+            x, y, w, h = fields
         # the common case in one chained test; a failing box is told why below:
         # an extent within tolerance of its side is finite, and so are the
         # corner and the side that make it (NaN fails every comparison); a

@@ -49,10 +49,12 @@ def build_weights(tracklets: Sequence[Tracklet], neighbors: Sequence[Tracklet],
         key = (tr.end_frame, *map(id, tr.boxes))
         row = seen.get(key)
         if row is None:
-            row = seen[key] = (
-                [tracklet_avg_iou(tr, nb) for nb in neighbors]
-                + [top_weight if r == 0 and top_weight is not None
-                   else tracklet_avg_iou(tr, target)])
+            row = seen[key] = []
+            # loops, not comprehensions, in this module: before Python 3.12 each is a function call
+            for nb in neighbors:
+                row.append(tracklet_avg_iou(tr, nb))
+            row.append(top_weight if r == 0 and top_weight is not None
+                       else tracklet_avg_iou(tr, target))
         rows.append(row)
     return np.array(rows, dtype=float)
 
@@ -69,8 +71,19 @@ def linear_sum_assignment(grid: Sequence[Sequence[float]], rows: Sequence[int],
     a visited column by moving the last one into its place.
     """
     transpose = len(cols) < len(rows)
-    w = ([[grid[r][c] for r in rows] for c in cols] if transpose
-         else [[grid[r][c] for c in cols] for r in rows])
+    w = []
+    if transpose:
+        for c in cols:
+            line = []
+            for r in rows:
+                line.append(grid[r][c])
+            w.append(line)
+    else:
+        for r in rows:
+            line, grid_r = [], grid[r]
+            for c in cols:
+                line.append(grid_r[c])
+            w.append(line)
     nr, nc = len(w), len(w[0])
     u, v = [0.0] * nr, [0.0] * nc
     col4row, row4col, path = [-1] * nr, [-1] * nc, [-1] * nc
@@ -80,8 +93,8 @@ def linear_sum_assignment(grid: Sequence[Sequence[float]], rows: Sequence[int],
         minval, i = 0.0, cur
         while True:
             wi, ui = w[i], u[i]
-            lowest, index = math.inf, -1
-            for it, j in enumerate(remaining):
+            lowest, index, it = math.inf, -1, 0
+            for j in remaining:
                 cost = costs[j]
                 reduced = minval - wi[j] - ui - v[j]
                 if reduced < cost:
@@ -89,9 +102,11 @@ def linear_sum_assignment(grid: Sequence[Sequence[float]], rows: Sequence[int],
                     costs[j] = cost = reduced
                 if cost < lowest or (cost == lowest and row4col[j] == -1):
                     lowest, index = cost, it
+                it += 1
             minval = lowest
-            remaining[index], remaining[-1] = remaining[-1], remaining[index]
-            j = remaining.pop()
+            j = remaining[index]
+            remaining[index] = remaining[-1]
+            remaining.pop()
             seen_cols.append(j)
             i = row4col[j]
             if i == -1:
@@ -108,13 +123,13 @@ def linear_sum_assignment(grid: Sequence[Sequence[float]], rows: Sequence[int],
             col4row[i], j = j, col4row[i]
             if i == cur:
                 break
-    # transposed, `row4col` maps each original row to its column, or to -1
-    pairs = (((r, c) for r, c in enumerate(row4col) if c >= 0) if transpose
-             else enumerate(col4row))
+    # transposed, `row4col` maps each original row to its column, or to -1;
+    # otherwise `col4row` maps every row to its column
     match, total = {}, 0.0
-    for r, c in pairs:
-        match[rows[r]] = cols[c]
-        total += grid[rows[r]][cols[c]]
+    for r, c in enumerate(row4col if transpose else col4row):
+        if c >= 0:
+            match[rows[r]] = cols[c]
+            total += grid[rows[r]][cols[c]]
     return total, match
 
 
@@ -163,7 +178,8 @@ def hungarian_max(w: np.ndarray) -> tuple[tuple[int, int], ...]:
             if c == match.get(r):
                 chosen = c
                 break
-            rest_cols = [x for x in free_cols if x != c]
+            rest_cols = free_cols.copy()
+            rest_cols.remove(c)
             # an empty remainder is not solved: it weighs 0 and matches nothing
             rest, rest_match = (
                 linear_sum_assignment(grid, range(r + 1, n_rows), rest_cols)

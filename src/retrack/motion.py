@@ -14,7 +14,10 @@ therefore keep one shared block, so the filter carries just its 3 entries
 and runs per-coordinate scalar equations with no numpy call. A state is a
 plain `(mean, block)` pair of Python floats, as a `BBox` holds Python
 floats. Every operation returns a new state; one of the wrong length fails
-unpacking with a `ValueError`.
+unpacking with a `ValueError`. `motion_predict` and `motion_update` build
+it with `tuple.__new__`, as the named tuple's own `_make` does:
+`MotionState(mean, block)` runs a generated Python `__new__`, one more
+function call per frame.
 """
 from __future__ import annotations
 
@@ -62,7 +65,7 @@ def motion_predict(s: MotionState) -> tuple[BBox, MotionState]:
     cx, cy = cx + vcx, cy + vcy
     # w and h are already at least MIN_SIZE, so the box is the state's own
     return (BBox(cx - w / 2.0, cy - h / 2.0, w, h),
-            MotionState((cx, cy, w, h, vcx, vcy, vw, vh), block))
+            tuple.__new__(MotionState, ((cx, cy, w, h, vcx, vcy, vw, vh), block)))
 
 
 def motion_update(s: MotionState, observed: BBox) -> MotionState:
@@ -88,4 +91,4 @@ def motion_update(s: MotionState, observed: BBox) -> MotionState:
     block = (ppa * a + kp * r * kp,
              ((ppa * -kv + pv * a + kp * r * kv) + (vp * a + kv * r * kp)) / 2.0,
              vp * -kv + (-kv * pv + vv) + kv * r * kv)
-    return MotionState(mean, block)
+    return tuple.__new__(MotionState, (mean, block))

@@ -47,8 +47,11 @@ def build_candidate_pool(cands: CandidateSet, port: TrackerPort, frames: range,
     deterministic.
     """
     t = frames[0] + 1
-    return (top_tracklet, *(port.track_segment(port.make_template(t, box), box, frames)
-                            for box in cands.boxes[1:]))
+    pool = [top_tracklet]
+    # loops, not comprehensions, in this module: before Python 3.12 each is a function call
+    for box in cands.boxes[1:]:
+        pool.append(port.track_segment(port.make_template(t, box), box, frames))
+    return tuple(pool)
 
 
 def _losers(cands: CandidateSet, selected: int, tau: int) -> list[int]:
@@ -57,7 +60,11 @@ def _losers(cands: CandidateSet, selected: int, tau: int) -> list[int]:
         raise ValueError(f"tau must be at least 1, got {tau}")
     if not 0 <= selected < len(cands):
         raise ValueError(f"selected index {selected} not present in the pool")
-    return [i for i in range(len(cands)) if i not in (selected, cands.kalman_index)]
+    kalman_index, losers = cands.kalman_index, []
+    for i in range(len(cands)):
+        if i != selected and i != kalman_index:
+            losers.append(i)
+    return losers
 
 
 def update_neighbor_pool(cands: CandidateSet, tracklets: Sequence[Tracklet],
@@ -66,7 +73,10 @@ def update_neighbor_pool(cands: CandidateSet, tracklets: Sequence[Tracklet],
     losers = _losers(cands, selected, tau)
     if len(tracklets) != len(cands):
         raise ValueError(f"{len(tracklets)} tracklets for {len(cands)} candidates")
-    return tuple([tracklets[i].pushed(cands.boxes[i], tau) for i in losers])
+    boxes, pool = cands.boxes, []
+    for i in losers:
+        pool.append(tracklets[i].pushed(boxes[i], tau))
+    return tuple(pool)
 
 
 def advance_neighbor_pool(prev: Sequence[Tracklet], cands: CandidateSet, selected: int,
@@ -95,6 +105,8 @@ def advance_neighbor_pool(prev: Sequence[Tracklet], cands: CandidateSet, selecte
         if ci not in taken_c and nj not in taken_n:
             taken_c[ci] = nj
             taken_n.add(nj)
-    return tuple([prev[taken_c[ci]].pushed(cands.boxes[i], tau) if ci in taken_c
-                  else Tracklet(t, (cands.boxes[i],))
-                  for ci, i in enumerate(losers)])
+    pool = []
+    for ci, i in enumerate(losers):
+        box = cands.boxes[i]
+        pool.append(prev[taken_c[ci]].pushed(box, tau) if ci in taken_c else Tracklet(t, (box,)))
+    return tuple(pool)

@@ -55,6 +55,14 @@ def reference_iou(a: BBox, b: BBox) -> float:
     return inter / (a.area + b.area - inter)
 
 
+def reference_filter(scores, alpha: float) -> list[int]:
+    """The confidence filter as one comprehension: the indices of the
+    scores strictly above alpha times the max, or tied with it."""
+    s_max = max(scores)
+    cut = alpha * s_max
+    return [i for i, s in enumerate(scores) if s > cut or s == s_max]
+
+
 def reference_soft_nms(raw, keep, iou_thresh: float, sigma: float,
                        score_floor: float) -> list[tuple[int, float]]:
     """Greedy Gaussian soft suppression over the indices `keep`, as one

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_soft_nms
-from retrack.candidate_select import (NMS_FLOOR, NMS_IOU, NMS_SIGMA, assemble,
+from oracles import reference_filter, reference_soft_nms
+from retrack.candidate_select import (ALPHA, NMS_FLOOR, NMS_IOU, NMS_SIGMA, assemble,
                                       filter_by_confidence, soft_nms)
 from retrack.geometry import BBox, iou
 from retrack.tracker_port import RawCandidates
@@ -42,6 +42,33 @@ class TestConfidenceFilter:
             filter_by_confidence(_raw([0.5]), 1.5)
         with pytest.raises(ValueError):
             filter_by_confidence(_raw([0.5]), -0.1)
+
+
+@st.composite
+def _filter_inputs(draw):
+    """1 to 8 scores in [0, 1], often tied at the max or all zero, and an
+    alpha at either end, at the engine's value or anywhere between."""
+    n = draw(st.integers(1, 8))
+    scores = draw(st.lists(st.sampled_from((0.0, 0.5, 0.7, 1.0)) | st.floats(0.0, 1.0),
+                           min_size=n, max_size=n))
+    shape = draw(st.sampled_from(("drawn", "tied", "zero")))
+    if shape == "tied":  # a random set of indices takes the max
+        top = max(scores)
+        scores = [top if draw(st.booleans()) else s for s in scores]
+    elif shape == "zero":
+        scores = [0.0] * n
+    alpha = draw(st.sampled_from((0.0, ALPHA, 1.0)) | st.floats(0.0, 1.0))
+    return scores, alpha
+
+
+class TestConfidenceFilterAgainstReference:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(_filter_inputs())
+    @example(([0.0, 0.0, 0.0], 1.0))
+    @example(([0.9, 0.3, 0.9], 1.0))
+    def test_matches_the_comprehension(self, value):
+        scores, alpha = value
+        assert filter_by_confidence(_raw(scores), alpha) == reference_filter(scores, alpha)
 
 
 class TestSoftNms:

@@ -1,5 +1,6 @@
 """The per-frame value types: frozen, slotted, equal and hashed by value,
-and rebuilt by pickling and `dataclasses.replace`."""
+and rebuilt by pickling and `dataclasses.replace`; and the named-tuple
+states the step path builds, which behave as constructor-built ones."""
 import dataclasses
 import pickle
 from decimal import Decimal
@@ -8,8 +9,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import DriftPort
 from retrack.candidate_select import CandidateSet
+from retrack.engine import EngineConfig, EngineState, engine_init, step
 from retrack.geometry import BBox, Tracklet
+from retrack.motion import MotionState, motion_predict, motion_update
 from retrack.tracker_port import RawCandidates
 
 A, B = BBox(1.0, 2.0, 3.0, 4.0), BBox(6.0, 2.0, 3.0, 4.0)
@@ -94,3 +98,43 @@ def test_a_box_field_that_is_not_real_is_a_type_error(field):
     # `float` would parse the string and convert the `Decimal`
     with pytest.raises(TypeError, match=f"must be real number, not {type(field).__name__}$"):
         BBox(1.0, 2.0, field, 4.0)
+
+
+@pytest.mark.parametrize("field", [10**400, -10**400, 10**5000, Fraction(10**400, 3)],
+                         ids=["10**400", "-10**400", "10**5000", "Fraction(10**400, 3)"])
+@pytest.mark.parametrize("name", ["x", "h"])
+def test_a_box_field_past_the_float_range_is_a_value_error(name, field):
+    # named by type: an int of over 4,300 digits cannot be formatted
+    fields = {"x": 0.0, "y": 0.0, "w": 1.0, "h": 1.0, name: field}
+    with pytest.raises(ValueError, match=f"^BBox.{name} is too large for a float: "
+                                         f"{type(field).__name__}$"):
+        BBox(**fields)
+
+
+def _stepped_states():
+    """A motion state from `motion_predict` and from `motion_update`, and an
+    engine state from `step`: the states the step path builds."""
+    port = DriftPort()
+    state = engine_init(port, 0, BBox(0.0, 0.0, 4.0, 4.0), EngineConfig())
+    _, predicted = motion_predict(state.motion)
+    _, stepped, _ = step(state, 1, port, EngineConfig())
+    return [predicted, motion_update(predicted, BBox(1.0, 0.0, 4.0, 4.0)), stepped]
+
+
+@pytest.mark.parametrize("index", range(3), ids=["predict", "update", "step"])
+def test_stepped_states_are_their_named_tuples(index):
+    state = _stepped_states()[index]
+    cls = EngineState if index == 2 else MotionState
+    assert type(state) is cls
+    assert state._fields == cls._fields
+    rebuilt = cls(*state)
+    assert state == rebuilt and hash(state) == hash(rebuilt)
+    assert repr(state) == repr(rebuilt)
+    assert repr(state).startswith(f"{cls.__name__}({cls._fields[0]}=")
+    assert state._replace() == state
+    assert type(state._replace()) is cls
+    field = cls._fields[-1]
+    assert getattr(state._replace(**{field: None}), field) is None
+    copy = pickle.loads(pickle.dumps(state))
+    assert type(copy) is cls
+    assert copy == state
