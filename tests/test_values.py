@@ -130,7 +130,6 @@ def test_stepped_states_are_their_named_tuples(index):
     rebuilt = cls(*state)
     assert state == rebuilt and hash(state) == hash(rebuilt)
     assert repr(state) == repr(rebuilt)
-    assert repr(state).startswith(f"{cls.__name__}({cls._fields[0]}=")
     assert state._replace() == state
     assert type(state._replace()) is cls
     field = cls._fields[-1]
